@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 
 class Var(Enum):
@@ -53,8 +53,11 @@ class Domain:
         for lo, hi in (self.x1_range, self.x2_range):
             if not lo < hi:
                 raise ValueError(f"empty coordinate range [{lo}, {hi}]")
-        if not self.guard > 0:
-            raise ValueError("guard must be positive")
+            # The sampler draws lo + (hi - lo) * u, which must stay finite.
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"coordinate range [{lo}, {hi}] must be finite")
+        if not (self.guard > 0 and math.isfinite(self.guard)):
+            raise ValueError("guard must be positive and finite")
 
 
 class ParseError(ValueError):
@@ -390,50 +393,114 @@ def compile_expr(e: Expr) -> Callable[[float, float], float]:
     points surface as one of EVAL_ERRORS without node diagnostics; use
     `evaluate` when the error message matters.
     """
-    lines: list[str] = []
-    names: dict[int, str] = {}
+    return _generate([e], "value")
 
-    def emit(node: Expr) -> str:
-        key = id(node)
-        if key in names:
-            return names[key]
-        if isinstance(node, Constant):
-            code = repr(node.value)
-        elif isinstance(node, Variable):
-            code = node.var.value
-        elif isinstance(node, Negate):
-            code = f"-{emit(node.arg)}"
-        elif isinstance(node, Add):
-            code = f"{emit(node.lhs)} + {emit(node.rhs)}"
-        elif isinstance(node, Sub):
-            code = f"{emit(node.lhs)} - {emit(node.rhs)}"
-        elif isinstance(node, Mul):
-            code = f"{emit(node.lhs)} * {emit(node.rhs)}"
-        elif isinstance(node, Div):
-            code = f"{emit(node.num)} / {emit(node.den)}"
-        elif isinstance(node, Pow):
-            expo = node.exponent
-            if isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= 2**31:
-                code = f"_int_pow({emit(node.base)}, {int(expo.value)})"
-            else:
-                code = f"_pow_value({emit(node.base)}, {emit(expo)})"
-        elif isinstance(node, Apply):
-            code = f"_fn_{node.fn}({emit(node.arg)})"
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        if isinstance(node, (Constant, Variable)):
-            names[key] = code
-            return code
-        name = f"t{len(lines)}"
-        lines.append(f"    {name} = {code}")
-        names[key] = name
+
+def compile_many(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float, ...]]:
+    """Compile `exprs` to one callable `(x1, x2) -> tuple` of their
+    values, in order.  Subtrees the expressions share are computed once;
+    each value is bit-identical to `compile_expr` of that expression.
+    The call raises one of EVAL_ERRORS when any expression is undefined."""
+    return _generate(exprs, "tuple")
+
+
+def _compile_scaled(e: Expr) -> Callable[[float, float], tuple[float, float]]:
+    """Compile `e` to `(x1, x2) -> (value, scale)`, bit-identical to
+    `evaluate_with_scale` on the points where that is defined."""
+    return _generate([e], "scaled")
+
+
+_CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value}
+_CODEGEN_NAMESPACE.update((f"_fn_{name}", fn) for name, fn in FUNCTIONS.items())
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def _generate(exprs: Sequence[Expr], returns: str) -> Callable:
+    """Emit and compile one Python function of (x1, x2) that evaluates
+    every expression in `exprs`.
+
+    `returns` picks the result: "value" (of the single expression),
+    "tuple" (one value per expression) or "scaled" (value and scale of
+    the single expression, computed as `_eval_scaled` does, with the
+    arguments of every max in the same order).
+
+    Structurally equal subtrees are emitted once: a node's key is its
+    type, function name and the names of its already-emitted children,
+    so the pass is linear in the number of distinct node objects.
+    Leaves stay inline; every other distinct shape gets one local.
+    """
+    scaled = returns == "scaled"
+    namespace = dict(_CODEGEN_NAMESPACE)
+    lines: list[str] = []
+    by_id: dict[int, tuple[str, str]] = {}
+    by_key: dict[tuple, tuple[str, str]] = {}
+
+    def literal(v: float) -> str:
+        if math.isfinite(v):
+            return repr(v)
+        # repr(inf) and repr(nan) are not Python literals: bind the float.
+        name = f"_k{len(namespace)}"
+        namespace[name] = v
         return name
 
-    root = emit(e)
-    src = "def _compiled(x1, x2):\n" + "\n".join(lines) + f"\n    return {root}\n"
-    namespace: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value}
-    for fname, fval in FUNCTIONS.items():
-        namespace[f"_fn_{fname}"] = fval
+    def local(prefix: str, code: str) -> str:
+        name = f"{prefix}{len(lines)}"
+        lines.append(f"    {name} = {code}")
+        return name
+
+    def scale(code: str) -> str:
+        return local("s", code) if scaled else ""
+
+    def emit(node: Expr) -> tuple[str, str]:
+        # Names of the value and the scale of `node`; leaves stay inline.
+        hit = by_id.get(id(node))
+        if hit is not None:
+            return hit
+        if isinstance(node, Constant):
+            out = literal(node.value), literal(abs(node.value))
+        elif isinstance(node, Variable):
+            out = node.var.value, f"abs({node.var.value})"
+        else:
+            kids = []
+            for child in node.children():
+                kids.append(emit(child))
+            key = (type(node), getattr(node, "fn", None), *(v for v, _ in kids))
+            out = by_key.get(key)
+            if out is None:
+                out = by_key[key] = emit_operation(node, kids)
+        by_id[id(node)] = out
+        return out
+
+    def emit_operation(node: Expr, kids: list[tuple[str, str]]) -> tuple[str, str]:
+        if isinstance(node, Negate):
+            ((a, sa),) = kids
+            return local("t", f"-{a}"), sa
+        if isinstance(node, Apply):
+            ((a, sa),) = kids
+            v = local("t", f"_fn_{node.fn}({a})")
+            return v, scale(f"max({sa}, abs({v}))")
+        (a, sa), (b, sb) = kids
+        if isinstance(node, Pow):
+            expo = node.exponent
+            if isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= 2**31:
+                code = f"_int_pow({a}, {int(expo.value)})"
+            else:
+                code = f"_pow_value({a}, {b})"
+        elif type(node) in _BINARY_OPS:
+            code = f"{a} {_BINARY_OPS[type(node)]} {b}"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        v = local("t", code)
+        return v, scale(f"max({sa}, {sb}, abs({v}))")
+
+    names = [emit(e) for e in exprs]
+    if returns == "tuple":
+        result = "(" + "".join(f"{v}, " for v, _ in names) + ")"
+    elif scaled:
+        result = "{}, {}".format(*names[0])
+    else:
+        result = names[0][0]
+    src = "def _compiled(x1, x2):\n" + "".join(f"{line}\n" for line in lines) + f"    return {result}\n"
     exec(compile(src, "<compiled-expr>", "exec"), namespace)
     return namespace["_compiled"]
 
@@ -712,8 +779,9 @@ def is_probably_zero(
 
     Draws seeded uniform points, rejecting any where a denominator of
     `e` has magnitude below d.guard, and accepts zero-ness iff
-    |e(p)| <= tol * (1 + local magnitude scale) at every point.  The
-    verdict is deterministic given the seed.  Raises
+    |e(p)| <= tol * (1 + local magnitude scale) at every point; a
+    non-finite value counts as nonzero.  The verdict is deterministic
+    given the seed.  Raises
     DomainTooSingularError when fewer than samples/2 points survive
     rejection and evaluation.
     """
@@ -723,15 +791,17 @@ def is_probably_zero(
         raise ValueError("samples must be >= 1")
     cfg = SamplingConfig(samples=samples, seed=seed, tolerance=tol)
     points = sample_points(d, cfg, guards=denominators(e))
+    fn = _compile_scaled(e)
     evaluated = 0
     verdict = True
     for p in points:
         try:
-            value, scale = evaluate_with_scale(e, p)
-        except EvaluationError:
+            value, scale = fn(p.x1, p.x2)
+        except EVAL_ERRORS:
             continue
         evaluated += 1
-        if abs(value) > tol * (1.0 + scale):
+        # A non-finite value (say inf - inf) is never read as zero.
+        if not math.isfinite(value) or abs(value) > tol * (1.0 + scale):
             verdict = False
     if evaluated < max(1, samples // 2):
         raise DomainTooSingularError(

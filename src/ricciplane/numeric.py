@@ -20,6 +20,7 @@ from .expr import (
     Point,
     Var,
     compile_expr,
+    compile_many,
     denominators,
     differentiate,
     evaluate,
@@ -44,8 +45,9 @@ class SamplingConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.fd_step <= 0 or self.tolerance <= 0 or self.fd_tolerance <= 0:
-            raise ValueError("step and tolerances must be positive")
+        for x in (self.tolerance, self.fd_step, self.fd_tolerance):
+            if not (x > 0 and math.isfinite(x)):
+                raise ValueError("step and tolerances must be positive and finite")
 
 
 def sample_points(
@@ -62,23 +64,18 @@ def sample_points(
     DomainTooSingularError.
     """
     rng = random.Random(cfg.seed)
-    compiled = [compile_expr(g) for g in guards]
+    guard_values = compile_many(guards)
     points: list[Point] = []
     for _ in range(cfg.samples * OVERSAMPLE_FACTOR):
         if len(points) == cfg.samples:
             break
         x1 = rng.uniform(*d.x1_range)
         x2 = rng.uniform(*d.x2_range)
-        ok = True
-        for g in compiled:
-            try:
-                if abs(g(x1, x2)) < d.guard:
-                    ok = False
-                    break
-            except EVAL_ERRORS:
-                ok = False
-                break
-        if ok:
+        try:
+            values = guard_values(x1, x2)
+        except EVAL_ERRORS:
+            continue
+        if not any(abs(v) < d.guard for v in values):
             points.append(Point(x1, x2))
     if len(points) < max(1, -(-cfg.samples // 2)):
         raise DomainTooSingularError(
@@ -192,20 +189,23 @@ def sampled_max_abs(
     """Max |value| of each expression over the points.
 
     Points where any expression is undefined are dropped for all of
-    them, keeping the maxima comparable.  Returns (maxima, points used).
+    them, keeping the maxima comparable.  A NaN or infinite value at a
+    used point makes that maximum math.inf.  Returns (maxima, points
+    used).
     """
-    fns = [compile_expr(e) for e in exprs]
+    fn = compile_many(exprs)
     maxima = [0.0] * len(exprs)
     used = 0
     for p in points:
-        row = []
         try:
-            for fn in fns:
-                row.append(abs(fn(p.x1, p.x2)))
+            row = fn(p.x1, p.x2)
         except EVAL_ERRORS:
             continue
         used += 1
         for i, v in enumerate(row):
+            v = abs(v)
+            if v != v:  # NaN
+                v = math.inf
             if v > maxima[i]:
                 maxima[i] = v
     return maxima, used

@@ -1,0 +1,103 @@
+"""Non-finite numbers in specs and in sampled values: a non-finite
+constant compiles, a non-finite residual fails, and non-finite domain
+or sampling values are spec errors."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import pytest
+
+from ricciplane import cli
+from ricciplane.expr import Domain, Point, compile_expr, evaluate, is_probably_zero, parse
+from ricciplane.numeric import SamplingConfig, sampled_max_abs
+
+from conftest import CORPUS
+
+FLAT = {"f1": "1", "f2": "1"}
+
+
+def run_cli(capsys, tmp_path, spec_text: str, *flags) -> tuple[int, str, str]:
+    path = tmp_path / "job.json"
+    path.write_text(spec_text, encoding="utf-8")
+    code = cli.main(["verify", "--spec", str(path), *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_non_finite_constant_compiles_like_evaluate():
+    e = parse("1e400 + x1")
+    assert compile_expr(e)(0.5, 0.0) == evaluate(e, Point(0.5, 0.0))
+
+
+def test_non_finite_constant_spec_gives_a_report(tmp_path, capsys):
+    spec = {"metric": FLAT, "field": {"frame": "orthonormal", "V1": "1e308*10*x1", "V2": "0"}}
+    code, out, err = run_cli(capsys, tmp_path, json.dumps(spec))
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["residual_max"][0] == math.inf
+
+
+def test_nan_residual_fails(tmp_path, capsys):
+    # V1 equals x1, but x1^400 and x1^399*x1 overflow to inf on [10, 20]
+    # and their difference is NaN at every point.
+    spec = {
+        "metric": FLAT,
+        "field": {"frame": "orthonormal", "V1": "x1^400 - x1^399*x1 + x1", "V2": "0"},
+        "domain": {"x1": [10, 20], "x2": [-1, 1]},
+    }
+    code, out, _ = run_cli(capsys, tmp_path, json.dumps(spec))
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["residual_max"][0] == math.inf
+    assert '"residual_max": [\n    Infinity,' in out
+
+
+def test_nan_is_not_zero():
+    assert is_probably_zero(parse("x1^400 - x1^399*x1"), Domain(x1_range=(10, 20))) is False
+    maxima, used = sampled_max_abs([parse("x1^400 - x1^399*x1"), parse("x1")], [Point(10.5, 0.0)])
+    assert (maxima, used) == ([math.inf, 10.5], 1)
+
+
+def test_infinite_domain_is_a_spec_error(tmp_path, capsys):
+    # json.dumps cannot write 1e400, so the spec is written as text.
+    text = (
+        '{"metric": {"f1": "1", "f2": "1"}, "field": {"frame": "orthonormal", "V1": "1", "V2": "0"},'
+        ' "domain": {"x1": [0, 1e400]}}'
+    )
+    code, out, err = run_cli(capsys, tmp_path, text)
+    assert code == 2
+    assert out == ""
+    assert "spec error" in err
+
+
+def test_nan_tolerance_flag_is_a_spec_error(capsys):
+    code = cli.main(["verify", "--spec", str(CORPUS / "ex03_cosh_metric.json"), "--tolerance", "nan"])
+    assert code == 2
+    assert "spec error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"x1_range": (0.0, math.inf)},
+        {"x2_range": (-math.inf, 0.0)},
+        {"x1_range": (-1e308, 1e308)},  # the width overflows
+        {"guard": math.inf},
+        {"guard": math.nan},
+    ],
+)
+def test_domain_rejects_non_finite_values(kwargs):
+    with pytest.raises(ValueError):
+        Domain(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["tolerance", "fd_step", "fd_tolerance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_sampling_config_rejects_non_finite_or_non_positive(field, value):
+    with pytest.raises(ValueError):
+        SamplingConfig(**{field: value})
