@@ -18,6 +18,8 @@ from ricciplane import cli
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
 REPORTS = CORPUS / "reports"
+sys.path.insert(0, str(REPO / "tests"))
+from conftest import FAILING_CORPUS  # the verdicts the test suite expects
 
 
 def main() -> int:
@@ -30,7 +32,7 @@ def main() -> int:
         before = out.read_text() if out.exists() else None
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["verify", "--spec", str(spec), "--out", str(out)])
-        expected = 1 if "unequal" in spec.name else 0
+        expected = 1 if spec.name in FAILING_CORPUS else 0
         if code != expected:
             print(f"unexpected exit {code} for {spec.name}", file=sys.stderr)
             return 1

@@ -4,8 +4,10 @@ Subcommands: curvature, verify, construct, oracle, identities (an alias
 for verify --identities).  Jobs are JSON spec files; reports are JSON
 on stdout (and --out), byte-identical across runs for identical specs.
 
-Exit codes: 0 pass, 1 verification fail, 2 spec/parse error,
-3 singular domain, 4 family hypothesis violation.
+Exit codes: 0 pass, 1 verification fail, 2 spec/parse error (an
+expression nested too deeply to process included), 3 singular domain,
+4 family hypothesis violation, 5 internal error (an unexpected
+exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -67,6 +70,7 @@ EXIT_FAIL = 1
 EXIT_SPEC_ERROR = 2
 EXIT_SINGULAR_DOMAIN = 3
 EXIT_HYPOTHESIS = 4
+EXIT_INTERNAL = 5
 
 
 class SpecError(ValueError):
@@ -527,6 +531,14 @@ def main(argv=None) -> int:
     except EvaluationError as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_SINGULAR_DOMAIN
+    except RecursionError:
+        # The expression walks recurse once per level of nesting.
+        print("spec error: expression nested too deeply", file=sys.stderr)
+        return EXIT_SPEC_ERROR
+    except Exception:
+        # Never let a crash share exit 1 with a verification fail.
+        print(f"internal error:\n{traceback.format_exc()}", file=sys.stderr, end="")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

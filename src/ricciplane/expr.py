@@ -1,15 +1,19 @@
 """Symbolic expressions in the plane coordinates x1, x2.
 
-Immutable expression trees with exact differentiation, light
-value-preserving simplification, deterministic evaluation, and a
-seeded probabilistic identically-zero test.  These trees are the
+Immutable expression trees, interned so that equal subtrees are one
+node, with exact differentiation, light value-preserving
+simplification (both memoised per node), deterministic evaluation, and
+a seeded probabilistic identically-zero test.  These trees are the
 single currency passed between all other modules.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
@@ -78,11 +82,73 @@ class EvaluationError(ArithmeticError):
 EVAL_ERRORS = (EvaluationError, ZeroDivisionError, ValueError, OverflowError)
 
 
-class Expr:
-    """Base class for all nodes.  Nodes are frozen dataclasses; trees
-    compare and hash structurally and are safe to share between threads."""
+# The intern table: one live node per structure.  Keys are the node
+# class and the id() of each child (a node holds its children, so their
+# ids stay valid while its entry exists); a Constant is keyed on the
+# bits of its float, so -0.0 and 0.0 stay distinct and every NaN maps to
+# one node.  An entry dies with its node: the weakref's callback is a
+# functools.partial of the table's pop, so no Python code runs.
+_INTERNED: dict[tuple, weakref.ref] = {}
+_forget = _INTERNED.pop
+_next_serial = itertools.count().__next__
 
-    __slots__ = ()
+
+def _interned(node: "Expr", key: tuple, structural_hash: int) -> "Expr":
+    """Finish a new node (its fields already set) and enter it in the table."""
+    node._hash = structural_hash
+    node._serial = _next_serial()
+    node._simplified = node._dx1 = node._dx2 = node._origin = None
+    _INTERNED[key] = weakref.ref(node, functools.partial(_forget, key))
+    return node
+
+
+class Expr:
+    """Base class for all nodes.
+
+    Nodes are hash-consed: constructing a node returns the live node of
+    that structure when there is one, so equal trees share their
+    subtrees and a tree is a DAG of distinct nodes.  Fields are plain
+    slots and must never be assigned after construction: every tree
+    that shares a node would change with it.  Equality and
+    hashing stay structural (Constant(-0.0) == Constant(0.0), although
+    the two are distinct nodes); the structural hash is computed once,
+    when the node is built.
+
+    Each node also carries the memos of `simplify` and `differentiate`.
+    A memo refers to its result weakly; a result built after its source
+    keeps the source alive instead (`_origin`), and a simplify output is
+    marked as its own fixpoint by a flag.  Every strong reference between
+    nodes therefore points at an older node, so nodes form no reference
+    cycles and die with the last tree that uses them.
+
+    Thread safety: the table and the memos take no lock.  Two threads
+    racing to build the same new node can each create one, so a racing
+    insert can only yield two equal objects; a racing memo write stores
+    the same pure result twice.
+    """
+
+    __slots__ = ("_hash", "_serial", "_simplified", "_dx1", "_dx2", "_origin", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields()))
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -121,80 +187,124 @@ class Expr:
         return ()
 
 
-@dataclass(frozen=True, eq=True)
 class Constant(Expr):
-    value: float
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __new__(cls, value: float):
+        value = float(value)
+        key = (cls, value.hex())
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.value = value
+        return _interned(node, key, hash(value))
 
 
-@dataclass(frozen=True, eq=True)
 class Variable(Expr):
-    var: Var
+    __slots__ = ("var",)
+    __match_args__ = ("var",)
+
+    def __new__(cls, var: Var):
+        key = (cls, var)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.var = var
+        return _interned(node, key, hash(key))
 
 
-@dataclass(frozen=True, eq=True)
 class Negate(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+    __match_args__ = ("arg",)
+
+    def __new__(cls, arg: Expr):
+        key = (cls, id(arg))
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.arg = arg
+        return _interned(node, key, hash((cls, arg._hash)))
 
     def children(self):
         return (self.arg,)
 
 
-@dataclass(frozen=True, eq=True)
-class Add(Expr):
-    lhs: Expr
-    rhs: Expr
+class _Binary(Expr):
+    """A node with two children, in the slots `lhs` and `rhs`."""
+
+    __slots__ = ("lhs", "rhs")
+    __match_args__ = ("lhs", "rhs")
+
+    def __new__(cls, lhs: Expr, rhs: Expr):
+        key = (cls, id(lhs), id(rhs))
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node.lhs = lhs
+        node.rhs = rhs
+        return _interned(node, key, hash((cls, lhs._hash, rhs._hash)))
 
     def children(self):
         return (self.lhs, self.rhs)
 
 
-@dataclass(frozen=True, eq=True)
-class Sub(Expr):
-    lhs: Expr
-    rhs: Expr
-
-    def children(self):
-        return (self.lhs, self.rhs)
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=True)
-class Mul(Expr):
-    lhs: Expr
-    rhs: Expr
-
-    def children(self):
-        return (self.lhs, self.rhs)
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=True)
-class Div(Expr):
-    num: Expr
-    den: Expr
-
-    def children(self):
-        return (self.num, self.den)
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=True)
-class Pow(Expr):
-    base: Expr
-    exponent: Expr
+class Div(_Binary):
+    __slots__ = ()
+    __match_args__ = ("num", "den")
+    # The two slots of _Binary, named after their roles.
+    num = _Binary.lhs
+    den = _Binary.rhs
 
-    def children(self):
-        return (self.base, self.exponent)
+
+class Pow(_Binary):
+    __slots__ = ()
+    __match_args__ = ("base", "exponent")
+    base = _Binary.lhs
+    exponent = _Binary.rhs
 
 
-@dataclass(frozen=True, eq=True)
 class Apply(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = ("fn", "arg")
+    __match_args__ = ("fn", "arg")
 
-    def __post_init__(self):
-        if self.fn not in FUNCTIONS:
-            raise ValueError(f"unsupported function {self.fn!r}")
+    def __new__(cls, fn: str, arg: Expr):
+        key = (cls, fn, id(arg))
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if fn not in FUNCTIONS:
+            raise ValueError(f"unsupported function {fn!r}")
+        node = object.__new__(cls)
+        node.fn = fn
+        node.arg = arg
+        return _interned(node, key, hash((cls, fn, arg._hash)))
 
     def children(self):
         return (self.arg,)
@@ -424,16 +534,14 @@ def _generate(exprs: Sequence[Expr], returns: str) -> Callable:
     the single expression, computed as `_eval_scaled` does, with the
     arguments of every max in the same order).
 
-    Structurally equal subtrees are emitted once: a node's key is its
-    type, function name and the names of its already-emitted children,
-    so the pass is linear in the number of distinct node objects.
-    Leaves stay inline; every other distinct shape gets one local.
+    Each distinct node is emitted once.  Nodes are interned, so equal
+    subtrees are one node and this is common-subexpression elimination.
+    Leaves stay inline; every other node gets one local.
     """
     scaled = returns == "scaled"
     namespace = dict(_CODEGEN_NAMESPACE)
     lines: list[str] = []
     by_id: dict[int, tuple[str, str]] = {}
-    by_key: dict[tuple, tuple[str, str]] = {}
 
     def literal(v: float) -> str:
         if math.isfinite(v):
@@ -464,10 +572,7 @@ def _generate(exprs: Sequence[Expr], returns: str) -> Callable:
             kids = []
             for child in node.children():
                 kids.append(emit(child))
-            key = (type(node), getattr(node, "fn", None), *(v for v, _ in kids))
-            out = by_key.get(key)
-            if out is None:
-                out = by_key[key] = emit_operation(node, kids)
+            out = emit_operation(node, kids)
         by_id[id(node)] = out
         return out
 
@@ -510,34 +615,59 @@ def _generate(exprs: Sequence[Expr], returns: str) -> Callable:
 # ---------------------------------------------------------------------------
 
 
+def _memo(result: Expr, source: Expr) -> weakref.ref:
+    """The memo of `source` for `result`: a weak reference.  A result
+    built after its source keeps the source alive instead, so that every
+    strong reference between nodes points at an older node."""
+    if result._origin is None and result._serial > source._serial:
+        result._origin = source
+    return weakref.ref(result)
+
+
 def differentiate(e: Expr, v: Var) -> Expr:
     """Exact symbolic partial derivative of `e` with respect to `v`.
 
     Total on the supported node set.  The derivative of abs(u) is
     sign(u)*u' and the derivative of sign(u) is 0 away from zeros of u;
-    both evaluate to an error where u vanishes.
+    both evaluate to an error where u vanishes.  Memoised per node and
+    variable, so a shared subtree is differentiated once.
     """
+    memo = e._dx1 if v is Var.X1 else e._dx2
+    if memo is not None:
+        d = memo()
+        if d is not None:
+            return d
+    kids = e.children()
+    if not kids:
+        d = _derivative_rule(e, v, None, None)
+    elif len(kids) == 1:
+        d = _derivative_rule(e, v, differentiate(kids[0], v), None)
+    else:
+        d = _derivative_rule(e, v, differentiate(kids[0], v), differentiate(kids[1], v))
+    if v is Var.X1:
+        e._dx1 = _memo(d, e)
+    else:
+        e._dx2 = _memo(d, e)
+    return d
+
+
+def _derivative_rule(e: Expr, v: Var, da: Expr | None, db: Expr | None) -> Expr:
+    """The derivative of `e` given those of its children, in order."""
     if isinstance(e, Constant):
         return ZERO
     if isinstance(e, Variable):
         return ONE if e.var is v else ZERO
     if isinstance(e, Negate):
-        return Negate(differentiate(e.arg, v))
+        return Negate(da)
     if isinstance(e, Add):
-        return Add(differentiate(e.lhs, v), differentiate(e.rhs, v))
+        return Add(da, db)
     if isinstance(e, Sub):
-        return Sub(differentiate(e.lhs, v), differentiate(e.rhs, v))
+        return Sub(da, db)
     if isinstance(e, Mul):
-        return Add(
-            Mul(differentiate(e.lhs, v), e.rhs),
-            Mul(e.lhs, differentiate(e.rhs, v)),
-        )
+        return Add(Mul(da, e.rhs), Mul(e.lhs, db))
     if isinstance(e, Div):
         return Div(
-            Sub(
-                Mul(differentiate(e.num, v), e.den),
-                Mul(e.num, differentiate(e.den, v)),
-            ),
+            Sub(Mul(da, e.den), Mul(e.num, db)),
             Pow(e.den, Constant(2.0)),
         )
     if isinstance(e, Pow):
@@ -546,23 +676,12 @@ def differentiate(e: Expr, v: Var) -> Expr:
             if expo.value == 0.0:
                 return ZERO
             if expo.value == 1.0:
-                return differentiate(base, v)
-            return Mul(
-                Mul(expo, Pow(base, Constant(expo.value - 1.0))),
-                differentiate(base, v),
-            )
+                return da
+            return Mul(Mul(expo, Pow(base, Constant(expo.value - 1.0))), da)
         # general u^w via u^w * (w' log u + w u'/u)
-        return Mul(
-            e,
-            Add(
-                Mul(differentiate(expo, v), log(base)),
-                Mul(expo, Div(differentiate(base, v), base)),
-            ),
-        )
+        return Mul(e, Add(Mul(db, log(base)), Mul(expo, Div(da, base))))
     if isinstance(e, Apply):
-        u = e.arg
-        du = differentiate(u, v)
-        fn = e.fn
+        u, du, fn = e.arg, da, e.fn
         if fn == "exp":
             outer: Expr = e
         elif fn == "log":
@@ -605,14 +724,35 @@ def simplify(e: Expr) -> Expr:
     particular no trigonometric or hyperbolic rewriting ever happens.
 
     Every rule preserves the evaluated float exactly wherever both the
-    input and output are defined.
+    input and output are defined.  Memoised per node: the output is
+    flagged as its own fixpoint, so simplifying an already simplified
+    tree returns at once.
     """
-    if isinstance(e, (Constant, Variable)):
+    memo = e._simplified
+    if memo is not None:
+        s = e if memo is True else memo()
+        if s is not None:
+            return s
+    kids = e.children()
+    if not kids:
+        s = e
+    elif len(kids) == 1:
+        s = _simplify_rule(e, simplify(kids[0]), None)
+    else:
+        s = _simplify_rule(e, simplify(kids[0]), simplify(kids[1]))
+    if s is e:
+        e._simplified = True
         return e
+    e._simplified = _memo(s, e)
+    s._simplified = True
+    return s
+
+
+def _simplify_rule(e: Expr, a: Expr, b: Expr | None) -> Expr:
+    """`e` simplified, given its simplified children `a` and `b`, in order."""
     if isinstance(e, Negate):
-        return _negated(simplify(e.arg))
+        return _negated(a)
     if isinstance(e, Add):
-        a, b = simplify(e.lhs), simplify(e.rhs)
         if isinstance(a, Constant) and isinstance(b, Constant):
             return Constant(a.value + b.value)
         if _is_zero(a):
@@ -621,7 +761,6 @@ def simplify(e: Expr) -> Expr:
             return a
         return Add(a, b)
     if isinstance(e, Sub):
-        a, b = simplify(e.lhs), simplify(e.rhs)
         if isinstance(a, Constant) and isinstance(b, Constant):
             return Constant(a.value - b.value)
         if _is_zero(b):
@@ -632,7 +771,6 @@ def simplify(e: Expr) -> Expr:
             return _negated(b)
         return Sub(a, b)
     if isinstance(e, Mul):
-        a, b = simplify(e.lhs), simplify(e.rhs)
         if isinstance(a, Constant) and isinstance(b, Constant):
             return Constant(a.value * b.value)
         if _is_zero(a) or _is_zero(b):
@@ -647,7 +785,6 @@ def simplify(e: Expr) -> Expr:
             return _negated(a)
         return Mul(a, b)
     if isinstance(e, Div):
-        a, b = simplify(e.num), simplify(e.den)
         if isinstance(a, Constant) and isinstance(b, Constant) and b.value != 0.0:
             return Constant(a.value / b.value)
         if _is_one(b):
@@ -658,7 +795,6 @@ def simplify(e: Expr) -> Expr:
             return ONE
         return Div(a, b)
     if isinstance(e, Pow):
-        a, b = simplify(e.base), simplify(e.exponent)
         if _is_zero(b):
             return ONE
         if _is_one(b):
@@ -670,7 +806,6 @@ def simplify(e: Expr) -> Expr:
                 pass
         return Pow(a, b)
     if isinstance(e, Apply):
-        a = simplify(e.arg)
         if isinstance(a, Constant):
             try:
                 folded = FUNCTIONS[e.fn](a.value)
@@ -705,10 +840,17 @@ def _is_one(e: Expr) -> bool:
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    """All nodes of the tree, parents before children."""
-    yield e
-    for child in e.children():
-        yield from walk(child)
+    """Each distinct node of the DAG once, parents before children: the
+    preorder of the tree, skipping nodes already visited."""
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 def variables_of(e: Expr) -> set[Var]:

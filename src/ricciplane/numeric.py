@@ -139,7 +139,8 @@ def fd_validate(
     |symbolic - fd| / (1 + |symbolic|).
 
     Point/variable pairs where the stencil straddles an abs/sign kink,
-    or where either side is undefined, are skipped and counted.
+    or where either side is undefined, are skipped and counted.  A NaN
+    deviation (say, both sides non-finite) makes the maximum math.inf.
     """
     all_guards = list(guards) + [g for g in denominators(e) if g not in guards]
     points = sample_points(d, cfg, all_guards)
@@ -151,29 +152,40 @@ def fd_validate(
     used = skipped = 0
     for p in points:
         for v in (Var.X1, Var.X2):
-            if _stencil_straddles_kink(kinks, p, v, h):
+            stencil = (_shifted(p, v, -h), _shifted(p, v, 0.0), _shifted(p, v, h))
+            if None in stencil or _stencil_straddles_kink(kinks, stencil):
                 skipped += 1
                 continue
             try:
                 sym = derivs[v](p.x1, p.x2)
-                hi_p = p.shifted(v, h)
-                lo_p = p.shifted(v, -h)
-                fd = (fn(hi_p.x1, hi_p.x2) - fn(lo_p.x1, lo_p.x2)) / (2.0 * h)
+                fd = (fn(*stencil[2]) - fn(*stencil[0])) / (2.0 * h)
             except EVAL_ERRORS:
                 skipped += 1
                 continue
             used += 1
-            worst = max(worst, abs(sym - fd) / (1.0 + abs(sym)))
+            err = abs(sym - fd) / (1.0 + abs(sym))
+            if err != err:  # NaN
+                err = math.inf
+            worst = max(worst, err)
     return FdValidation(max_rel_error=worst, points_used=used, points_skipped=skipped)
 
 
-def _stencil_straddles_kink(kinks, p: Point, v: Var, h: float) -> bool:
+def _shifted(p: Point, v: Var, offset: float) -> tuple[float, float] | None:
+    """The coordinates of p.shifted(v, offset), or None where they leave
+    the finite plane (Point rejects those)."""
+    if v is Var.X1:
+        x1, x2 = p.x1 + offset, p.x2
+    else:
+        x1, x2 = p.x1, p.x2 + offset
+    return (x1, x2) if math.isfinite(x1) and math.isfinite(x2) else None
+
+
+def _stencil_straddles_kink(kinks, stencil) -> bool:
     for k in kinks:
         signs = set()
-        for offset in (-h, 0.0, h):
-            q = p.shifted(v, offset)
+        for q in stencil:
             try:
-                val = k(q.x1, q.x2)
+                val = k(*q)
             except EVAL_ERRORS:
                 return True
             signs.add(val > 0 if val != 0 else None)
@@ -212,7 +224,8 @@ def sampled_max_abs(
 
 
 def sampled_range(e: Expr, points: Sequence[Point]) -> tuple[float, float]:
-    """(min, max) of `e` over the evaluable points."""
+    """(min, max) of `e` over the evaluable points.  A NaN value at an
+    evaluable point makes the range (-math.inf, math.inf)."""
     fn = compile_expr(e)
     lo = math.inf
     hi = -math.inf
@@ -221,6 +234,8 @@ def sampled_range(e: Expr, points: Sequence[Point]) -> tuple[float, float]:
             v = fn(p.x1, p.x2)
         except EVAL_ERRORS:
             continue
+        if v != v:  # NaN
+            return -math.inf, math.inf
         lo = min(lo, v)
         hi = max(hi, v)
     if lo > hi:

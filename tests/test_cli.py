@@ -264,3 +264,29 @@ def test_out_flag_writes_report_file(tmp_path, capsys):
         capsys, "verify", "--spec", str(CORPUS / "ex06_constant_metric.json"), "--out", str(out_path)
     )
     assert out_path.read_text() == stdout
+
+
+def test_deeply_nested_expression_is_a_spec_error(tmp_path, capsys):
+    # A 3 000-term sum nests 3 000 levels deep, beyond the recursion
+    # limit of the expression walks.
+    spec = {
+        "metric": {"f1": "1", "f2": "1"},
+        "field": {"frame": "orthonormal", "V1": " + ".join(["x1"] * 3000), "V2": "0"},
+    }
+    code, out, err = run_cli(capsys, "verify", "--spec", write_spec(tmp_path, spec))
+    assert code == 2
+    assert out == ""
+    assert "expression nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_exits_5(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "verify", broken)
+    code, out, err = run_cli(capsys, "verify", "--spec", str(CORPUS / "ex03_cosh_metric.json"))
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "KeyError: 'boom'" in err

@@ -11,7 +11,7 @@ import pytest
 
 from ricciplane import cli
 from ricciplane.expr import Domain, Point, compile_expr, evaluate, is_probably_zero, parse
-from ricciplane.numeric import SamplingConfig, sampled_max_abs
+from ricciplane.numeric import SamplingConfig, sampled_max_abs, sampled_range
 
 from conftest import CORPUS
 
@@ -101,3 +101,46 @@ def test_domain_rejects_non_finite_values(kwargs):
 def test_sampling_config_rejects_non_finite_or_non_positive(field, value):
     with pytest.raises(ValueError):
         SamplingConfig(**{field: value})
+
+
+# V1 equals x1, but x1^400 and x1^399*x1 overflow to inf on [10, 20], so
+# the symbolic R1 and its central difference are NaN at every point.
+NAN_PASS_SPEC = {
+    "metric": FLAT,
+    "field": {"frame": "orthonormal", "V1": "x1^400 - x1^399*x1 + x1", "V2": "0"},
+    "domain": {"x1": [10, 20], "x2": [-1, 1]},
+}
+
+
+def test_oracle_reads_nan_deviation_as_infinite(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(NAN_PASS_SPEC), encoding="utf-8")
+    code = cli.main(["oracle", "--spec", str(path), "--samples", "50"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["verdict"] == "fail"
+    assert report["fd"]["R1"]["max_rel_error"] == math.inf
+    assert report["fd"]["R1"]["points_used"] > 0
+
+
+def test_curvature_range_with_nan_values_is_unbounded(tmp_path, capsys):
+    # f2 equals 1, but evaluates to NaN at every point of the domain.
+    spec = {
+        "metric": {"f1": "1", "f2": "1 + x1^400 - x1^399*x1"},
+        "domain": {"x1": [10, 20], "x2": [-1, 1]},
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code = cli.main(["curvature", "--spec", str(path), "--samples", "50"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    report = json.loads(captured.out)
+    assert report["rho_range"] == [-math.inf, math.inf]
+    assert report["flat"] is False
+
+
+def test_sampled_range_nan_at_some_points():
+    e = parse("1 + x1^400 - x1^399*x1")
+    # x1 = 1 evaluates to 1; x1 = 15 to NaN.
+    assert sampled_range(e, [Point(1.0, 0.0)]) == (1.0, 1.0)
+    assert sampled_range(e, [Point(1.0, 0.0), Point(15.0, 0.0)]) == (-math.inf, math.inf)
