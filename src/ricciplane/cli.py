@@ -51,9 +51,9 @@ from .identities import (
 from .numeric import (
     DomainTooSingularError,
     SamplingConfig,
+    covered_max_abs,
     fd_validate,
     sample_points,
-    sampled_max_abs,
     sampled_range,
 )
 from .riccifield import (
@@ -125,8 +125,18 @@ def parse_domain_flag(text: str) -> dict:
     return out
 
 
+def _section(spec: dict, key: str) -> dict:
+    """A copy of the optional object spec[key]; {} when it is absent."""
+    section = spec.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise SpecError(f'"{key}" must be a JSON object, got {section!r}')
+    return dict(section)
+
+
 def effective_domain(spec: dict, args) -> Domain:
-    dom = dict(spec.get("domain") or {})
+    dom = _section(spec, "domain")
     if getattr(args, "domain", None):
         dom.update(parse_domain_flag(args.domain))
     x1 = dom.get("x1", [-1.0, 1.0])
@@ -134,12 +144,14 @@ def effective_domain(spec: dict, args) -> Domain:
     guard = dom.get("guard", 1e-6)
     try:
         return Domain(x1_range=(float(x1[0]), float(x1[1])), x2_range=(float(x2[0]), float(x2[1])), guard=float(guard))
-    except (TypeError, ValueError, IndexError) as err:
+    except LookupError:  # x1 or x2 too short, or an object
+        raise SpecError("bad domain: x1 and x2 must be [lo, hi] pairs") from None
+    except (TypeError, ValueError) as err:
         raise SpecError(f"bad domain: {err}") from None
 
 
 def effective_config(spec: dict, args) -> SamplingConfig:
-    sampling = dict(spec.get("sampling") or {})
+    sampling = _section(spec, "sampling")
     if getattr(args, "seed", None) is not None:
         sampling["seed"] = args.seed
     if getattr(args, "samples", None) is not None:
@@ -155,7 +167,7 @@ def effective_config(spec: dict, args) -> SamplingConfig:
             fd_step=float(sampling.get("fd_step", defaults.fd_step)),
             fd_tolerance=float(sampling.get("fd_tolerance", defaults.fd_tolerance)),
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad sampling config: {err}") from None
 
 
@@ -341,8 +353,7 @@ def _identity_verdicts(m, V, d, cfg, potential=None) -> dict:
         "curvature_identity": check_curvature_identity(m, V, d, cfg),
     }
     defect = closedness_defect(m, V)
-    points = sample_points(d, cfg, equation_guards(m, [defect]))
-    maxima, _ = sampled_max_abs([defect], points)
+    maxima, _ = covered_max_abs([defect], d, cfg, (m.f1, m.f2), "identity residuals")
     verdicts["closedness"] = maxima[0] <= cfg.tolerance
     if potential is not None:
         verdicts["steady_soliton"] = check_steady_soliton(m, potential, d, cfg)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 import weakref
 from dataclasses import dataclass
@@ -503,7 +504,7 @@ def compile_expr(e: Expr) -> Callable[[float, float], float]:
     points surface as one of EVAL_ERRORS without node diagnostics; use
     `evaluate` when the error message matters.
     """
-    return _generate([e], "value")
+    return _generate([e], single=True)
 
 
 def compile_many(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float, ...]]:
@@ -511,103 +512,71 @@ def compile_many(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float,
     values, in order.  Subtrees the expressions share are computed once;
     each value is bit-identical to `compile_expr` of that expression.
     The call raises one of EVAL_ERRORS when any expression is undefined."""
-    return _generate(exprs, "tuple")
-
-
-def _compile_scaled(e: Expr) -> Callable[[float, float], tuple[float, float]]:
-    """Compile `e` to `(x1, x2) -> (value, scale)`, bit-identical to
-    `evaluate_with_scale` on the points where that is defined."""
-    return _generate([e], "scaled")
+    return _generate(exprs, single=False)
 
 
 _CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value}
 _CODEGEN_NAMESPACE.update((f"_fn_{name}", fn) for name, fn in FUNCTIONS.items())
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_creation_order = operator.attrgetter("_serial")
 
 
-def _generate(exprs: Sequence[Expr], returns: str) -> Callable:
+def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
     """Emit and compile one Python function of (x1, x2) that evaluates
-    every expression in `exprs`.
+    every expression in `exprs` and returns the value of the only one
+    (`single`) or the tuple of their values.
 
-    `returns` picks the result: "value" (of the single expression),
-    "tuple" (one value per expression) or "scaled" (value and scale of
-    the single expression, computed as `_eval_scaled` does, with the
-    arguments of every max in the same order).
-
-    Each distinct node is emitted once.  Nodes are interned, so equal
-    subtrees are one node and this is common-subexpression elimination.
-    Leaves stay inline; every other node gets one local.
+    Each distinct node is emitted once, in creation order: a node is
+    built after its children, so they are emitted first.  Nodes are
+    interned, so equal subtrees are one node and this is
+    common-subexpression elimination.  Leaves stay inline; every other
+    node gets one local.
     """
-    scaled = returns == "scaled"
     namespace = dict(_CODEGEN_NAMESPACE)
     lines: list[str] = []
-    by_id: dict[int, tuple[str, str]] = {}
-
-    def literal(v: float) -> str:
-        if math.isfinite(v):
-            return repr(v)
-        # repr(inf) and repr(nan) are not Python literals: bind the float.
-        name = f"_k{len(namespace)}"
-        namespace[name] = v
-        return name
-
-    def local(prefix: str, code: str) -> str:
-        name = f"{prefix}{len(lines)}"
-        lines.append(f"    {name} = {code}")
-        return name
-
-    def scale(code: str) -> str:
-        return local("s", code) if scaled else ""
-
-    def emit(node: Expr) -> tuple[str, str]:
-        # Names of the value and the scale of `node`; leaves stay inline.
-        hit = by_id.get(id(node))
-        if hit is not None:
-            return hit
+    names: dict[int, str] = {}
+    nodes: dict[int, Expr] = {}
+    for e in exprs:
+        if id(e) not in nodes:  # else its whole subtree is there already
+            nodes.update((id(node), node) for node in walk(e))
+    for node in sorted(nodes.values(), key=_creation_order):
         if isinstance(node, Constant):
-            out = literal(node.value), literal(abs(node.value))
+            name = repr(node.value)
+            if not math.isfinite(node.value):
+                # repr(inf) and repr(nan) are not Python literals: bind the float.
+                name = f"_k{len(namespace)}"
+                namespace[name] = node.value
         elif isinstance(node, Variable):
-            out = node.var.value, f"abs({node.var.value})"
+            name = node.var.value
         else:
-            kids = []
-            for child in node.children():
-                kids.append(emit(child))
-            out = emit_operation(node, kids)
-        by_id[id(node)] = out
-        return out
-
-    def emit_operation(node: Expr, kids: list[tuple[str, str]]) -> tuple[str, str]:
-        if isinstance(node, Negate):
-            ((a, sa),) = kids
-            return local("t", f"-{a}"), sa
-        if isinstance(node, Apply):
-            ((a, sa),) = kids
-            v = local("t", f"_fn_{node.fn}({a})")
-            return v, scale(f"max({sa}, abs({v}))")
-        (a, sa), (b, sb) = kids
-        if isinstance(node, Pow):
-            expo = node.exponent
-            if isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= 2**31:
-                code = f"_int_pow({a}, {int(expo.value)})"
-            else:
-                code = f"_pow_value({a}, {b})"
-        elif type(node) in _BINARY_OPS:
-            code = f"{a} {_BINARY_OPS[type(node)]} {b}"
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        v = local("t", code)
-        return v, scale(f"max({sa}, {sb}, abs({v}))")
-
-    names = [emit(e) for e in exprs]
-    if returns == "tuple":
-        result = "(" + "".join(f"{v}, " for v, _ in names) + ")"
-    elif scaled:
-        result = "{}, {}".format(*names[0])
+            name = f"t{len(lines)}"
+            code = _operation(node, [names[id(child)] for child in node.children()])
+            lines.append(f"    {name} = {code}\n")
+        names[id(node)] = name
+    if single:
+        result = names[id(exprs[0])]
     else:
-        result = names[0][0]
-    src = "def _compiled(x1, x2):\n" + "".join(f"{line}\n" for line in lines) + f"    return {result}\n"
+        result = "(" + "".join(f"{names[id(e)]}, " for e in exprs) + ")"
+    src = "def _compiled(x1, x2):\n" + "".join(lines) + f"    return {result}\n"
     exec(compile(src, "<compiled-expr>", "exec"), namespace)
-    return namespace["_compiled"]
+    # Taken out of its own globals, the function forms no reference cycle.
+    return namespace.pop("_compiled")
+
+
+def _operation(node: Expr, args: list[str]) -> str:
+    """The code of a non-leaf `node`, given the names of its children."""
+    if isinstance(node, Negate):
+        return f"-{args[0]}"
+    if isinstance(node, Apply):
+        return f"_fn_{node.fn}({args[0]})"
+    if isinstance(node, Pow):
+        expo = node.exponent
+        if isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= 2**31:
+            return f"_int_pow({args[0]}, {int(expo.value)})"
+        return f"_pow_value({args[0]}, {args[1]})"
+    if type(node) in _BINARY_OPS:
+        return f"{args[0]} {_BINARY_OPS[type(node)]} {args[1]}"
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -920,12 +889,14 @@ def is_probably_zero(
     """Decide whether `e` vanishes identically on `d`, by sampling.
 
     Draws seeded uniform points, rejecting any where a denominator of
-    `e` has magnitude below d.guard, and accepts zero-ness iff
-    |e(p)| <= tol * (1 + local magnitude scale) at every point; a
-    non-finite value counts as nonzero.  The verdict is deterministic
-    given the seed.  Raises
-    DomainTooSingularError when fewer than samples/2 points survive
-    rejection and evaluation.
+    `e` has magnitude below d.guard.  A point reads as zero iff every
+    node of `e` has a finite value there and |e(p)| <= tol * (1 + scale),
+    the scale being the largest |value| of any node (the scale of
+    `evaluate_with_scale`); a non-finite node value, even one that a
+    later division turns finite, counts as nonzero.  Accepts zero-ness
+    iff every evaluable point reads as zero.  The verdict is
+    deterministic given the seed.  Raises DomainTooSingularError when
+    fewer than samples/2 points survive rejection and evaluation.
     """
     from .numeric import DomainTooSingularError, SamplingConfig, sample_points
 
@@ -933,18 +904,17 @@ def is_probably_zero(
         raise ValueError("samples must be >= 1")
     cfg = SamplingConfig(samples=samples, seed=seed, tolerance=tol)
     points = sample_points(d, cfg, guards=denominators(e))
-    fn = _compile_scaled(e)
+    # The value of every node, that of `e` first.
+    fn = compile_many(list(walk(e)))
     evaluated = 0
     verdict = True
     for p in points:
         try:
-            value, scale = fn(p.x1, p.x2)
+            row = fn(p.x1, p.x2)
         except EVAL_ERRORS:
             continue
         evaluated += 1
-        # A non-finite value (say inf - inf) is never read as zero.
-        if not math.isfinite(value) or abs(value) > tol * (1.0 + scale):
-            verdict = False
+        verdict = verdict and all(map(math.isfinite, row)) and abs(row[0]) <= tol * (1.0 + max(map(abs, row)))
     if evaluated < max(1, samples // 2):
         raise DomainTooSingularError(
             f"only {evaluated} of {samples} requested points were evaluable"

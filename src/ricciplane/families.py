@@ -28,7 +28,6 @@ from .expr import (
     compile_expr,
     cos,
     cosh,
-    denominators,
     differentiate,
     exp,
     is_probably_zero,
@@ -40,7 +39,7 @@ from .expr import (
     X2,
 )
 from .geometry import DiagonalMetric
-from .numeric import DomainTooSingularError, SamplingConfig, nowhere_zero, sample_points
+from .numeric import DomainTooSingularError, SamplingConfig, merge_guards, nowhere_zero, sample_points
 from .riccifield import FrameField
 
 
@@ -246,8 +245,7 @@ def admissibility(
         guards = [f2]
     else:
         raise ValueError(f"unknown admissibility kind {kind!r}")
-    guards = guards + [g for g in denominators(condition) if g not in guards]
-    points = sample_points(d, cfg, guards)
+    points = sample_points(d, cfg, merge_guards(guards, [condition]))
     fn = compile_expr(condition)
     values = []
     for p in points:

@@ -26,8 +26,8 @@ from .expr import (
     simplify,
 )
 from .geometry import DiagonalMetric, connection_table, frame_derivative, lie_bracket, ricci
-from .numeric import DomainTooSingularError, SamplingConfig, sample_points, sampled_max_abs
-from .riccifield import FrameField, covariant_matrix, divergence, equation_guards
+from .numeric import SamplingConfig, covered_max_abs
+from .riccifield import FrameField, covariant_matrix, divergence
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,7 @@ def _sampled_ok(
     d: Domain,
     cfg: SamplingConfig,
 ) -> bool:
-    points = sample_points(d, cfg, equation_guards(m, residuals))
-    maxima, used = sampled_max_abs(residuals, points)
-    if used < max(1, cfg.samples // 2):
-        raise DomainTooSingularError(
-            f"identity residuals were evaluable at only {used} of {cfg.samples} requested points"
-        )
+    maxima, _ = covered_max_abs(residuals, d, cfg, (m.f1, m.f2), "identity residuals")
     return all(v <= cfg.tolerance for v in maxima)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .expr import (
     EVAL_ERRORS,
@@ -85,6 +85,17 @@ def sample_points(
     return points
 
 
+def merge_guards(guards: Iterable[Expr], exprs: Iterable[Expr]) -> list[Expr]:
+    """The guards, then each denominator of `exprs` not already listed:
+    every subexpression that must stay away from zero at a sample point
+    where `exprs` are evaluated.  Deduplicated structurally, in
+    first-occurrence order."""
+    merged = dict.fromkeys(guards)
+    for e in exprs:
+        merged.update(dict.fromkeys(denominators(e)))
+    return list(merged)
+
+
 def nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
     """Sample-check the 'nowhere zero on the domain' hypothesis.
 
@@ -142,8 +153,7 @@ def fd_validate(
     or where either side is undefined, are skipped and counted.  A NaN
     deviation (say, both sides non-finite) makes the maximum math.inf.
     """
-    all_guards = list(guards) + [g for g in denominators(e) if g not in guards]
-    points = sample_points(d, cfg, all_guards)
+    points = sample_points(d, cfg, merge_guards(guards, [e]))
     fn = compile_expr(e)
     h = cfg.fd_step
     kinks = [compile_expr(k) for k in kink_arguments(e)]
@@ -220,6 +230,26 @@ def sampled_max_abs(
                 v = math.inf
             if v > maxima[i]:
                 maxima[i] = v
+    return maxima, used
+
+
+def covered_max_abs(
+    exprs: Sequence[Expr],
+    d: Domain,
+    cfg: SamplingConfig,
+    guards: Iterable[Expr],
+    what: str,
+) -> tuple[list[float], int]:
+    """`sampled_max_abs` of `exprs` over the points of `d` that clear the
+    guards and the denominators of `exprs`.  Raises
+    DomainTooSingularError, naming the expressions as `what`, when they
+    were evaluable at fewer than half the requested points."""
+    points = sample_points(d, cfg, merge_guards(guards, exprs))
+    maxima, used = sampled_max_abs(exprs, points)
+    if used < max(1, cfg.samples // 2):
+        raise DomainTooSingularError(
+            f"{what} were evaluable at only {used} of {cfg.samples} requested points"
+        )
     return maxima, used
 
 

@@ -17,7 +17,6 @@ from .expr import (
     Expr,
     Mul,
     Sub,
-    denominators,
     simplify,
 )
 from .geometry import (
@@ -27,7 +26,7 @@ from .geometry import (
     ricci,
     validate_metric,
 )
-from .numeric import DomainTooSingularError, SamplingConfig, sample_points, sampled_max_abs
+from .numeric import SamplingConfig, covered_max_abs, merge_guards
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,7 @@ def residual_system(m: DiagonalMetric, V: FrameField) -> tuple[Expr, Expr, Expr,
 def equation_guards(m: DiagonalMetric, exprs) -> list[Expr]:
     """Sampling guards: the metric components plus every denominator
     appearing in the expressions to be sampled."""
-    guards: dict[Expr, None] = {m.f1: None, m.f2: None}
-    for e in exprs:
-        for g in denominators(e):
-            guards.setdefault(g)
-    return list(guards)
+    return merge_guards((m.f1, m.f2), exprs)
 
 
 def verify(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> ResidualReport:
@@ -104,12 +99,7 @@ def verify(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> 
     """
     validate_metric(m, d, cfg)
     residuals = residual_system(m, V)
-    points = sample_points(d, cfg, equation_guards(m, residuals))
-    maxima, used = sampled_max_abs(residuals, points)
-    if used < max(1, cfg.samples // 2):
-        raise DomainTooSingularError(
-            f"residuals were evaluable at only {used} of {cfg.samples} requested points"
-        )
+    maxima, used = covered_max_abs(residuals, d, cfg, (m.f1, m.f2), "residuals")
     verdict = "pass" if all(v <= cfg.tolerance for v in maxima) else "fail"
     return ResidualReport(
         residuals=residuals,

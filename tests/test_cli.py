@@ -290,3 +290,22 @@ def test_unexpected_exception_exits_5(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("internal error:")
     assert "KeyError: 'boom'" in err
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        '"sampling": {"samples": 1e400}',
+        '"sampling": {"seed": 1e400}',
+        '"domain": {"x1": {}}',
+        '"domain": "abc"',
+        '"sampling": [1]',
+    ],
+)
+def test_malformed_spec_section_exits_2(tmp_path, capsys, section):
+    path = tmp_path / "job.json"
+    path.write_text('{"metric": {"f1": "1", "f2": "1"}, ' + section + "}", encoding="utf-8")
+    code, out, err = run_cli(capsys, "curvature", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spec error:")

@@ -1,9 +1,11 @@
-"""The code generator behind compiled evaluation: the (value, scale)
-kernel of the zero test, the fused multi-expression kernel, and
-structural common-subexpression elimination."""
+"""The code generator behind compiled evaluation: the value and scale
+that the zero test reads from one fused kernel over every node, the
+fused multi-expression kernel, structural common-subexpression
+elimination, and kernels that leave nothing for the cycle collector."""
 
 from __future__ import annotations
 
+import gc
 import random
 
 from ricciplane.expr import (
@@ -15,11 +17,12 @@ from ricciplane.expr import (
     Point,
     X1,
     X2,
-    _compile_scaled,
     compile_expr,
     compile_many,
     evaluate_with_scale,
+    parse,
     sin,
+    walk,
 )
 
 from conftest import random_smooth_tree
@@ -30,12 +33,17 @@ def _bits(values) -> tuple[str, ...]:
     return tuple(float(v).hex() for v in values)
 
 
+def _value_and_scale(row) -> tuple[float, float]:
+    # What `is_probably_zero` reads from its kernel over `list(walk(e))`.
+    return row[0], max(map(abs, row))
+
+
 def test_scaled_kernel_is_bit_identical_to_evaluate_with_scale():
     rng = random.Random(2006)
     checked = 0
     while checked < 48:
         e = random_smooth_tree(rng, depth=5)
-        fn = _compile_scaled(e)
+        fn = compile_many(list(walk(e)))
         p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
         try:
             expected = evaluate_with_scale(e, p)
@@ -45,7 +53,7 @@ def test_scaled_kernel_is_bit_identical_to_evaluate_with_scale():
             except EVAL_ERRORS:
                 continue
             raise AssertionError(f"compiled kernel is defined where {e} is not")
-        assert _bits(fn(p.x1, p.x2)) == _bits(expected), str(e)
+        assert _bits(_value_and_scale(fn(p.x1, p.x2))) == _bits(expected), str(e)
         checked += 1
 
 
@@ -82,3 +90,17 @@ def test_structurally_equal_subtrees_compile_once():
     assert fn.__code__.co_nlocals == 2 + 5
     p = Point(0.3, -0.7)
     assert fn(p.x1, p.x2) == evaluate_with_scale(e, p)[0]
+
+
+def test_compiled_kernel_leaves_no_reference_cycles():
+    e = parse("exp(x1) * (x2 + 1) / (1 + x1^2) + 1e400")
+    gc.collect()
+    gc.disable()
+    try:
+        fn = compile_expr(e)
+        assert fn(0.5, 0.5) == evaluate_with_scale(e, Point(0.5, 0.5))[0]
+        del fn
+        compile_many([e, e])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -63,6 +63,12 @@ def test_nan_is_not_zero():
     assert (maxima, used) == ([math.inf, 10.5], 1)
 
 
+def test_overflowing_subexpression_is_not_zero():
+    # x1^400 overflows to inf and 1/inf is 0: the value 1.0 is finite,
+    # but the scale is not, so no tolerance may absorb the value.
+    assert not is_probably_zero(parse("1/x1^400 + 1"), Domain(x1_range=(10.0, 20.0)))
+
+
 def test_infinite_domain_is_a_spec_error(tmp_path, capsys):
     # json.dumps cannot write 1e400, so the spec is written as text.
     text = (
