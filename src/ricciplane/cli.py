@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import traceback
@@ -280,8 +281,7 @@ def curvature_section(m: DiagonalMetric, d: Domain, cfg: SamplingConfig) -> dict
     exprs = {"h12": curv.h12, "h21": curv.h21, "rho": curv.rho, "r": curv.r}
     points = sample_points(d, cfg, equation_guards(m, exprs.values()))
     section = {}
-    for name, e in exprs.items():
-        lo, hi = sampled_range(e, points)
+    for (name, e), (lo, hi) in zip(exprs.items(), sampled_range(list(exprs.values()), points)):
         section[name] = to_string(e)
         section[f"{name}_range"] = [lo, hi]
     return section
@@ -526,8 +526,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `parse_args` returns a fresh
+    namespace on every call, and argparse's objects form reference
+    cycles that a parser per call would leave to the cycle collector."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (SpecError, ParseError) as err:

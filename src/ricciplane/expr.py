@@ -25,24 +25,38 @@ class Var(Enum):
     X2 = "x2"
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point (x1, x2) of the plane with finite coordinates."""
+class Point(tuple):
+    """A point (x1, x2) of the plane with finite coordinates: a pair that
+    unpacks, indexes and compares like the tuple (x1, x2).
 
-    x1: float
-    x2: float
+    `Point(x1, x2)` checks finiteness; a caller that already guarantees
+    it (the sampler) builds one with `tuple.__new__(Point, (x1, x2))`.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x1}, {self.x2})")
+    __slots__ = ()
+    __match_args__ = ("x1", "x2")
+
+    def __new__(cls, x1: float, x2: float):
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            raise ValueError(f"point coordinates must be finite, got ({x1}, {x2})")
+        return tuple.__new__(cls, (x1, x2))
+
+    x1 = property(operator.itemgetter(0))
+    x2 = property(operator.itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Point(x1={self[0]!r}, x2={self[1]!r})"
 
     def coordinate(self, v: Var) -> float:
-        return self.x1 if v is Var.X1 else self.x2
+        return self[0] if v is Var.X1 else self[1]
 
     def shifted(self, v: Var, h: float) -> "Point":
         if v is Var.X1:
-            return Point(self.x1 + h, self.x2)
-        return Point(self.x1, self.x2 + h)
+            return Point(self[0] + h, self[1])
+        return Point(self[0], self[1] + h)
 
 
 @dataclass(frozen=True)
@@ -337,12 +351,24 @@ def _sech_value(v: float) -> float:
     return 1.0 / math.cosh(v)
 
 
+# The largest |n| that `_int_pow` computes by repeated multiplication,
+# one multiplication per unit of n.
+_INT_POW_MAX = 1024
+
+
 def _int_pow(base: float, n: int) -> float:
-    """Repeated-multiplication power for integer exponents."""
+    """Repeated-multiplication power for integer exponents.  Beyond
+    _INT_POW_MAX, math.pow, with an overflow read as the infinity that
+    repeated multiplication would reach."""
     if n < 0:
         if base == 0.0:
             raise EvaluationError("zero raised to a negative power")
         return 1.0 / _int_pow(base, -n)
+    if n > _INT_POW_MAX:
+        try:
+            return math.pow(base, n)
+        except OverflowError:
+            return -math.inf if base < 0.0 and n % 2 else math.inf
     acc = 1.0
     for _ in range(n):
         acc *= base
@@ -350,7 +376,7 @@ def _int_pow(base: float, n: int) -> float:
 
 
 def _pow_value(base: float, exponent: float) -> float:
-    if float(exponent).is_integer() and abs(exponent) <= 2**31:
+    if float(exponent).is_integer():
         return _int_pow(base, int(exponent))
     if base <= 0.0:
         raise EvaluationError("non-integer power requires a positive base")
@@ -571,8 +597,12 @@ def _operation(node: Expr, args: list[str]) -> str:
         return f"_fn_{node.fn}({args[0]})"
     if isinstance(node, Pow):
         expo = node.exponent
-        if isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= 2**31:
-            return f"_int_pow({args[0]}, {int(expo.value)})"
+        if isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= _INT_POW_MAX:
+            n = int(expo.value)
+            if 1 <= n <= 8:
+                # _int_pow's (1.0*b)*b*... with 1.0*b == b exactly, so bit-identical.
+                return "*".join([args[0]] * n)
+            return f"_int_pow({args[0]}, {n})"
         return f"_pow_value({args[0]}, {args[1]})"
     if type(node) in _BINARY_OPS:
         return f"{args[0]} {_BINARY_OPS[type(node)]} {args[1]}"
@@ -908,9 +938,9 @@ def is_probably_zero(
     fn = compile_many(list(walk(e)))
     evaluated = 0
     verdict = True
-    for p in points:
+    for x1, x2 in points:
         try:
-            row = fn(p.x1, p.x2)
+            row = fn(x1, x2)
         except EVAL_ERRORS:
             continue
         evaluated += 1

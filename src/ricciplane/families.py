@@ -248,9 +248,9 @@ def admissibility(
     points = sample_points(d, cfg, merge_guards(guards, [condition]))
     fn = compile_expr(condition)
     values = []
-    for p in points:
+    for x1, x2 in points:
         try:
-            values.append(fn(p.x1, p.x2))
+            values.append(fn(x1, x2))
         except EVAL_ERRORS:
             continue
     if len(values) < max(1, cfg.samples // 2):
@@ -259,7 +259,10 @@ def admissibility(
         )
     mean = sum(values) / len(values)
     spread = max(values) - min(values)
-    is_constant = spread <= cfg.tolerance * (1.0 + abs(mean))
+    # A constant is finite at every point.  The spread test alone passes
+    # an infinite value (inf <= tol*(1 + inf)), and max and min skip a
+    # NaN that is not first.
+    is_constant = all(map(math.isfinite, values)) and spread <= cfg.tolerance * (1.0 + abs(mean))
     return is_constant, mean
 
 

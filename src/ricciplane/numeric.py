@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .expr import (
     EVAL_ERRORS,
@@ -50,6 +51,18 @@ class SamplingConfig:
                 raise ValueError("step and tolerances must be positive and finite")
 
 
+def _draws(d: Domain, seed: int) -> Iterator[tuple[float, float]]:
+    """Seeded uniform (x1, x2) pairs in `d`, without end.  Each
+    coordinate is lo + (hi - lo)*u, x1 drawn first: bit-identical to
+    random.Random(seed).uniform(*d.x1_range), then the same for x2."""
+    u = random.Random(seed).random
+    a1, b1 = d.x1_range
+    a2, b2 = d.x2_range
+    w1, w2 = b1 - a1, b2 - a2
+    while True:
+        yield a1 + w1 * u(), a2 + w2 * u()
+
+
 def sample_points(
     d: Domain,
     cfg: SamplingConfig,
@@ -63,20 +76,23 @@ def sample_points(
     after 100x oversampling; fewer than half the requested points is a
     DomainTooSingularError.
     """
-    rng = random.Random(cfg.seed)
     guard_values = compile_many(guards)
+    guard = d.guard
     points: list[Point] = []
-    for _ in range(cfg.samples * OVERSAMPLE_FACTOR):
-        if len(points) == cfg.samples:
-            break
-        x1 = rng.uniform(*d.x1_range)
-        x2 = rng.uniform(*d.x2_range)
+    for x1, x2 in islice(_draws(d, cfg.seed), cfg.samples * OVERSAMPLE_FACTOR):
         try:
             values = guard_values(x1, x2)
         except EVAL_ERRORS:
             continue
-        if not any(abs(v) < d.guard for v in values):
-            points.append(Point(x1, x2))
+        for v in values:
+            if abs(v) < guard:
+                break
+        else:
+            # The draws are finite (Domain keeps hi - lo finite), so the
+            # checking constructor is skipped.
+            points.append(tuple.__new__(Point, (x1, x2)))
+            if len(points) == cfg.samples:
+                break
     if len(points) < max(1, -(-cfg.samples // 2)):
         raise DomainTooSingularError(
             f"accepted {len(points)} of {cfg.samples} requested points "
@@ -103,17 +119,15 @@ def nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
     and the sign must be constant.  A strict sign change witnesses a
     zero crossing that pointwise magnitudes alone cannot see.
     """
-    rng = random.Random(cfg.seed)
     fn = compile_expr(e)
     saw_pos = saw_neg = False
-    for _ in range(cfg.samples):
-        p = Point(rng.uniform(*d.x1_range), rng.uniform(*d.x2_range))
+    for x1, x2 in islice(_draws(d, cfg.seed), cfg.samples):
         try:
-            v = fn(p.x1, p.x2)
+            v = fn(x1, x2)
         except EVAL_ERRORS:
-            return False, f"undefined at (x1={p.x1!r}, x2={p.x2!r})"
+            return False, f"undefined at (x1={x1!r}, x2={x2!r})"
         if abs(v) < d.guard:
-            return False, f"|value| = {abs(v)!r} < guard at (x1={p.x1!r}, x2={p.x2!r})"
+            return False, f"|value| = {abs(v)!r} < guard at (x1={x1!r}, x2={x2!r})"
         saw_pos = saw_pos or v > 0
         saw_neg = saw_neg or v < 0
         if saw_pos and saw_neg:
@@ -167,7 +181,7 @@ def fd_validate(
                 skipped += 1
                 continue
             try:
-                sym = derivs[v](p.x1, p.x2)
+                sym = derivs[v](*p)
                 fd = (fn(*stencil[2]) - fn(*stencil[0])) / (2.0 * h)
             except EVAL_ERRORS:
                 skipped += 1
@@ -183,10 +197,11 @@ def fd_validate(
 def _shifted(p: Point, v: Var, offset: float) -> tuple[float, float] | None:
     """The coordinates of p.shifted(v, offset), or None where they leave
     the finite plane (Point rejects those)."""
+    x1, x2 = p
     if v is Var.X1:
-        x1, x2 = p.x1 + offset, p.x2
+        x1 += offset
     else:
-        x1, x2 = p.x1, p.x2 + offset
+        x2 += offset
     return (x1, x2) if math.isfinite(x1) and math.isfinite(x2) else None
 
 
@@ -218,9 +233,9 @@ def sampled_max_abs(
     fn = compile_many(exprs)
     maxima = [0.0] * len(exprs)
     used = 0
-    for p in points:
+    for x1, x2 in points:
         try:
-            row = fn(p.x1, p.x2)
+            row = fn(x1, x2)
         except EVAL_ERRORS:
             continue
         used += 1
@@ -253,21 +268,56 @@ def covered_max_abs(
     return maxima, used
 
 
-def sampled_range(e: Expr, points: Sequence[Point]) -> tuple[float, float]:
-    """(min, max) of `e` over the evaluable points.  A NaN value at an
-    evaluable point makes the range (-math.inf, math.inf)."""
-    fn = compile_expr(e)
-    lo = math.inf
-    hi = -math.inf
-    for p in points:
+def sampled_range(
+    exprs: Expr | Sequence[Expr],
+    points: Sequence[Point],
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """(min, max) of each expression over the points where it is
+    evaluable; a NaN value at such a point makes its range
+    (-math.inf, math.inf).  A lone Expr gives one pair, a sequence a
+    list of pairs, in order.
+
+    One kernel evaluates every expression.  At a point where it raises,
+    each expression is evaluated on its own, so an expression is
+    skipped only where it is undefined itself.  Raises
+    DomainTooSingularError when an expression is nowhere evaluable.
+    """
+    if isinstance(exprs, Expr):
+        return sampled_range([exprs], points)[0]
+    fn = compile_many(exprs)
+    singles = None
+    lo = [math.inf] * len(exprs)
+    hi = [-math.inf] * len(exprs)
+    nan = [False] * len(exprs)
+    for x1, x2 in points:
         try:
-            v = fn(p.x1, p.x2)
+            row = fn(x1, x2)
         except EVAL_ERRORS:
-            continue
-        if v != v:  # NaN
-            return -math.inf, math.inf
-        lo = min(lo, v)
-        hi = max(hi, v)
-    if lo > hi:
-        raise DomainTooSingularError("expression was nowhere evaluable on the sample")
-    return lo, hi
+            if singles is None:
+                singles = [compile_expr(e) for e in exprs]
+            row = [_value_or_none(f, x1, x2) for f in singles]
+        for i, v in enumerate(row):
+            if v is None:
+                continue
+            if v < lo[i]:
+                lo[i] = v
+            if v > hi[i]:
+                hi[i] = v
+            if v != v:  # NaN
+                nan[i] = True
+    ranges = []
+    for a, b, saw_nan in zip(lo, hi, nan):
+        if saw_nan:
+            ranges.append((-math.inf, math.inf))
+        elif a > b:
+            raise DomainTooSingularError("expression was nowhere evaluable on the sample")
+        else:
+            ranges.append((a, b))
+    return ranges
+
+
+def _value_or_none(fn, x1: float, x2: float) -> float | None:
+    try:
+        return fn(x1, x2)
+    except EVAL_ERRORS:
+        return None

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
+import gc
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -309,3 +312,48 @@ def test_malformed_spec_section_exits_2(tmp_path, capsys, section):
     assert code == 2
     assert out == ""
     assert err.startswith("spec error:")
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    spec = str(CORPUS / "ex06_constant_metric.json")
+    assert run_cli(capsys, "curvature", "--spec", spec, "--samples", "20")[0] == 0
+
+    def rebuilt():
+        raise AssertionError("cli.main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = run_cli(capsys, "curvature", "--spec", spec, "--samples", "20")
+    assert code == 0 and json.loads(out)["command"] == "curvature"
+
+
+def test_job_leaves_no_argparse_garbage(capsys):
+    spec = str(CORPUS / "ex03_cosh_metric.json")
+    run_cli(capsys, "identities", "--spec", spec, "--samples", "50")
+    gc.collect()
+    flags = gc.get_debug()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code, _, _ = run_cli(capsys, "identities", "--spec", spec, "--samples", "50")
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, (argparse.ArgumentParser, argparse.HelpFormatter))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert code == 0
+    assert left == []
+
+
+def test_huge_integer_power_gives_a_report(tmp_path, capsys):
+    # x1^2000000000 underflows to 0 on the domain; the cap keeps each
+    # evaluation to one math.pow instead of 2e9 multiplications.
+    spec = {
+        "metric": {"f1": "1", "f2": "1"},
+        "field": {"frame": "orthonormal", "V1": "x1^2000000000 + 1", "V2": "0"},
+        "domain": {"x1": [0.5, 0.9], "x2": [-1.0, 1.0]},
+    }
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--spec", write_spec(tmp_path, spec))
+    assert time.perf_counter() - start < 10.0
+    assert code == 0, err
+    assert json.loads(out)["residual_max"] == [0.0, 0.0, 0.0, 0.0]

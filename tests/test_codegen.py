@@ -6,7 +6,11 @@ elimination, and kernels that leave nothing for the cycle collector."""
 from __future__ import annotations
 
 import gc
+import math
 import random
+import time
+
+import pytest
 
 from ricciplane.expr import (
     EVAL_ERRORS,
@@ -15,15 +19,18 @@ from ricciplane.expr import (
     EvaluationError,
     Mul,
     Point,
+    Pow,
     X1,
     X2,
     compile_expr,
     compile_many,
+    evaluate,
     evaluate_with_scale,
     parse,
     sin,
     walk,
 )
+from ricciplane.expr import _int_pow
 
 from conftest import random_smooth_tree
 
@@ -104,3 +111,58 @@ def test_compiled_kernel_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_inline_small_powers_are_bit_identical_to_int_pow():
+    rng = random.Random(2026)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.inf, -math.inf, math.nan, 1.0, -1.0, 1e154, -1e300]
+    randoms = [math.ldexp(rng.uniform(-1.0, 1.0), rng.randrange(-1074, 1024)) for _ in range(300)]
+    randoms += [rng.uniform(-10.0, 10.0) for _ in range(300)]
+    for n in range(1, 9):
+        # A leaf base, a local and a literal, with the base value at v.
+        cases = [
+            (Pow(X1, Constant(n)), lambda v: v),
+            (Pow(-X1, Constant(n)), lambda v: -v),
+            (Pow(Constant(-1.5), Constant(n)), lambda v: -1.5),
+        ]
+        for e, base in cases:
+            fn = compile_expr(e)
+            assert "_int_pow" not in fn.__code__.co_names
+            for v in specials + randoms:
+                assert _bits([fn(v, 0.0)]) == _bits([_int_pow(base(v), n)]), (n, v)
+    for n in (0, 9, -2, 1024):
+        assert "_int_pow" in compile_expr(Pow(X1, Constant(n))).__code__.co_names
+
+
+def test_integer_power_beyond_the_cap_is_fast_and_matches_evaluate():
+    start = time.perf_counter()
+    for text in ("x1^2000000000", "x1^2000000001", "x1^-2000000000", "x1^1025"):
+        e = parse(text)
+        fn = compile_expr(e)
+        for x1 in (0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0):
+            p = Point(x1, 0.0)
+            try:
+                want = evaluate(e, p)
+            except EvaluationError:
+                with pytest.raises(EVAL_ERRORS):
+                    fn(x1, 0.0)
+                continue
+            assert _bits([fn(x1, 0.0)]) == _bits([want]), (text, x1)
+    assert time.perf_counter() - start < 1.0
+    # Overflow reads as the infinity repeated multiplication reaches.
+    assert compile_expr(parse("x1^2000000001"))(-1.5, 0.0) == -math.inf
+    assert compile_expr(parse("x1^2000000000"))(-1.5, 0.0) == math.inf
+    assert compile_expr(parse("x1^2000000000"))(0.5, 0.0) == 0.0
+    with pytest.raises(EvaluationError, match="zero raised to a negative power"):
+        evaluate(parse("x1^-2000000000"), Point(0.0, 0.0))
+
+
+def test_powers_up_to_the_cap_keep_repeated_multiplication():
+    # x1^400 overflows to inf on [10, 20] (the NaN-as-zero fault spec).
+    for n in (400, 1024):
+        fn = compile_expr(Pow(X1, Constant(n)))
+        for x1 in (0.99, 1.001, 1.7, 10.5):
+            acc = 1.0
+            for _ in range(n):
+                acc *= x1
+            assert _bits([fn(x1, 0.0)]) == _bits([acc]) == _bits([_int_pow(x1, n)])

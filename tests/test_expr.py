@@ -3,7 +3,9 @@ evaluation, and the probabilistic zero test."""
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -325,3 +327,28 @@ def test_point_and_domain_validation():
         Domain(x1_range=(1.0, -1.0))
     with pytest.raises(ValueError):
         Domain(guard=0.0)
+
+
+def test_point_is_a_finite_float_pair():
+    p = Point(0.25, -1.5)
+    assert (p.x1, p.x2) == (0.25, -1.5)
+    assert p == (0.25, -1.5) and tuple(p) == (0.25, -1.5)
+    x1, x2 = p
+    assert (x1, x2, p[0], p[1]) == (0.25, -1.5, 0.25, -1.5)
+    assert repr(p) == "Point(x1=0.25, x2=-1.5)"
+    assert p.coordinate(Var.X1) == 0.25 and p.coordinate(Var.X2) == -1.5
+    for q, want in ((p.shifted(Var.X1, 1.0), (1.25, -1.5)), (p.shifted(Var.X2, 1.0), (0.25, -0.5))):
+        assert type(q) is Point and q == want
+    assert hash(p) == hash(Point(0.25, -1.5)) == hash((0.25, -1.5))
+    assert {p: "here"}[Point(0.25, -1.5)] == "here"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert type(q) is Point and q == p
+    assert type(copy.deepcopy(p)) is Point and copy.copy(p) == p
+    with pytest.raises(AttributeError):
+        p.x1 = 2.0
+    for bad in ((math.nan, 0.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError):
+            Point(*bad)
+    with pytest.raises(ValueError):
+        Point(1e308, 0.0).shifted(Var.X1, 1e308)

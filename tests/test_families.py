@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -176,3 +177,23 @@ def test_constant_metric_outputs_are_flat_and_parallel():
         assert is_flat(m, dom, CFG)
         for entry in covariant_matrix(m, V).values():
             assert entry == Constant(0.0)
+
+
+def test_admissibility_nan_condition_is_not_constant():
+    # The branch2 condition is exactly 1 where x1^400 is finite
+    # (x1 < 5.9) and NaN (inf - inf) beyond.
+    m = DiagonalMetric(parse("exp(x1)*(x1^400 - x1^399*x1 + 1)"), parse("exp(x1)"))
+    ok, value = admissibility("branch2", m, Domain(x1_range=(0.0, 10.0)), CFG)
+    assert ok is False and math.isnan(value)
+    ok, value = admissibility("branch2", m, Domain(x1_range=(0.0, 5.0)), CFG)
+    assert ok is True and value == 1.0
+
+
+def test_admissibility_infinite_condition_is_not_constant():
+    # The condition is 1 up to 2e-12 where exp(700*x1)^2 is finite
+    # (x1 < 0.507) and inf beyond; spread inf <= tolerance*(1 + inf) held.
+    m = DiagonalMetric(parse("exp(x1)*(exp(700*x1)*exp(700*x1)*1e-320 + 1)"), parse("exp(x1)"))
+    ok, value = admissibility("branch2", m, Domain(x1_range=(0.0, 1.0)), CFG)
+    assert ok is False and value == math.inf
+    ok, value = admissibility("branch2", m, Domain(x1_range=(0.0, 0.5)), CFG)
+    assert ok is True and abs(value - 1.0) <= 1e-9

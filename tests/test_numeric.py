@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
-from ricciplane.expr import Constant, Domain, Point, Var, parse
+from ricciplane.expr import EVAL_ERRORS, Constant, Domain, Point, Var, compile_expr, parse
 from ricciplane.numeric import (
+    OVERSAMPLE_FACTOR,
     DomainTooSingularError,
     SamplingConfig,
     fd_partial,
     fd_validate,
     nowhere_zero,
     sample_points,
+    sampled_range,
 )
 
 
@@ -93,3 +96,96 @@ def test_fd_validate_skips_kink_straddles():
     outcome = fd_validate(parse("abs(x1 - 0.123)"), d, SamplingConfig(samples=20))
     assert outcome.points_skipped > 0
     assert outcome.max_rel_error <= 1e-5
+
+
+def _uniform_stream_points(d, cfg, guards):
+    """The guarded sample drawn the plain way: random.Random.uniform for
+    x1 then x2, one compiled guard at a time."""
+    rng = random.Random(cfg.seed)
+    fns = [compile_expr(g) for g in guards]
+    points = []
+    for _ in range(cfg.samples * OVERSAMPLE_FACTOR):
+        if len(points) == cfg.samples:
+            break
+        x1 = rng.uniform(*d.x1_range)
+        x2 = rng.uniform(*d.x2_range)
+        try:
+            values = [f(x1, x2) for f in fns]
+        except EVAL_ERRORS:
+            continue
+        if not any(abs(v) < d.guard for v in values):
+            points.append((x1, x2))
+    return points
+
+
+@pytest.mark.parametrize(
+    "d, guards",
+    [
+        (Domain(), []),
+        (Domain(x1_range=(0.25, 1.25), x2_range=(-3.0, 7.5), guard=1e-2), ["sinh(x1 - 0.75)", "x2"]),
+        # log(x1) is undefined on a third of the candidates.
+        (Domain(x1_range=(-1e-3, 2e-3), x2_range=(100.0, 100.5), guard=1e-4), ["1/x1", "log(x1)"]),
+    ],
+)
+def test_sample_points_match_random_uniform_draws(d, guards):
+    cfg = SamplingConfig(samples=300, seed=2026)
+    got = sample_points(d, cfg, [parse(g) for g in guards])
+    want = _uniform_stream_points(d, cfg, [parse(g) for g in guards])
+    assert all(type(p) is Point for p in got)
+    assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
+
+
+def test_nowhere_zero_reads_the_same_stream():
+    d, cfg = Domain(), SamplingConfig(seed=11)
+    rng = random.Random(cfg.seed)
+    while True:
+        x1, x2 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        if x1 <= 0.0:
+            break
+    assert nowhere_zero(parse("log(x1)"), d, cfg) == (False, f"undefined at (x1={x1!r}, x2={x2!r})")
+
+
+def _per_expression_range(e, points):
+    """The range rule evaluated one expression at a time."""
+    fn = compile_expr(e)
+    lo, hi = math.inf, -math.inf
+    for x1, x2 in points:
+        try:
+            v = fn(x1, x2)
+        except EVAL_ERRORS:
+            continue
+        if v != v:
+            return -math.inf, math.inf
+        lo, hi = min(lo, v), max(hi, v)
+    return lo, hi
+
+
+def test_fused_sampled_range_matches_per_expression_ranges():
+    points = sample_points(Domain(), SamplingConfig(samples=400, seed=5))
+    exprs = [
+        parse("exp(1000*x1)"),  # overflows, so the fused kernel raises, where x1 > 0.71
+        parse("x1 + x2"),
+        parse("x2*1e308*10"),  # +-inf where |x2| > 0.18
+        parse("x2*1e308*10 - x2*1e308*10"),  # NaN there
+        parse("log(x1)"),  # undefined where x1 <= 0
+        parse("x1*0"),  # -0.0 and 0.0: the first of equal extremes is kept
+    ]
+    assert any(x1 > 0.71 for x1, _ in points) and any(x1 <= 0.0 for x1, _ in points)
+    want = [_per_expression_range(e, points) for e in exprs]
+    got = sampled_range(exprs, points)
+    assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
+    assert got[3] == (-math.inf, math.inf) and math.inf in got[2]
+    # Equal extremes: the first one met is kept, -0.0 or 0.0.
+    for first in (0.5, -0.5):
+        zeros = [Point(first, 0.0), Point(-first, 1.0)]
+        lo, hi = sampled_range([parse("x1*0"), parse("x2")], zeros)[0]
+        want_lo, want_hi = _per_expression_range(parse("x1*0"), zeros)
+        assert (lo.hex(), hi.hex()) == (want_lo.hex(), want_hi.hex()) == ((first * 0).hex(),) * 2
+    for e, pair in zip(exprs, want):
+        assert sampled_range(e, points) == pair
+
+
+def test_fused_sampled_range_nowhere_evaluable_column():
+    points = sample_points(Domain(), SamplingConfig(samples=20))
+    with pytest.raises(DomainTooSingularError):
+        sampled_range([parse("x1"), parse("log(-1 - x1*x1)")], points)
