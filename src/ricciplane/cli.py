@@ -20,7 +20,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import __version__
+from . import __version__, numeric
 from .expr import (
     Domain,
     EvaluationError,
@@ -537,7 +537,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # One job: its verdicts share each guarded sampling pass.
+        with numeric._job_stream():
+            return args.handler(args)
     except (SpecError, ParseError) as err:
         print(f"spec error: {err}", file=sys.stderr)
         return EXIT_SPEC_ERROR

@@ -936,6 +936,7 @@ def is_probably_zero(
     points = sample_points(d, cfg, guards=denominators(e))
     # The value of every node, that of `e` first.
     fn = compile_many(list(walk(e)))
+    enough = max(1, samples // 2)
     evaluated = 0
     verdict = True
     for x1, x2 in points:
@@ -945,7 +946,10 @@ def is_probably_zero(
             continue
         evaluated += 1
         verdict = verdict and all(map(math.isfinite, row)) and abs(row[0]) <= tol * (1.0 + max(map(abs, row)))
-    if evaluated < max(1, samples // 2):
+        if not verdict and evaluated >= enough:
+            # `evaluated` only grows: no later point can change the answer.
+            return False
+    if evaluated < enough:
         raise DomainTooSingularError(
             f"only {evaluated} of {samples} requested points were evaluable"
         )

@@ -9,6 +9,7 @@ functions appear.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .expr import (
@@ -44,6 +45,16 @@ class DiagonalMetric:
             return self.f2
         raise ValueError(f"frame index must be 1 or 2, got {i}")
 
+    @functools.cached_property
+    def _curvature(self) -> "CurvatureData":
+        # Derived once per instance.  A cached_property is no dataclass
+        # field, so it stays out of ==, hash and repr; __getstate__
+        # keeps it out of pickles.
+        return _derive_curvature(self)
+
+    def __getstate__(self) -> dict:
+        return {"f1": self.f1, "f2": self.f2}
+
 
 @dataclass(frozen=True)
 class CurvatureData:
@@ -78,10 +89,9 @@ def frame_derivative(m: DiagonalMetric, u: Expr, i: int) -> Expr:
 
 
 def channel_coefficients(m: DiagonalMetric) -> tuple[Expr, Expr]:
-    """h12 = (f2/f1) df1/dx2 and h21 = (f1/f2) df2/dx1."""
-    h12 = simplify(Mul(Div(m.f2, m.f1), differentiate(m.f1, Var.X2)))
-    h21 = simplify(Mul(Div(m.f1, m.f2), differentiate(m.f2, Var.X1)))
-    return h12, h21
+    """h12 = (f2/f1) df1/dx2 and h21 = (f1/f2) df2/dx1, as in `ricci(m)`."""
+    curv = m._curvature
+    return curv.h12, curv.h21
 
 
 def connection_table(m: DiagonalMetric) -> dict[tuple[int, int], tuple[Expr, Expr]]:
@@ -102,8 +112,15 @@ def lie_bracket(m: DiagonalMetric) -> tuple[Expr, Expr]:
 
 
 def ricci(m: DiagonalMetric) -> CurvatureData:
-    """Ricci data of the metric: rho = E1(h21) + E2(h12) - h21^2 - h12^2."""
-    h12, h21 = channel_coefficients(m)
+    """Ricci data of the metric: rho = E1(h21) + E2(h12) - h21^2 - h12^2.
+    Computed once per DiagonalMetric instance; later calls return the
+    same object."""
+    return m._curvature
+
+
+def _derive_curvature(m: DiagonalMetric) -> CurvatureData:
+    h12 = simplify(Mul(Div(m.f2, m.f1), differentiate(m.f1, Var.X2)))
+    h21 = simplify(Mul(Div(m.f1, m.f2), differentiate(m.f2, Var.X1)))
     rho = simplify(
         Sub(
             Sub(

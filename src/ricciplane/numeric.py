@@ -7,6 +7,8 @@ that never touches the symbolic differentiation path.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import random
 from dataclasses import dataclass
@@ -63,6 +65,27 @@ def _draws(d: Domain, seed: int) -> Iterator[tuple[float, float]]:
         yield a1 + w1 * u(), a2 + w2 * u()
 
 
+# The job scope of `sample_points`: None, or the table
+# {(domain, samples, seed): {guard key: (guards, points, rejected)}} of
+# the passes the current job has run.  A pass holds its guards, so the
+# ids in its key stay valid; `rejected` counts the candidates it drew
+# but did not accept.
+_STREAM: contextvars.ContextVar[dict | None] = contextvars.ContextVar("ricciplane_job_stream", default=None)
+
+
+@contextlib.contextmanager
+def _job_stream() -> Iterator[None]:
+    """Scope in which `sample_points` runs each guard set of a
+    (domain, samples, seed) at most once and shares the result.  The
+    scope belongs to the current context, so each thread has its own;
+    it ends, and its table is dropped, on every exit path."""
+    token = _STREAM.set({})
+    try:
+        yield
+    finally:
+        _STREAM.reset(token)
+
+
 def sample_points(
     d: Domain,
     cfg: SamplingConfig,
@@ -72,20 +95,48 @@ def sample_points(
     magnitude >= d.guard.
 
     Candidates are drawn one at a time from random.Random(cfg.seed), so
-    the accepted list is a pure function of (d, cfg, guards).  Gives up
-    after 100x oversampling; fewer than half the requested points is a
-    DomainTooSingularError.
+    the accepted list is a pure function of (d, cfg.samples, cfg.seed)
+    and the set of guards.  Gives up after 100x oversampling; fewer than
+    half the requested points is a DomainTooSingularError.
+
+    Within a `_job_stream` scope (each CLI job runs in one), a guard
+    set is sampled once and its list is returned again to later calls.
+    A call is also served by an earlier pass over a superset of its
+    guards that rejected no candidate: that pass accepted the first
+    `samples` candidates, its fused kernel computed every guard of the
+    subset there without raising, and `compile_many` values are
+    bit-identical per expression, so the subset accepts the same
+    candidates.  Sets are keyed by node identity, not equality:
+    Constant(0.0) == Constant(-0.0), but they can evaluate differently.
+    Outside a scope every call samples afresh and returns the same
+    points.  The returned list may be shared: callers must not mutate it.
     """
+    table = _STREAM.get()
+    passes = {} if table is None else table.setdefault((d, cfg.samples, cfg.seed), {})
+    guards = tuple(guards)
+    key = frozenset(map(id, guards))
+    done = passes.get(key)
+    if done is None:
+        done = next((p for k, p in passes.items() if p[2] == 0 and key <= k), None)
+    if done is None:
+        done = passes[key] = _draw_pass(d, cfg, guards)
+    return done[1]
+
+
+def _draw_pass(d: Domain, cfg: SamplingConfig, guards: tuple[Expr, ...]) -> tuple[tuple[Expr, ...], list[Point], int]:
     guard_values = compile_many(guards)
     guard = d.guard
     points: list[Point] = []
+    rejected = 0
     for x1, x2 in islice(_draws(d, cfg.seed), cfg.samples * OVERSAMPLE_FACTOR):
         try:
             values = guard_values(x1, x2)
         except EVAL_ERRORS:
+            rejected += 1
             continue
         for v in values:
             if abs(v) < guard:
+                rejected += 1
                 break
         else:
             # The draws are finite (Domain keeps hi - lo finite), so the
@@ -98,7 +149,7 @@ def sample_points(
             f"accepted {len(points)} of {cfg.samples} requested points "
             f"after {OVERSAMPLE_FACTOR}x oversampling"
         )
-    return points
+    return guards, points, rejected
 
 
 def merge_guards(guards: Iterable[Expr], exprs: Iterable[Expr]) -> list[Expr]:

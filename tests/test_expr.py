@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricciplane import expr
 from ricciplane.expr import (
     EVAL_ERRORS,
     Add,
@@ -243,6 +244,27 @@ def test_is_probably_zero_guards_denominators():
     # 1/x1 - 1/x1 is undefined on the x1 = 0 line but zero elsewhere
     e = parse("1/x1 - 1/x1")
     assert is_probably_zero(e, Domain()) is True
+
+
+def test_is_probably_zero_stops_once_the_answer_is_fixed(monkeypatch):
+    # The verdict is False at the first point and half the requested
+    # points make the sample large enough, so 100 evaluations decide.
+    calls = 0
+    compile_many = expr.compile_many
+
+    def counting(exprs):
+        kernel = compile_many(exprs)
+
+        def counted(x1, x2):
+            nonlocal calls
+            calls += 1
+            return kernel(x1, x2)
+
+        return counted
+
+    monkeypatch.setattr(expr, "compile_many", counting)
+    assert is_probably_zero(parse("x1 + 2"), Domain(), 200) is False
+    assert calls == 100
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from ricciplane.expr import (
@@ -117,6 +119,22 @@ def test_ricci_cosh_metric():
     assert sampled_max(Sub(curv.rho, want), points) <= 1e-9
     assert sampled_max(Sub(curv.r, parse("2*(cosh(x1)*sinh(x1) - cosh(x1)^2)")), points) <= 1e-9
     assert is_flat(COSH_METRIC, Domain(), SamplingConfig()) is False
+
+
+def test_curvature_is_computed_once_per_metric():
+    m = DiagonalMetric(parse("cosh(x1)"), parse("exp(x1) + x2^2"))
+    before = pickle.dumps(m)
+    curv = ricci(m)
+    assert ricci(m) is curv
+    h12, h21 = channel_coefficients(m)
+    assert h12 is curv.h12 and h21 is curv.h21
+    # The cache is no field: equality, hashing, repr and pickles are those
+    # of (f1, f2), and a loaded metric derives its own equal curvature.
+    twin = DiagonalMetric(parse("cosh(x1)"), parse("exp(x1) + x2^2"))
+    assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+    assert pickle.dumps(m) == before
+    loaded = pickle.loads(before)
+    assert loaded == m and ricci(loaded) == curv
 
 
 def test_ricci_scaled_exponentials_is_flat():

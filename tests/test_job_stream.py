@@ -1,0 +1,207 @@
+"""One sampling pass per job: the job scope of `sample_points`."""
+
+from __future__ import annotations
+
+import contextlib
+import gc
+import io
+import json
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from ricciplane import cli, expr, numeric
+from ricciplane.expr import Domain, parse
+from ricciplane.numeric import DomainTooSingularError, SamplingConfig, sample_points
+
+from conftest import CORPUS
+
+CFG = SamplingConfig(samples=100, seed=5)
+EXP = parse("exp(x1)")
+COSH = parse("cosh(x1)")
+SINH = parse("sinh(x1)")
+
+
+def test_repeated_guard_set_returns_the_stored_list():
+    unscoped = sample_points(Domain(), CFG, [EXP, COSH])
+    with numeric._job_stream():
+        first = sample_points(Domain(), CFG, [EXP, COSH])
+        again = sample_points(Domain(), CFG, [COSH, EXP, COSH])
+    assert again is first
+    assert first == unscoped and first is not unscoped
+
+
+def test_outside_a_scope_every_call_samples_afresh():
+    assert numeric._STREAM.get() is None
+    first = sample_points(Domain(), CFG, [EXP])
+    assert sample_points(Domain(), CFG, [EXP]) is not first
+
+
+def test_covered_subset_is_served_by_its_superset():
+    # cosh >= 1 and exp >= 1/e on [-1, 1]: the superset rejects nothing.
+    with numeric._job_stream():
+        superset = sample_points(Domain(), CFG, [COSH, EXP])
+        assert sample_points(Domain(), CFG, [EXP]) is superset
+        assert sample_points(Domain(), CFG) is superset
+        (table,) = numeric._STREAM.get().values()
+        assert len(table) == 1
+    assert superset == sample_points(Domain(), CFG, [EXP]) == sample_points(Domain(), CFG)
+
+
+def test_superset_that_rejected_candidates_serves_no_subset():
+    d = Domain(guard=1e-2)
+    with numeric._job_stream():
+        superset = sample_points(d, CFG, [SINH, EXP])
+        (table,) = numeric._STREAM.get().values()
+        ((_, _, rejected),) = table.values()
+        assert rejected > 0
+        subset = sample_points(d, CFG, [EXP])
+        assert len(table) == 2
+    assert subset is not superset
+    assert subset == sample_points(d, CFG, [EXP])
+    assert subset != superset
+
+
+@pytest.mark.parametrize(
+    "other_d, other_cfg",
+    [
+        (Domain(), SamplingConfig(samples=100, seed=6)),
+        (Domain(), SamplingConfig(samples=101, seed=5)),
+        (Domain(x1_range=(0.0, 1.0)), CFG),
+    ],
+)
+def test_seed_samples_and_domain_each_get_their_own_entry(other_d, other_cfg):
+    with numeric._job_stream():
+        first = sample_points(Domain(), CFG, [EXP])
+        other = sample_points(other_d, other_cfg, [EXP])
+        assert len(numeric._STREAM.get()) == 2
+        # The tolerance is not part of the key.
+        same = sample_points(Domain(), SamplingConfig(samples=100, seed=5, tolerance=1e-3), [EXP])
+    assert same is first
+    assert other != first
+    assert other == sample_points(other_d, other_cfg, [EXP])
+
+
+def test_singular_domain_raises_the_same_message_in_and_out_of_the_scope():
+    d = Domain(guard=1e-2)
+    tiny = [parse("1e-9*x1")]
+    with pytest.raises(DomainTooSingularError) as outside:
+        sample_points(d, CFG, tiny)
+    with numeric._job_stream():
+        for _ in range(2):  # a failed pass is not stored
+            with pytest.raises(DomainTooSingularError) as inside:
+                sample_points(d, CFG, tiny)
+            assert str(inside.value) == str(outside.value)
+        assert numeric._STREAM.get() == {(d, CFG.samples, CFG.seed): {}}
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def test_no_scope_outlives_a_job(tmp_path, monkeypatch):
+    spec = str(CORPUS / "ex03_cosh_metric.json")
+    assert _quiet_main(["identities", "--spec", spec, "--samples", "50"]) == 0
+    assert numeric._STREAM.get() is None
+    assert _quiet_main(["verify", "--spec", str(tmp_path / "missing.json")]) == cli.EXIT_SPEC_ERROR
+    assert numeric._STREAM.get() is None
+
+    def broken(*args, **kwargs):
+        assert numeric._STREAM.get() is not None
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "verify", broken)
+    assert _quiet_main(["verify", "--spec", spec]) == cli.EXIT_INTERNAL
+    assert numeric._STREAM.get() is None
+
+
+def test_a_job_leaves_the_intern_table_at_its_baseline():
+    spec = str(CORPUS / "ex03_cosh_metric.json")
+    _quiet_main(["identities", "--spec", spec, "--samples", "50"])
+    gc.collect()
+    gc.disable()
+    try:
+        baseline = len(expr._INTERNED)
+        for command in ("identities", "oracle", "curvature"):
+            assert _quiet_main([command, "--spec", spec, "--samples", "50"]) == 0
+        # Without the cycle collector, only reference counting frees nodes.
+        assert len(expr._INTERNED) == baseline
+    finally:
+        gc.enable()
+
+
+def test_concurrent_jobs_print_what_serial_jobs_print(tmp_path, capsys):
+    jobs = [
+        ["identities", "--spec", str(CORPUS / "ex03_cosh_metric.json"), "--samples", "300"],
+        ["oracle", "--spec", str(CORPUS / "ex04_rotating_unequal_scales.json"), "--samples", "300"],
+        ["verify", "--spec", str(CORPUS / "ex04_rotating_unequal_scales.json"), "--samples", "300"],
+    ]
+
+    def run(i: int, argv: list, tag: str) -> tuple[int, str]:
+        out = tmp_path / f"{tag}-{i}.json"
+        code = cli.main([*argv, "--out", str(out)])
+        return code, out.read_text(encoding="utf-8")
+
+    serial = [run(i, argv, "serial") for i, argv in enumerate(jobs)]
+    results: dict[int, tuple[int, str]] = {}
+
+    def work(i: int) -> None:
+        results[i] = run(i, jobs[i], "thread")
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    assert not any(t.is_alive() for t in threads)
+    assert [results[i] for i in range(len(jobs))] == serial
+
+
+def _family_jobs(tmp_path: Path) -> list[list[str]]:
+    specs = {
+        "b1": {"kind": "branch1", "f2": "exp(1.3*x1) + x1^2", "k": 1.37, "c": 0.83},
+        "b2": {"kind": "branch2", "f2": "cosh(0.7*x1) + 2", "c": 1.2, "c1": 0.4, "c2": -1.1},
+    }
+    jobs = []
+    for tag, family in specs.items():
+        spec = tmp_path / f"{tag}.json"
+        body = {"family": family, "domain": {"x1": [0.25, 1.25], "x2": [-1.0, 1.0]}}
+        spec.write_text(json.dumps(body), encoding="utf-8")
+        derived = str(tmp_path / f"{tag}.derived.json")
+        jobs.append(["construct", "--spec", str(spec), "--emit-spec", derived])
+        jobs.append(["identities", "--spec", derived])
+    return jobs
+
+
+def _outputs(jobs: list[list[str]], capsys) -> list[tuple[int, str]]:
+    outputs = []
+    for argv in jobs:
+        code = cli.main(argv)
+        outputs.append((code, capsys.readouterr().out))
+    return outputs
+
+
+def test_reports_match_unshared_sampling(tmp_path, capsys, monkeypatch):
+    """Every command prints the same bytes with each call sampling on its own."""
+    jobs = [
+        [command, "--spec", str(path), "--samples", "200"]
+        for path in sorted(CORPUS.glob("*.json"))
+        for command in ("curvature", "verify", "identities", "oracle")
+    ]
+    assert len(jobs) == 32
+    jobs += _family_jobs(tmp_path)
+    shared = _outputs(jobs, capsys)
+    monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
+    unshared = _outputs(jobs, capsys)
+    assert shared == unshared
+    assert {code for code, _ in shared} == {0, 1}
+    assert all(out for _, out in shared)
