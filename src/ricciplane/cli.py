@@ -40,26 +40,16 @@ from .families import (
     construct,
 )
 from .geometry import DiagonalMetric, is_flat, ricci
-from .identities import (
-    PotentialFunction,
-    check_curvature_identity,
-    check_laplacian_scalar,
-    check_ric_vv,
-    check_scalar_divergence,
-    check_steady_soliton,
-    gradient_field,
-)
+from .identities import PotentialFunction, gradient_field, identity_verdicts
 from .numeric import (
     DomainTooSingularError,
     SamplingConfig,
-    covered_max_abs,
     fd_validate,
     sample_points,
     sampled_range,
 )
 from .riccifield import (
     FrameField,
-    closedness_defect,
     equation_guards,
     from_coordinates,
     residual_system,
@@ -346,21 +336,6 @@ def cmd_curvature(args) -> int:
     return EXIT_PASS
 
 
-def _identity_verdicts(m, V, d, cfg, potential=None) -> dict:
-    verdicts = {
-        "ric_vv": check_ric_vv(m, V, d, cfg),
-        "scalar_divergence": check_scalar_divergence(m, V, d, cfg),
-        "curvature_identity": check_curvature_identity(m, V, d, cfg),
-    }
-    defect = closedness_defect(m, V)
-    maxima, _ = covered_max_abs([defect], d, cfg, (m.f1, m.f2), "identity residuals")
-    verdicts["closedness"] = maxima[0] <= cfg.tolerance
-    if potential is not None:
-        verdicts["steady_soliton"] = check_steady_soliton(m, potential, d, cfg)
-        verdicts["laplacian_scalar"] = check_laplacian_scalar(m, potential, d, cfg)
-    return verdicts
-
-
 def _verify_report(spec, m, V, d, cfg, args, potential=None, extra=None) -> tuple[dict, int]:
     result = verify(m, V, d, cfg)
     section = curvature_section(m, d, cfg)
@@ -382,7 +357,7 @@ def _verify_report(spec, m, V, d, cfg, args, potential=None, extra=None) -> tupl
         report.update(extra)
     exit_code = EXIT_PASS if result.passed else EXIT_FAIL
     if getattr(args, "identities", False) and result.passed:
-        verdicts = _identity_verdicts(m, V, d, cfg, potential=potential)
+        verdicts = identity_verdicts(m, V, d, cfg, potential=potential)
         report["identities"] = verdicts
         if not all(verdicts.values()):
             report["verdict"] = "fail"

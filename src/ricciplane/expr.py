@@ -928,7 +928,7 @@ def is_probably_zero(
     deterministic given the seed.  Raises DomainTooSingularError when
     fewer than samples/2 points survive rejection and evaluation.
     """
-    from .numeric import DomainTooSingularError, SamplingConfig, sample_points
+    from .numeric import DomainTooSingularError, SamplingConfig, _enough, sample_points
 
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -936,7 +936,7 @@ def is_probably_zero(
     points = sample_points(d, cfg, guards=denominators(e))
     # The value of every node, that of `e` first.
     fn = compile_many(list(walk(e)))
-    enough = max(1, samples // 2)
+    enough = _enough(samples)
     evaluated = 0
     verdict = True
     for x1, x2 in points:
@@ -945,7 +945,14 @@ def is_probably_zero(
         except EVAL_ERRORS:
             continue
         evaluated += 1
-        verdict = verdict and all(map(math.isfinite, row)) and abs(row[0]) <= tol * (1.0 + max(map(abs, row)))
+        # The common case first, in one C-level call: a float sum with a
+        # non-finite term is non-finite, so a finite sum means every
+        # node is finite, and tol <= tol * (1 + scale).  Any other row
+        # (an overflowing sum over finite nodes included) gets the rule.
+        verdict = verdict and (
+            (-tol <= row[0] <= tol and math.isfinite(sum(row)))
+            or (all(map(math.isfinite, row)) and abs(row[0]) <= tol * (1.0 + max(map(abs, row))))
+        )
         if not verdict and evaluated >= enough:
             # `evaluated` only grows: no later point can change the answer.
             return False

@@ -39,7 +39,7 @@ from .expr import (
     X2,
 )
 from .geometry import DiagonalMetric
-from .numeric import DomainTooSingularError, SamplingConfig, merge_guards, nowhere_zero, sample_points
+from .numeric import DomainTooSingularError, SamplingConfig, _enough, merge_guards, nowhere_zero, sample_points
 from .riccifield import FrameField
 
 
@@ -253,7 +253,7 @@ def admissibility(
             values.append(fn(x1, x2))
         except EVAL_ERRORS:
             continue
-    if len(values) < max(1, cfg.samples // 2):
+    if len(values) < _enough(cfg.samples):
         raise DomainTooSingularError(
             f"condition was evaluable at only {len(values)} of {cfg.samples} requested points"
         )

@@ -12,7 +12,7 @@ machinery is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .expr import (
     Add,
@@ -27,7 +27,7 @@ from .expr import (
 )
 from .geometry import DiagonalMetric, connection_table, frame_derivative, lie_bracket, ricci
 from .numeric import SamplingConfig, covered_max_abs
-from .riccifield import FrameField, covariant_matrix, divergence
+from .riccifield import FrameField, closedness_defect, covariant_matrix, divergence
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,14 @@ class PotentialFunction:
 
 def _sampled_ok(
     m: DiagonalMetric,
-    residuals: Sequence[Expr],
+    groups: Iterable[Sequence[Expr]],
     d: Domain,
     cfg: SamplingConfig,
-) -> bool:
-    maxima, _ = covered_max_abs(residuals, d, cfg, (m.f1, m.f2), "identity residuals")
-    return all(v <= cfg.tolerance for v in maxima)
+) -> list[bool]:
+    """Per group of residuals: is every sampled max |value| within
+    tolerance?  One `covered_max_abs` call for all groups."""
+    results = covered_max_abs(groups, d, cfg, (m.f1, m.f2), "identity residuals")
+    return [all(v <= cfg.tolerance for v in maxima) for maxima, _ in results]
 
 
 def _directional(m: DiagonalMetric, V: FrameField, u: Expr) -> Expr:
@@ -61,20 +63,24 @@ def _norm_squared(V: FrameField) -> Expr:
     return simplify(Add(Pow(V.V1, Constant(2.0)), Pow(V.V2, Constant(2.0))))
 
 
-def check_ric_vv(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> bool:
-    """Ric(V, V) = (1/2) V(|V|^2): samples rho |V|^2 - (1/2) V(|V|^2)."""
+def _ric_vv_residuals(m: DiagonalMetric, V: FrameField) -> list[Expr]:
     rho = ricci(m).rho
     norm2 = _norm_squared(V)
-    residual = simplify(
-        Sub(Mul(rho, norm2), Mul(Constant(0.5), _directional(m, V, norm2)))
-    )
-    return _sampled_ok(m, [residual], d, cfg)
+    return [simplify(Sub(Mul(rho, norm2), Mul(Constant(0.5), _directional(m, V, norm2))))]
+
+
+def check_ric_vv(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> bool:
+    """Ric(V, V) = (1/2) V(|V|^2): samples rho |V|^2 - (1/2) V(|V|^2)."""
+    return _sampled_ok(m, [_ric_vv_residuals(m, V)], d, cfg)[0]
+
+
+def _scalar_divergence_residuals(m: DiagonalMetric, V: FrameField) -> list[Expr]:
+    return [simplify(Sub(divergence(m, V), ricci(m).r))]
 
 
 def check_scalar_divergence(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> bool:
     """r = div(V): samples div(V) - r."""
-    residual = simplify(Sub(divergence(m, V), ricci(m).r))
-    return _sampled_ok(m, [residual], d, cfg)
+    return _sampled_ok(m, [_scalar_divergence_residuals(m, V)], d, cfg)[0]
 
 
 def check_norm_symmetry(
@@ -91,7 +97,7 @@ def check_norm_symmetry(
             _directional(m, V2, _norm_squared(V1)),
         )
     )
-    return _sampled_ok(m, [residual], d, cfg)
+    return _sampled_ok(m, [[residual]], d, cfg)[0]
 
 
 def _covariant_field(m: DiagonalMetric, W: FrameField, i: int) -> FrameField:
@@ -100,13 +106,7 @@ def _covariant_field(m: DiagonalMetric, W: FrameField, i: int) -> FrameField:
     return FrameField(V1=cov[(i, 1)], V2=cov[(i, 2)])
 
 
-def check_curvature_identity(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> bool:
-    """R(E1,E2)V = (nabla_{E1}Q)E2 - (nabla_{E2}Q)E1.
-
-    The left side is assembled from second covariant derivatives; the
-    right side collapses to (-E2(rho), E1(rho)) because Q = rho * Id in
-    the frame.  Both frame components are sampled.
-    """
+def _curvature_identity_residuals(m: DiagonalMetric, V: FrameField) -> list[Expr]:
     d1V = _covariant_field(m, V, 1)
     d2V = _covariant_field(m, V, 2)
     n12 = _covariant_field(m, d2V, 1)  # nabla_{E1} nabla_{E2} V
@@ -121,8 +121,21 @@ def check_curvature_identity(m: DiagonalMetric, V: FrameField, d: Domain, cfg: S
     )
     rhs1 = simplify(Negate(frame_derivative(m, rho, 2)))
     rhs2 = frame_derivative(m, rho, 1)
-    residuals = [simplify(Sub(lhs1, rhs1)), simplify(Sub(lhs2, rhs2))]
-    return _sampled_ok(m, residuals, d, cfg)
+    return [simplify(Sub(lhs1, rhs1)), simplify(Sub(lhs2, rhs2))]
+
+
+def check_curvature_identity(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> bool:
+    """R(E1,E2)V = (nabla_{E1}Q)E2 - (nabla_{E2}Q)E1.
+
+    The left side is assembled from second covariant derivatives; the
+    right side collapses to (-E2(rho), E1(rho)) because Q = rho * Id in
+    the frame.  Both frame components are sampled.
+    """
+    return _sampled_ok(m, [_curvature_identity_residuals(m, V)], d, cfg)[0]
+
+
+def _closedness_residuals(m: DiagonalMetric, V: FrameField) -> list[Expr]:
+    return [closedness_defect(m, V)]
 
 
 def gradient_field(m: DiagonalMetric, p: PotentialFunction) -> FrameField:
@@ -152,21 +165,56 @@ def laplacian(m: DiagonalMetric, p: PotentialFunction) -> Expr:
     return simplify(Add(h[(1, 1)], h[(2, 2)]))
 
 
-def check_steady_soliton(m: DiagonalMetric, p: PotentialFunction, d: Domain, cfg: SamplingConfig) -> bool:
-    """The steady-soliton equation in gradient form: Hess(f) = Ric
-    entrywise (the Lie derivative of g along a gradient is 2 Hess)."""
+def _steady_soliton_residuals(m: DiagonalMetric, p: PotentialFunction) -> list[Expr]:
     h = hessian(m, p)
     rho = ricci(m).rho
-    residuals = [
+    return [
         simplify(Sub(h[(1, 1)], rho)),
         h[(1, 2)],
         h[(2, 1)],
         simplify(Sub(h[(2, 2)], rho)),
     ]
-    return _sampled_ok(m, residuals, d, cfg)
+
+
+def check_steady_soliton(m: DiagonalMetric, p: PotentialFunction, d: Domain, cfg: SamplingConfig) -> bool:
+    """The steady-soliton equation in gradient form: Hess(f) = Ric
+    entrywise (the Lie derivative of g along a gradient is 2 Hess)."""
+    return _sampled_ok(m, [_steady_soliton_residuals(m, p)], d, cfg)[0]
+
+
+def _laplacian_scalar_residuals(m: DiagonalMetric, p: PotentialFunction) -> list[Expr]:
+    return [simplify(Sub(laplacian(m, p), ricci(m).r))]
 
 
 def check_laplacian_scalar(m: DiagonalMetric, p: PotentialFunction, d: Domain, cfg: SamplingConfig) -> bool:
     """Delta f = r for gradient Ricci fields."""
-    residual = simplify(Sub(laplacian(m, p), ricci(m).r))
-    return _sampled_ok(m, [residual], d, cfg)
+    return _sampled_ok(m, [_laplacian_scalar_residuals(m, p)], d, cfg)[0]
+
+
+def identity_verdicts(
+    m: DiagonalMetric,
+    V: FrameField,
+    d: Domain,
+    cfg: SamplingConfig,
+    potential: PotentialFunction | None = None,
+) -> dict[str, bool]:
+    """Every consequence-identity verdict for a verified field: Ric(V, V),
+    the scalar divergence, the curvature identity and closedness (the
+    dual 1-form of V is closed), plus the steady-soliton and Laplacian
+    identities when V is the gradient of `potential`.
+
+    Each verdict equals that of its `check_*` function (closedness has
+    none); the residuals of all of them are built and sampled in this
+    order and evaluated in one sweep per point list.
+    """
+    checks = {
+        "ric_vv": (_ric_vv_residuals, V),
+        "scalar_divergence": (_scalar_divergence_residuals, V),
+        "curvature_identity": (_curvature_identity_residuals, V),
+        "closedness": (_closedness_residuals, V),
+    }
+    if potential is not None:
+        checks["steady_soliton"] = (_steady_soliton_residuals, potential)
+        checks["laplacian_scalar"] = (_laplacian_scalar_residuals, potential)
+    groups = (residuals(m, arg) for residuals, arg in checks.values())
+    return dict(zip(checks, _sampled_ok(m, groups, d, cfg)))

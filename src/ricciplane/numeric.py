@@ -144,12 +144,18 @@ def _draw_pass(d: Domain, cfg: SamplingConfig, guards: tuple[Expr, ...]) -> tupl
             points.append(tuple.__new__(Point, (x1, x2)))
             if len(points) == cfg.samples:
                 break
-    if len(points) < max(1, -(-cfg.samples // 2)):
+    if len(points) < _enough(cfg.samples):
         raise DomainTooSingularError(
             f"accepted {len(points)} of {cfg.samples} requested points "
             f"after {OVERSAMPLE_FACTOR}x oversampling"
         )
     return guards, points, rejected
+
+
+def _enough(samples: int) -> int:
+    """The fewest usable points a sampled verdict accepts: half of
+    `samples`, rounded up, and at least one."""
+    return max(1, -(-samples // 2))
 
 
 def merge_guards(guards: Iterable[Expr], exprs: Iterable[Expr]) -> list[Expr]:
@@ -271,52 +277,110 @@ def _stencil_straddles_kink(kinks, stencil) -> bool:
 
 
 def sampled_max_abs(
-    exprs: Sequence[Expr],
+    exprs: Sequence[Expr] | Sequence[Sequence[Expr]],
     points: Sequence[Point],
-) -> tuple[list[float], int]:
+) -> tuple[list[float], int] | list[tuple[list[float], int]]:
     """Max |value| of each expression over the points.
 
-    Points where any expression is undefined are dropped for all of
-    them, keeping the maxima comparable.  A NaN or infinite value at a
-    used point makes that maximum math.inf.  Returns (maxima, points
-    used).
+    A sequence of Expr is one group and gives (maxima, points used); a
+    sequence of groups gives one such pair per group, in order.  Points
+    where any expression of a group is undefined are dropped for the
+    whole group, keeping its maxima comparable; other groups keep them.
+    A NaN or infinite value at a used point makes that maximum math.inf.
+
+    One kernel evaluates every group.  At a point where it raises, each
+    group is evaluated on its own kernel, compiled on first need, so a
+    group is dropped only where it is undefined itself.
     """
-    fn = compile_many(exprs)
-    maxima = [0.0] * len(exprs)
-    used = 0
+    if all(isinstance(e, Expr) for e in exprs):
+        return sampled_max_abs([exprs], points)[0]
+    groups = [list(g) for g in exprs]
+    fn = compile_many([e for g in groups for e in g])
+    singles: list = [None] * len(groups)
+    maxima = [0.0] * sum(map(len, groups))
+    drops = [0] * len(groups)
     for x1, x2 in points:
         try:
             row = fn(x1, x2)
         except EVAL_ERRORS:
-            continue
-        used += 1
+            if len(groups) == 1:  # its own kernel is `fn`
+                drops[0] += 1
+                continue
+            row = []
+            for k, g in enumerate(groups):
+                if singles[k] is None:
+                    singles[k] = compile_many(g)
+                try:
+                    row.extend(singles[k](x1, x2))
+                except EVAL_ERRORS:
+                    drops[k] += 1
+                    row.extend([0.0] * len(g))  # leaves its maxima as they are
         for i, v in enumerate(row):
             v = abs(v)
             if v != v:  # NaN
                 v = math.inf
             if v > maxima[i]:
                 maxima[i] = v
-    return maxima, used
+    results = []
+    start = 0
+    for g, dropped in zip(groups, drops):
+        results.append((maxima[start : start + len(g)], len(points) - dropped))
+        start += len(g)
+    return results
 
 
 def covered_max_abs(
-    exprs: Sequence[Expr],
+    groups: Iterable[Sequence[Expr]],
     d: Domain,
     cfg: SamplingConfig,
     guards: Iterable[Expr],
     what: str,
-) -> tuple[list[float], int]:
-    """`sampled_max_abs` of `exprs` over the points of `d` that clear the
-    guards and the denominators of `exprs`.  Raises
-    DomainTooSingularError, naming the expressions as `what`, when they
-    were evaluable at fewer than half the requested points."""
-    points = sample_points(d, cfg, merge_guards(guards, exprs))
-    maxima, used = sampled_max_abs(exprs, points)
-    if used < max(1, cfg.samples // 2):
-        raise DomainTooSingularError(
-            f"{what} were evaluable at only {used} of {cfg.samples} requested points"
-        )
-    return maxima, used
+) -> list[tuple[list[float], int]]:
+    """`sampled_max_abs` of each group over the points of `d` that clear
+    the guards and the denominators of that group: one (maxima, points
+    used) per group, in order.  Raises DomainTooSingularError, naming
+    the expressions as `what`, when a group was evaluable at fewer than
+    half the requested points.
+
+    `groups` may be lazy; each group is built and sampled in turn.
+    Groups sampled to the same list (the job scope of `sample_points`
+    makes that the usual case) share one sweep.  Errors surface as if
+    each group were built, sampled and checked before the next: when
+    building or sampling a group raises, a shortfall of an earlier
+    group is raised instead.
+    """
+    guards = tuple(guards)
+    collected: list[tuple[Sequence[Expr], list[Point]]] = []
+    try:
+        for group in groups:
+            collected.append((group, sample_points(d, cfg, merge_guards(guards, group))))
+    except Exception:
+        _checked_sweeps(collected, cfg, what)
+        raise
+    return _checked_sweeps(collected, cfg, what)
+
+
+def _checked_sweeps(
+    collected: list[tuple[Sequence[Expr], list[Point]]],
+    cfg: SamplingConfig,
+    what: str,
+) -> list[tuple[list[float], int]]:
+    """One `sampled_max_abs` sweep per distinct point list, then the
+    first shortfall in group order."""
+    sweeps: dict[int, tuple[list[Point], list[int]]] = {}
+    for k, (_, points) in enumerate(collected):
+        sweeps.setdefault(id(points), (points, []))[1].append(k)
+    results: list = [None] * len(collected)
+    for points, members in sweeps.values():
+        swept = sampled_max_abs([collected[k][0] for k in members], points)
+        for k, result in zip(members, swept):
+            results[k] = result
+    for _, used in results:
+        if used < _enough(cfg.samples):
+            raise DomainTooSingularError(
+                f"{what} were evaluable at only {used} of {cfg.samples} requested points"
+            )
+    return results
 
 
 def sampled_range(

@@ -99,7 +99,7 @@ def verify(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> 
     """
     validate_metric(m, d, cfg)
     residuals = residual_system(m, V)
-    maxima, used = covered_max_abs(residuals, d, cfg, (m.f1, m.f2), "residuals")
+    [(maxima, used)] = covered_max_abs([residuals], d, cfg, (m.f1, m.f2), "residuals")
     verdict = "pass" if all(v <= cfg.tolerance for v in maxima) else "fail"
     return ResidualReport(
         residuals=residuals,

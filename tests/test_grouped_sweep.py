@@ -1,0 +1,128 @@
+"""Grouped max-abs sweeps: several groups of expressions evaluated in one
+kernel and one pass over the points, each group keeping its own drops,
+maxima and shortfall; and the one "fewer than half" rule."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from ricciplane.expr import Domain, Point, Var, differentiate, is_probably_zero, parse
+from ricciplane.families import admissibility
+from ricciplane.geometry import DiagonalMetric
+from ricciplane.numeric import (
+    DomainTooSingularError,
+    SamplingConfig,
+    _job_stream,
+    covered_max_abs,
+    sample_points,
+    sampled_max_abs,
+)
+
+D = Domain()
+CFG = SamplingConfig(samples=200, seed=5)
+
+
+def test_grouped_sweep_equals_separate_calls():
+    # log(x1) is undefined at the unguarded points with x1 <= 0; the
+    # other groups keep those points.
+    points = sample_points(D, CFG)
+    groups = [[parse("log(x1)")], [parse("x1^2")], [parse("x1*x2"), parse("sqrt(x2)")], []]
+    grouped = sampled_max_abs(groups, points)
+    assert grouped == [sampled_max_abs(g, points) for g in groups]
+    assert 0 < grouped[0][1] < len(points)
+    assert grouped[1][1] == len(points)
+    assert grouped[3] == ([], len(points))
+
+
+def test_lone_group_keeps_its_shape():
+    points = sample_points(D, CFG)
+    maxima, used = sampled_max_abs([parse("x1"), parse("x2")], points)
+    assert used == len(points) and len(maxima) == 2
+    assert sampled_max_abs([[parse("x1"), parse("x2")]], points) == [(maxima, used)]
+
+
+def test_non_finite_value_is_inf_in_its_own_group_only():
+    points = [Point(10.5, 0.0), Point(11.0, 0.5)]
+    nan = parse("x1^400 - x1^399*x1")  # inf - inf
+    big = parse("x1^400")  # overflows to inf
+    grouped = sampled_max_abs([[nan], [big, parse("x2")], [parse("x1")]], points)
+    assert grouped == [([math.inf], 2), ([math.inf, 0.5], 2), ([11.0], 2)]
+
+
+def test_covered_groups_match_one_group_calls():
+    guards = (parse("x1 + 2"),)
+    groups = [[parse("1/x1")], [parse("x2/(x1 - 0.5)"), parse("x1")], [parse("x2")]]
+    separate = [covered_max_abs([g], D, CFG, guards, "e")[0] for g in groups]
+    assert covered_max_abs(groups, D, CFG, guards, "e") == separate
+    with _job_stream():
+        assert covered_max_abs(groups, D, CFG, guards, "e") == separate
+
+
+def test_covered_groups_accept_a_lazy_sequence():
+    groups = [[parse("x1")], [parse("x2")]]
+    assert covered_max_abs(iter(groups), D, CFG, (), "e") == covered_max_abs(groups, D, CFG, (), "e")
+
+
+SHORT = [parse("sqrt(x1 - 0.5)")]  # evaluable at a quarter of the points
+SHORTER = [parse("sqrt(x1 - 0.8)")]  # at a tenth
+UNSAMPLEABLE = [parse("1/(x1 - x1)")]  # its guard rejects every candidate
+
+
+def _used(group):
+    return sampled_max_abs(group, sample_points(D, CFG))[1]
+
+
+def test_earlier_shortfall_beats_later_sampling_error():
+    with pytest.raises(DomainTooSingularError, match=f"only {_used(SHORT)} of 200"):
+        covered_max_abs([[parse("x1")], SHORT, UNSAMPLEABLE], D, CFG, (), "e")
+
+
+def test_first_shortfall_in_group_order_wins():
+    with pytest.raises(DomainTooSingularError, match=f"e were evaluable at only {_used(SHORTER)} of 200"):
+        covered_max_abs([SHORTER, SHORT], D, CFG, (), "e")
+    with pytest.raises(DomainTooSingularError, match=f"only {_used(SHORT)} of 200"):
+        covered_max_abs([SHORT, SHORTER], D, CFG, (), "e")
+
+
+def test_later_sampling_error_surfaces_when_earlier_groups_are_fine():
+    with pytest.raises(DomainTooSingularError, match="accepted 0 of 200 requested points"):
+        covered_max_abs([[parse("x1")], UNSAMPLEABLE, SHORT], D, CFG, (), "e")
+
+
+def test_build_error_surfaces_after_earlier_groups_are_checked():
+    def groups(first):
+        yield first
+        raise RuntimeError("cannot build the second group")
+
+    with pytest.raises(RuntimeError, match="second group"):
+        covered_max_abs(groups([parse("x1")]), D, CFG, (), "e")
+    with pytest.raises(DomainTooSingularError, match="evaluable at only"):
+        covered_max_abs(groups(SHORT), D, CFG, (), "e")
+
+
+# "Fewer than half the requested points" rounds half up everywhere: with
+# 3 samples and seed 1, one of the three points of Domain() has x1 >= 0.
+THREE = SamplingConfig(samples=3, seed=1, tolerance=1e-9)
+
+
+def test_half_rule_draws():
+    assert [p.x1 >= 0 for p in sample_points(D, THREE)] == [False, True, False]
+
+
+def test_covered_max_abs_needs_half_the_points_rounded_up():
+    with pytest.raises(DomainTooSingularError, match="only 1 of 3"):
+        covered_max_abs([[parse("sqrt(x1)")]], D, THREE, (), "e")
+
+
+def test_zero_test_needs_half_the_points_rounded_up():
+    with pytest.raises(DomainTooSingularError, match="only 1 of 3"):
+        is_probably_zero(parse("sqrt(x1) - sqrt(x1)"), D, 3, 1)
+
+
+def test_admissibility_needs_half_the_points_rounded_up():
+    m = DiagonalMetric(parse("sqrt(x1)"), parse("exp(x1)"))
+    assert is_probably_zero(differentiate(m.f2, Var.X2), D, 3, 1)
+    with pytest.raises(DomainTooSingularError, match="only 1 of 3"):
+        admissibility("branch2", m, D, THREE)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from ricciplane.expr import Constant, Domain, Sub, compile_expr, parse
 from ricciplane.families import Branch2, construct
 from ricciplane.geometry import DiagonalMetric, ricci
@@ -15,10 +17,13 @@ from ricciplane.identities import (
     check_steady_soliton,
     gradient_field,
     hessian,
+    identity_verdicts,
     laplacian,
 )
-from ricciplane.numeric import SamplingConfig, sample_points
-from ricciplane.riccifield import FrameField, verify
+from ricciplane.numeric import SamplingConfig, _job_stream, covered_max_abs, sample_points
+from ricciplane.riccifield import FrameField, closedness_defect, verify
+
+from conftest import FAILING_CORPUS, PASSING_CORPUS, draw_constructed, load_corpus_pair
 
 D = Domain()
 CFG = SamplingConfig(tolerance=1e-7)
@@ -132,3 +137,54 @@ def test_identity_suite_for_verified_pairs():
         assert check_ric_vv(m, V, D, CFG)
         assert check_scalar_divergence(m, V, D, CFG)
         assert check_curvature_identity(m, V, D, CFG)
+
+
+def separate_verdicts(m, V, d, cfg, potential=None):
+    """The identity verdicts one check at a time, in report order."""
+    [(closed, _)] = covered_max_abs([[closedness_defect(m, V)]], d, cfg, (m.f1, m.f2), "identity residuals")
+    verdicts = {
+        "ric_vv": check_ric_vv(m, V, d, cfg),
+        "scalar_divergence": check_scalar_divergence(m, V, d, cfg),
+        "curvature_identity": check_curvature_identity(m, V, d, cfg),
+        "closedness": closed[0] <= cfg.tolerance,
+    }
+    if potential is not None:
+        verdicts["steady_soliton"] = check_steady_soliton(m, potential, d, cfg)
+        verdicts["laplacian_scalar"] = check_laplacian_scalar(m, potential, d, cfg)
+    return verdicts
+
+
+def assert_same_verdicts(m, V, d, cfg, potential=None):
+    expected = separate_verdicts(m, V, d, cfg, potential)
+    got = identity_verdicts(m, V, d, cfg, potential)
+    assert list(got.items()) == list(expected.items())
+    with _job_stream():  # one shared point list, as in a CLI job
+        assert list(identity_verdicts(m, V, d, cfg, potential).items()) == list(expected.items())
+    return got
+
+
+@pytest.mark.parametrize("name", PASSING_CORPUS + FAILING_CORPUS)
+def test_identity_verdicts_match_the_checks_on_the_corpus(name):
+    assert_same_verdicts(*load_corpus_pair(name))
+
+
+def test_identity_verdicts_match_the_checks_with_a_potential():
+    V = gradient_field(COSH_METRIC, COSH_POTENTIAL)
+    got = assert_same_verdicts(COSH_METRIC, V, D, CFG, COSH_POTENTIAL)
+    assert list(got) == [
+        "ric_vv", "scalar_divergence", "curvature_identity", "closedness", "steady_soliton", "laplacian_scalar"
+    ]
+    wrong = PotentialFunction(parse("x1*x2"))
+    got = assert_same_verdicts(COSH_METRIC, gradient_field(COSH_METRIC, wrong), D, CFG, wrong)
+    assert not all(got.values())
+
+
+def test_identity_verdicts_match_the_checks_on_a_failing_field():
+    got = assert_same_verdicts(COSH_METRIC, FrameField(parse("1"), parse("0")), D, CFG)
+    assert got["ric_vv"] is False and got["closedness"] is True
+
+
+@pytest.mark.parametrize("variant", ["branch1", "branch2"])
+def test_identity_verdicts_match_the_checks_on_family_outputs(variant):
+    [(_, dom, m, V)] = draw_constructed(variant, 1, 20251018, CFG)
+    assert_same_verdicts(m, V, dom, CFG)

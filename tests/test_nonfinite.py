@@ -10,10 +10,22 @@ import math
 import pytest
 
 from ricciplane import cli
-from ricciplane.expr import Domain, Point, compile_expr, evaluate, is_probably_zero, parse
-from ricciplane.numeric import SamplingConfig, sampled_max_abs, sampled_range
+from ricciplane.expr import (
+    EVAL_ERRORS,
+    Domain,
+    Point,
+    compile_expr,
+    compile_many,
+    denominators,
+    evaluate,
+    is_probably_zero,
+    parse,
+    walk,
+)
+from ricciplane.geometry import is_flat, ricci
+from ricciplane.numeric import SamplingConfig, sample_points, sampled_max_abs, sampled_range
 
-from conftest import CORPUS
+from conftest import CORPUS, FAILING_CORPUS, PASSING_CORPUS, load_corpus_pair
 
 FLAT = {"f1": "1", "f2": "1"}
 
@@ -67,6 +79,51 @@ def test_overflowing_subexpression_is_not_zero():
     # x1^400 overflows to inf and 1/inf is 0: the value 1.0 is finite,
     # but the scale is not, so no tolerance may absorb the value.
     assert not is_probably_zero(parse("1/x1^400 + 1"), Domain(x1_range=(10.0, 20.0)))
+
+
+def exact_zero_reading(e, d, samples=200, seed=42, tol=1e-9):
+    """The zero test's rule applied to every evaluable point, with no
+    shortcut: every node finite and |e| <= tol * (1 + max |node|)."""
+    fn = compile_many(list(walk(e)))
+    rows = []
+    for p in sample_points(d, SamplingConfig(samples=samples, seed=seed), denominators(e)):
+        try:
+            rows.append(fn(*p))
+        except EVAL_ERRORS:
+            continue
+    assert len(rows) >= samples / 2
+    return all(
+        all(map(math.isfinite, row)) and abs(row[0]) <= tol * (1.0 + max(map(abs, row))) for row in rows
+    )
+
+
+@pytest.mark.parametrize(
+    "text, lo, hi, zero",
+    [
+        # x1^400 is inf and 1/inf is 0: a non-finite node behind a finite value.
+        ("1/x1^400", 10.0, 20.0, False),
+        # Every node is finite, but their sum overflows.
+        ("1e308*x1 - 1e308*x1", 1.0, 1.5, True),
+        ("sin(x1)^2 + cos(x1)^2 - 1", -1.0, 1.0, True),
+        ("x1*1e-6", -1.0, 1.0, False),
+    ],
+)
+def test_zero_test_agrees_with_the_exact_reading(text, lo, hi, zero):
+    e, d = parse(text), Domain(x1_range=(lo, hi))
+    assert is_probably_zero(e, d) is zero
+    assert exact_zero_reading(e, d) is zero
+
+
+@pytest.mark.parametrize("name", PASSING_CORPUS + FAILING_CORPUS)
+def test_flatness_agrees_with_the_exact_reading(name):
+    m, _, d, cfg = load_corpus_pair(name)
+    assert is_flat(m, d, cfg) is exact_zero_reading(ricci(m).rho, d, cfg.samples, cfg.seed, cfg.tolerance)
+
+
+def test_flat_corpus_metrics_stay_flat():
+    for name in PASSING_CORPUS + FAILING_CORPUS:
+        m, _, d, cfg = load_corpus_pair(name)
+        assert is_flat(m, d, cfg) is (name != "ex03_cosh_metric.json")
 
 
 def test_infinite_domain_is_a_spec_error(tmp_path, capsys):
