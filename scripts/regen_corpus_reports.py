@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the golden reports for every corpus spec.
 
+Each spec pins two reports: `<stem>.report.json` from `verify` and
+`<stem>.oracle.json` from `oracle`, both at the spec's own sampling.
 Reports are deterministic for a fixed spec (seed included), so the
 files written here are stable regression pins; rerunning this script on
 an unchanged tree must be a no-op.
@@ -28,16 +30,19 @@ def main() -> int:
     for spec in sorted(CORPUS.glob("*.json")):
         if spec.name.endswith(".derived.json"):
             continue
-        out = REPORTS / (spec.stem + ".report.json")
-        before = out.read_text() if out.exists() else None
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["verify", "--spec", str(spec), "--out", str(out)])
-        expected = 1 if spec.name in FAILING_CORPUS else 0
-        if code != expected:
-            print(f"unexpected exit {code} for {spec.name}", file=sys.stderr)
-            return 1
-        if out.read_text() != before:
-            changed.append(out.name)
+        # Every corpus spec's symbolic derivatives agree with the
+        # finite-difference oracle, failing verify verdicts included.
+        verify_exit = 1 if spec.name in FAILING_CORPUS else 0
+        for command, suffix, expected in (("verify", ".report.json", verify_exit), ("oracle", ".oracle.json", 0)):
+            out = REPORTS / (spec.stem + suffix)
+            before = out.read_text() if out.exists() else None
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([command, "--spec", str(spec), "--out", str(out)])
+            if code != expected:
+                print(f"unexpected exit {code} from {command} for {spec.name}", file=sys.stderr)
+                return 1
+            if out.read_text() != before:
+                changed.append(out.name)
     print(f"{'updated ' + ', '.join(changed) if changed else 'all reports unchanged'}")
     return 0
 

@@ -52,6 +52,14 @@ def test_reports_match_golden_files(capsys, name):
     assert out == golden
 
 
+@pytest.mark.parametrize("name", PASSING_CORPUS + FAILING_CORPUS)
+def test_oracle_reports_match_golden_files(capsys, name):
+    code, out, _ = run_cli(capsys, "oracle", "--spec", str(CORPUS / name))
+    assert code == 0
+    golden = (CORPUS / "reports" / name.replace(".json", ".oracle.json")).read_text()
+    assert out == golden
+
+
 def test_reports_are_byte_identical_across_runs(capsys):
     spec = str(CORPUS / "ex03_cosh_metric.json")
     _, first, _ = run_cli(capsys, "verify", "--spec", spec, "--identities")
