@@ -427,11 +427,9 @@ def cmd_oracle(args) -> int:
         V = gradient_field(m, PotentialFunction(_parse_expr(spec["potential"], "potential")))
         for i, r in enumerate(residual_system(m, V)):
             exprs[f"R{i+1}"] = r
-    guards = [m.f1, m.f2]
     section = {}
     worst = 0.0
-    for name, e in exprs.items():
-        outcome = fd_validate(e, d, cfg, guards=guards)
+    for name, outcome in zip(exprs, fd_validate(list(exprs.values()), d, cfg, guards=[m.f1, m.f2])):
         worst = max(worst, outcome.max_rel_error)
         section[name] = {
             "max_rel_error": outcome.max_rel_error,

@@ -75,8 +75,10 @@ def validate_metric(m: DiagonalMetric, d: Domain, cfg: SamplingConfig) -> None:
 
     Raises DomainTooSingularError naming the failing component; the
     hypothesis is only ever checked at seeded sample points, never proved.
+    A component shared by f1 and f2 (one interned node) is checked once.
     """
-    for label, component in (("f1", m.f1), ("f2", m.f2)):
+    components = [("f1", m.f1)] if m.f2 is m.f1 else [("f1", m.f1), ("f2", m.f2)]
+    for label, component in components:
         ok, reason = nowhere_zero(component, d, cfg)
         if not ok:
             raise DomainTooSingularError(f"metric component {label} = {component}: {reason}")

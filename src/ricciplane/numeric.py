@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .expr import (
     EVAL_ERRORS,
@@ -169,26 +169,40 @@ def merge_guards(guards: Iterable[Expr], exprs: Iterable[Expr]) -> list[Expr]:
     return list(merged)
 
 
+_SIGN_CHANGE = "sign change detected (zero crossing on the domain)"
+
+
 def nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
     """Sample-check the 'nowhere zero on the domain' hypothesis.
 
-    Plain uniform points (no guards): every |e(p)| must clear d.guard
-    and the sign must be constant.  A strict sign change witnesses a
-    zero crossing that pointwise magnitudes alone cannot see.
+    Plain uniform points (no guards): every e(p) must be finite, |e(p)|
+    must clear d.guard and the sign must be constant.  A strict sign
+    change witnesses a zero crossing that pointwise magnitudes alone
+    cannot see; a NaN has no sign and is never near zero, so it is
+    rejected on its own.
     """
     fn = compile_expr(e)
+    guard, inf = d.guard, math.inf
     saw_pos = saw_neg = False
     for x1, x2 in islice(_draws(d, cfg.seed), cfg.samples):
         try:
             v = fn(x1, x2)
         except EVAL_ERRORS:
             return False, f"undefined at (x1={x1!r}, x2={x2!r})"
-        if abs(v) < d.guard:
+        # Domain keeps guard > 0: these two ranges split the finite
+        # values with |v| >= guard by sign.
+        if guard <= v < inf:
+            if saw_neg:
+                return False, _SIGN_CHANGE
+            saw_pos = True
+        elif -inf < v <= -guard:
+            if saw_pos:
+                return False, _SIGN_CHANGE
+            saw_neg = True
+        elif abs(v) < guard:
             return False, f"|value| = {abs(v)!r} < guard at (x1={x1!r}, x2={x2!r})"
-        saw_pos = saw_pos or v > 0
-        saw_neg = saw_neg or v < 0
-        if saw_pos and saw_neg:
-            return False, "sign change detected (zero crossing on the domain)"
+        else:
+            return False, f"non-finite value {v!r} at (x1={x1!r}, x2={x2!r})"
     return True, ""
 
 
@@ -212,68 +226,112 @@ class FdValidation:
 
 
 def fd_validate(
-    e: Expr,
+    exprs: Expr | Sequence[Expr],
     d: Domain,
     cfg: SamplingConfig,
     guards: Sequence[Expr] = (),
-) -> FdValidation:
+) -> FdValidation | list[FdValidation]:
     """Max over sampled points and both variables of
     |symbolic - fd| / (1 + |symbolic|).
 
-    Point/variable pairs where the stencil straddles an abs/sign kink,
-    or where either side is undefined, are skipped and counted.  A NaN
-    deviation (say, both sides non-finite) makes the maximum math.inf.
+    A lone Expr gives one FdValidation, a sequence one per expression,
+    in order.  Each expression is sampled at the points that clear the
+    guards and its own denominators.  Point/variable pairs where the
+    stencil straddles an abs/sign kink of the expression, or where
+    either side is undefined, are skipped and counted.  A NaN deviation
+    (say, both sides non-finite) makes the maximum math.inf.
+
+    Each expression is sampled, then differentiated, before the next,
+    so errors surface as if the expressions were validated one at a
+    time.  Expressions sampled to the same list (the job scope of
+    `sample_points` makes that the usual case) share one sweep.
     """
-    points = sample_points(d, cfg, merge_guards(guards, [e]))
-    fn = compile_expr(e)
-    h = cfg.fd_step
-    kinks = [compile_expr(k) for k in kink_arguments(e)]
-    derivs = {v: compile_expr(differentiate(e, v)) for v in (Var.X1, Var.X2)}
-    worst = 0.0
-    used = skipped = 0
-    for p in points:
-        for v in (Var.X1, Var.X2):
-            stencil = (_shifted(p, v, -h), _shifted(p, v, 0.0), _shifted(p, v, h))
-            if None in stencil or _stencil_straddles_kink(kinks, stencil):
-                skipped += 1
+    if isinstance(exprs, Expr):
+        return fd_validate([exprs], d, cfg, guards)[0]
+    built = []
+    for e in exprs:
+        points = sample_points(d, cfg, merge_guards(guards, [e]))
+        slopes = (differentiate(e, Var.X1), differentiate(e, Var.X2))
+        built.append(((e, slopes, kink_arguments(e)), points))
+    return _per_point_list(built, lambda items, points: _fd_sweep(items, points, cfg.fd_step))
+
+
+def _fd_sweep(
+    built: list[tuple[Expr, tuple[Expr, Expr], list[Expr]]],
+    points: Sequence[Point],
+    h: float,
+) -> list[FdValidation]:
+    """`fd_validate` of (expression, (d/dx1, d/dx2), kink arguments)
+    triples over one point list.  One kernel gives every value at the
+    stencil points and one every derivative at the point; where either
+    raises, each entry is evaluated on its own kernel, so an expression
+    is skipped only where it is undefined itself."""
+    n = len(built)
+    values = _lenient([e for e, _, _ in built])
+    slopes = _lenient([s[j] for j in (0, 1) for _, s, _ in built])
+    kink_fns = {k: compile_expr(k) for _, _, ks in built for k in ks}
+    owned = [(i, ks) for i, (_, _, ks) in enumerate(built) if ks]
+    two_h = 2.0 * h
+    worst = [0.0] * n
+    skipped = [0] * n  # each (point, variable) pair is skipped or used
+    for x1, x2 in points:
+        sym = slopes(x1, x2)
+        # The coordinates Point.shifted gives: x + 0.0 turns -0.0 into 0.0.
+        stencils = (
+            ((x1 + -h, x2), (x1 + 0.0, x2), (x1 + h, x2)),
+            ((x1, x2 + -h), (x1, x2 + 0.0), (x1, x2 + h)),
+        )
+        for j, stencil in enumerate(stencils):
+            lo, _, hi = stencil
+            if not (math.isfinite(lo[j]) and math.isfinite(hi[j])):
+                for i in range(n):
+                    skipped[i] += 1
                 continue
-            try:
-                sym = derivs[v](*p)
-                fd = (fn(*stencil[2]) - fn(*stencil[0])) / (2.0 * h)
-            except EVAL_ERRORS:
-                skipped += 1
-                continue
-            used += 1
-            err = abs(sym - fd) / (1.0 + abs(sym))
-            if err != err:  # NaN
-                err = math.inf
-            worst = max(worst, err)
-    return FdValidation(max_rel_error=worst, points_used=used, points_skipped=skipped)
+            straddling = ()
+            if owned:
+                straddles = {k: _straddles(fn, stencil) for k, fn in kink_fns.items()}
+                straddling = {i for i, ks in owned if any(straddles[k] for k in ks)}
+            for i, s, up, down in zip(range(n), sym[j * n : (j + 1) * n], values(*hi), values(*lo)):
+                if s is None or up is None or down is None or i in straddling:
+                    skipped[i] += 1
+                    continue
+                err = abs(s - (up - down) / two_h) / (1.0 + abs(s))
+                if not err <= worst[i]:  # larger, or NaN
+                    worst[i] = err if err == err else math.inf
+    pairs = 2 * len(points)
+    return [FdValidation(w, pairs - k, k) for w, k in zip(worst, skipped)]
 
 
-def _shifted(p: Point, v: Var, offset: float) -> tuple[float, float] | None:
-    """The coordinates of p.shifted(v, offset), or None where they leave
-    the finite plane (Point rejects those)."""
-    x1, x2 = p
-    if v is Var.X1:
-        x1 += offset
-    else:
-        x2 += offset
-    return (x1, x2) if math.isfinite(x1) and math.isfinite(x2) else None
+def _lenient(exprs: Sequence[Expr]) -> Callable[[float, float], Sequence[float | None]]:
+    """A callable (x1, x2) -> the values of `exprs`, with None for each
+    expression undefined there.  One fused kernel; at a point where it
+    raises, each expression is evaluated on its own kernel, compiled on
+    first need."""
+    fused = compile_many(exprs)
+    singles: list = []
+
+    def evaluate_all(x1: float, x2: float):
+        try:
+            return fused(x1, x2)
+        except EVAL_ERRORS:
+            if not singles:
+                singles.extend(map(compile_expr, exprs))
+            return [_value_or_none(f, x1, x2) for f in singles]
+
+    return evaluate_all
 
 
-def _stencil_straddles_kink(kinks, stencil) -> bool:
-    for k in kinks:
-        signs = set()
-        for q in stencil:
-            try:
-                val = k(*q)
-            except EVAL_ERRORS:
-                return True
-            signs.add(val > 0 if val != 0 else None)
-        if len(signs) > 1:
+def _straddles(kink, stencil) -> bool:
+    """Whether the kink argument is undefined somewhere on the stencil
+    or takes more than one of the signs +, 0, -."""
+    signs = set()
+    for q in stencil:
+        try:
+            val = kink(*q)
+        except EVAL_ERRORS:
             return True
-    return False
+        signs.add(val > 0 if val != 0 else None)
+    return len(signs) > 1
 
 
 def sampled_max_abs(
@@ -367,19 +425,26 @@ def _checked_sweeps(
 ) -> list[tuple[list[float], int]]:
     """One `sampled_max_abs` sweep per distinct point list, then the
     first shortfall in group order."""
-    sweeps: dict[int, tuple[list[Point], list[int]]] = {}
-    for k, (_, points) in enumerate(collected):
-        sweeps.setdefault(id(points), (points, []))[1].append(k)
-    results: list = [None] * len(collected)
-    for points, members in sweeps.values():
-        swept = sampled_max_abs([collected[k][0] for k in members], points)
-        for k, result in zip(members, swept):
-            results[k] = result
+    results = _per_point_list(collected, sampled_max_abs)
     for _, used in results:
         if used < _enough(cfg.samples):
             raise DomainTooSingularError(
                 f"{what} were evaluable at only {used} of {cfg.samples} requested points"
             )
+    return results
+
+
+def _per_point_list(collected: list[tuple[object, list[Point]]], sweep: Callable) -> list:
+    """`sweep(items, points)` once per distinct point list (by identity)
+    over the items sampled to it; the results in the order of
+    `collected`."""
+    sweeps: dict[int, tuple[list[Point], list[int]]] = {}
+    for k, (_, points) in enumerate(collected):
+        sweeps.setdefault(id(points), (points, []))[1].append(k)
+    results: list = [None] * len(collected)
+    for points, members in sweeps.values():
+        for k, result in zip(members, sweep([collected[k][0] for k in members], points)):
+            results[k] = result
     return results
 
 

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from ricciplane import geometry
 from ricciplane.expr import (
     Constant,
     Domain,
@@ -26,7 +27,7 @@ from ricciplane.geometry import (
     ricci,
     validate_metric,
 )
-from ricciplane.numeric import DomainTooSingularError, SamplingConfig, sample_points
+from ricciplane.numeric import DomainTooSingularError, SamplingConfig, nowhere_zero, sample_points
 
 COSH_METRIC = DiagonalMetric(parse("cosh(x1)"), parse("exp(x1)"))
 FLAT_EXP = DiagonalMetric(parse("exp(x1)"), parse("exp(x2)"))
@@ -146,6 +147,25 @@ def test_validate_metric_rejects_sign_change():
     with pytest.raises(DomainTooSingularError, match="f2"):
         validate_metric(DiagonalMetric(parse("2"), parse("sin(x1)")), Domain(), SamplingConfig())
     validate_metric(COSH_METRIC, Domain(), SamplingConfig())
+
+
+def test_validate_metric_checks_a_shared_component_once(monkeypatch):
+    checked = []
+
+    def recording(e, d, cfg):
+        checked.append(e)
+        return nowhere_zero(e, d, cfg)
+
+    monkeypatch.setattr(geometry, "nowhere_zero", recording)
+    shared = DiagonalMetric(parse("exp(x1)"), parse("exp(x1)"))
+    assert shared.f1 is shared.f2
+    validate_metric(shared, Domain(), SamplingConfig())
+    assert checked == [shared.f1]
+    checked.clear()
+    validate_metric(FLAT_EXP, Domain(), SamplingConfig())
+    assert checked == [FLAT_EXP.f1, FLAT_EXP.f2]
+    with pytest.raises(DomainTooSingularError, match="f1"):
+        validate_metric(DiagonalMetric(parse("sin(x1)"), parse("sin(x1)")), Domain(), SamplingConfig())
 
 
 def _fd_rho(m: DiagonalMetric, p: Point, outer: float = 1e-4, inner: float = 1e-5) -> float:

@@ -23,7 +23,7 @@ from ricciplane.expr import (
     walk,
 )
 from ricciplane.geometry import is_flat, ricci
-from ricciplane.numeric import SamplingConfig, sample_points, sampled_max_abs, sampled_range
+from ricciplane.numeric import SamplingConfig, nowhere_zero, sample_points, sampled_max_abs, sampled_range
 
 from conftest import CORPUS, FAILING_CORPUS, PASSING_CORPUS, load_corpus_pair
 
@@ -207,3 +207,46 @@ def test_sampled_range_nan_at_some_points():
     # x1 = 1 evaluates to 1; x1 = 15 to NaN.
     assert sampled_range(e, [Point(1.0, 0.0)]) == (1.0, 1.0)
     assert sampled_range(e, [Point(1.0, 0.0), Point(15.0, 0.0)]) == (-math.inf, math.inf)
+
+
+# f1 equals 1, but evaluates to NaN at every point of the domain.
+NAN_METRIC_SPEC = {
+    "metric": {"f1": "x1^400 - x1^399*x1 + 1", "f2": "1"},
+    "field": {"frame": "orthonormal", "V1": "0", "V2": "0"},
+    "domain": {"x1": [10, 20], "x2": [-1, 1]},
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "identities"])
+def test_nan_metric_is_a_singular_domain(tmp_path, capsys, command):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(NAN_METRIC_SPEC), encoding="utf-8")
+    code = cli.main([command, "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_SINGULAR_DOMAIN
+    assert captured.out == ""
+    assert "metric component f1" in captured.err
+    assert "non-finite value nan at (x1=" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [("x1^400 - x1^399*x1 + 1", "nan"), ("x1^400", "inf"), ("-x1^400", "-inf")],
+)
+def test_nowhere_zero_rejects_non_finite_values(text, shown):
+    ok, reason = nowhere_zero(parse(text), Domain(x1_range=(10, 20)), SamplingConfig(samples=20))
+    assert ok is False
+    assert reason.startswith(f"non-finite value {shown} at (x1=")
+
+
+def test_nan_family_component_violates_its_hypothesis(tmp_path, capsys):
+    spec = {
+        "family": {"kind": "branch1", "f2": "x1^400 - x1^399*x1 + 1", "k": 1, "c": 1},
+        "domain": {"x1": [10, 20], "x2": [-1, 1]},
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code = cli.main(["construct", "--spec", str(path), "--emit-spec", str(tmp_path / "derived.json")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_HYPOTHESIS
+    assert "f2 nowhere zero on the domain (non-finite value nan at (x1=" in captured.err
