@@ -5,7 +5,9 @@ Each spec pins two reports: `<stem>.report.json` from `verify` and
 `<stem>.oracle.json` from `oracle`, both at the spec's own sampling.
 Reports are deterministic for a fixed spec (seed included), so the
 files written here are stable regression pins; rerunning this script on
-an unchanged tree must be a no-op.
+an unchanged tree must be a no-op.  Each report is written twice in
+this process, the second time with every kernel of the job already
+compiled; the script exits 1 if the two writes differ.
 """
 
 from __future__ import annotations
@@ -36,10 +38,16 @@ def main() -> int:
         for command, suffix, expected in (("verify", ".report.json", verify_exit), ("oracle", ".oracle.json", 0)):
             out = REPORTS / (spec.stem + suffix)
             before = out.read_text() if out.exists() else None
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main([command, "--spec", str(spec), "--out", str(out)])
-            if code != expected:
-                print(f"unexpected exit {code} from {command} for {spec.name}", file=sys.stderr)
+            written = []
+            for _ in range(2):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main([command, "--spec", str(spec), "--out", str(out)])
+                if code != expected:
+                    print(f"unexpected exit {code} from {command} for {spec.name}", file=sys.stderr)
+                    return 1
+                written.append(out.read_bytes())
+            if written[1] != written[0]:
+                print(f"{command} for {spec.name} wrote other bytes the second time", file=sys.stderr)
                 return 1
             if out.read_text() != before:
                 changed.append(out.name)

@@ -35,7 +35,7 @@ from .families import (
 )
 from .geometry import CurvatureData, DiagonalMetric, channel_coefficients, is_flat, ricci
 from .identities import PotentialFunction, gradient_field, hessian, laplacian
-from .numeric import DomainTooSingularError, SamplingConfig, fd_partial, fd_validate, sample_points
+from .numeric import DomainTooSingularError, SamplingConfig, fd_validate, sample_points
 from .riccifield import (
     FrameField,
     ResidualReport,
@@ -75,7 +75,6 @@ __all__ = [
     "differentiate",
     "divergence",
     "evaluate",
-    "fd_partial",
     "fd_validate",
     "from_coordinates",
     "gradient_field",

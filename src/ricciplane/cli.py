@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__, numeric
 from .expr import (
+    EVAL_ERRORS,
     Domain,
     EvaluationError,
     Expr,
@@ -304,7 +305,7 @@ def emit_grid(path: str, m: DiagonalMetric, exprs: dict, d: Domain, size: int) -
                 for fn in fns.values():
                     try:
                         row.append(repr(fn(x1, x2)))
-                    except Exception:
+                    except EVAL_ERRORS:
                         row.append("nan")
                 writer.writerow(row)
 

@@ -14,6 +14,7 @@ import itertools
 import math
 import operator
 import re
+import struct
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -541,16 +542,25 @@ def compile_many(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float,
     return _generate(exprs, single=False)
 
 
-_CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value}
+def _float_bits(bits: int) -> float:
+    """The float whose IEEE 754 binary64 bits are `bits`."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value, "_float_bits": _float_bits}
 _CODEGEN_NAMESPACE.update((f"_fn_{name}", fn) for name, fn in FUNCTIONS.items())
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _creation_order = operator.attrgetter("_serial")
+# Compiled kernels kept per process.  At about 3.4 KB each, a full cache
+# leaves the peak memory of a run of large distinct metrics flat.
+_KERNEL_CACHE_SIZE = 64
 
 
 def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
-    """Emit and compile one Python function of (x1, x2) that evaluates
-    every expression in `exprs` and returns the value of the only one
-    (`single`) or the tuple of their values.
+    """Emit one Python function of (x1, x2) that evaluates every
+    expression in `exprs` and returns the value of the only one
+    (`single`) or the tuple of their values; compile it unless the same
+    source was compiled before.
 
     Each distinct node is emitted once, in creation order: a node is
     built after its children, so they are emitted first.  Nodes are
@@ -558,7 +568,7 @@ def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
     common-subexpression elimination.  Leaves stay inline; every other
     node gets one local.
     """
-    namespace = dict(_CODEGEN_NAMESPACE)
+    consts: list[str] = []
     lines: list[str] = []
     names: dict[int, str] = {}
     nodes: dict[int, Expr] = {}
@@ -569,9 +579,11 @@ def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
         if isinstance(node, Constant):
             name = repr(node.value)
             if not math.isfinite(node.value):
-                # repr(inf) and repr(nan) are not Python literals: bind the float.
-                name = f"_k{len(namespace)}"
-                namespace[name] = node.value
+                # repr(inf) and repr(nan) are not Python literals: bind the
+                # float from its IEEE bits, which the source then carries.
+                (bits,) = struct.unpack("<Q", struct.pack("<d", node.value))
+                name = f"_k{len(consts)}"
+                consts.append(f"{name} = _float_bits({bits:#x})\n")
         elif isinstance(node, Variable):
             name = node.var.value
         else:
@@ -583,7 +595,16 @@ def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
         result = names[id(exprs[0])]
     else:
         result = "(" + "".join(f"{names[id(e)]}, " for e in exprs) + ")"
-    src = "def _compiled(x1, x2):\n" + "".join(lines) + f"    return {result}\n"
+    src = "".join(consts) + "def _compiled(x1, x2):\n" + "".join(lines) + f"    return {result}\n"
+    return _compile_kernel(src)
+
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _compile_kernel(src: str) -> Callable:
+    """The function `_compiled` that `src` defines.  Keyed on the source
+    alone, the cache is exact (finite constants are literals, the others
+    carry their bits) and holds no expression node."""
+    namespace = dict(_CODEGEN_NAMESPACE)
     exec(compile(src, "<compiled-expr>", "exec"), namespace)
     # Taken out of its own globals, the function forms no reference cycle.
     return namespace.pop("_compiled")

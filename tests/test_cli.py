@@ -253,6 +253,24 @@ def test_emit_grid_writes_csv(tmp_path, capsys):
     assert len(lines) == 1 + 25
 
 
+def test_emit_grid_reports_a_faulty_kernel_as_internal_error(monkeypatch, tmp_path, capsys):
+    def faulty(e):
+        def kernel(x1, x2):
+            raise TypeError("fault inside a kernel")
+
+        return kernel
+
+    monkeypatch.setattr(cli, "compile_expr", faulty)
+    code, out, err = run_cli(
+        capsys, "curvature", "--spec", str(CORPUS / "ex03_cosh_metric.json"),
+        "--emit-grid", str(tmp_path / "grid.csv"), "--grid-size", "3",
+    )
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert "TypeError: fault inside a kernel" in err
+
+
 def test_emit_grid_rejects_degenerate_size(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "verify", "--spec", str(CORPUS / "ex06_constant_metric.json"),
