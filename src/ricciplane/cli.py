@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -138,7 +140,7 @@ def effective_domain(spec: dict, args) -> Domain:
         return Domain(x1_range=(float(x1[0]), float(x1[1])), x2_range=(float(x2[0]), float(x2[1])), guard=float(guard))
     except LookupError:  # x1 or x2 too short, or an object
         raise SpecError("bad domain: x1 and x2 must be [lo, hi] pairs") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad domain: {err}") from None
 
 
@@ -173,25 +175,32 @@ def spec_metric(spec: dict) -> DiagonalMetric:
     )
 
 
-def spec_field(spec: dict, m: DiagonalMetric) -> FrameField:
+def spec_field(spec: dict, m: DiagonalMetric) -> tuple[FrameField, PotentialFunction | None]:
+    """The spec's field, or else the gradient field of its potential,
+    with that potential (None for a field)."""
     field = spec.get("field")
+    if field is None and spec.get("potential") is not None:
+        potential = PotentialFunction(_parse_expr(spec["potential"], "potential"))
+        return gradient_field(m, potential), potential
     if not isinstance(field, dict) or "V1" not in field or "V2" not in field:
         raise SpecError('spec needs "field": {"frame": ..., "V1": ..., "V2": ...}')
     frame = field.get("frame", "orthonormal")
     v1 = _parse_expr(field["V1"], "field.V1")
     v2 = _parse_expr(field["V2"], "field.V2")
     if frame == "orthonormal":
-        return FrameField(V1=v1, V2=v2)
+        return FrameField(V1=v1, V2=v2), None
     if frame == "coordinate":
-        return from_coordinates(m, v1, v2)
+        return from_coordinates(m, v1, v2), None
     raise SpecError(f'field.frame must be "orthonormal" or "coordinate", got {frame!r}')
 
 
+# Each family kind: its parameter class and parameters, in the order
+# they are read.  f1 and f2 are expressions, the others numbers.
 _FAMILY_KINDS = {
-    "constant_components": ("f1", "f2", "c1", "c2"),
-    "branch1": ("f2", "k", "c"),
-    "branch2": ("f2", "c", "c1", "c2"),
-    "constant_metric": ("k1", "k2", "c1", "c2"),
+    "constant_components": (ConstantComponents, ("f1", "f2", "c1", "c2")),
+    "branch1": (Branch1, ("f2", "k", "c")),
+    "branch2": (Branch2, ("f2", "c", "c1", "c2")),
+    "constant_metric": (ConstantMetric, ("k1", "k2", "c1", "c2")),
 }
 
 
@@ -202,30 +211,21 @@ def spec_family(spec: dict) -> FamilyParams:
     kind = family["kind"]
     if kind not in _FAMILY_KINDS:
         raise SpecError(f"unknown family kind {kind!r}; expected one of {sorted(_FAMILY_KINDS)}")
-    missing = [k for k in _FAMILY_KINDS[kind] if k not in family]
+    cls, names = _FAMILY_KINDS[kind]
+    missing = [k for k in names if k not in family]
     if missing:
         raise SpecError(f"family {kind!r} is missing parameters {missing}")
+    params = {}
     try:
-        if kind == "constant_components":
-            return ConstantComponents(
-                f1=_parse_expr(family["f1"], "family.f1"),
-                f2=_parse_expr(family["f2"], "family.f2"),
-                c1=float(family["c1"]),
-                c2=float(family["c2"]),
-            )
-        if kind == "branch1":
-            return Branch1(f2=_parse_expr(family["f2"], "family.f2"), k=float(family["k"]), c=float(family["c"]))
-        if kind == "branch2":
-            return Branch2(
-                f2=_parse_expr(family["f2"], "family.f2"),
-                c=float(family["c"]),
-                c1=float(family["c1"]),
-                c2=float(family["c2"]),
-            )
-        return ConstantMetric(
-            k1=float(family["k1"]), k2=float(family["k2"]), c1=float(family["c1"]), c2=float(family["c2"])
-        )
-    except (TypeError, ValueError) as err:
+        for name in names:
+            if name in ("f1", "f2"):
+                params[name] = _parse_expr(family[name], f"family.{name}")
+                continue
+            value = params[name] = float(family[name])
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        return cls(**params)
+    except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad family parameters: {err}") from None
 
 
@@ -249,22 +249,22 @@ def _echo_domain(d: Domain) -> dict:
     return {"x1": list(d.x1_range), "x2": list(d.x2_range), "guard": d.guard}
 
 
-def _echo_config(cfg: SamplingConfig) -> dict:
-    return {
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "tolerance": cfg.tolerance,
-        "fd_step": cfg.fd_step,
-        "fd_tolerance": cfg.fd_tolerance,
-    }
-
-
 def _echo_spec(spec: dict, d: Domain, cfg: SamplingConfig) -> dict:
-    echo = {"domain": _echo_domain(d), "sampling": _echo_config(cfg)}
+    echo = {"domain": _echo_domain(d), "sampling": dataclasses.asdict(cfg)}
     for key in ("metric", "field", "potential", "family"):
         if spec.get(key) is not None:
             echo[key] = spec[key]
     return echo
+
+
+def _report_head(command: str, spec: dict, d: Domain, cfg: SamplingConfig, m: DiagonalMetric | None) -> dict:
+    """The keys every report starts with, and the curvature keys when
+    there is a metric `m` to report on."""
+    head = {"version": __version__, "command": command, "seed": cfg.seed, "spec": _echo_spec(spec, d, cfg)}
+    if m is not None:
+        section = curvature_section(m, d, cfg)
+        head.update(curvature=section, rho_range=section["rho_range"], flat=is_flat(m, d, cfg))
+    return head
 
 
 def curvature_section(m: DiagonalMetric, d: Domain, cfg: SamplingConfig) -> dict:
@@ -320,17 +320,8 @@ def cmd_curvature(args) -> int:
     d = effective_domain(spec, args)
     cfg = effective_config(spec, args)
     m = spec_metric(spec)
-    section = curvature_section(m, d, cfg)
-    report = {
-        "version": __version__,
-        "command": "curvature",
-        "seed": cfg.seed,
-        "spec": _echo_spec(spec, d, cfg),
-        "curvature": section,
-        "rho_range": section["rho_range"],
-        "flat": is_flat(m, d, cfg),
-        "verdict": "pass",
-    }
+    report = _report_head("curvature", spec, d, cfg, m)
+    report["verdict"] = "pass"
     if args.emit_grid:
         emit_grid(args.emit_grid, m, {"rho": ricci(m).rho}, d, args.grid_size)
     _write_report(report, args)
@@ -339,21 +330,14 @@ def cmd_curvature(args) -> int:
 
 def _verify_report(spec, m, V, d, cfg, args, potential=None, extra=None) -> tuple[dict, int]:
     result = verify(m, V, d, cfg)
-    section = curvature_section(m, d, cfg)
     command = "verify" if args.command == "identities" else args.command
-    report = {
-        "version": __version__,
-        "command": command,
-        "seed": cfg.seed,
-        "spec": _echo_spec(spec, d, cfg),
-        "curvature": section,
-        "rho_range": section["rho_range"],
-        "flat": is_flat(m, d, cfg),
-        "field": {"V1": to_string(V.V1), "V2": to_string(V.V2)},
-        "residual_max": list(result.max_abs),
-        "points_used": result.points_used,
-        "verdict": result.verdict,
-    }
+    report = _report_head(command, spec, d, cfg, m)
+    report.update(
+        field={"V1": to_string(V.V1), "V2": to_string(V.V2)},
+        residual_max=list(result.max_abs),
+        points_used=result.points_used,
+        verdict=result.verdict,
+    )
     if extra:
         report.update(extra)
     exit_code = EXIT_PASS if result.passed else EXIT_FAIL
@@ -377,12 +361,7 @@ def cmd_verify(args) -> int:
     d = effective_domain(spec, args)
     cfg = effective_config(spec, args)
     m = spec_metric(spec)
-    potential = None
-    if spec.get("potential") is not None:
-        potential = PotentialFunction(_parse_expr(spec["potential"], "potential"))
-        V = gradient_field(m, potential)
-    else:
-        V = spec_field(spec, m)
+    V, potential = spec_field(spec, m)
     report, exit_code = _verify_report(spec, m, V, d, cfg, args, potential=potential)
     _write_report(report, args)
     return exit_code
@@ -399,7 +378,7 @@ def cmd_construct(args) -> int:
         "metric": {"f1": to_string(m.f1), "f2": to_string(m.f2)},
         "field": {"frame": "orthonormal", "V1": to_string(V.V1), "V2": to_string(V.V2)},
         "domain": _echo_domain(d),
-        "sampling": _echo_config(cfg),
+        "sampling": dataclasses.asdict(cfg),
     }
     emit_path = args.emit_spec or str(Path(args.spec).with_suffix("")) + ".derived.json"
     Path(emit_path).write_text(json.dumps(derived, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -420,12 +399,8 @@ def cmd_oracle(args) -> int:
     m = spec_metric(spec)
     curv = ricci(m)
     exprs = {"h12": curv.h12, "h21": curv.h21, "rho": curv.rho}
-    if spec.get("field") is not None:
-        V = spec_field(spec, m)
-        for i, r in enumerate(residual_system(m, V)):
-            exprs[f"R{i+1}"] = r
-    elif spec.get("potential") is not None:
-        V = gradient_field(m, PotentialFunction(_parse_expr(spec["potential"], "potential")))
+    if spec.get("field") is not None or spec.get("potential") is not None:
+        V, _ = spec_field(spec, m)
         for i, r in enumerate(residual_system(m, V)):
             exprs[f"R{i+1}"] = r
     section = {}
@@ -438,15 +413,8 @@ def cmd_oracle(args) -> int:
             "points_skipped": outcome.points_skipped,
         }
     verdict = "pass" if worst <= cfg.fd_tolerance else "fail"
-    report = {
-        "version": __version__,
-        "command": "oracle",
-        "seed": cfg.seed,
-        "spec": _echo_spec(spec, d, cfg),
-        "fd": section,
-        "fd_tolerance": cfg.fd_tolerance,
-        "verdict": verdict,
-    }
+    report = _report_head("oracle", spec, d, cfg, None)
+    report.update(fd=section, fd_tolerance=cfg.fd_tolerance, verdict=verdict)
     _write_report(report, args)
     return EXIT_PASS if verdict == "pass" else EXIT_FAIL
 

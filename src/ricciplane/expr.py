@@ -51,14 +51,6 @@ class Point(tuple):
     def __repr__(self):
         return f"Point(x1={self[0]!r}, x2={self[1]!r})"
 
-    def coordinate(self, v: Var) -> float:
-        return self[0] if v is Var.X1 else self[1]
-
-    def shifted(self, v: Var, h: float) -> "Point":
-        if v is Var.X1:
-            return Point(self[0] + h, self[1])
-        return Point(self[0], self[1] + h)
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -440,10 +432,6 @@ def sqrt(e) -> Expr:
     return Apply("sqrt", as_expr(e))
 
 
-def abs_(e) -> Expr:
-    return Apply("abs", as_expr(e))
-
-
 def sign_(e) -> Expr:
     return Apply("sign", as_expr(e))
 
@@ -453,6 +441,9 @@ def sign_(e) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+_OPERATORS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
 def evaluate(e: Expr, p: Point) -> float:
     """Evaluate `e` at `p`.
 
@@ -460,63 +451,38 @@ def evaluate(e: Expr, p: Point) -> float:
     bit-identical float.  Raises EvaluationError naming the offending
     subexpression and the point when some node is undefined.
     """
-    return _eval_scaled(e, p)[0]
+    if isinstance(e, Constant):
+        return e.value
+    if isinstance(e, Variable):
+        return p[0] if e.var is Var.X1 else p[1]
+    if isinstance(e, Negate):
+        return -evaluate(e.arg, p)
+    if isinstance(e, Apply):
+        a = evaluate(e.arg, p)
+        try:
+            return FUNCTIONS[e.fn](a)
+        except EVAL_ERRORS as err:
+            raise EvaluationError(_undefined_message(str(err) or e.fn, e, p)) from None
+    if not isinstance(e, _Binary):
+        raise TypeError(f"not an expression node: {e!r}")
+    a = evaluate(e.lhs, p)
+    b = evaluate(e.rhs, p)
+    if isinstance(e, Pow):
+        try:
+            return _pow_value(a, b)
+        except EVAL_ERRORS as err:
+            raise EvaluationError(_undefined_message(str(err), e, p)) from None
+    if isinstance(e, Div) and b == 0.0:
+        raise EvaluationError(_undefined_message("division by zero", e, p))
+    return _OPERATORS[type(e)](a, b)
 
 
 def evaluate_with_scale(e: Expr, p: Point) -> tuple[float, float]:
     """Evaluate `e` at `p` and also report the local magnitude scale:
-    the largest |value| attained by any subexpression.  The scale makes
-    the zero test robust against benign cancellation between large terms."""
-    return _eval_scaled(e, p)
-
-
-def _eval_scaled(e: Expr, p: Point) -> tuple[float, float]:
-    if isinstance(e, Constant):
-        return e.value, abs(e.value)
-    if isinstance(e, Variable):
-        v = p.coordinate(e.var)
-        return v, abs(v)
-    if isinstance(e, Negate):
-        v, s = _eval_scaled(e.arg, p)
-        return -v, s
-    if isinstance(e, Add):
-        a, sa = _eval_scaled(e.lhs, p)
-        b, sb = _eval_scaled(e.rhs, p)
-        v = a + b
-        return v, max(sa, sb, abs(v))
-    if isinstance(e, Sub):
-        a, sa = _eval_scaled(e.lhs, p)
-        b, sb = _eval_scaled(e.rhs, p)
-        v = a - b
-        return v, max(sa, sb, abs(v))
-    if isinstance(e, Mul):
-        a, sa = _eval_scaled(e.lhs, p)
-        b, sb = _eval_scaled(e.rhs, p)
-        v = a * b
-        return v, max(sa, sb, abs(v))
-    if isinstance(e, Div):
-        a, sa = _eval_scaled(e.num, p)
-        b, sb = _eval_scaled(e.den, p)
-        if b == 0.0:
-            raise EvaluationError(_undefined_message("division by zero", e, p))
-        v = a / b
-        return v, max(sa, sb, abs(v))
-    if isinstance(e, Pow):
-        a, sa = _eval_scaled(e.base, p)
-        b, sb = _eval_scaled(e.exponent, p)
-        try:
-            v = _pow_value(a, b)
-        except EVAL_ERRORS as err:
-            raise EvaluationError(_undefined_message(str(err), e, p)) from None
-        return v, max(sa, sb, abs(v))
-    if isinstance(e, Apply):
-        a, sa = _eval_scaled(e.arg, p)
-        try:
-            v = FUNCTIONS[e.fn](a)
-        except EVAL_ERRORS as err:
-            raise EvaluationError(_undefined_message(str(err) or e.fn, e, p)) from None
-        return v, max(sa, abs(v))
-    raise TypeError(f"not an expression node: {e!r}")
+    the largest |value| of any node, in the order of `walk(e)`.  This is
+    the scale that `is_probably_zero` reads."""
+    values = [evaluate(node, p) for node in walk(e)]
+    return values[0], max(map(abs, values))
 
 
 def _undefined_message(reason: str, node: Expr, p: Point) -> str:
@@ -951,8 +917,6 @@ def is_probably_zero(
     """
     from .numeric import DomainTooSingularError, SamplingConfig, _enough, sample_points
 
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     cfg = SamplingConfig(samples=samples, seed=seed, tolerance=tol)
     points = sample_points(d, cfg, guards=denominators(e))
     # The value of every node, that of `e` first.

@@ -208,9 +208,12 @@ def nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
 
 def fd_partial(e: Expr, p: Point, v: Var, h: float) -> float:
     """Central difference (e(p + h e_v) - e(p - h e_v)) / (2h)."""
+    x1, x2 = p
     try:
-        hi = evaluate(e, p.shifted(v, h))
-        lo = evaluate(e, p.shifted(v, -h))
+        if v is Var.X1:
+            hi, lo = evaluate(e, Point(x1 + h, x2)), evaluate(e, Point(x1 + -h, x2))
+        else:
+            hi, lo = evaluate(e, Point(x1, x2 + h)), evaluate(e, Point(x1, x2 + -h))
     except EvaluationError as err:
         raise EvaluationError(f"finite-difference stencil failed: {err}") from None
     return (hi - lo) / (2.0 * h)
@@ -276,7 +279,7 @@ def _fd_sweep(
     skipped = [0] * n  # each (point, variable) pair is skipped or used
     for x1, x2 in points:
         sym = slopes(x1, x2)
-        # The coordinates Point.shifted gives: x + 0.0 turns -0.0 into 0.0.
+        # The middle points add 0.0 on the axis, so a -0.0 there reads as 0.0.
         stencils = (
             ((x1 + -h, x2), (x1 + 0.0, x2), (x1 + h, x2)),
             ((x1, x2 + -h), (x1, x2 + 0.0), (x1, x2 + h)),
@@ -316,7 +319,13 @@ def _lenient(exprs: Sequence[Expr]) -> Callable[[float, float], Sequence[float |
         except EVAL_ERRORS:
             if not singles:
                 singles.extend(map(compile_expr, exprs))
-            return [_value_or_none(f, x1, x2) for f in singles]
+            row = []
+            for f in singles:
+                try:
+                    row.append(f(x1, x2))
+                except EVAL_ERRORS:
+                    row.append(None)
+            return row
 
     return evaluate_all
 
@@ -458,14 +467,15 @@ def sampled_range(
     list of pairs, in order.
 
     One kernel evaluates every expression.  At a point where it raises,
-    each expression is evaluated on its own, so an expression is
-    skipped only where it is undefined itself.  Raises
+    `_lenient` (whose fused kernel is this one, from the kernel cache)
+    evaluates each expression on its own, so an expression is skipped
+    only where it is undefined itself.  Raises
     DomainTooSingularError when an expression is nowhere evaluable.
     """
     if isinstance(exprs, Expr):
         return sampled_range([exprs], points)[0]
     fn = compile_many(exprs)
-    singles = None
+    lenient = None
     lo = [math.inf] * len(exprs)
     hi = [-math.inf] * len(exprs)
     nan = [False] * len(exprs)
@@ -473,9 +483,8 @@ def sampled_range(
         try:
             row = fn(x1, x2)
         except EVAL_ERRORS:
-            if singles is None:
-                singles = [compile_expr(e) for e in exprs]
-            row = [_value_or_none(f, x1, x2) for f in singles]
+            lenient = lenient or _lenient(exprs)
+            row = lenient(x1, x2)
         for i, v in enumerate(row):
             if v is None:
                 continue
@@ -494,10 +503,3 @@ def sampled_range(
         else:
             ranges.append((a, b))
     return ranges
-
-
-def _value_or_none(fn, x1: float, x2: float) -> float | None:
-    try:
-        return fn(x1, x2)
-    except EVAL_ERRORS:
-        return None

@@ -321,6 +321,10 @@ def test_unexpected_exception_exits_5(monkeypatch, capsys):
     assert "KeyError: 'boom'" in err
 
 
+# A JSON integer too large for a float: float() raises OverflowError.
+HUGE_INTEGER = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "section",
     [
@@ -329,6 +333,8 @@ def test_unexpected_exception_exits_5(monkeypatch, capsys):
         '"domain": {"x1": {}}',
         '"domain": "abc"',
         '"sampling": [1]',
+        pytest.param('"domain": {"x1": [0, ' + HUGE_INTEGER + "]}", id="huge-domain-x1"),
+        pytest.param('"domain": {"guard": ' + HUGE_INTEGER + "}", id="huge-domain-guard"),
     ],
 )
 def test_malformed_spec_section_exits_2(tmp_path, capsys, section):
@@ -383,3 +389,26 @@ def test_huge_integer_power_gives_a_report(tmp_path, capsys):
     assert time.perf_counter() - start < 10.0
     assert code == 0, err
     assert json.loads(out)["residual_max"] == [0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "family, reason",
+    [
+        ('"kind": "branch1", "f2": "exp(x1)", "k": 1, "c": ' + HUGE_INTEGER, "too large"),
+        ('"kind": "branch1", "f2": "exp(x1)", "k": NaN, "c": 1', "k must be finite"),
+        ('"kind": "branch1", "f2": "exp(x1)", "k": 1, "c": -Infinity', "c must be finite"),
+        ('"kind": "branch2", "f2": "exp(x1)", "c": 1, "c1": Infinity, "c2": 1', "c1 must be finite"),
+        ('"kind": "branch2", "f2": "exp(x1)", "c": 1, "c1": 1, "c2": 1e400', "c2 must be finite"),
+        ('"kind": "constant_metric", "k1": NaN, "k2": 1, "c1": 0, "c2": 0', "k1 must be finite"),
+        ('"kind": "constant_metric", "k1": 1, "k2": Infinity, "c1": 0, "c2": 0', "k2 must be finite"),
+    ],
+    ids=["huge-c", "nan-k", "inf-c", "inf-c1", "1e400-c2", "nan-k1", "inf-k2"],
+)
+def test_bad_family_parameter_is_a_spec_error(tmp_path, capsys, family, reason):
+    path = tmp_path / "job.json"
+    path.write_text('{"family": {' + family + "}}", encoding="utf-8")
+    code, out, err = run_cli(capsys, "construct", "--spec", str(path))
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("spec error: bad family parameters:") and reason in err
+    assert list(tmp_path.iterdir()) == [path]

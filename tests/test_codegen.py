@@ -64,6 +64,15 @@ def test_scaled_kernel_is_bit_identical_to_evaluate_with_scale():
         checked += 1
 
 
+def test_evaluate_with_scale_reads_a_nan_node_like_the_zero_test_kernel():
+    # inf - inf is NaN, so the root is NaN: the kernel's max(map(abs, row))
+    # starts from it and stays NaN, although another node is infinite.
+    e = parse("1e400 - 1e400 + 1")
+    p = Point(0.5, 0.5)
+    expected = _value_and_scale(compile_many(list(walk(e)))(p.x1, p.x2))
+    assert _bits(evaluate_with_scale(e, p)) == _bits(expected) == ("nan", "nan")
+
+
 def test_compile_many_matches_separate_compiles():
     rng = random.Random(3)
     shared = random_smooth_tree(rng, depth=3)

@@ -358,9 +358,6 @@ def test_point_is_a_finite_float_pair():
     x1, x2 = p
     assert (x1, x2, p[0], p[1]) == (0.25, -1.5, 0.25, -1.5)
     assert repr(p) == "Point(x1=0.25, x2=-1.5)"
-    assert p.coordinate(Var.X1) == 0.25 and p.coordinate(Var.X2) == -1.5
-    for q, want in ((p.shifted(Var.X1, 1.0), (1.25, -1.5)), (p.shifted(Var.X2, 1.0), (0.25, -0.5))):
-        assert type(q) is Point and q == want
     assert hash(p) == hash(Point(0.25, -1.5)) == hash((0.25, -1.5))
     assert {p: "here"}[Point(0.25, -1.5)] == "here"
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -373,4 +370,4 @@ def test_point_is_a_finite_float_pair():
         with pytest.raises(ValueError):
             Point(*bad)
     with pytest.raises(ValueError):
-        Point(1e308, 0.0).shifted(Var.X1, 1e308)
+        Point(1e308 + 1e308, 0.0)
