@@ -6,8 +6,9 @@ Each spec pins two reports: `<stem>.report.json` from `verify` and
 Reports are deterministic for a fixed spec (seed included), so the
 files written here are stable regression pins; rerunning this script on
 an unchanged tree must be a no-op.  Each report is written twice in
-this process, the second time with every kernel of the job already
-compiled; the script exits 1 if the two writes differ.
+this process: the first time with an empty kernel cache, the second
+time with every kernel of the job already compiled; the script exits 1
+if the two writes differ.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import io
 import sys
 from pathlib import Path
 
-from ricciplane import cli
+from ricciplane import cli, expr
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -39,6 +40,7 @@ def main() -> int:
             out = REPORTS / (spec.stem + suffix)
             before = out.read_text() if out.exists() else None
             written = []
+            expr._compile_kernel.cache_clear()
             for _ in range(2):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main([command, "--spec", str(spec), "--out", str(out)])

@@ -119,6 +119,17 @@ def parse_domain_flag(text: str) -> dict:
     return out
 
 
+def _number(value, name: str, integral: bool = False) -> float | int:
+    """The finite JSON number `value`, integral when `integral`: an int then, else a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if integral and value != int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def _section(spec: dict, key: str) -> dict:
     """A copy of the optional object spec[key]; {} when it is absent."""
     section = spec.get(key)
@@ -133,13 +144,12 @@ def effective_domain(spec: dict, args) -> Domain:
     dom = _section(spec, "domain")
     if getattr(args, "domain", None):
         dom.update(parse_domain_flag(args.domain))
-    x1 = dom.get("x1", [-1.0, 1.0])
-    x2 = dom.get("x2", [-1.0, 1.0])
-    guard = dom.get("guard", 1e-6)
+    ranges = [dom.get("x1", [-1.0, 1.0]), dom.get("x2", [-1.0, 1.0])]
+    if not all(isinstance(r, list) and len(r) == 2 for r in ranges):
+        raise SpecError("bad domain: x1 and x2 must be [lo, hi] pairs")
     try:
-        return Domain(x1_range=(float(x1[0]), float(x1[1])), x2_range=(float(x2[0]), float(x2[1])), guard=float(guard))
-    except LookupError:  # x1 or x2 too short, or an object
-        raise SpecError("bad domain: x1 and x2 must be [lo, hi] pairs") from None
+        x1, x2 = [tuple(_number(bound, "a domain bound") for bound in r) for r in ranges]
+        return Domain(x1_range=x1, x2_range=x2, guard=_number(dom.get("guard", 1e-6), "guard"))
     except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad domain: {err}") from None
 
@@ -154,13 +164,11 @@ def effective_config(spec: dict, args) -> SamplingConfig:
         sampling["tolerance"] = args.tolerance
     defaults = SamplingConfig()
     try:
-        return SamplingConfig(
-            samples=int(sampling.get("samples", defaults.samples)),
-            seed=int(sampling.get("seed", defaults.seed)),
-            tolerance=float(sampling.get("tolerance", defaults.tolerance)),
-            fd_step=float(sampling.get("fd_step", defaults.fd_step)),
-            fd_tolerance=float(sampling.get("fd_tolerance", defaults.fd_tolerance)),
-        )
+        values = {}
+        for field in dataclasses.fields(defaults):
+            value = sampling.get(field.name, getattr(defaults, field.name))
+            values[field.name] = _number(value, field.name, integral=field.name in ("samples", "seed"))
+        return SamplingConfig(**values)
     except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad sampling config: {err}") from None
 
@@ -221,9 +229,7 @@ def spec_family(spec: dict) -> FamilyParams:
             if name in ("f1", "f2"):
                 params[name] = _parse_expr(family[name], f"family.{name}")
                 continue
-            value = params[name] = float(family[name])
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            params[name] = _number(family[name], name)
         return cls(**params)
     except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad family parameters: {err}") from None

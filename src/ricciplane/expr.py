@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 import re
-import struct
+import types
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -508,33 +508,29 @@ def compile_many(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float,
     return _generate(exprs, single=False)
 
 
-def _float_bits(bits: int) -> float:
-    """The float whose IEEE 754 binary64 bits are `bits`."""
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
-_CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value, "_float_bits": _float_bits}
+_CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value}
 _CODEGEN_NAMESPACE.update((f"_fn_{name}", fn) for name, fn in FUNCTIONS.items())
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _creation_order = operator.attrgetter("_serial")
-# Compiled kernels kept per process.  At about 3.4 KB each, a full cache
-# leaves the peak memory of a run of large distinct metrics flat.
-_KERNEL_CACHE_SIZE = 64
+# Kernel shapes kept per process: a round of family draws needs 211.
+# At about 3 KiB each, a full cache holds about 770 KiB.
+_KERNEL_CACHE_SIZE = 256
 
 
 def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
     """Emit one Python function of (x1, x2) that evaluates every
     expression in `exprs` and returns the value of the only one
     (`single`) or the tuple of their values; compile it unless the same
-    source was compiled before.
+    shape was compiled before.
 
     Each distinct node is emitted once, in creation order: a node is
     built after its children, so they are emitted first.  Nodes are
     interned, so equal subtrees are one node and this is
-    common-subexpression elimination.  Leaves stay inline; every other
-    node gets one local.
+    common-subexpression elimination.  Variables stay inline, every
+    constant is a parameter `_k{i}` bound to the node's own float (its
+    exact bits), and every other node gets one local.
     """
-    consts: list[str] = []
+    consts: list[float] = []
     lines: list[str] = []
     names: dict[int, str] = {}
     nodes: dict[int, Expr] = {}
@@ -543,13 +539,8 @@ def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
             nodes.update((id(node), node) for node in walk(e))
     for node in sorted(nodes.values(), key=_creation_order):
         if isinstance(node, Constant):
-            name = repr(node.value)
-            if not math.isfinite(node.value):
-                # repr(inf) and repr(nan) are not Python literals: bind the
-                # float from its IEEE bits, which the source then carries.
-                (bits,) = struct.unpack("<Q", struct.pack("<d", node.value))
-                name = f"_k{len(consts)}"
-                consts.append(f"{name} = _float_bits({bits:#x})\n")
+            name = f"_k{len(consts)}"
+            consts.append(node.value)
         elif isinstance(node, Variable):
             name = node.var.value
         else:
@@ -561,15 +552,18 @@ def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
         result = names[id(exprs[0])]
     else:
         result = "(" + "".join(f"{names[id(e)]}, " for e in exprs) + ")"
-    src = "".join(consts) + "def _compiled(x1, x2):\n" + "".join(lines) + f"    return {result}\n"
-    return _compile_kernel(src)
+    params = "".join(f", _k{i}" for i in range(len(consts)))
+    template = _compile_kernel(f"def _compiled(x1, x2{params}):\n" + "".join(lines) + f"    return {result}\n")
+    if not consts:
+        return template
+    # The shared template is never mutated: a new function binds the constants.
+    return types.FunctionType(template.__code__, template.__globals__, "_compiled", tuple(consts))
 
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compile_kernel(src: str) -> Callable:
-    """The function `_compiled` that `src` defines.  Keyed on the source
-    alone, the cache is exact (finite constants are literals, the others
-    carry their bits) and holds no expression node."""
+    """The function `_compiled` that `src` defines.  Keyed on the shape
+    alone, the cache holds no expression node and no constant value."""
     namespace = dict(_CODEGEN_NAMESPACE)
     exec(compile(src, "<compiled-expr>", "exec"), namespace)
     # Taken out of its own globals, the function forms no reference cycle.

@@ -335,6 +335,15 @@ HUGE_INTEGER = "1" + "0" * 400
         '"sampling": [1]',
         pytest.param('"domain": {"x1": [0, ' + HUGE_INTEGER + "]}", id="huge-domain-x1"),
         pytest.param('"domain": {"guard": ' + HUGE_INTEGER + "}", id="huge-domain-guard"),
+        # A numeric field must be a JSON number (an integral one for
+        # samples and seed), and a range exactly two bounds.
+        pytest.param('"sampling": {"seed": 1.5}', id="fractional-seed"),
+        pytest.param('"sampling": {"seed": true}', id="boolean-seed"),
+        pytest.param('"sampling": {"samples": 20.9}', id="fractional-samples"),
+        pytest.param('"sampling": {"samples": "20"}', id="string-samples"),
+        pytest.param('"domain": {"x1": ["-1", "1"]}', id="string-domain-bounds"),
+        pytest.param('"domain": {"guard": "1e-6"}', id="string-guard"),
+        pytest.param('"domain": {"x1": [-1, 1, 5]}', id="three-domain-bounds"),
     ],
 )
 def test_malformed_spec_section_exits_2(tmp_path, capsys, section):
@@ -344,6 +353,16 @@ def test_malformed_spec_section_exits_2(tmp_path, capsys, section):
     assert code == 2
     assert out == ""
     assert err.startswith("spec error:")
+
+
+def test_integral_float_sampling_fields_stay_valid(tmp_path, capsys):
+    outputs = []
+    for sampling in ('{"samples": 2e4, "seed": 7.0}', '{"samples": 20000, "seed": 7}'):
+        path = tmp_path / "job.json"
+        path.write_text('{"metric": {"f1": "1", "f2": "x1^2 + 1"}, "sampling": ' + sampling + "}", encoding="utf-8")
+        outputs.append(run_cli(capsys, "curvature", "--spec", str(path)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and json.loads(outputs[0][1])["spec"]["sampling"]["samples"] == 20000
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
@@ -401,8 +420,10 @@ def test_huge_integer_power_gives_a_report(tmp_path, capsys):
         ('"kind": "branch2", "f2": "exp(x1)", "c": 1, "c1": 1, "c2": 1e400', "c2 must be finite"),
         ('"kind": "constant_metric", "k1": NaN, "k2": 1, "c1": 0, "c2": 0', "k1 must be finite"),
         ('"kind": "constant_metric", "k1": 1, "k2": Infinity, "c1": 0, "c2": 0', "k2 must be finite"),
+        ('"kind": "branch1", "f2": "exp(x1)", "k": "1", "c": 1', "k must be a number"),
+        ('"kind": "branch2", "f2": "exp(x1)", "c": 1, "c1": true, "c2": 1', "c1 must be a number"),
     ],
-    ids=["huge-c", "nan-k", "inf-c", "inf-c1", "1e400-c2", "nan-k1", "inf-k2"],
+    ids=["huge-c", "nan-k", "inf-c", "inf-c1", "1e400-c2", "nan-k1", "inf-k2", "string-k", "boolean-c1"],
 )
 def test_bad_family_parameter_is_a_spec_error(tmp_path, capsys, family, reason):
     path = tmp_path / "job.json"

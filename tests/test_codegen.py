@@ -102,8 +102,11 @@ def test_structurally_equal_subtrees_compile_once():
     e = Add(block(), Mul(block(), block()))
     fn = compile_expr(e)
     # Distinct non-leaf shapes: sin(x1), x2 + 1, their product, the
-    # product of two blocks, and the root sum; plus the arguments x1, x2.
-    assert fn.__code__.co_nlocals == 2 + 5
+    # product of two blocks, and the root sum.  The arguments are x1, x2
+    # and the one constant.
+    code = fn.__code__
+    assert code.co_argcount == 3
+    assert code.co_nlocals - code.co_argcount == 5
     p = Point(0.3, -0.7)
     assert fn(p.x1, p.x2) == evaluate_with_scale(e, p)[0]
 

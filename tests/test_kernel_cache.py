@@ -1,12 +1,14 @@
 """The process-wide kernel cache behind compile_expr and compile_many:
-one compiled kernel per distinct source, exact on signed zeros and
-non-finite constants, bounded, holding no expression node, and safe
+one compiled kernel per distinct shape, with every constant bound as a
+parameter, so a parameter sweep compiles once; exact on signed zeros
+and non-finite constants, bounded, holding no expression node, and safe
 under racing threads."""
 
 from __future__ import annotations
 
 import builtins
 import gc
+import json
 import math
 import random
 import struct
@@ -18,15 +20,19 @@ from ricciplane import cli, expr
 from ricciplane.expr import (
     EVAL_ERRORS,
     Add,
+    Apply,
     Constant,
     EvaluationError,
+    Expr,
     Mul,
     Point,
+    Pow,
     X1,
     compile_expr,
     compile_many,
     evaluate,
     parse,
+    walk,
 )
 
 from conftest import CORPUS, random_smooth_tree
@@ -76,21 +82,24 @@ def test_signed_zeros_and_non_finite_constants_are_separate_kernels():
         seen.add(fn)
         del e
     assert len(seen) == 6
-    assert expr._compile_kernel.cache_info().currsize == 12
+    # Two shapes: x1*k + k, and a lone constant.
+    assert expr._compile_kernel.cache_info().currsize == 2
 
 
 def test_cache_stays_within_its_bound():
     expr._compile_kernel.cache_clear()
     bound = expr._KERNEL_CACHE_SIZE
-    for i in range(bound + 10):
-        e = Add(X1, Constant(float(i)))
-        assert compile_expr(e)(0.5, 0.0) == 0.5 + i
+    for n in range(9, bound + 19):
+        # Each exponent is its own shape: above 8 it is spelled out in
+        # an _int_pow call, whatever the constants.
+        e = Pow(X1, Constant(float(n)))
+        assert compile_expr(e)(-1.0, 0.0) == (-1.0) ** n
         assert expr._compile_kernel.cache_info().currsize <= bound
     assert expr._compile_kernel.cache_info().currsize == bound
     assert expr._compile_kernel.cache_info().maxsize == bound
 
 
-def test_cache_keeps_no_node_alive():
+def test_cache_keeps_no_node_alive(monkeypatch):
     gc.collect()
     gc.disable()
     try:
@@ -98,8 +107,11 @@ def test_cache_keeps_no_node_alive():
         nodes = [weakref.ref(e), weakref.ref(e.num)]
         expected = (evaluate(e, Point(0.5, 0.5)), evaluate(e.num, Point(0.5, 0.5)))
         fn = compile_many([e, e.num])
-        assert compile_many([e, e.num]) is fn
-        del e
+        compiled = _counting_compile(monkeypatch)
+        again = compile_many([e, e.num])
+        assert compiled == []
+        assert [_bits(v) for v in again(0.5, 0.5)] == [_bits(v) for v in expected]
+        del e, again
         # Without the cycle collector, only reference counting frees nodes.
         assert [r() for r in nodes] == [None, None]
         assert fn(0.5, 0.5) == expected
@@ -139,3 +151,114 @@ def test_threads_racing_on_the_kernel_cache():
     assert not any(t.is_alive() for t in threads)
     assert results == [[True] * 60] * len(results)
     assert expr._compile_kernel.cache_info().currsize <= expr._KERNEL_CACHE_SIZE
+
+
+# Two members of each family sweep: the same f2 shape and kind, other
+# constants.
+SWEEPS = [
+    [
+        {"kind": "branch1", "f2": "exp(1.3*x1)", "k": 1.37, "c": 0.83},
+        {"kind": "branch1", "f2": "exp(0.7*x1)", "k": 0.52, "c": 1.91},
+    ],
+    [
+        {"kind": "branch2", "f2": "cosh(1.1*x1) + 2", "c": 1.24, "c1": 0.6, "c2": -1.3},
+        {"kind": "branch2", "f2": "cosh(1.7*x1) + 2", "c": 0.71, "c1": -1.8, "c2": 0.45},
+    ],
+]
+
+
+def _sweep_member(tmp_path, capsys, name: str, family: dict) -> list:
+    """Construct `family` and run `identities` on the emitted spec;
+    return each command's (exit code, stdout)."""
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps({"family": family, "domain": {"x1": [0.25, 1.25], "x2": [-1.0, 1.0]}}))
+    derived = str(tmp_path / f"{name}.derived.json")
+    outputs = []
+    for argv in (["construct", "--spec", str(spec), "--emit-spec", derived], ["identities", "--spec", derived]):
+        code = cli.main(argv)
+        outputs.append((code, capsys.readouterr().out))
+    return outputs
+
+
+def test_parameter_sweep_compiles_nothing_after_its_first_member(tmp_path, monkeypatch, capsys):
+    compiled = _counting_compile(monkeypatch)
+    for i, (first, second) in enumerate(SWEEPS):
+        expr._compile_kernel.cache_clear()
+        assert [code for code, _ in _sweep_member(tmp_path, capsys, f"a{i}", first)] == [0, 0]
+        assert compiled != []
+        compiled.clear()
+        warm = _sweep_member(tmp_path, capsys, f"b{i}", second)
+        assert compiled == []
+        expr._compile_kernel.cache_clear()
+        assert _sweep_member(tmp_path, capsys, f"b{i}", second) == warm
+
+
+# Constants a kernel must carry bit for bit.
+SPECIAL_CONSTANTS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e308, -1e308, 5e-324, -5e-324, 2.2e-310]
+
+
+def _with_constants(e: Expr, draw) -> Expr:
+    """`e` with every constant outside an exponent replaced by `draw()`."""
+    if isinstance(e, Constant):
+        return Constant(draw())
+    if isinstance(e, Pow):
+        return Pow(_with_constants(e.base, draw), e.exponent)
+    if isinstance(e, Apply):
+        return Apply(e.fn, _with_constants(e.arg, draw))
+    kids = e.children()
+    return type(e)(*[_with_constants(k, draw) for k in kids]) if kids else e
+
+
+def _shape(exprs: list) -> tuple:
+    """What a kernel of `exprs` depends on besides its constants' values:
+    in creation order, the operation and operands of each inner node
+    (a variable, the i-th constant or the j-th inner node), with the
+    exponent of a power whose code spells it out; the number of
+    constants; and the results."""
+    nodes = sorted({id(n): n for e in exprs for n in walk(e)}.values(), key=lambda n: n._serial)
+    names, consts, ops = {}, 0, []
+    for n in nodes:
+        if isinstance(n, Constant):
+            names[id(n)] = ("k", consts)
+            consts += 1
+        elif not n.children():
+            names[id(n)] = n.var
+        else:
+            tag = getattr(n, "fn", None)
+            if isinstance(n, Pow) and isinstance(n.exponent, Constant):
+                v = n.exponent.value
+                if v.is_integer() and abs(v) <= expr._INT_POW_MAX:
+                    tag = int(v)
+            names[id(n)] = ("t", len(ops))
+            ops.append((type(n).__name__, tag, tuple(names[id(k)] for k in n.children())))
+    return tuple(ops), consts, tuple(names[id(e)] for e in exprs)
+
+
+def test_bound_constants_stay_bit_exact_when_they_share_a_shape():
+    rng = random.Random(1218)
+
+    def draw() -> float:
+        if rng.random() < 0.6:
+            return rng.choice(SPECIAL_CONSTANTS)
+        return math.ldexp(rng.uniform(-1.0, 1.0), rng.randrange(-1074, 1024))
+
+    expr._compile_kernel.cache_clear()
+    shapes, kernels = set(), 0
+    for _ in range(25):
+        base = random_smooth_tree(rng, depth=4)
+        for e in [base] + [_with_constants(base, draw) for _ in range(6)]:
+            shapes.add(_shape([e]))
+            fn = compile_expr(e)
+            kernels += 1
+            for _ in range(4):
+                p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                try:
+                    expected = _bits(evaluate(e, p))
+                except EvaluationError:
+                    expected = None
+                try:
+                    got = _bits(fn(*p))
+                except EVAL_ERRORS:
+                    got = None
+                assert got == expected, (expr.to_string(e), p)
+    assert expr._compile_kernel.cache_info().currsize == len(shapes) < kernels
