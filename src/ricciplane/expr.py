@@ -9,6 +9,7 @@ single currency passed between all other modules.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -533,20 +534,16 @@ def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
     consts: list[float] = []
     lines: list[str] = []
     names: dict[int, str] = {}
-    nodes: dict[int, Expr] = {}
-    for e in exprs:
-        if id(e) not in nodes:  # else its whole subtree is there already
-            nodes.update((id(node), node) for node in walk(e))
-    for node in sorted(nodes.values(), key=_creation_order):
-        if isinstance(node, Constant):
+    for node in sorted(walk(*exprs), key=_creation_order):
+        kind = type(node)
+        if kind is Constant:
             name = f"_k{len(consts)}"
             consts.append(node.value)
-        elif isinstance(node, Variable):
+        elif kind is Variable:
             name = node.var.value
         else:
             name = f"t{len(lines)}"
-            code = _operation(node, [names[id(child)] for child in node.children()])
-            lines.append(f"    {name} = {code}\n")
+            lines.append(f"    {name} = {_operation(node, kind, names)}\n")
         names[id(node)] = name
     if single:
         result = names[id(exprs[0])]
@@ -570,23 +567,23 @@ def _compile_kernel(src: str) -> Callable:
     return namespace.pop("_compiled")
 
 
-def _operation(node: Expr, args: list[str]) -> str:
-    """The code of a non-leaf `node`, given the names of its children."""
-    if isinstance(node, Negate):
-        return f"-{args[0]}"
-    if isinstance(node, Apply):
-        return f"_fn_{node.fn}({args[0]})"
-    if isinstance(node, Pow):
-        expo = node.exponent
+def _operation(node: Expr, kind: type, names: dict[int, str]) -> str:
+    """The code of the non-leaf `node`, of type `kind`, from the names of the nodes emitted so far."""
+    if kind is Negate:
+        return f"-{names[id(node.arg)]}"
+    if kind is Apply:
+        return f"_fn_{node.fn}({names[id(node.arg)]})"
+    if kind is Pow:
+        base, expo = names[id(node.base)], node.exponent
         if isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= _INT_POW_MAX:
             n = int(expo.value)
             if 1 <= n <= 8:
                 # _int_pow's (1.0*b)*b*... with 1.0*b == b exactly, so bit-identical.
-                return "*".join([args[0]] * n)
-            return f"_int_pow({args[0]}, {n})"
-        return f"_pow_value({args[0]}, {args[1]})"
-    if type(node) in _BINARY_OPS:
-        return f"{args[0]} {_BINARY_OPS[type(node)]} {args[1]}"
+                return "*".join([base] * n)
+            return f"_int_pow({base}, {n})"
+        return f"_pow_value({base}, {names[id(expo)]})"
+    if kind in _BINARY_OPS:
+        return f"{names[id(node.lhs)]} {_BINARY_OPS[kind]} {names[id(node.rhs)]}"
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -819,18 +816,19 @@ def _is_one(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def walk(e: Expr) -> Iterator[Expr]:
-    """Each distinct node of the DAG once, parents before children: the
-    preorder of the tree, skipping nodes already visited."""
+def walk(*roots: Expr) -> Iterator[Expr]:
+    """Each distinct node of the DAG under `roots` once, parents before
+    children: the preorder of each root's tree in turn, skipping nodes
+    already visited (under an earlier root too)."""
     seen = set()
-    stack = [e]
+    stack = list(reversed(roots))
     while stack:
         node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        stack.extend(reversed(node.children()))
+        key = id(node)
+        if key not in seen:
+            seen.add(key)
+            yield node
+            stack.extend(node.children()[::-1])
 
 
 def variables_of(e: Expr) -> set[Var]:
@@ -858,13 +856,14 @@ def _guard_root(e: Expr) -> Expr:
             return e
 
 
-def denominators(e: Expr) -> list[Expr]:
-    """Subexpressions that must stay away from zero for `e` to be
+def denominators(*roots: Expr) -> list[Expr]:
+    """Subexpressions that must stay away from zero for `roots` to be
     defined: Div denominators and bases of negative constant powers,
     reduced to their guard roots.  Deduplicated structurally, in
-    first-occurrence order."""
+    first-occurrence order over the roots in turn; one walk of the DAG
+    under all of them."""
     seen: dict[Expr, None] = {}
-    for node in walk(e):
+    for node in walk(*roots):
         if isinstance(node, Div):
             root = _guard_root(node.den)
             if not isinstance(root, Constant):
@@ -1085,43 +1084,55 @@ def _format_number(v: float) -> str:
     return repr(v)
 
 
-def _render(e: Expr, min_prec: int) -> str:
-    if isinstance(e, Constant):
-        prec = _ATOM_PREC if e.value >= 0 else _UNARY_PREC
-        s = _format_number(e.value)
-    elif isinstance(e, Variable):
-        prec, s = _ATOM_PREC, e.var.value
-    elif isinstance(e, Apply):
-        prec, s = _ATOM_PREC, f"{e.fn}({_render(e.arg, 0)})"
-    elif isinstance(e, Negate):
-        prec = _UNARY_PREC
-        if isinstance(e.arg, Constant):
-            # parenthesize so the parser rebuilds Negate(Constant)
-            s = f"-({_render(e.arg, 0)})"
-        else:
-            s = f"-{_render(e.arg, _UNARY_PREC + 1)}"
-    elif isinstance(e, Add):
-        prec = _ADD_PREC
-        s = f"{_render(e.lhs, _ADD_PREC)} + {_render(e.rhs, _ADD_PREC + 1)}"
-    elif isinstance(e, Sub):
-        prec = _ADD_PREC
-        s = f"{_render(e.lhs, _ADD_PREC)} - {_render(e.rhs, _ADD_PREC + 1)}"
-    elif isinstance(e, Mul):
-        prec = _MUL_PREC
-        s = f"{_render(e.lhs, _MUL_PREC)}*{_render(e.rhs, _MUL_PREC + 1)}"
-    elif isinstance(e, Div):
-        prec = _MUL_PREC
-        s = f"{_render(e.num, _MUL_PREC)}/{_render(e.den, _MUL_PREC + 1)}"
-    elif isinstance(e, Pow):
-        prec = _POW_PREC
-        s = f"{_render(e.base, _POW_PREC + 1)}^{_render(e.exponent, _POW_PREC)}"
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if prec < min_prec:
-        return f"({s})"
-    return s
+# Each infix node type: its operator, its precedence, and the least
+# precedence its left and its right operand print bare at.
+_INFIX = {
+    Add: (" + ", _ADD_PREC, _ADD_PREC, _ADD_PREC + 1),
+    Sub: (" - ", _ADD_PREC, _ADD_PREC, _ADD_PREC + 1),
+    Mul: ("*", _MUL_PREC, _MUL_PREC, _MUL_PREC + 1),
+    Div: ("/", _MUL_PREC, _MUL_PREC, _MUL_PREC + 1),
+    Pow: ("^", _POW_PREC, _POW_PREC + 1, _POW_PREC),
+}
 
 
 def to_string(e: Expr) -> str:
-    """Render `e` in the parse grammar; parse(to_string(e)) == e."""
-    return _render(e, 0)
+    """Render `e` in the parse grammar; parse(to_string(e)) == e.
+
+    No recursion: each distinct node is rendered once, children first,
+    and its text dropped once its last parent has read it, so a long
+    chain never holds the texts of all its prefixes.
+    """
+    nodes = list(walk(e))
+    uses = collections.Counter(id(child) for node in nodes for child in node.children())
+    texts: dict[int, tuple[int, str]] = {}
+
+    def operand(child: Expr, min_prec: int) -> str:
+        key = id(child)
+        prec, s = texts[key]
+        uses[key] -= 1
+        if not uses[key]:
+            del texts[key]
+        return f"({s})" if prec < min_prec else s
+
+    for node in sorted(nodes, key=_creation_order):
+        kind = type(node)
+        if kind is Constant:
+            text = (_ATOM_PREC if node.value >= 0 else _UNARY_PREC, _format_number(node.value))
+        elif kind is Variable:
+            text = (_ATOM_PREC, node.var.value)
+        elif kind is Apply:
+            text = (_ATOM_PREC, f"{node.fn}({operand(node.arg, 0)})")
+        elif kind is Negate:
+            # A constant operand is parenthesized so that the parser
+            # rebuilds Negate(Constant).
+            if type(node.arg) is Constant:
+                text = (_UNARY_PREC, f"-({operand(node.arg, 0)})")
+            else:
+                text = (_UNARY_PREC, "-" + operand(node.arg, _UNARY_PREC + 1))
+        elif kind in _INFIX:
+            op, prec, left, right = _INFIX[kind]
+            text = (prec, operand(node.lhs, left) + op + operand(node.rhs, right))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        texts[id(node)] = text
+    return texts[id(e)][1]

@@ -27,7 +27,7 @@ from .expr import (
 )
 from .geometry import DiagonalMetric, connection_table, frame_derivative, lie_bracket, ricci
 from .numeric import SamplingConfig, covered_max_abs
-from .riccifield import FrameField, closedness_defect, covariant_matrix, divergence
+from .riccifield import FrameField, closedness_defect, covariant_row, divergence
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,8 @@ def check_norm_symmetry(
 
 
 def _covariant_field(m: DiagonalMetric, W: FrameField, i: int) -> FrameField:
-    """nabla_{E_i} W as a frame field, from the covariant entries."""
-    cov = covariant_matrix(m, W)
-    return FrameField(V1=cov[(i, 1)], V2=cov[(i, 2)])
+    """nabla_{E_i} W as a frame field: row i of the covariant entries."""
+    return FrameField(*covariant_row(m, W, i))
 
 
 def _curvature_identity_residuals(m: DiagonalMetric, V: FrameField) -> list[Expr]:

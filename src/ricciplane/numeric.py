@@ -11,6 +11,7 @@ import contextlib
 import contextvars
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -31,6 +32,9 @@ from .expr import (
 )
 
 OVERSAMPLE_FACTOR = 100
+# The most points a config may request: a pass draws up to samples *
+# OVERSAMPLE_FACTOR candidates, and islice counts only to sys.maxsize.
+MAX_SAMPLES = sys.maxsize // OVERSAMPLE_FACTOR
 
 
 class DomainTooSingularError(RuntimeError):
@@ -48,6 +52,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {self.samples}")
         for x in (self.tolerance, self.fd_step, self.fd_tolerance):
             if not (x > 0 and math.isfinite(x)):
                 raise ValueError("step and tolerances must be positive and finite")
@@ -65,18 +71,21 @@ def _draws(d: Domain, seed: int) -> Iterator[tuple[float, float]]:
         yield a1 + w1 * u(), a2 + w2 * u()
 
 
-# The job scope of `sample_points`: None, or the table
-# {(domain, samples, seed): {guard key: (guards, points, rejected)}} of
-# the passes the current job has run.  A pass holds its guards, so the
-# ids in its key stay valid; `rejected` counts the candidates it drew
-# but did not accept.
+# The job scope of `sample_points` and `nowhere_zero`: None, or the
+# table of what the current job has run.  It maps (domain, samples,
+# seed) to {guard key: (guards, points, rejected)}, the passes of
+# `sample_points`, and (domain, samples, seed, id(e)) to (e, verdict),
+# the scans of `nowhere_zero`.  A pass holds its guards and a scan its
+# expression, so the ids in their keys stay valid; `rejected` counts
+# the candidates a pass drew but did not accept.
 _STREAM: contextvars.ContextVar[dict | None] = contextvars.ContextVar("ricciplane_job_stream", default=None)
 
 
 @contextlib.contextmanager
 def _job_stream() -> Iterator[None]:
     """Scope in which `sample_points` runs each guard set of a
-    (domain, samples, seed) at most once and shares the result.  The
+    (domain, samples, seed) at most once and shares the result, and
+    `nowhere_zero` scans each expression of one at most once.  The
     scope belongs to the current context, so each thread has its own;
     it ends, and its table is dropped, on every exit path."""
     token = _STREAM.set({})
@@ -162,11 +171,8 @@ def merge_guards(guards: Iterable[Expr], exprs: Iterable[Expr]) -> list[Expr]:
     """The guards, then each denominator of `exprs` not already listed:
     every subexpression that must stay away from zero at a sample point
     where `exprs` are evaluated.  Deduplicated structurally, in
-    first-occurrence order."""
-    merged = dict.fromkeys(guards)
-    for e in exprs:
-        merged.update(dict.fromkeys(denominators(e)))
-    return list(merged)
+    first-occurrence order; one walk of the DAG under all of `exprs`."""
+    return list(dict.fromkeys([*guards, *denominators(*exprs)]))
 
 
 _SIGN_CHANGE = "sign change detected (zero crossing on the domain)"
@@ -180,7 +186,19 @@ def nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
     change witnesses a zero crossing that pointwise magnitudes alone
     cannot see; a NaN has no sign and is never near zero, so it is
     rejected on its own.
+
+    Within a `_job_stream` scope, each (expression, domain, samples,
+    seed) is scanned once and its verdict returned again to later calls.
     """
+    table = _STREAM.get()
+    table = {} if table is None else table
+    key = (d, cfg.samples, cfg.seed, id(e))
+    if key not in table:
+        table[key] = (e, _scan_nowhere_zero(e, d, cfg))
+    return table[key][1]
+
+
+def _scan_nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
     fn = compile_expr(e)
     guard, inf = d.guard, math.inf
     saw_pos = saw_neg = False

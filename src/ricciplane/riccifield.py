@@ -53,19 +53,24 @@ class ResidualReport:
         return self.verdict == "pass"
 
 
+def covariant_row(m: DiagonalMetric, V: FrameField, i: int) -> tuple[Expr, Expr]:
+    """Row i of `covariant_matrix`, built alone: the pair
+    (g(nabla_{E_i} V, E_1), g(nabla_{E_i} V, E_2))."""
+    h = channel_coefficients(m)[i - 1]  # h12 in row 1, h21 in row 2
+    first, second = (Sub, Add) if i == 1 else (Add, Sub)
+    return (
+        simplify(first(frame_derivative(m, V.V1, i), Mul(h, V.V2))),
+        simplify(second(frame_derivative(m, V.V2, i), Mul(h, V.V1))),
+    )
+
+
 def covariant_matrix(m: DiagonalMetric, V: FrameField) -> dict[tuple[int, int], Expr]:
-    """g(nabla_{E_i} V, E_j) for (i, j) in {1,2}^2.
+    """g(nabla_{E_i} V, E_j) for (i, j) in {1,2}^2, row by row.
 
     (1,1): E1(V1) - h12 V2    (1,2): E1(V2) + h12 V1
-    (2,2): E2(V2) - h21 V1    (2,1): E2(V1) + h21 V2
+    (2,1): E2(V1) + h21 V2    (2,2): E2(V2) - h21 V1
     """
-    h12, h21 = channel_coefficients(m)
-    return {
-        (1, 1): simplify(Sub(frame_derivative(m, V.V1, 1), Mul(h12, V.V2))),
-        (2, 2): simplify(Sub(frame_derivative(m, V.V2, 2), Mul(h21, V.V1))),
-        (1, 2): simplify(Add(frame_derivative(m, V.V2, 1), Mul(h12, V.V1))),
-        (2, 1): simplify(Add(frame_derivative(m, V.V1, 2), Mul(h21, V.V2))),
-    }
+    return {(i, j): entry for i in (1, 2) for j, entry in zip((1, 2), covariant_row(m, V, i))}
 
 
 def residual_system(m: DiagonalMetric, V: FrameField) -> tuple[Expr, Expr, Expr, Expr]:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from ricciplane import cli
+from ricciplane import cli, numeric
+from ricciplane.numeric import SamplingConfig
 
 from conftest import CORPUS, FAILING_CORPUS, PASSING_CORPUS
 
@@ -433,3 +435,30 @@ def test_bad_family_parameter_is_a_spec_error(tmp_path, capsys, family, reason):
     assert out == ""
     assert err.startswith("spec error: bad family parameters:") and reason in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", ["verify", "curvature"])
+@pytest.mark.parametrize("where", ["flag", "spec"])
+def test_sample_count_beyond_the_sampler_is_a_spec_error(tmp_path, capsys, monkeypatch, command, where):
+    # A pass draws samples * OVERSAMPLE_FACTOR candidates, which islice
+    # cannot count beyond sys.maxsize: the config refuses such a count.
+    draws = []
+    monkeypatch.setattr(numeric, "_draws", lambda *args: draws.append(args) or iter(()))
+    huge = "99999999999999999999"
+    spec = json.loads((CORPUS / "ex02_exponential_metric.json").read_text(encoding="utf-8"))
+    if where == "flag":
+        argv = ["--samples", huge]
+    else:
+        argv = []
+        spec["sampling"] = {"samples": int(huge)}
+    code, out, err = run_cli(capsys, command, "--spec", write_spec(tmp_path, spec), *argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("spec error: bad sampling config: samples must be <=")
+    assert draws == []
+
+
+def test_largest_accepted_sample_count():
+    assert SamplingConfig(samples=numeric.MAX_SAMPLES).samples * numeric.OVERSAMPLE_FACTOR <= sys.maxsize
+    with pytest.raises(ValueError, match="samples must be <="):
+        SamplingConfig(samples=numeric.MAX_SAMPLES + 1)

@@ -1,0 +1,270 @@
+"""Symbolic-layer passes that are linear in distinct nodes: code
+generation and denominator collection walk the DAG under all their
+roots once, `to_string` renders each distinct node once without
+recursion, and the curvature identity builds only the covariant rows
+it reads."""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+
+import pytest
+
+from ricciplane import expr
+from ricciplane.expr import (
+    Add,
+    Apply,
+    Constant,
+    Div,
+    Expr,
+    Mul,
+    Negate,
+    Pow,
+    Sub,
+    Var,
+    Variable,
+    X1,
+    X2,
+    compile_expr,
+    compile_many,
+    denominators,
+    differentiate,
+    parse,
+    simplify,
+    to_string,
+    walk,
+)
+from ricciplane.geometry import DiagonalMetric, frame_derivative, lie_bracket, ricci
+from ricciplane.identities import _curvature_identity_residuals
+from ricciplane.numeric import SamplingConfig, merge_guards
+from ricciplane.riccifield import FrameField, covariant_matrix, covariant_row
+
+from conftest import PASSING_CORPUS, draw_constructed, load_corpus_pair, random_smooth_tree
+
+
+@pytest.fixture
+def children_calls(monkeypatch) -> list:
+    """Counts every `children()` call: one entry per call."""
+    calls = []
+    for cls in (Expr, Negate, expr._Binary, Apply):
+        original = cls.__dict__["children"]
+
+        def counted(self, _original=original):
+            calls.append(self)
+            return _original(self)
+
+        monkeypatch.setattr(cls, "children", counted)
+    return calls
+
+
+def _shared_roots() -> list[Expr]:
+    """Many roots over one DAG: the curvature-identity residuals of a
+    family pair, every node under them, and roots repeated."""
+    [(_, _, m, V)] = draw_constructed("branch2", 1, 4711, SamplingConfig())
+    residuals = _curvature_identity_residuals(m, V) + [ricci(m).rho, V.V1, V.V2]
+    return residuals + list(walk(*residuals))[::-1] + residuals
+
+
+def test_compile_many_calls_children_once_per_distinct_node(children_calls):
+    roots = _shared_roots()
+    distinct = len({id(n) for r in roots for n in walk(r)})
+    assert len(roots) > 100 and distinct > 50
+    compile_many(roots)  # the kernel is compiled, or taken from the cache
+    children_calls.clear()
+    compile_many(roots)
+    assert 0 < len(children_calls) <= distinct
+    children_calls.clear()
+    compile_expr(roots[0])
+    assert len(children_calls) <= len(list(walk(roots[0])))
+
+
+def test_merge_guards_calls_children_once_per_distinct_node(children_calls):
+    roots = _shared_roots()
+    distinct = len({id(n) for r in roots for n in walk(r)})
+    children_calls.clear()
+    merge_guards(roots[:2], roots)
+    assert 0 < len(children_calls) <= distinct
+
+
+def test_walk_of_several_roots_is_each_walk_in_turn_without_repeats():
+    rng = random.Random(77)
+    for _ in range(40):
+        roots = _random_group(rng)
+        expected, seen = [], set()
+        for r in roots:
+            for n in walk(r):
+                if id(n) not in seen:
+                    seen.add(id(n))
+                    expected.append(n)
+        assert [id(n) for n in walk(*roots)] == [id(n) for n in expected]
+    assert list(walk()) == []
+
+
+def _random_group(rng: random.Random) -> list[Expr]:
+    """Roots that share subtrees: random trees, their derivatives, some
+    of their own subtrees, and guarded quotients of them."""
+    trees = [random_smooth_tree(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+    roots = list(trees)
+    roots += [simplify(differentiate(t, rng.choice([Var.X1, Var.X2]))) for t in trees[:2]]
+    inner = list(walk(trees[0]))
+    roots += rng.sample(inner, min(3, len(inner)))
+    roots.append(Div(trees[-1], Pow(roots[rng.randrange(len(roots))], Constant(-3.0))))
+    roots.append(roots[0])
+    return roots
+
+
+# The per-root composition the one-walk passes replace: one walk per
+# root, each with its own seen-set.
+
+
+def _per_root_source(exprs: list[Expr], single: bool) -> str:
+    nodes: dict[int, Expr] = {}
+    for e in exprs:
+        nodes.update((id(n), n) for n in walk(e))
+    consts, lines, names = 0, [], {}
+    for node in sorted(nodes.values(), key=lambda n: n._serial):
+        if isinstance(node, Constant):
+            name = f"_k{consts}"
+            consts += 1
+        elif isinstance(node, Variable):
+            name = node.var.value
+        else:
+            name = f"t{len(lines)}"
+            lines.append(f"    {name} = {_per_root_operation(node, [names[id(c)] for c in node.children()])}\n")
+        names[id(node)] = name
+    result = names[id(exprs[0])] if single else "(" + "".join(f"{names[id(e)]}, " for e in exprs) + ")"
+    params = "".join(f", _k{i}" for i in range(consts))
+    return f"def _compiled(x1, x2{params}):\n" + "".join(lines) + f"    return {result}\n"
+
+
+def _per_root_operation(node: Expr, args: list[str]) -> str:
+    if isinstance(node, Negate):
+        return f"-{args[0]}"
+    if isinstance(node, Apply):
+        return f"_fn_{node.fn}({args[0]})"
+    if isinstance(node, Pow):
+        expo = node.exponent
+        if isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= expr._INT_POW_MAX:
+            n = int(expo.value)
+            return "*".join([args[0]] * n) if 1 <= n <= 8 else f"_int_pow({args[0]}, {n})"
+        return f"_pow_value({args[0]}, {args[1]})"
+    return f"{args[0]} {({Add: '+', Sub: '-', Mul: '*', Div: '/'})[type(node)]} {args[1]}"
+
+
+def _per_root_guards(guards: list[Expr], exprs: list[Expr]) -> list[Expr]:
+    merged = dict.fromkeys(guards)
+    for e in exprs:
+        merged.update(dict.fromkeys(denominators(e)))
+    return list(merged)
+
+
+def test_kernel_source_and_guards_match_the_per_root_composition(monkeypatch):
+    sources = []
+    original = expr._compile_kernel
+    monkeypatch.setattr(expr, "_compile_kernel", lambda src: sources.append(src) or original(src))
+    rng = random.Random(2026)
+    for _ in range(60):
+        roots = _random_group(rng)
+        sources.clear()
+        compile_many(roots)
+        compile_expr(roots[-2])
+        assert sources == [_per_root_source(roots, False), _per_root_source([roots[-2]], True)]
+        guards = roots[:1] + list(walk(roots[1]))[:2]
+        assert [id(g) for g in merge_guards(guards, roots)] == [id(g) for g in _per_root_guards(guards, roots)]
+        flat = [g for r in roots for g in denominators(r)]
+        assert [id(g) for g in denominators(*roots)] == [id(g) for g in dict.fromkeys(flat)]
+
+
+# The recursive printer `to_string` replaces, kept as a reference.
+_PREC = {Add: 10, Sub: 10, Mul: 20, Div: 20, Pow: 30}
+_SYMBOL = {Add: " + ", Sub: " - ", Mul: "*", Div: "/", Pow: "^"}
+
+
+def _recursive_render(e: Expr, min_prec: int = 0) -> str:
+    if isinstance(e, Constant):
+        prec, s = (100 if e.value >= 0 else 25), expr._format_number(e.value)
+    elif isinstance(e, Variable):
+        prec, s = 100, e.var.value
+    elif isinstance(e, Apply):
+        prec, s = 100, f"{e.fn}({_recursive_render(e.arg)})"
+    elif isinstance(e, Negate):
+        prec = 25
+        s = f"-({_recursive_render(e.arg)})" if isinstance(e.arg, Constant) else "-" + _recursive_render(e.arg, 26)
+    else:
+        prec = _PREC[type(e)]
+        left, right = (prec + 1, prec) if isinstance(e, Pow) else (prec, prec + 1)
+        s = _recursive_render(e.lhs, left) + _SYMBOL[type(e)] + _recursive_render(e.rhs, right)
+    return f"({s})" if prec < min_prec else s
+
+
+def test_to_string_matches_the_recursive_printer_and_round_trips():
+    rng = random.Random(515)
+    trees = [random_smooth_tree(rng, rng.randint(0, 6)) for _ in range(300)]
+    trees += [simplify(differentiate(t, Var.X1)) for t in trees[:50]]
+    trees += [
+        Negate(Constant(-2.0)),
+        Pow(Constant(-2.0), Constant(-2.0)),
+        Sub(X1, Negate(Add(X1, X2))),
+        Pow(Pow(X1, X2), Pow(X2, X1)),
+        Mul(Constant(-0.0), Div(X1, Mul(X2, X2))),
+        Negate(Negate(Constant(1e300))),
+    ]
+    for e in trees:
+        text = to_string(e)
+        assert text == _recursive_render(e)
+        assert parse(text) == e
+
+
+def test_to_string_renders_a_long_chain_without_recursion():
+    e = X1
+    for k in range(1, 10_000):
+        e = Add(e, Mul(Constant(float(k % 97)), X2)) if k % 2 else Sub(e, Pow(X1, Constant(2.0)))
+    tracemalloc.start()
+    try:
+        text = to_string(e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 60_000
+    # Every prefix of the chain held at once would take hundreds of MB.
+    assert peak < 20 * len(text) + 4_000_000
+    assert parse(text) is e
+
+
+def _reference_curvature_residuals(m: DiagonalMetric, V: FrameField) -> list[Expr]:
+    """The curvature-identity residuals built from full covariant matrices."""
+
+    def field(W: FrameField, i: int) -> FrameField:
+        cov = covariant_matrix(m, W)
+        return FrameField(cov[(i, 1)], cov[(i, 2)])
+
+    d1V, d2V = field(V, 1), field(V, 2)
+    n12, n21 = field(d2V, 1), field(d1V, 2)
+    b1, b2 = lie_bracket(m)
+    rho = ricci(m).rho
+    lhs1 = simplify(Sub(Sub(n12.V1, n21.V1), Add(Mul(b1, d1V.V1), Mul(b2, d2V.V1))))
+    lhs2 = simplify(Sub(Sub(n12.V2, n21.V2), Add(Mul(b1, d1V.V2), Mul(b2, d2V.V2))))
+    rhs1 = simplify(Negate(frame_derivative(m, rho, 2)))
+    rhs2 = frame_derivative(m, rho, 1)
+    return [simplify(Sub(lhs1, rhs1)), simplify(Sub(lhs2, rhs2))]
+
+
+def _pairs():
+    for name in PASSING_CORPUS:
+        m, V, _, _ = load_corpus_pair(name)
+        yield m, V
+    for variant in ("branch1", "branch2"):
+        for _, _, m, V in draw_constructed(variant, 2, 99, SamplingConfig()):
+            yield m, V
+
+
+def test_curvature_identity_residuals_are_the_nodes_of_the_full_matrix_path():
+    for m, V in _pairs():
+        got = _curvature_identity_residuals(m, V)
+        expected = _reference_curvature_residuals(m, V)
+        assert len(got) == 2 and all(a is b for a, b in zip(got, expected))
+        cov = covariant_matrix(m, V)
+        for i in (1, 2):
+            assert covariant_row(m, V, i) == (cov[(i, 1)], cov[(i, 2)])
+            assert all(a is b for a, b in zip(covariant_row(m, V, i), (cov[(i, 1)], cov[(i, 2)])))

@@ -205,3 +205,20 @@ def test_reports_match_unshared_sampling(tmp_path, capsys, monkeypatch):
     assert shared == unshared
     assert {code for code, _ in shared} == {0, 1}
     assert all(out for _, out in shared)
+
+
+@pytest.mark.parametrize("tag", ["b1", "b2"])
+def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch, tag):
+    # f2, f2' and the induced f1 are scanned by `construct`; verifying
+    # the pair scans f1 and f2 again with the same domain, samples and seed.
+    scans = []
+    scan = numeric._scan_nowhere_zero
+    monkeypatch.setattr(numeric, "_scan_nowhere_zero", lambda e, d, cfg: scans.append(e) or scan(e, d, cfg))
+    argv = next(job for job in _family_jobs(tmp_path) if job[2].endswith(f"{tag}.json"))
+    assert argv[0] == "construct"
+    shared = _outputs([argv], capsys)
+    assert len(scans) == len({id(e) for e in scans}) == 3
+    scans.clear()
+    monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
+    assert _outputs([argv], capsys) == shared
+    assert len(scans) == 5
