@@ -5,14 +5,16 @@ for verify --identities).  Jobs are JSON spec files; reports are JSON
 on stdout (and --out), byte-identical across runs for identical specs.
 
 Exit codes: 0 pass, 1 verification fail, 2 spec/parse error (an
-expression nested too deeply to process included), 3 singular domain,
-4 family hypothesis violation, 5 internal error (an unexpected
-exception; its traceback goes to stderr).
+expression nested too deeply to process, or an output path that cannot
+be written, included), 3 singular domain, 4 family hypothesis
+violation, 5 internal error (an unexpected exception; its traceback
+goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -21,6 +23,7 @@ import math
 import sys
 import traceback
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import __version__, numeric
 from .expr import (
@@ -109,6 +112,8 @@ def parse_domain_flag(text: str) -> dict:
         name = name.strip()
         if name not in ("x1", "x2"):
             raise SpecError(f"bad --domain coordinate {name!r}")
+        if name in out:
+            raise SpecError(f"repeated --domain coordinate {name!r}")
         pieces = rng.split(",")
         if len(pieces) != 2:
             raise SpecError(f"bad --domain range {rng!r}")
@@ -202,13 +207,13 @@ def spec_field(spec: dict, m: DiagonalMetric) -> tuple[FrameField, PotentialFunc
     raise SpecError(f'field.frame must be "orthonormal" or "coordinate", got {frame!r}')
 
 
-# Each family kind: its parameter class and parameters, in the order
-# they are read.  f1 and f2 are expressions, the others numbers.
+# Each family kind's parameter class; its fields are the parameters, in
+# the order they are read.  f1 and f2 are expressions, the others numbers.
 _FAMILY_KINDS = {
-    "constant_components": (ConstantComponents, ("f1", "f2", "c1", "c2")),
-    "branch1": (Branch1, ("f2", "k", "c")),
-    "branch2": (Branch2, ("f2", "c", "c1", "c2")),
-    "constant_metric": (ConstantMetric, ("k1", "k2", "c1", "c2")),
+    "constant_components": ConstantComponents,
+    "branch1": Branch1,
+    "branch2": Branch2,
+    "constant_metric": ConstantMetric,
 }
 
 
@@ -219,7 +224,8 @@ def spec_family(spec: dict) -> FamilyParams:
     kind = family["kind"]
     if kind not in _FAMILY_KINDS:
         raise SpecError(f"unknown family kind {kind!r}; expected one of {sorted(_FAMILY_KINDS)}")
-    cls, names = _FAMILY_KINDS[kind]
+    cls = _FAMILY_KINDS[kind]
+    names = [field.name for field in dataclasses.fields(cls)]
     missing = [k for k in names if k not in family]
     if missing:
         raise SpecError(f"family {kind!r} is missing parameters {missing}")
@@ -237,7 +243,7 @@ def spec_family(spec: dict) -> FamilyParams:
 
 def _check_job_shape(spec: dict, command: str) -> None:
     present = [k for k in ("field", "potential", "family") if spec.get(k) is not None]
-    if command == "verify":
+    if command in ("verify", "identities"):
         if len(present) != 1:
             raise SpecError(f"verify jobs need exactly one of field/potential/family, found {present or 'none'}")
         if present == ["family"]:
@@ -288,19 +294,30 @@ def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+@contextlib.contextmanager
+def _output(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """The file `path`, open for writing; a path that cannot be written is a spec error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as err:
+        raise SpecError(f"cannot write {path}: {err.strerror or err}") from None
+
+
 def _write_report(report: dict, args) -> None:
     text = render_report(report)
-    sys.stdout.write(text)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _output(args.out) as fh:
+            fh.write(text)
+    sys.stdout.write(text)
 
 
-def emit_grid(path: str, m: DiagonalMetric, exprs: dict, d: Domain, size: int) -> None:
+def emit_grid(path: str, exprs: dict, d: Domain, size: int) -> None:
     """CSV grid of sampled values on a regular size x size lattice."""
     if size < 2:
         raise SpecError(f"--grid-size must be at least 2, got {size}")
     fns = {name: compile_expr(e) for name, e in exprs.items()}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", *fns.keys()])
         for i in range(size):
@@ -321,15 +338,12 @@ def emit_grid(path: str, m: DiagonalMetric, exprs: dict, d: Domain, size: int) -
 # ---------------------------------------------------------------------------
 
 
-def cmd_curvature(args) -> int:
-    spec = load_spec(args.spec)
-    d = effective_domain(spec, args)
-    cfg = effective_config(spec, args)
+def cmd_curvature(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
     m = spec_metric(spec)
     report = _report_head("curvature", spec, d, cfg, m)
     report["verdict"] = "pass"
     if args.emit_grid:
-        emit_grid(args.emit_grid, m, {"rho": ricci(m).rho}, d, args.grid_size)
+        emit_grid(args.emit_grid, {"rho": ricci(m).rho}, d, args.grid_size)
     _write_report(report, args)
     return EXIT_PASS
 
@@ -357,15 +371,11 @@ def _verify_report(spec, m, V, d, cfg, args, potential=None, extra=None) -> tupl
         residuals = residual_system(m, V)
         exprs = {"rho": ricci(m).rho}
         exprs.update({f"R{i+1}": r for i, r in enumerate(residuals)})
-        emit_grid(args.emit_grid, m, exprs, d, args.grid_size)
+        emit_grid(args.emit_grid, exprs, d, args.grid_size)
     return report, exit_code
 
 
-def cmd_verify(args) -> int:
-    spec = load_spec(args.spec)
-    _check_job_shape(spec, "verify")
-    d = effective_domain(spec, args)
-    cfg = effective_config(spec, args)
+def cmd_verify(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
     m = spec_metric(spec)
     V, potential = spec_field(spec, m)
     report, exit_code = _verify_report(spec, m, V, d, cfg, args, potential=potential)
@@ -373,11 +383,7 @@ def cmd_verify(args) -> int:
     return exit_code
 
 
-def cmd_construct(args) -> int:
-    spec = load_spec(args.spec)
-    _check_job_shape(spec, "construct")
-    d = effective_domain(spec, args)
-    cfg = effective_config(spec, args)
+def cmd_construct(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
     params = spec_family(spec)
     m, V = construct(params, d, cfg)
     derived = {
@@ -387,7 +393,8 @@ def cmd_construct(args) -> int:
         "sampling": dataclasses.asdict(cfg),
     }
     emit_path = args.emit_spec or str(Path(args.spec).with_suffix("")) + ".derived.json"
-    Path(emit_path).write_text(json.dumps(derived, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _output(emit_path) as fh:
+        fh.write(json.dumps(derived, indent=2, sort_keys=True) + "\n")
     extra = {
         "derived_spec": derived,
         "derived_spec_path": emit_path,
@@ -398,10 +405,7 @@ def cmd_construct(args) -> int:
     return exit_code
 
 
-def cmd_oracle(args) -> int:
-    spec = load_spec(args.spec)
-    d = effective_domain(spec, args)
-    cfg = effective_config(spec, args)
+def cmd_oracle(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
     m = spec_metric(spec)
     curv = ricci(m)
     exprs = {"h12": curv.h12, "h21": curv.h21, "rho": curv.rho}
@@ -487,7 +491,9 @@ def main(argv=None) -> int:
     try:
         # One job: its verdicts share each guarded sampling pass.
         with numeric._job_stream():
-            return args.handler(args)
+            spec = load_spec(args.spec)
+            _check_job_shape(spec, args.command)
+            return args.handler(args, spec, effective_domain(spec, args), effective_config(spec, args))
     except (SpecError, ParseError) as err:
         print(f"spec error: {err}", file=sys.stderr)
         return EXIT_SPEC_ERROR

@@ -392,49 +392,22 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sign": _sign_value,
 }
 
-
-def exp(e) -> Expr:
-    return Apply("exp", as_expr(e))
-
-
-def log(e) -> Expr:
-    return Apply("log", as_expr(e))
-
-
-def sin(e) -> Expr:
-    return Apply("sin", as_expr(e))
-
-
-def cos(e) -> Expr:
-    return Apply("cos", as_expr(e))
-
-
-def tan(e) -> Expr:
-    return Apply("tan", as_expr(e))
-
-
-def sinh(e) -> Expr:
-    return Apply("sinh", as_expr(e))
-
-
-def cosh(e) -> Expr:
-    return Apply("cosh", as_expr(e))
-
-
-def tanh(e) -> Expr:
-    return Apply("tanh", as_expr(e))
-
-
-def sech(e) -> Expr:
-    return Apply("sech", as_expr(e))
-
-
-def sqrt(e) -> Expr:
-    return Apply("sqrt", as_expr(e))
-
-
-def sign_(e) -> Expr:
-    return Apply("sign", as_expr(e))
+# The chain rule of each function: the derivative of e = fn(u), given u
+# and its derivative du.
+CHAIN_RULES: dict[str, Callable[[Expr, Expr, Expr], Expr]] = {
+    "exp": lambda e, u, du: Mul(e, du),
+    "log": lambda e, u, du: Div(du, u),
+    "sin": lambda e, u, du: Mul(Apply("cos", u), du),
+    "cos": lambda e, u, du: Negate(Mul(Apply("sin", u), du)),
+    "tan": lambda e, u, du: Mul(Add(ONE, Pow(e, Constant(2.0))), du),
+    "sinh": lambda e, u, du: Mul(Apply("cosh", u), du),
+    "cosh": lambda e, u, du: Mul(Apply("sinh", u), du),
+    "tanh": lambda e, u, du: Mul(Sub(ONE, Pow(e, Constant(2.0))), du),
+    "sech": lambda e, u, du: Negate(Mul(Mul(e, Apply("tanh", u)), du)),
+    "sqrt": lambda e, u, du: Div(du, Mul(Constant(2.0), e)),
+    "abs": lambda e, u, du: Mul(Apply("sign", u), du),
+    "sign": lambda e, u, du: Mul(Mul(ZERO, e), du),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -656,37 +629,9 @@ def _derivative_rule(e: Expr, v: Var, da: Expr | None, db: Expr | None) -> Expr:
                 return da
             return Mul(Mul(expo, Pow(base, Constant(expo.value - 1.0))), da)
         # general u^w via u^w * (w' log u + w u'/u)
-        return Mul(e, Add(Mul(db, log(base)), Mul(expo, Div(da, base))))
+        return Mul(e, Add(Mul(db, Apply("log", base)), Mul(expo, Div(da, base))))
     if isinstance(e, Apply):
-        u, du, fn = e.arg, da, e.fn
-        if fn == "exp":
-            outer: Expr = e
-        elif fn == "log":
-            return Div(du, u)
-        elif fn == "sin":
-            outer = cos(u)
-        elif fn == "cos":
-            return Negate(Mul(sin(u), du))
-        elif fn == "tan":
-            outer = Add(ONE, Pow(tan(u), Constant(2.0)))
-        elif fn == "sinh":
-            outer = cosh(u)
-        elif fn == "cosh":
-            outer = sinh(u)
-        elif fn == "tanh":
-            outer = Sub(ONE, Pow(tanh(u), Constant(2.0)))
-        elif fn == "sech":
-            return Negate(Mul(Mul(sech(u), tanh(u)), du))
-        elif fn == "sqrt":
-            return Div(du, Mul(Constant(2.0), sqrt(u)))
-        elif fn == "abs":
-            outer = sign_(u)
-        elif fn == "sign":
-            # 0 away from zeros of u; errors on them via sign(u).
-            outer = Mul(ZERO, sign_(u))
-        else:  # pragma: no cover - FUNCTIONS is closed
-            raise ValueError(f"unsupported function {fn!r}")
-        return Mul(outer, du)
+        return CHAIN_RULES[e.fn](e, e.arg, da)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -996,6 +941,8 @@ class _Parser:
     """
 
     _LBP = {"+": _ADD_PREC, "-": _ADD_PREC, "*": _MUL_PREC, "/": _MUL_PREC, "^": _POW_PREC}
+    # The node type of each operator but ^, from the code generator's table.
+    _NODES = {op: kind for kind, op in _BINARY_OPS.items()}
 
     def __init__(self, text: str):
         self.text = text
@@ -1029,18 +976,9 @@ class _Parser:
             tok = self.advance()
             if tok.kind == "^":
                 # right associative: bind the right side one level looser
-                right = self.expression(_POW_PREC - 1)
-                left = Pow(left, right)
+                left = Pow(left, self.expression(_POW_PREC - 1))
             else:
-                right = self.expression(self._LBP[tok.kind])
-                if tok.kind == "+":
-                    left = Add(left, right)
-                elif tok.kind == "-":
-                    left = Sub(left, right)
-                elif tok.kind == "*":
-                    left = Mul(left, right)
-                else:
-                    left = Div(left, right)
+                left = self._NODES[tok.kind](left, self.expression(self._LBP[tok.kind]))
         return left
 
     def prefix(self) -> Expr:

@@ -22,13 +22,12 @@ from .expr import (
     Pow,
     Sub,
     Var,
+    ZERO,
     differentiate,
     is_probably_zero,
     simplify,
 )
 from .numeric import DomainTooSingularError, SamplingConfig, nowhere_zero
-
-ZERO = Constant(0.0)
 
 
 @dataclass(frozen=True)

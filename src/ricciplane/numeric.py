@@ -373,45 +373,40 @@ def sampled_max_abs(
     whole group, keeping its maxima comparable; other groups keep them.
     A NaN or infinite value at a used point makes that maximum math.inf.
 
-    One kernel evaluates every group.  At a point where it raises, each
-    group is evaluated on its own kernel, compiled on first need, so a
-    group is dropped only where it is undefined itself.
+    One kernel evaluates every group.  At a point where it raises,
+    `_lenient` evaluates each expression on its own, and a group is
+    dropped only where one of its own expressions is undefined: that is
+    exactly where a kernel of the group alone would raise.
     """
     if all(isinstance(e, Expr) for e in exprs):
         return sampled_max_abs([exprs], points)[0]
-    groups = [list(g) for g in exprs]
-    fn = compile_many([e for g in groups for e in g])
-    singles: list = [None] * len(groups)
-    maxima = [0.0] * sum(map(len, groups))
-    drops = [0] * len(groups)
+    flat: list[Expr] = []
+    spans = []  # where each group's expressions sit in `flat`
+    for g in exprs:
+        start = len(flat)
+        flat.extend(g)
+        spans.append((start, len(flat)))
+    fn = compile_many(flat)
+    lenient = None
+    maxima = [0.0] * len(flat)
+    drops = [0] * len(spans)
     for x1, x2 in points:
         try:
             row = fn(x1, x2)
         except EVAL_ERRORS:
-            if len(groups) == 1:  # its own kernel is `fn`
-                drops[0] += 1
-                continue
-            row = []
-            for k, g in enumerate(groups):
-                if singles[k] is None:
-                    singles[k] = compile_many(g)
-                try:
-                    row.extend(singles[k](x1, x2))
-                except EVAL_ERRORS:
+            lenient = lenient or _lenient(flat)
+            row = lenient(x1, x2)
+            for k, (start, stop) in enumerate(spans):
+                if None in row[start:stop]:
                     drops[k] += 1
-                    row.extend([0.0] * len(g))  # leaves its maxima as they are
+                    row[start:stop] = [0.0] * (stop - start)  # leaves its maxima as they are
         for i, v in enumerate(row):
             v = abs(v)
             if v != v:  # NaN
                 v = math.inf
             if v > maxima[i]:
                 maxima[i] = v
-    results = []
-    start = 0
-    for g, dropped in zip(groups, drops):
-        results.append((maxima[start : start + len(g)], len(points) - dropped))
-        start += len(g)
-    return results
+    return [(maxima[start:stop], len(points) - dropped) for (start, stop), dropped in zip(spans, drops)]
 
 
 def covered_max_abs(

@@ -297,6 +297,44 @@ def test_out_flag_writes_report_file(tmp_path, capsys):
     assert out_path.read_text() == stdout
 
 
+def _assert_unwritable(code: int, out: str, err: str, path: Path) -> None:
+    assert code == cli.EXIT_SPEC_ERROR == 2
+    assert out == ""
+    assert err.startswith(f"spec error: cannot write {path}: ")
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
+def test_unwritable_out_path_is_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "verify", "--spec", str(CORPUS / "ex03_cosh_metric.json"), "--out", str(path))
+    _assert_unwritable(code, out, err, path)
+
+
+def test_unwritable_grid_path_is_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "grid.csv"
+    code, out, err = run_cli(
+        capsys, "curvature", "--spec", str(CORPUS / "ex03_cosh_metric.json"), "--emit-grid", str(path), "--grid-size", "3"
+    )
+    _assert_unwritable(code, out, err, path)
+
+
+def test_unwritable_emit_spec_path_is_a_spec_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"family": {"kind": "constant_metric", "k1": 2, "k2": 3, "c1": 1, "c2": 1}})
+    path = tmp_path / "missing" / "derived.json"
+    code, out, err = run_cli(capsys, "construct", "--spec", spec, "--emit-spec", str(path))
+    _assert_unwritable(code, out, err, path)
+
+
+def test_repeated_domain_coordinate_is_a_spec_error(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--spec", str(CORPUS / "ex06_constant_metric.json"), "--domain", "x1:1,2;x1:3,4"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "spec error: repeated --domain coordinate 'x1'\n"
+
+
 def test_deeply_nested_expression_is_a_spec_error(tmp_path, capsys):
     # A 3 000-term sum nests 3 000 levels deep, beyond the recursion
     # limit of the expression walks.
