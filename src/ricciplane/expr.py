@@ -31,8 +31,8 @@ class Point(tuple):
     """A point (x1, x2) of the plane with finite coordinates: a pair that
     unpacks, indexes and compares like the tuple (x1, x2).
 
-    `Point(x1, x2)` checks finiteness; a caller that already guarantees
-    it (the sampler) builds one with `tuple.__new__(Point, (x1, x2))`.
+    `Point(x1, x2)` checks finiteness.  Sampled points are plain
+    (x1, x2) tuples; `evaluate` takes either.
     """
 
     __slots__ = ()
@@ -460,7 +460,7 @@ def evaluate_with_scale(e: Expr, p: Point) -> tuple[float, float]:
 
 
 def _undefined_message(reason: str, node: Expr, p: Point) -> str:
-    return f"{reason} in '{to_string(node)}' at (x1={p.x1!r}, x2={p.x2!r})"
+    return f"{reason} in '{to_string(node)}' at (x1={p[0]!r}, x2={p[1]!r})"
 
 
 def compile_expr(e: Expr) -> Callable[[float, float], float]:

@@ -13,7 +13,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .expr import (
@@ -99,9 +99,9 @@ def sample_points(
     d: Domain,
     cfg: SamplingConfig,
     guards: Sequence[Expr] = (),
-) -> list[Point]:
-    """Seeded uniform points in `d` at which every guard expression has
-    magnitude >= d.guard.
+) -> list[tuple[float, float]]:
+    """Seeded uniform points (x1, x2), plain float pairs, in `d` at which
+    every guard expression has magnitude >= d.guard.
 
     Candidates are drawn one at a time from random.Random(cfg.seed), so
     the accepted list is a pure function of (d, cfg.samples, cfg.seed)
@@ -110,15 +110,18 @@ def sample_points(
 
     Within a `_job_stream` scope (each CLI job runs in one), a guard
     set is sampled once and its list is returned again to later calls.
-    A call is also served by an earlier pass over a superset of its
-    guards that rejected no candidate: that pass accepted the first
-    `samples` candidates, its fused kernel computed every guard of the
-    subset there without raising, and `compile_many` values are
+    A pass that rejected no candidate holds the first `samples`
+    candidates of the stream.  Such a pass over a superset of a call's
+    guards serves the call: its fused kernel computed every guard of
+    the subset there without raising, and `compile_many` values are
     bit-identical per expression, so the subset accepts the same
-    candidates.  Sets are keyed by node identity, not equality:
-    Constant(0.0) == Constant(-0.0), but they can evaluate differently.
-    Outside a scope every call samples afresh and returns the same
-    points.  The returned list may be shared: callers must not mutate it.
+    candidates.  Any such pass (the guard-less pass of `nowhere_zero`
+    among them) also gives a new pass its first `samples` candidates,
+    so a job draws the stream again only past them.  Sets are keyed by
+    node identity, not equality: Constant(0.0) == Constant(-0.0), but
+    they can evaluate differently.  Outside a scope every call samples
+    afresh and returns the same points.  The returned list may be
+    shared: callers must not mutate it.
     """
     table = _STREAM.get()
     passes = {} if table is None else table.setdefault((d, cfg.samples, cfg.seed), {})
@@ -126,18 +129,36 @@ def sample_points(
     key = frozenset(map(id, guards))
     done = passes.get(key)
     if done is None:
-        done = next((p for k, p in passes.items() if p[2] == 0 and key <= k), None)
-    if done is None:
-        done = passes[key] = _draw_pass(d, cfg, guards)
+        whole = [(k, p) for k, p in passes.items() if p[2] == 0]
+        done = next((p for k, p in whole if key <= k), None)
+        if done is None:
+            prefix = whole[0][1][1] if whole else []
+            done = passes[key] = _draw_pass(d, cfg, guards, prefix)
     return done[1]
 
 
-def _draw_pass(d: Domain, cfg: SamplingConfig, guards: tuple[Expr, ...]) -> tuple[tuple[Expr, ...], list[Point], int]:
+def _draw_pass(
+    d: Domain,
+    cfg: SamplingConfig,
+    guards: tuple[Expr, ...],
+    prefix: list[tuple[float, float]],
+) -> tuple[tuple[Expr, ...], list[tuple[float, float]], int]:
+    """(guards, accepted points, rejected count) of one pass.  `prefix`
+    is empty or the first `samples` candidates of the stream, read in
+    place of drawing them; `_draws` starts only past what it holds."""
+
+    def rest():  # a generator, so `_draws` starts on the first request
+        yield from islice(_draws(d, cfg.seed), len(prefix), cfg.samples * OVERSAMPLE_FACTOR)
+
+    stream = chain(prefix, rest())
+    if not guards:
+        return guards, list(islice(stream, cfg.samples)), 0
     guard_values = compile_many(guards)
     guard = d.guard
-    points: list[Point] = []
+    points: list[tuple[float, float]] = []
     rejected = 0
-    for x1, x2 in islice(_draws(d, cfg.seed), cfg.samples * OVERSAMPLE_FACTOR):
+    for p in stream:
+        x1, x2 = p
         try:
             values = guard_values(x1, x2)
         except EVAL_ERRORS:
@@ -148,9 +169,7 @@ def _draw_pass(d: Domain, cfg: SamplingConfig, guards: tuple[Expr, ...]) -> tupl
                 rejected += 1
                 break
         else:
-            # The draws are finite (Domain keeps hi - lo finite), so the
-            # checking constructor is skipped.
-            points.append(tuple.__new__(Point, (x1, x2)))
+            points.append(p)
             if len(points) == cfg.samples:
                 break
     if len(points) < _enough(cfg.samples):
@@ -181,11 +200,12 @@ _SIGN_CHANGE = "sign change detected (zero crossing on the domain)"
 def nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
     """Sample-check the 'nowhere zero on the domain' hypothesis.
 
-    Plain uniform points (no guards): every e(p) must be finite, |e(p)|
-    must clear d.guard and the sign must be constant.  A strict sign
-    change witnesses a zero crossing that pointwise magnitudes alone
-    cannot see; a NaN has no sign and is never near zero, so it is
-    rejected on its own.
+    At the points of the guard-less pass of `sample_points`, the first
+    `samples` candidates of the seeded stream, every e(p) must be
+    finite, |e(p)| must clear d.guard and the sign must be constant.  A
+    strict sign change witnesses a zero crossing that pointwise
+    magnitudes alone cannot see; a NaN has no sign and is never near
+    zero, so it is rejected on its own.
 
     Within a `_job_stream` scope, each (expression, domain, samples,
     seed) is scanned once and its verdict returned again to later calls.
@@ -202,7 +222,7 @@ def _scan_nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, s
     fn = compile_expr(e)
     guard, inf = d.guard, math.inf
     saw_pos = saw_neg = False
-    for x1, x2 in islice(_draws(d, cfg.seed), cfg.samples):
+    for x1, x2 in sample_points(d, cfg):
         try:
             v = fn(x1, x2)
         except EVAL_ERRORS:
@@ -279,7 +299,7 @@ def fd_validate(
 
 def _fd_sweep(
     built: list[tuple[Expr, tuple[Expr, Expr], list[Expr]]],
-    points: Sequence[Point],
+    points: Sequence[tuple[float, float]],
     h: float,
 ) -> list[FdValidation]:
     """`fd_validate` of (expression, (d/dx1, d/dx2), kink arguments)
@@ -326,26 +346,38 @@ def _fd_sweep(
 def _lenient(exprs: Sequence[Expr]) -> Callable[[float, float], Sequence[float | None]]:
     """A callable (x1, x2) -> the values of `exprs`, with None for each
     expression undefined there.  One fused kernel; at a point where it
-    raises, each expression is evaluated on its own kernel, compiled on
-    first need."""
+    raises, `_one_by_one` of the expressions."""
     fused = compile_many(exprs)
-    singles: list = []
+    singles = _one_by_one(exprs)
 
     def evaluate_all(x1: float, x2: float):
         try:
             return fused(x1, x2)
         except EVAL_ERRORS:
-            if not singles:
-                singles.extend(map(compile_expr, exprs))
-            row = []
-            for f in singles:
-                try:
-                    row.append(f(x1, x2))
-                except EVAL_ERRORS:
-                    row.append(None)
-            return row
+            return singles(x1, x2)
 
     return evaluate_all
+
+
+def _one_by_one(exprs: Sequence[Expr]) -> Callable[[float, float], list[float | None]]:
+    """A callable (x1, x2) -> the values of `exprs`, each from its own
+    kernel (compiled on first call), with None for each expression
+    undefined there: the fallback of a sweep at a point where its fused
+    kernel raised."""
+    kernels: list = []
+
+    def evaluate_each(x1: float, x2: float):
+        if not kernels:
+            kernels.extend(map(compile_expr, exprs))
+        row = []
+        for f in kernels:
+            try:
+                row.append(f(x1, x2))
+            except EVAL_ERRORS:
+                row.append(None)
+        return row
+
+    return evaluate_each
 
 
 def _straddles(kink, stencil) -> bool:
@@ -363,7 +395,7 @@ def _straddles(kink, stencil) -> bool:
 
 def sampled_max_abs(
     exprs: Sequence[Expr] | Sequence[Sequence[Expr]],
-    points: Sequence[Point],
+    points: Sequence[tuple[float, float]],
 ) -> tuple[list[float], int] | list[tuple[list[float], int]]:
     """Max |value| of each expression over the points.
 
@@ -374,7 +406,7 @@ def sampled_max_abs(
     A NaN or infinite value at a used point makes that maximum math.inf.
 
     One kernel evaluates every group.  At a point where it raises,
-    `_lenient` evaluates each expression on its own, and a group is
+    `_one_by_one` evaluates each expression on its own, and a group is
     dropped only where one of its own expressions is undefined: that is
     exactly where a kernel of the group alone would raise.
     """
@@ -387,15 +419,14 @@ def sampled_max_abs(
         flat.extend(g)
         spans.append((start, len(flat)))
     fn = compile_many(flat)
-    lenient = None
+    singles = _one_by_one(flat)
     maxima = [0.0] * len(flat)
     drops = [0] * len(spans)
     for x1, x2 in points:
         try:
             row = fn(x1, x2)
         except EVAL_ERRORS:
-            lenient = lenient or _lenient(flat)
-            row = lenient(x1, x2)
+            row = singles(x1, x2)
             for k, (start, stop) in enumerate(spans):
                 if None in row[start:stop]:
                     drops[k] += 1
@@ -430,7 +461,7 @@ def covered_max_abs(
     group is raised instead.
     """
     guards = tuple(guards)
-    collected: list[tuple[Sequence[Expr], list[Point]]] = []
+    collected: list[tuple[Sequence[Expr], list[tuple[float, float]]]] = []
     try:
         for group in groups:
             collected.append((group, sample_points(d, cfg, merge_guards(guards, group))))
@@ -441,7 +472,7 @@ def covered_max_abs(
 
 
 def _checked_sweeps(
-    collected: list[tuple[Sequence[Expr], list[Point]]],
+    collected: list[tuple[Sequence[Expr], list[tuple[float, float]]]],
     cfg: SamplingConfig,
     what: str,
 ) -> list[tuple[list[float], int]]:
@@ -456,11 +487,11 @@ def _checked_sweeps(
     return results
 
 
-def _per_point_list(collected: list[tuple[object, list[Point]]], sweep: Callable) -> list:
+def _per_point_list(collected: list[tuple[object, list[tuple[float, float]]]], sweep: Callable) -> list:
     """`sweep(items, points)` once per distinct point list (by identity)
     over the items sampled to it; the results in the order of
     `collected`."""
-    sweeps: dict[int, tuple[list[Point], list[int]]] = {}
+    sweeps: dict[int, tuple[list[tuple[float, float]], list[int]]] = {}
     for k, (_, points) in enumerate(collected):
         sweeps.setdefault(id(points), (points, []))[1].append(k)
     results: list = [None] * len(collected)
@@ -472,7 +503,7 @@ def _per_point_list(collected: list[tuple[object, list[Point]]], sweep: Callable
 
 def sampled_range(
     exprs: Expr | Sequence[Expr],
-    points: Sequence[Point],
+    points: Sequence[tuple[float, float]],
 ) -> tuple[float, float] | list[tuple[float, float]]:
     """(min, max) of each expression over the points where it is
     evaluable; a NaN value at such a point makes its range
@@ -480,15 +511,14 @@ def sampled_range(
     list of pairs, in order.
 
     One kernel evaluates every expression.  At a point where it raises,
-    `_lenient` (whose fused kernel is this one, from the kernel cache)
-    evaluates each expression on its own, so an expression is skipped
-    only where it is undefined itself.  Raises
+    `_one_by_one` evaluates each expression on its own, so an
+    expression is skipped only where it is undefined itself.  Raises
     DomainTooSingularError when an expression is nowhere evaluable.
     """
     if isinstance(exprs, Expr):
         return sampled_range([exprs], points)[0]
     fn = compile_many(exprs)
-    lenient = None
+    singles = _one_by_one(exprs)
     lo = [math.inf] * len(exprs)
     hi = [-math.inf] * len(exprs)
     nan = [False] * len(exprs)
@@ -496,8 +526,7 @@ def sampled_range(
         try:
             row = fn(x1, x2)
         except EVAL_ERRORS:
-            lenient = lenient or _lenient(exprs)
-            row = lenient(x1, x2)
+            row = singles(x1, x2)
         for i, v in enumerate(row):
             if v is None:
                 continue

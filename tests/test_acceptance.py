@@ -111,7 +111,7 @@ def test_criterion_3_proposition_equivalences(capsys):
         report = verify(m, perturbed, dom, CFG)
         assert not report.passed, f"perturbed case {case}"
         f1 = compile_expr(m.f1)
-        min_f1 = min(abs(f1(p.x1, p.x2)) for p in sample_points(dom, CFG, [m.f1, m.f2]))
+        min_f1 = min(abs(f1(x1, x2)) for x1, x2 in sample_points(dom, CFG, [m.f1, m.f2]))
         assert max(report.max_abs) >= 0.05 * abs(epsilon * min_f1)
     with capsys.disabled():
         announce(3, "constant fields pass, perturbed fields fail")
@@ -221,7 +221,7 @@ def test_criterion_7_remark_admissibility(capsys):
         else:
             condition = parse("exp(x1)*exp(x1)/exp(x1)^2")
         fn = compile_expr(condition)
-        values = [fn(p.x1, p.x2) for p in sample_points(DEFAULT_DOMAIN, CFG)]
+        values = [fn(x1, x2) for x1, x2 in sample_points(DEFAULT_DOMAIN, CFG)]
         assert len(values) == 200
         assert max(values) - min(values) <= 1e-9
         assert abs(values[0] - expected) <= 1e-12

@@ -207,6 +207,17 @@ def test_evaluate_domain_error_names_node_and_point():
     assert "x1=0.0" in message
 
 
+@pytest.mark.parametrize("text", ["1/x1", "log(x1 - 1)", "x1^-1"])
+def test_evaluate_on_a_plain_pair_gives_the_point_message(text):
+    messages = []
+    for p in ((0.0, -0.5), Point(0.0, -0.5)):
+        with pytest.raises(EvaluationError) as err:
+            evaluate(parse(text), p)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("at (x1=0.0, x2=-0.5)")
+
+
 def test_evaluate_power_semantics():
     # integer exponents use repeated multiplication: negative bases fine
     assert evaluate(parse("(-2)^3"), Point(0, 0)) == -8.0

@@ -30,7 +30,7 @@ CFG = SamplingConfig()
 
 def sampled_max(e, points):
     fn = compile_expr(e)
-    return max(abs(fn(p.x1, p.x2)) for p in points)
+    return max(abs(fn(x1, x2)) for x1, x2 in points)
 
 
 def test_branch1_reconstructs_cosh_example():

@@ -40,7 +40,7 @@ ZERO = Constant(0.0)
 
 def sampled_max(e, points):
     fn = compile_expr(e)
-    return max(abs(fn(p.x1, p.x2)) for p in points)
+    return max(abs(fn(x1, x2)) for x1, x2 in points)
 
 
 def test_frame_derivative_examples():
@@ -168,7 +168,7 @@ def test_validate_metric_checks_a_shared_component_once(monkeypatch):
         validate_metric(DiagonalMetric(parse("sin(x1)"), parse("sin(x1)")), Domain(), SamplingConfig())
 
 
-def _fd_rho(m: DiagonalMetric, p: Point, outer: float = 1e-4, inner: float = 1e-5) -> float:
+def _fd_rho(m: DiagonalMetric, p: tuple[float, float], outer: float = 1e-4, inner: float = 1e-5) -> float:
     """rho recomputed purely from finite differences of f1, f2."""
     f1 = compile_expr(m.f1)
     f2 = compile_expr(m.f2)
@@ -181,9 +181,10 @@ def _fd_rho(m: DiagonalMetric, p: Point, outer: float = 1e-4, inner: float = 1e-
         d1f2 = (f2(x1 + inner, x2) - f2(x1 - inner, x2)) / (2 * inner)
         return f1(x1, x2) / f2(x1, x2) * d1f2
 
-    e1_h21 = f1(p.x1, p.x2) * (h21_at(p.x1 + outer, p.x2) - h21_at(p.x1 - outer, p.x2)) / (2 * outer)
-    e2_h12 = f2(p.x1, p.x2) * (h12_at(p.x1, p.x2 + outer) - h12_at(p.x1, p.x2 - outer)) / (2 * outer)
-    return e1_h21 + e2_h12 - h21_at(p.x1, p.x2) ** 2 - h12_at(p.x1, p.x2) ** 2
+    x1, x2 = p
+    e1_h21 = f1(x1, x2) * (h21_at(x1 + outer, x2) - h21_at(x1 - outer, x2)) / (2 * outer)
+    e2_h12 = f2(x1, x2) * (h12_at(x1, x2 + outer) - h12_at(x1, x2 - outer)) / (2 * outer)
+    return e1_h21 + e2_h12 - h21_at(x1, x2) ** 2 - h12_at(x1, x2) ** 2
 
 
 def test_rho_against_nested_finite_differences():
@@ -191,4 +192,4 @@ def test_rho_against_nested_finite_differences():
     for m in (COSH_METRIC, GENERAL, FLAT_EXP):
         rho = compile_expr(ricci(m).rho)
         for p in points:
-            assert abs(rho(p.x1, p.x2) - _fd_rho(m, p)) <= 1e-4
+            assert abs(rho(*p) - _fd_rho(m, p)) <= 1e-4

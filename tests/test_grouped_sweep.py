@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from ricciplane.expr import Domain, Point, Var, differentiate, is_probably_zero, parse
+from ricciplane import numeric
+from ricciplane.expr import EVAL_ERRORS, Domain, Point, Var, compile_expr, differentiate, is_probably_zero, parse
 from ricciplane.families import admissibility
 from ricciplane.geometry import DiagonalMetric
 from ricciplane.numeric import (
@@ -18,6 +19,7 @@ from ricciplane.numeric import (
     covered_max_abs,
     sample_points,
     sampled_max_abs,
+    sampled_range,
 )
 
 D = Domain()
@@ -49,6 +51,45 @@ def test_non_finite_value_is_inf_in_its_own_group_only():
     big = parse("x1^400")  # overflows to inf
     grouped = sampled_max_abs([[nan], [big, parse("x2")], [parse("x1")]], points)
     assert grouped == [([math.inf], 2), ([math.inf, 0.5], 2), ([11.0], 2)]
+
+
+def _count_fused_raises(monkeypatch) -> list:
+    """Record one entry each time a kernel from `numeric.compile_many` raises."""
+    raises = []
+    compile_many = numeric.compile_many
+
+    def counting(exprs):
+        fn = compile_many(exprs)
+
+        def kernel(x1, x2):
+            try:
+                return fn(x1, x2)
+            except EVAL_ERRORS:
+                raises.append((x1, x2))
+                raise
+
+        return kernel
+
+    monkeypatch.setattr(numeric, "compile_many", counting)
+    return raises
+
+
+def test_sweeps_run_the_fused_kernel_once_where_it_raises(monkeypatch):
+    points = sample_points(D, CFG)
+    undefined = [p for p in points if p[0] < 0]  # sqrt(x1)
+    assert 0 < len(undefined) < len(points)
+    root, x2 = parse("sqrt(x1)"), parse("x2")
+    sqrt_values = [compile_expr(root)(*p) for p in points if p[0] >= 0]
+    x2_values = [p[1] for p in points]
+    raises = _count_fused_raises(monkeypatch)
+    maxima, used = sampled_max_abs([root, x2], points)
+    assert raises == undefined
+    assert used == len(points) - len(undefined)
+    assert maxima == [max(sqrt_values), max(abs(x2) for x1, x2 in points if x1 >= 0)]
+    raises.clear()
+    ranges = sampled_range([root, x2], points)
+    assert raises == undefined
+    assert ranges == [(min(sqrt_values), max(sqrt_values)), (min(x2_values), max(x2_values))]
 
 
 def test_covered_groups_match_one_group_calls():
@@ -108,7 +149,7 @@ THREE = SamplingConfig(samples=3, seed=1, tolerance=1e-9)
 
 
 def test_half_rule_draws():
-    assert [p.x1 >= 0 for p in sample_points(D, THREE)] == [False, True, False]
+    assert [x1 >= 0 for x1, _ in sample_points(D, THREE)] == [False, True, False]
 
 
 def test_covered_max_abs_needs_half_the_points_rounded_up():

@@ -222,3 +222,79 @@ def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
     assert len(scans) == 5
+
+
+def _counting_draws(monkeypatch) -> tuple[list, list]:
+    """Wrap `numeric._draws`: one entry in `starts` per call, one in
+    `drawn` per candidate it yields."""
+    starts, drawn = [], []
+    draws = numeric._draws
+
+    def counting(d, seed):
+        starts.append((d, seed))
+        for candidate in draws(d, seed):
+            drawn.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(numeric, "_draws", counting)
+    return starts, drawn
+
+
+def test_a_verify_job_draws_the_stream_once(monkeypatch):
+    starts, drawn = _counting_draws(monkeypatch)
+    spec = str(CORPUS / "ex03_cosh_metric.json")
+    assert _quiet_main(["verify", "--spec", spec, "--samples", "300"]) == 0
+    assert len(starts) == 1
+    assert len(drawn) == 300
+
+
+NOWHERE_ZERO_CASES = [
+    (COSH, True, ""),
+    (parse("x1"), False, numeric._SIGN_CHANGE),
+    (parse("sqrt(x1)"), False, "undefined at (x1="),
+]
+
+
+@pytest.mark.parametrize("stored", [False, True])
+@pytest.mark.parametrize("e, ok, message", NOWHERE_ZERO_CASES, ids=["pass", "sign-change", "undefined"])
+def test_nowhere_zero_gives_the_same_verdict_in_a_scope(monkeypatch, e, ok, message, stored):
+    outside = numeric.nowhere_zero(e, Domain(), CFG)
+    assert outside[0] is ok and outside[1].startswith(message)
+    starts, _ = _counting_draws(monkeypatch)
+    with numeric._job_stream():
+        if stored:
+            # cosh >= 1 on [-1, 1]: this pass rejects nothing.
+            sample_points(Domain(), CFG, [COSH])
+            starts.clear()
+        assert numeric.nowhere_zero(e, Domain(), CFG) == outside
+    assert len(starts) == (0 if stored else 1)
+
+
+def test_a_rejecting_pass_reads_the_stored_prefix_bit_for_bit(monkeypatch):
+    d = Domain(guard=1e-2)
+    unscoped = sample_points(d, CFG, [SINH])
+    starts, drawn = _counting_draws(monkeypatch)
+    with numeric._job_stream():
+        sample_points(d, CFG)
+        assert (len(starts), len(drawn)) == (1, CFG.samples)
+        scoped = sample_points(d, CFG, [SINH])
+        (table,) = numeric._STREAM.get().values()
+        assert table[frozenset([id(SINH)])][2] > 0
+    # The second pass read the stored candidates, then drew past them.
+    assert len(starts) == 2
+    assert len(drawn) > 2 * CFG.samples
+    assert [(a.hex(), b.hex()) for a, b in scoped] == [(a.hex(), b.hex()) for a, b in unscoped]
+
+
+def test_a_failed_pass_stores_no_more_than_samples_candidates():
+    d = Domain(guard=1e-2)
+    with numeric._job_stream():
+        numeric.nowhere_zero(COSH, d, CFG)
+        with pytest.raises(DomainTooSingularError):
+            sample_points(d, CFG, [parse("1e-9*x1")])
+        table = numeric._STREAM.get()
+        # The guard-less pass of `nowhere_zero` is stored; the failed one is not.
+        assert list(table[(d, CFG.samples, CFG.seed)]) == [frozenset()]
+        for key, value in table.items():
+            if len(key) == 3:  # the passes of a (domain, samples, seed)
+                assert all(len(points) <= CFG.samples for _, points, _ in value.values())

@@ -37,7 +37,7 @@ ONES = FrameField(parse("1"), parse("1"))
 
 def sampled_max(e, points):
     fn = compile_expr(e)
-    return max(abs(fn(p.x1, p.x2)) for p in points)
+    return max(abs(fn(x1, x2)) for x1, x2 in points)
 
 
 def test_covariant_matrix_constant_case():
