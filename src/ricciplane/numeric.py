@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .expr import (
     EVAL_ERRORS,
+    Constant,
     Domain,
     EvaluationError,
     Expr,
@@ -110,30 +111,39 @@ def sample_points(
 
     Within a `_job_stream` scope (each CLI job runs in one), a guard
     set is sampled once and its list is returned again to later calls.
-    A pass that rejected no candidate holds the first `samples`
-    candidates of the stream.  Such a pass over a superset of a call's
-    guards serves the call: its fused kernel computed every guard of
-    the subset there without raising, and `compile_many` values are
-    bit-identical per expression, so the subset accepts the same
-    candidates.  Any such pass (the guard-less pass of `nowhere_zero`
-    among them) also gives a new pass its first `samples` candidates,
-    so a job draws the stream again only past them.  Sets are keyed by
-    node identity, not equality: Constant(0.0) == Constant(-0.0), but
-    they can evaluate differently.  Outside a scope every call samples
-    afresh and returns the same points.  The returned list may be
-    shared: callers must not mutate it.
+    A stored pass that rejected nothing holds the first `samples`
+    candidates of the stream, the prefix, and clears its guards there,
+    as a passing `nowhere_zero` scan clears its expression.  A set of
+    cleared guards is served the prefix without running a kernel; a new
+    pass reads it in place of drawing it.  A pass that drew the prefix
+    itself and rejected some of it stores it as the guard-less pass.
+    Sets are keyed by node identity, not equality: Constant(0.0) ==
+    Constant(-0.0), but they can evaluate differently.  Outside a scope
+    every call samples afresh and returns the same points.  The
+    returned list may be shared: callers must not mutate it.
     """
     table = _STREAM.get()
-    passes = {} if table is None else table.setdefault((d, cfg.samples, cfg.seed), {})
+    table = {} if table is None else table
+    stream = (d, cfg.samples, cfg.seed)
+    passes = table.setdefault(stream, {})
     guards = tuple(guards)
     key = frozenset(map(id, guards))
     done = passes.get(key)
-    if done is None:
-        whole = [(k, p) for k, p in passes.items() if p[2] == 0]
-        done = next((p for k, p in whole if key <= k), None)
-        if done is None:
-            prefix = whole[0][1][1] if whole else []
-            done = passes[key] = _draw_pass(d, cfg, guards, prefix)
+    if done is not None:
+        return done[1]
+    whole = [(k, p) for k, p in passes.items() if p[2] == 0]
+    # A non-rejecting pass or a passing scan shows that its guards do not
+    # raise and have |v| >= guard at every prefix candidate; `compile_many`
+    # values are bit-identical per expression, and a fused kernel raises
+    # only where one of its expressions does.
+    cleared = set().union(*(k for k, _ in whole))
+    cleared.update(k[3] for k, scan in table.items() if len(k) == 4 and k[:3] == stream and scan[1][0])
+    if whole and key <= cleared:
+        return whole[0][1][1]
+    done, head = _draw_pass(d, cfg, guards, whole[0][1][1] if whole else [])
+    passes[key] = done
+    if head is not None:
+        passes[frozenset()] = (), head, 0
     return done[1]
 
 
@@ -142,31 +152,36 @@ def _draw_pass(
     cfg: SamplingConfig,
     guards: tuple[Expr, ...],
     prefix: list[tuple[float, float]],
-) -> tuple[tuple[Expr, ...], list[tuple[float, float]], int]:
-    """(guards, accepted points, rejected count) of one pass.  `prefix`
-    is empty or the first `samples` candidates of the stream, read in
-    place of drawing them; `_draws` starts only past what it holds."""
+) -> tuple[tuple[tuple[Expr, ...], list[tuple[float, float]], int], list[tuple[float, float]] | None]:
+    """(guards, accepted points, rejected count) of one pass, and the
+    stream's first `samples` candidates if it drew them itself and
+    rejected some, else None.  `prefix` is empty or those candidates,
+    read in place of drawing them; `_draws` starts only past them."""
 
     def rest():  # a generator, so `_draws` starts on the first request
         yield from islice(_draws(d, cfg.seed), len(prefix), cfg.samples * OVERSAMPLE_FACTOR)
 
     stream = chain(prefix, rest())
     if not guards:
-        return guards, list(islice(stream, cfg.samples)), 0
+        return (guards, list(islice(stream, cfg.samples)), 0), None
     guard_values = compile_many(guards)
     guard = d.guard
     points: list[tuple[float, float]] = []
+    head = None  # kept from the first rejection on, unless read from `prefix`
     rejected = 0
     for p in stream:
+        if head is not None and len(head) < cfg.samples:
+            head.append(p)
         x1, x2 = p
         try:
             values = guard_values(x1, x2)
         except EVAL_ERRORS:
-            rejected += 1
-            continue
+            values = (0.0,)  # undefined: rejected like a zero (d.guard > 0)
         for v in values:
             if abs(v) < guard:
                 rejected += 1
+                if head is None and not prefix:
+                    head = [*points, p]
                 break
         else:
             points.append(p)
@@ -177,7 +192,7 @@ def _draw_pass(
             f"accepted {len(points)} of {cfg.samples} requested points "
             f"after {OVERSAMPLE_FACTOR}x oversampling"
         )
-    return guards, points, rejected
+    return (guards, points, rejected), head
 
 
 def _enough(samples: int) -> int:
@@ -408,21 +423,23 @@ def sampled_max_abs(
     One kernel evaluates every group.  At a point where it raises,
     `_one_by_one` evaluates each expression on its own, and a group is
     dropped only where one of its own expressions is undefined: that is
-    exactly where a kernel of the group alone would raise.
+    exactly where a kernel of the group alone would raise.  A Constant
+    is left out of the kernel and the point loop: its maximum is read
+    once, or stays 0.0 in a group that used no point.
     """
     if all(isinstance(e, Expr) for e in exprs):
         return sampled_max_abs([exprs], points)[0]
     flat: list[Expr] = []
-    spans = []  # where each group's expressions sit in `flat`
+    spans = []  # where each group's non-constant expressions sit in `flat`
     for g in exprs:
         start = len(flat)
-        flat.extend(g)
+        flat.extend(e for e in g if not isinstance(e, Constant))
         spans.append((start, len(flat)))
     fn = compile_many(flat)
     singles = _one_by_one(flat)
     maxima = [0.0] * len(flat)
     drops = [0] * len(spans)
-    for x1, x2 in points:
+    for x1, x2 in points if flat else ():
         try:
             row = fn(x1, x2)
         except EVAL_ERRORS:
@@ -437,7 +454,17 @@ def sampled_max_abs(
                 v = math.inf
             if v > maxima[i]:
                 maxima[i] = v
-    return [(maxima[start:stop], len(points) - dropped) for (start, stop), dropped in zip(spans, drops)]
+    live = iter(maxima)
+    # A constant never raises and has one value at every point.
+    return [
+        ([_const_max(e.value, len(points) - k) if isinstance(e, Constant) else next(live) for e in g], len(points) - k)
+        for g, k in zip(exprs, drops)
+    ]
+
+
+def _const_max(c: float, used: int) -> float:
+    """The `sampled_max_abs` maximum of the constant c over `used` points."""
+    return 0.0 if not used else math.inf if c != c else abs(c)
 
 
 def covered_max_abs(
@@ -513,16 +540,19 @@ def sampled_range(
     One kernel evaluates every expression.  At a point where it raises,
     `_one_by_one` evaluates each expression on its own, so an
     expression is skipped only where it is undefined itself.  Raises
-    DomainTooSingularError when an expression is nowhere evaluable.
+    DomainTooSingularError when an expression is nowhere evaluable.  A
+    Constant c is left out of the kernel and the point loop: it is
+    evaluable at every point, and its range is (c, c).
     """
     if isinstance(exprs, Expr):
         return sampled_range([exprs], points)[0]
-    fn = compile_many(exprs)
-    singles = _one_by_one(exprs)
-    lo = [math.inf] * len(exprs)
-    hi = [-math.inf] * len(exprs)
-    nan = [False] * len(exprs)
-    for x1, x2 in points:
+    live = [e for e in exprs if not isinstance(e, Constant)]
+    fn = compile_many(live)
+    singles = _one_by_one(live)
+    lo = [math.inf] * len(live)
+    hi = [-math.inf] * len(live)
+    nan = [False] * len(live)
+    for x1, x2 in points if live else ():
         try:
             row = fn(x1, x2)
         except EVAL_ERRORS:
@@ -537,10 +567,13 @@ def sampled_range(
             if v != v:  # NaN
                 nan[i] = True
     ranges = []
-    for a, b, saw_nan in zip(lo, hi, nan):
-        if saw_nan:
+    bounds = zip(lo, hi, nan)
+    for e in exprs:
+        # A constant never raises and has one value at every point.
+        a, b, saw_nan = (e.value, e.value, e.value != e.value) if isinstance(e, Constant) else next(bounds)
+        if saw_nan and points:
             ranges.append((-math.inf, math.inf))
-        elif a > b:
+        elif a > b or not points:
             raise DomainTooSingularError("expression was nowhere evaluable on the sample")
         else:
             ranges.append((a, b))

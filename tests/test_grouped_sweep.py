@@ -9,7 +9,17 @@ import math
 import pytest
 
 from ricciplane import numeric
-from ricciplane.expr import EVAL_ERRORS, Domain, Point, Var, compile_expr, differentiate, is_probably_zero, parse
+from ricciplane.expr import (
+    EVAL_ERRORS,
+    Constant,
+    Domain,
+    Point,
+    Var,
+    compile_expr,
+    differentiate,
+    is_probably_zero,
+    parse,
+)
 from ricciplane.families import admissibility
 from ricciplane.geometry import DiagonalMetric
 from ricciplane.numeric import (
@@ -167,3 +177,129 @@ def test_admissibility_needs_half_the_points_rounded_up():
     assert is_probably_zero(differentiate(m.f2, Var.X2), D, 3, 1)
     with pytest.raises(DomainTooSingularError, match="only 1 of 3"):
         admissibility("branch2", m, D, THREE)
+
+
+# Constant outputs are reduced once per sweep, not at every point.  The
+# constants are built in each test: an interned NaN node that outlived a
+# test would be served to later tests that build NaN with the other sign.
+NOWHERE = parse("log(x1 - 5)")  # undefined on all of D
+
+
+def _constants() -> list[Constant]:
+    return [Constant(v) for v in (0.0, -0.0, 2.5, math.inf, -math.inf, math.nan)]
+
+
+def _mixed_groups() -> list[list]:
+    zero, neg_zero, two_half, inf, neg_inf, nan = _constants()
+    return [
+        [zero, parse("sqrt(x1)"), neg_zero, two_half],
+        [inf, parse("x1*x2"), neg_inf, nan, parse("x2")],
+        [nan, neg_zero, neg_inf, zero, inf, two_half],  # constants only
+        [two_half, NOWHERE, nan],  # dropped at every point
+        [],
+    ]
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def _reference_max_abs(group, points):
+    """`sampled_max_abs` of one group, one point and one expression at a time."""
+    kernels = [compile_expr(e) for e in group]
+    maxima, used = [0.0] * len(group), 0
+    for p in points:
+        try:
+            row = [f(*p) for f in kernels]
+        except EVAL_ERRORS:
+            continue
+        used += 1
+        for i, v in enumerate(row):
+            v = math.inf if v != v else abs(v)
+            if v > maxima[i]:
+                maxima[i] = v
+    return maxima, used
+
+
+def _reference_range(e, points):
+    """`sampled_range` of one expression, one point at a time."""
+    f = compile_expr(e)
+    values = []
+    for p in points:
+        try:
+            values.append(f(*p))
+        except EVAL_ERRORS:
+            pass
+    if not values:
+        raise DomainTooSingularError("expression was nowhere evaluable on the sample")
+    if any(v != v for v in values):
+        return -math.inf, math.inf
+    lo, hi = math.inf, -math.inf
+    for v in values:
+        lo, hi = (v if v < lo else lo), (v if v > hi else hi)
+    return lo, hi
+
+
+def _kernel_inputs(monkeypatch) -> list:
+    """Record the expressions of each `numeric.compile_many` call."""
+    inputs = []
+    compile_many = numeric.compile_many
+    monkeypatch.setattr(numeric, "compile_many", lambda exprs: inputs.append(list(exprs)) or compile_many(exprs))
+    return inputs
+
+
+@pytest.mark.parametrize("n", [200, 1, 0])
+def test_constant_maxima_equal_a_per_point_loop(monkeypatch, n):
+    points = sample_points(D, CFG)[:n]
+    groups = _mixed_groups()
+    inputs = _kernel_inputs(monkeypatch)
+    grouped = sampled_max_abs(groups, points)
+    assert not any(isinstance(e, Constant) for exprs in inputs for e in exprs)
+    reference = [_reference_max_abs(g, points) for g in groups]
+    assert [(_hex(maxima), used) for maxima, used in grouped] == [(_hex(m), u) for m, u in reference]
+    assert [sampled_max_abs(g, points) for g in groups] == grouped
+
+
+def test_a_group_dropped_at_every_point_keeps_zero_maxima():
+    points = sample_points(D, CFG)
+    two_half, nan = Constant(2.5), Constant(math.nan)
+    assert sampled_max_abs([two_half, NOWHERE, nan], points) == ([0.0, 0.0, 0.0], 0)
+    # The same constants in a group that used the points.
+    assert sampled_max_abs([two_half, parse("x1"), nan], points)[0][::2] == [2.5, math.inf]
+
+
+def test_constants_only_run_no_kernel_at_any_point(monkeypatch):
+    points = sample_points(D, CFG)
+    calls = []
+    compile_many = numeric.compile_many
+
+    def counting(exprs):
+        fn = compile_many(exprs)
+        return lambda x1, x2: calls.append((x1, x2)) or fn(x1, x2)
+
+    monkeypatch.setattr(numeric, "compile_many", counting)
+    maxima, used = sampled_max_abs(_constants(), points)
+    ranges = sampled_range(_constants(), points)
+    assert calls == []
+    assert used == len(points)
+    assert _hex(maxima) == _hex([0.0, 0.0, 2.5, math.inf, math.inf, math.inf])
+    assert [_hex(r) for r in ranges] == [
+        _hex(r) for r in [(0.0, 0.0), (-0.0, -0.0), (2.5, 2.5), (math.inf,) * 2, (-math.inf,) * 2, (-math.inf, math.inf)]
+    ]
+
+
+def test_constant_ranges_equal_a_per_point_loop(monkeypatch):
+    points = sample_points(D, CFG)
+    exprs = [e for g in _mixed_groups()[:3] for e in g]
+    inputs = _kernel_inputs(monkeypatch)
+    ranges = sampled_range(exprs, points)
+    assert not any(isinstance(e, Constant) for exprs in inputs for e in exprs)
+    assert [_hex(r) for r in ranges] == [_hex(_reference_range(e, points)) for e in exprs]
+    assert [_hex(sampled_range(e, points)) for e in exprs] == [_hex(r) for r in ranges]
+
+
+def test_constant_range_on_no_points_is_nowhere_evaluable():
+    _, neg_zero, two_half, inf, _, nan = _constants()
+    for exprs in ([two_half], [nan], [neg_zero, parse("x1")], [parse("x1"), inf]):
+        with pytest.raises(DomainTooSingularError, match="nowhere evaluable"):
+            sampled_range(exprs, [])

@@ -8,6 +8,7 @@ import io
 import json
 import sys
 import threading
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -55,10 +56,13 @@ def test_superset_that_rejected_candidates_serves_no_subset():
     with numeric._job_stream():
         superset = sample_points(d, CFG, [SINH, EXP])
         (table,) = numeric._STREAM.get().values()
-        ((_, _, rejected),) = table.values()
-        assert rejected > 0
+        # The rejecting pass drew the stream's head itself: it is stored
+        # as the guard-less pass, which serves no guarded set.
+        assert list(table) == [frozenset(map(id, [SINH, EXP])), frozenset()]
+        assert table[frozenset(map(id, [SINH, EXP]))][2] > 0
+        assert table[frozenset()] == ((), list(islice(numeric._draws(d, CFG.seed), CFG.samples)), 0)
         subset = sample_points(d, CFG, [EXP])
-        assert len(table) == 2
+        assert len(table) == 3
     assert subset is not superset
     assert subset == sample_points(d, CFG, [EXP])
     assert subset != superset
@@ -298,3 +302,107 @@ def test_a_failed_pass_stores_no_more_than_samples_candidates():
         for key, value in table.items():
             if len(key) == 3:  # the passes of a (domain, samples, seed)
                 assert all(len(points) <= CFG.samples for _, points, _ in value.values())
+
+
+def _hexes(points) -> list[tuple[str, str]]:
+    return [(a.hex(), b.hex()) for a, b in points]
+
+
+def _counting_passes(monkeypatch) -> tuple[list, list]:
+    """Wrap `numeric._draw_pass` and `numeric.compile_many`: one entry
+    in `passes` per pass run, one in `kernels` per kernel compiled."""
+    passes, kernels = [], []
+    draw_pass, compile_many = numeric._draw_pass, numeric.compile_many
+    monkeypatch.setattr(numeric, "_draw_pass", lambda *args: passes.append(args[2]) or draw_pass(*args))
+    monkeypatch.setattr(numeric, "compile_many", lambda exprs: kernels.append(exprs) or compile_many(exprs))
+    return passes, kernels
+
+
+def test_passes_over_separate_guards_clear_their_union(monkeypatch):
+    # cosh >= 1 and exp >= 1/e on [-1, 1]: neither pass rejects anything.
+    with numeric._job_stream():
+        first = sample_points(Domain(), CFG, [COSH])
+        sample_points(Domain(), CFG, [EXP])
+        passes, kernels = _counting_passes(monkeypatch)
+        served = sample_points(Domain(), CFG, [COSH, EXP])
+        (table,) = numeric._STREAM.get().values()
+        assert list(table) == [frozenset([id(COSH)]), frozenset([id(EXP)])]
+    assert served is first
+    assert passes == kernels == []
+    assert _hexes(served) == _hexes(sample_points(Domain(), CFG, [COSH, EXP]))
+
+
+@pytest.mark.parametrize("guards", [[COSH], [COSH, EXP], []])
+def test_a_passing_scan_clears_its_expression(monkeypatch, guards):
+    with numeric._job_stream():
+        assert numeric.nowhere_zero(COSH, Domain(), CFG) == (True, "")
+        assert numeric.nowhere_zero(EXP, Domain(), CFG) == (True, "")
+        prefix = sample_points(Domain(), CFG)
+        passes, kernels = _counting_passes(monkeypatch)
+        served = sample_points(Domain(), CFG, guards)
+        (table,) = [v for k, v in numeric._STREAM.get().items() if len(k) == 3]
+        assert list(table) == [frozenset()]
+    assert served is prefix
+    assert passes == kernels == []
+    assert _hexes(served) == _hexes(sample_points(Domain(), CFG, guards))
+
+
+def test_a_scan_of_another_stream_clears_nothing(monkeypatch):
+    with numeric._job_stream():
+        assert numeric.nowhere_zero(COSH, Domain(), SamplingConfig(samples=100, seed=6))[0]
+        sample_points(Domain(), CFG)
+        passes, _ = _counting_passes(monkeypatch)
+        sample_points(Domain(), CFG, [COSH])
+    assert passes == [(COSH,)]
+
+
+def test_a_failing_scan_clears_nothing(monkeypatch):
+    x1 = parse("x1")
+    with numeric._job_stream():
+        assert numeric.nowhere_zero(x1, Domain(), CFG) == (False, numeric._SIGN_CHANGE)
+        prefix = sample_points(Domain(), CFG)
+        passes, kernels = _counting_passes(monkeypatch)
+        scoped = sample_points(Domain(), CFG, [x1])
+        (table,) = [v for k, v in numeric._STREAM.get().items() if len(k) == 3]
+        # |x1| >= 1e-6 at every prefix candidate: the pass rejects nothing,
+        # but only running it shows that.
+        assert table[frozenset([id(x1)])][2] == 0
+    assert passes == [(x1,)] and len(kernels) == 1
+    assert scoped is not prefix
+    assert _hexes(scoped) == _hexes(prefix) == _hexes(sample_points(Domain(), CFG, [x1]))
+
+
+def test_a_rejecting_pass_clears_nothing(monkeypatch):
+    d = Domain(guard=1e-2)
+    with numeric._job_stream():
+        sample_points(d, CFG, [SINH, EXP])
+        assert numeric.nowhere_zero(EXP, d, CFG)[0]
+        passes, _ = _counting_passes(monkeypatch)
+        scoped = sample_points(d, CFG, [SINH])
+        assert sample_points(d, CFG, [EXP]) is sample_points(d, CFG)
+    assert passes == [(SINH,)]
+    assert _hexes(scoped) == _hexes(sample_points(d, CFG, [SINH]))
+
+
+@pytest.mark.parametrize("command", ["verify", "identities"])
+def test_a_job_on_ex03_runs_one_pass(monkeypatch, command):
+    # The job's scans of f1 and f2 clear every guard of its guarded set.
+    passes, _ = _counting_passes(monkeypatch)
+    spec = str(CORPUS / "ex03_cosh_metric.json")
+    assert _quiet_main([command, "--spec", spec, "--samples", "2000"]) == 0
+    assert passes == [()]
+
+
+def test_a_rejecting_pass_stores_the_head_it_drew(tmp_path, capsys, monkeypatch):
+    # sqrt(x2) + 1 is undefined where x2 < 0: the curvature pass rejects
+    # about half of the stream, and the scan of f2 reads the head it drew.
+    body = json.loads((CORPUS / "ex03_cosh_metric.json").read_text(encoding="utf-8"))
+    body["metric"]["f2"] = "sqrt(x2) + 1"
+    spec = tmp_path / "sqrt_f2.json"
+    spec.write_text(json.dumps(body), encoding="utf-8")
+    argv = ["curvature", "--spec", str(spec), "--samples", "2000"]
+    starts, drawn = _counting_draws(monkeypatch)
+    shared = _outputs([argv], capsys)
+    assert (len(starts), len(drawn)) == (1, 3952)
+    monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
+    assert _outputs([argv], capsys) == shared
