@@ -457,8 +457,8 @@ def sampled_max_abs(
     live = iter(maxima)
     # A constant never raises and has one value at every point.
     return [
-        ([_const_max(e.value, len(points) - k) if isinstance(e, Constant) else next(live) for e in g], len(points) - k)
-        for g, k in zip(exprs, drops)
+        ([_const_max(e.value, used) if isinstance(e, Constant) else next(live) for e in g], used)
+        for g, used in zip(exprs, [len(points) - k for k in drops])
     ]
 
 
