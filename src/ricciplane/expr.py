@@ -471,7 +471,7 @@ def compile_expr(e: Expr) -> Callable[[float, float], float]:
     points surface as one of EVAL_ERRORS without node diagnostics; use
     `evaluate` when the error message matters.
     """
-    return _generate([e], single=True)
+    return _generate([e], "single")
 
 
 def compile_many(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float, ...]]:
@@ -479,23 +479,35 @@ def compile_many(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float,
     values, in order.  Subtrees the expressions share are computed once;
     each value is bit-identical to `compile_expr` of that expression.
     The call raises one of EVAL_ERRORS when any expression is undefined."""
-    return _generate(exprs, single=False)
+    return _generate(exprs, "many")
 
 
-_CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value}
+def compile_sweep(exprs: Sequence[Expr]) -> Callable[[Iterator[tuple[float, float]], list], tuple[list, tuple | None]]:
+    """Compile `exprs` to one callable `(points, state) -> (state,
+    raised)` that evaluates them at each point of the iterator `points`,
+    each value the one `compile_many` gives, and folds every value into
+    `state`: the flat list lo, hi, saw_nan of each expression, in order.
+    A NaN sets only its saw_nan.  At the first point where an expression
+    is undefined it returns the state before that point and the point,
+    leaving the rest of `points` unread; else `raised` is None."""
+    return _generate(exprs, "sweep")
+
+
+_CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value, "_EVAL_ERRORS": EVAL_ERRORS}
 _CODEGEN_NAMESPACE.update((f"_fn_{name}", fn) for name, fn in FUNCTIONS.items())
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _creation_order = operator.attrgetter("_serial")
-# Kernel shapes kept per process: a round of family draws needs 211.
-# At about 3 KiB each, a full cache holds about 770 KiB.
+# Kernel shapes kept per process: a round of family draws needs 198.
+# At about 4 KiB each, a full cache holds about 1 MiB.
 _KERNEL_CACHE_SIZE = 256
 
 
-def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
-    """Emit one Python function of (x1, x2) that evaluates every
-    expression in `exprs` and returns the value of the only one
-    (`single`) or the tuple of their values; compile it unless the same
-    shape was compiled before.
+def _generate(exprs: Sequence[Expr], shape: str) -> Callable:
+    """Emit one Python function that evaluates every expression in
+    `exprs`, and compile it unless the same source was compiled before.
+    A function of (x1, x2) returns the value of the only one ("single")
+    or the tuple of their values ("many"); a "sweep" runs the same node
+    code in a loop over points and folds the values (`compile_sweep`).
 
     Each distinct node is emitted once, in creation order: a node is
     built after its children, so they are emitted first.  Nodes are
@@ -507,6 +519,7 @@ def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
     consts: list[float] = []
     lines: list[str] = []
     names: dict[int, str] = {}
+    pad = " " * (12 if shape == "sweep" else 4)
     for node in sorted(walk(*exprs), key=_creation_order):
         kind = type(node)
         if kind is Constant:
@@ -516,14 +529,27 @@ def _generate(exprs: Sequence[Expr], single: bool) -> Callable:
             name = node.var.value
         else:
             name = f"t{len(lines)}"
-            lines.append(f"    {name} = {_operation(node, kind, names)}\n")
+            lines.append(f"{pad}{name} = {_operation(node, kind, names)}\n")
         names[id(node)] = name
-    if single:
-        result = names[id(exprs[0])]
-    else:
-        result = "(" + "".join(f"{names[id(e)]}, " for e in exprs) + ")"
+    outs = [names[id(e)] for e in exprs]
     params = "".join(f", _k{i}" for i in range(len(consts)))
-    template = _compile_kernel(f"def _compiled(x1, x2{params}):\n" + "".join(lines) + f"    return {result}\n")
+    if shape == "sweep":
+        state = "[" + "".join(f"lo{i}, hi{i}, nan{i}, " for i in range(len(outs))) + "]"
+        # Only a value outside [lo, hi] can move a bound, -0.0 against 0.0
+        # too; a NaN fails every compare, so it moves none and sets the flag.
+        lines += [
+            f"{pad}if not lo{i} <= {o} <= hi{i}:\n{pad}    if {o} < lo{i}: lo{i} = {o}\n"
+            f"{pad}    if {o} > hi{i}: hi{i} = {o}\n{pad}    if {o} != {o}: nan{i} = True\n"
+            for i, o in enumerate(outs)
+        ] or [f"{pad}pass\n"]
+        # The loop sits in one try: the node code runs before any fold.
+        head = f"def _compiled(_points, _state{params}):\n    {state} = _state\n"
+        head += "    try:\n        for x1, x2 in _points:\n"
+        tail = f"    except _EVAL_ERRORS:\n        return {state}, (x1, x2)\n    return {state}, None\n"
+    else:
+        result = outs[0] if shape == "single" else "(" + "".join(f"{o}, " for o in outs) + ")"
+        head, tail = f"def _compiled(x1, x2{params}):\n", f"    return {result}\n"
+    template = _compile_kernel(head + "".join(lines) + tail)
     if not consts:
         return template
     # The shared template is never mutated: a new function binds the constants.

@@ -26,6 +26,7 @@ from .expr import (
     Var,
     compile_expr,
     compile_many,
+    compile_sweep,
     denominators,
     differentiate,
     evaluate,
@@ -60,11 +61,11 @@ class SamplingConfig:
                 raise ValueError("step and tolerances must be positive and finite")
 
 
-def _draws(d: Domain, seed: int) -> Iterator[tuple[float, float]]:
-    """Seeded uniform (x1, x2) pairs in `d`, without end.  Each
+def _draws(d: Domain, rng: random.Random) -> Iterator[tuple[float, float]]:
+    """Uniform (x1, x2) pairs in `d` from `rng`, without end.  Each
     coordinate is lo + (hi - lo)*u, x1 drawn first: bit-identical to
-    random.Random(seed).uniform(*d.x1_range), then the same for x2."""
-    u = random.Random(seed).random
+    rng.uniform(*d.x1_range), then the same for x2."""
+    u = rng.random
     a1, b1 = d.x1_range
     a2, b2 = d.x2_range
     w1, w2 = b1 - a1, b2 - a2
@@ -74,11 +75,13 @@ def _draws(d: Domain, seed: int) -> Iterator[tuple[float, float]]:
 
 # The job scope of `sample_points` and `nowhere_zero`: None, or the
 # table of what the current job has run.  It maps (domain, samples,
-# seed) to {guard key: (guards, points, rejected)}, the passes of
+# seed) to {guard key: (guards, points, rejected, end)}, the passes of
 # `sample_points`, and (domain, samples, seed, id(e)) to (e, verdict),
 # the scans of `nowhere_zero`.  A pass holds its guards and a scan its
 # expression, so the ids in their keys stay valid; `rejected` counts
-# the candidates a pass drew but did not accept.
+# the candidates a pass drew but did not accept.  A pass that rejected
+# nothing holds the stream's prefix, and `end` is the random.Random
+# state where the prefix ends; it is None for any other pass.
 _STREAM: contextvars.ContextVar[dict | None] = contextvars.ContextVar("ricciplane_job_stream", default=None)
 
 
@@ -115,8 +118,9 @@ def sample_points(
     candidates of the stream, the prefix, and clears its guards there,
     as a passing `nowhere_zero` scan clears its expression.  A set of
     cleared guards is served the prefix without running a kernel; a new
-    pass reads it in place of drawing it.  A pass that drew the prefix
-    itself and rejected some of it stores it as the guard-less pass.
+    pass reads it in place of drawing it, and draws on from where it
+    ends.  A pass that drew the prefix itself and rejected some of it
+    stores it as the guard-less pass.
     Sets are keyed by node identity, not equality: Constant(0.0) ==
     Constant(-0.0), but they can evaluate differently.  Outside a scope
     every call samples afresh and returns the same points.  The
@@ -140,10 +144,10 @@ def sample_points(
     cleared.update(k[3] for k, scan in table.items() if len(k) == 4 and k[:3] == stream and scan[1][0])
     if whole and key <= cleared:
         return whole[0][1][1]
-    done, head = _draw_pass(d, cfg, guards, whole[0][1][1] if whole else [])
+    done, head = _draw_pass(d, cfg, guards, whole[0][1] if whole else None)
     passes[key] = done
     if head is not None:
-        passes[frozenset()] = (), head, 0
+        passes[frozenset()] = head
     return done[1]
 
 
@@ -151,27 +155,33 @@ def _draw_pass(
     d: Domain,
     cfg: SamplingConfig,
     guards: tuple[Expr, ...],
-    prefix: list[tuple[float, float]],
-) -> tuple[tuple[tuple[Expr, ...], list[tuple[float, float]], int], list[tuple[float, float]] | None]:
-    """(guards, accepted points, rejected count) of one pass, and the
-    stream's first `samples` candidates if it drew them itself and
-    rejected some, else None.  `prefix` is empty or those candidates,
-    read in place of drawing them; `_draws` starts only past them."""
+    whole: tuple | None,
+) -> tuple[tuple, tuple | None]:
+    """(guards, accepted points, rejected count, end) of one pass, and
+    the guard-less pass if this one drew the stream's prefix, its first
+    `samples` candidates, itself and rejected some of it, else None.
+    `whole` is None or a stored pass that rejected nothing: its points
+    are the prefix, read in place of drawing them, and `_draws` resumes
+    at its `end`, on the first request past the prefix."""
+    rng = random.Random(cfg.seed)
+    if whole is None:
+        draws = _draws(d, rng)
+        prefix, end = list(islice(draws, cfg.samples)), rng.getstate()
+    else:
+        _, prefix, _, end = whole
 
-    def rest():  # a generator, so `_draws` starts on the first request
-        yield from islice(_draws(d, cfg.seed), len(prefix), cfg.samples * OVERSAMPLE_FACTOR)
+        def resumed():  # a generator, so `_draws` starts on the first request
+            rng.setstate(end)
+            yield from _draws(d, rng)
 
-    stream = chain(prefix, rest())
+        draws = resumed()
     if not guards:
-        return (guards, list(islice(stream, cfg.samples)), 0), None
+        return (guards, prefix, 0, end), None
     guard_values = compile_many(guards)
     guard = d.guard
     points: list[tuple[float, float]] = []
-    head = None  # kept from the first rejection on, unless read from `prefix`
     rejected = 0
-    for p in stream:
-        if head is not None and len(head) < cfg.samples:
-            head.append(p)
+    for p in chain(prefix, islice(draws, cfg.samples * (OVERSAMPLE_FACTOR - 1))):
         x1, x2 = p
         try:
             values = guard_values(x1, x2)
@@ -180,8 +190,6 @@ def _draw_pass(
         for v in values:
             if abs(v) < guard:
                 rejected += 1
-                if head is None and not prefix:
-                    head = [*points, p]
                 break
         else:
             points.append(p)
@@ -192,7 +200,9 @@ def _draw_pass(
             f"accepted {len(points)} of {cfg.samples} requested points "
             f"after {OVERSAMPLE_FACTOR}x oversampling"
         )
-    return (guards, points, rejected), head
+    if not rejected:
+        return (guards, points, 0, end), None
+    return (guards, points, rejected, None), ((), prefix, 0, end) if whole is None else None
 
 
 def _enough(samples: int) -> int:
@@ -420,12 +430,13 @@ def sampled_max_abs(
     whole group, keeping its maxima comparable; other groups keep them.
     A NaN or infinite value at a used point makes that maximum math.inf.
 
-    One kernel evaluates every group.  At a point where it raises,
-    `_one_by_one` evaluates each expression on its own, and a group is
-    dropped only where one of its own expressions is undefined: that is
-    exactly where a kernel of the group alone would raise.  A Constant
-    is left out of the kernel and the point loop: its maximum is read
-    once, or stays 0.0 in a group that used no point.
+    One `_extrema` sweep folds every group's values into their (lo, hi,
+    saw_nan), and a group is dropped only where one of its own
+    expressions is undefined: that is exactly where a kernel of the
+    group alone would raise.  A maximum is math.inf after a NaN, else
+    max(|lo|, |hi|), or 0.0 where no value was folded.  A Constant is
+    left out of the sweep: its maximum is read once, or stays 0.0 in a
+    group that used no point.
     """
     if all(isinstance(e, Expr) for e in exprs):
         return sampled_max_abs([exprs], points)[0]
@@ -435,31 +446,43 @@ def sampled_max_abs(
         start = len(flat)
         flat.extend(e for e in g if not isinstance(e, Constant))
         spans.append((start, len(flat)))
-    fn = compile_many(flat)
-    singles = _one_by_one(flat)
-    maxima = [0.0] * len(flat)
-    drops = [0] * len(spans)
-    for x1, x2 in points if flat else ():
-        try:
-            row = fn(x1, x2)
-        except EVAL_ERRORS:
-            row = singles(x1, x2)
-            for k, (start, stop) in enumerate(spans):
-                if None in row[start:stop]:
-                    drops[k] += 1
-                    row[start:stop] = [0.0] * (stop - start)  # leaves its maxima as they are
-        for i, v in enumerate(row):
-            v = abs(v)
-            if v != v:  # NaN
-                v = math.inf
-            if v > maxima[i]:
-                maxima[i] = v
-    live = iter(maxima)
+    extrema, drops = _extrema(flat, spans, points)
+    # max |v| over a set is max(|min|, |max|), and abs is exact.
+    live = iter([math.inf if nan else max(abs(lo), abs(hi)) if lo <= hi else 0.0 for lo, hi, nan in extrema])
     # A constant never raises and has one value at every point.
     return [
         ([_const_max(e.value, used) if isinstance(e, Constant) else next(live) for e in g], used)
         for g, used in zip(exprs, [len(points) - k for k in drops])
     ]
+
+
+def _extrema(
+    exprs: Sequence[Expr],
+    spans: Sequence[tuple[int, int]],
+    points: Sequence[tuple[float, float]],
+) -> tuple[list, list[int]]:
+    """The (lo, hi, saw_nan) of each expression over `points` (see
+    `compile_sweep`), and the number of points each span of `exprs`
+    dropped.  Where the sweep kernel raises, `_one_by_one` evaluates
+    the point: a span with an undefined expression drops it, the others
+    fold their values, and the kernel resumes the same iterator, so the
+    points fold in stream order and a signed-zero bound keeps its bits."""
+    drops = [0] * len(spans)
+    if not exprs:
+        return [], drops
+    sweep, singles, stream = compile_sweep(exprs), _one_by_one(exprs), iter(points)
+    state, raised = sweep(stream, [math.inf, -math.inf, False] * len(exprs))
+    while raised is not None:
+        row = singles(*raised)
+        for k, (start, stop) in enumerate(spans):
+            if None in row[start:stop]:
+                drops[k] += 1
+                continue
+            for i in range(3 * start, 3 * stop, 3):  # the kernel's fold, at one point
+                v, (lo, hi, nan) = row[i // 3], state[i : i + 3]
+                state[i : i + 3] = v if v < lo else lo, v if v > hi else hi, nan or v != v
+        state, raised = sweep(stream, state)
+    return list(zip(state[::3], state[1::3], state[2::3])), drops
 
 
 def _const_max(c: float, used: int) -> float:
@@ -537,37 +560,17 @@ def sampled_range(
     (-math.inf, math.inf).  A lone Expr gives one pair, a sequence a
     list of pairs, in order.
 
-    One kernel evaluates every expression.  At a point where it raises,
-    `_one_by_one` evaluates each expression on its own, so an
+    One `_extrema` sweep folds every expression's values, and an
     expression is skipped only where it is undefined itself.  Raises
     DomainTooSingularError when an expression is nowhere evaluable.  A
-    Constant c is left out of the kernel and the point loop: it is
-    evaluable at every point, and its range is (c, c).
+    Constant c is left out of the sweep: it is evaluable at every point,
+    and its range is (c, c).
     """
     if isinstance(exprs, Expr):
         return sampled_range([exprs], points)[0]
     live = [e for e in exprs if not isinstance(e, Constant)]
-    fn = compile_many(live)
-    singles = _one_by_one(live)
-    lo = [math.inf] * len(live)
-    hi = [-math.inf] * len(live)
-    nan = [False] * len(live)
-    for x1, x2 in points if live else ():
-        try:
-            row = fn(x1, x2)
-        except EVAL_ERRORS:
-            row = singles(x1, x2)
-        for i, v in enumerate(row):
-            if v is None:
-                continue
-            if v < lo[i]:
-                lo[i] = v
-            if v > hi[i]:
-                hi[i] = v
-            if v != v:  # NaN
-                nan[i] = True
+    bounds = iter(_extrema(live, [(i, i + 1) for i in range(len(live))], points)[0])
     ranges = []
-    bounds = zip(lo, hi, nan)
     for e in exprs:
         # A constant never raises and has one value at every point.
         a, b, saw_nan = (e.value, e.value, e.value != e.value) if isinstance(e, Constant) else next(bounds)

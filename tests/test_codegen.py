@@ -25,6 +25,7 @@ from ricciplane.expr import (
     X2,
     compile_expr,
     compile_many,
+    compile_sweep,
     evaluate,
     evaluate_with_scale,
     parse,
@@ -92,6 +93,39 @@ def test_compile_many_matches_separate_compiles():
         compared += 1
     assert compared >= 30
     assert compile_many([])(0.5, 0.5) == ()
+
+
+def test_sweep_folds_the_values_of_compile_many():
+    rng = random.Random(5)
+    shared = random_smooth_tree(rng, depth=3)
+    exprs = [random_smooth_tree(rng, depth=4) for _ in range(6)]
+    # Shared subtrees, a variable, a constant, a repeat, a NaN, infinities
+    # and a raise where x1 <= 0.
+    exprs += [Add(shared, exprs[0]), shared, X1, Constant(-0.0), exprs[1], parse("1e400 - 1e400"), parse("1e400*x2")]
+    exprs.append(parse("log(x1)"))
+    fused, sweep = compile_many(exprs), compile_sweep(exprs)
+    fresh = [math.inf, -math.inf, False] * len(exprs)
+    points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(60)]
+    defined, undefined = [], []
+    for p in points:
+        # Over one point, lo and hi are the value itself; a NaN sets only its flag.
+        try:
+            row = fused(*p)
+        except EVAL_ERRORS:
+            assert sweep(iter([p]), fresh) == (fresh, p)
+            undefined.append(p)
+            continue
+        state, raised = sweep(iter([p]), fresh)
+        assert raised is None
+        want = [x for v in row for x in ((v, v, False) if v == v else (math.inf, -math.inf, True))]
+        assert _bits(state) == _bits(want)
+        defined.append(p)
+    assert len(defined) >= 30 and undefined
+    # Over many, it stops at the first undefined point and leaves the rest unread.
+    stream = iter(defined[:20] + undefined + defined[20:])
+    state, raised = sweep(stream, fresh)
+    assert raised == undefined[0] and next(stream) == (undefined + defined[20:])[1]
+    assert _bits(state) == _bits(sweep(iter(defined[:20]), fresh)[0])
 
 
 def test_structurally_equal_subtrees_compile_once():

@@ -28,6 +28,7 @@ from ricciplane.expr import (
     X2,
     compile_expr,
     compile_many,
+    compile_sweep,
     denominators,
     differentiate,
     parse,
@@ -77,6 +78,17 @@ def test_compile_many_calls_children_once_per_distinct_node(children_calls):
     children_calls.clear()
     compile_expr(roots[0])
     assert len(children_calls) <= len(list(walk(roots[0])))
+
+
+def test_compile_sweep_calls_children_once_per_distinct_node(children_calls):
+    roots = _shared_roots()
+    distinct = len({id(n) for r in roots for n in walk(r)})
+    children_calls.clear()
+    compile_sweep(roots)  # the kernel is compiled, or taken from the cache
+    assert 0 < len(children_calls) <= distinct
+    children_calls.clear()
+    compile_sweep(roots)
+    assert 0 < len(children_calls) <= distinct
 
 
 def test_merge_guards_calls_children_once_per_distinct_node(children_calls):

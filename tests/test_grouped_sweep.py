@@ -4,11 +4,14 @@ maxima and shortfall; and the one "fewer than half" rule."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ricciplane import numeric
+from ricciplane import cli, numeric
 from ricciplane.expr import (
     EVAL_ERRORS,
     Constant,
@@ -31,6 +34,8 @@ from ricciplane.numeric import (
     sampled_max_abs,
     sampled_range,
 )
+
+from conftest import CORPUS
 
 D = Domain()
 CFG = SamplingConfig(samples=200, seed=5)
@@ -64,23 +69,22 @@ def test_non_finite_value_is_inf_in_its_own_group_only():
 
 
 def _count_fused_raises(monkeypatch) -> list:
-    """Record one entry each time a kernel from `numeric.compile_many` raises."""
+    """Record the point each time a kernel from `numeric.compile_sweep` raises."""
     raises = []
-    compile_many = numeric.compile_many
+    compile_sweep = numeric.compile_sweep
 
     def counting(exprs):
-        fn = compile_many(exprs)
+        fn = compile_sweep(exprs)
 
-        def kernel(x1, x2):
-            try:
-                return fn(x1, x2)
-            except EVAL_ERRORS:
-                raises.append((x1, x2))
-                raise
+        def kernel(points, state):
+            state, raised = fn(points, state)
+            if raised is not None:
+                raises.append(raised)
+            return state, raised
 
         return kernel
 
-    monkeypatch.setattr(numeric, "compile_many", counting)
+    monkeypatch.setattr(numeric, "compile_sweep", counting)
     return raises
 
 
@@ -241,10 +245,12 @@ def _reference_range(e, points):
 
 
 def _kernel_inputs(monkeypatch) -> list:
-    """Record the expressions of each `numeric.compile_many` call."""
+    """Record the expressions of each `numeric.compile_sweep` and
+    `numeric.compile_many` call."""
     inputs = []
-    compile_many = numeric.compile_many
-    monkeypatch.setattr(numeric, "compile_many", lambda exprs: inputs.append(list(exprs)) or compile_many(exprs))
+    for name in ("compile_sweep", "compile_many"):
+        compile_fn = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name, lambda exprs, f=compile_fn: inputs.append(list(exprs)) or f(exprs))
     return inputs
 
 
@@ -271,13 +277,13 @@ def test_a_group_dropped_at_every_point_keeps_zero_maxima():
 def test_constants_only_run_no_kernel_at_any_point(monkeypatch):
     points = sample_points(D, CFG)
     calls = []
-    compile_many = numeric.compile_many
+    compile_sweep = numeric.compile_sweep
 
     def counting(exprs):
-        fn = compile_many(exprs)
-        return lambda x1, x2: calls.append((x1, x2)) or fn(x1, x2)
+        fn = compile_sweep(exprs)
+        return lambda stream, state: fn((calls.append(p) or p for p in stream), state)
 
-    monkeypatch.setattr(numeric, "compile_many", counting)
+    monkeypatch.setattr(numeric, "compile_sweep", counting)
     maxima, used = sampled_max_abs(_constants(), points)
     ranges = sampled_range(_constants(), points)
     assert calls == []
@@ -303,3 +309,48 @@ def test_constant_range_on_no_points_is_nowhere_evaluable():
     for exprs in ([two_half], [nan], [neg_zero, parse("x1")], [parse("x1"), inf]):
         with pytest.raises(DomainTooSingularError, match="nowhere evaluable"):
             sampled_range(exprs, [])
+
+
+# Coordinates that give NaN, the infinities and both zeros at the
+# extremes, and points where some expressions raise: 1/x1 at both
+# zeros, log(x2) at x2 <= 0, sqrt(x1) where x1 < 0 (sqrt(-0.0) is -0.0).
+_COORDS = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e200, -1e200, math.inf, -math.inf, math.nan]
+_POOL = ["x1", "x2", "-x1", "x1*x2", "x1*x2 - x1*x2", "1/x1", "log(x2)", "sqrt(x1)", "x1 + x2"]
+_points = st.lists(st.tuples(st.sampled_from(_COORDS), st.sampled_from(_COORDS)), max_size=12)
+# Each group indexes _POOL followed by the six `_constants()`.
+_groups = st.lists(st.lists(st.integers(0, len(_POOL) + 5), max_size=4), min_size=1, max_size=4)
+
+
+@given(_points, _groups)
+@settings(max_examples=300, deadline=None)
+# log(x2) raises at the first point, where x1 is -0.0; folded after the
+# 0.0 that follows, it would leave the range of x1 at 0.0.
+@example([(-0.0, 0.0), (0.0, 1.0)], [[0, 6]])
+def test_sweeps_equal_an_in_order_per_point_loop(points, groups):
+    pool = [parse(s) for s in _POOL] + _constants()
+    groups = [[pool[i] for i in g] for g in groups]
+    reference = [_reference_max_abs(g, points) for g in groups]
+    assert [(_hex(m), u) for m, u in sampled_max_abs(groups, points)] == [(_hex(m), u) for m, u in reference]
+    flat = [e for g in groups for e in g]
+    try:
+        expected = [_hex(_reference_range(e, points)) for e in flat]
+    except DomainTooSingularError:
+        with pytest.raises(DomainTooSingularError, match="nowhere evaluable"):
+            sampled_range(flat, points)
+    else:
+        assert [_hex(r) for r in sampled_range(flat, points)] == expected
+
+
+def test_a_verify_job_whose_residual_kernel_raises_keeps_its_report(tmp_path, capsys):
+    # log(x1 + 0.5) is undefined where x1 <= -0.5, at 481 of the 2 000
+    # points, so the residual sweep resumes after each of them.  The
+    # figures were recorded before the sweeps folded in generated code.
+    body = json.loads((CORPUS / "ex03_cosh_metric.json").read_text(encoding="utf-8"))
+    body["field"]["V1"] = "log(x1 + 0.5)"
+    spec = tmp_path / "log_v1.json"
+    spec.write_text(json.dumps(body), encoding="utf-8")
+    assert cli.main(["verify", "--spec", str(spec), "--samples", "2000"]) == cli.EXIT_FAIL
+    report = json.loads(capsys.readouterr().out)
+    assert _hex(report["residual_max"]) == ["0x1.301140dd29246p+17", "0x1.ba1231c5eb42bp+3", "0x0.0p+0", "0x0.0p+0"]
+    assert report["points_used"] == 1519
+    assert _hex(report["rho_range"]) == ["-0x1.0c10f07837d5ap+2", "-0x1.22a89a8da2d4ep-1"]

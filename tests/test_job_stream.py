@@ -6,6 +6,7 @@ import contextlib
 import gc
 import io
 import json
+import random
 import sys
 import threading
 from itertools import islice
@@ -60,7 +61,8 @@ def test_superset_that_rejected_candidates_serves_no_subset():
         # as the guard-less pass, which serves no guarded set.
         assert list(table) == [frozenset(map(id, [SINH, EXP])), frozenset()]
         assert table[frozenset(map(id, [SINH, EXP]))][2] > 0
-        assert table[frozenset()] == ((), list(islice(numeric._draws(d, CFG.seed), CFG.samples)), 0)
+        rng = random.Random(CFG.seed)
+        assert table[frozenset()] == ((), list(islice(numeric._draws(d, rng), CFG.samples)), 0, rng.getstate())
         subset = sample_points(d, CFG, [EXP])
         assert len(table) == 3
     assert subset is not superset
@@ -234,9 +236,9 @@ def _counting_draws(monkeypatch) -> tuple[list, list]:
     starts, drawn = [], []
     draws = numeric._draws
 
-    def counting(d, seed):
-        starts.append((d, seed))
-        for candidate in draws(d, seed):
+    def counting(d, rng):
+        starts.append((d, rng))
+        for candidate in draws(d, rng):
             drawn.append(candidate)
             yield candidate
 
@@ -283,10 +285,13 @@ def test_a_rejecting_pass_reads_the_stored_prefix_bit_for_bit(monkeypatch):
         assert (len(starts), len(drawn)) == (1, CFG.samples)
         scoped = sample_points(d, CFG, [SINH])
         (table,) = numeric._STREAM.get().values()
-        assert table[frozenset([id(SINH)])][2] > 0
-    # The second pass read the stored candidates, then drew past them.
+        rejected = table[frozenset([id(SINH)])][2]
+        assert rejected > 0
+    # The second pass read the stored candidates, then drew past them
+    # from where they end: each candidate of the stream is drawn once.
     assert len(starts) == 2
-    assert len(drawn) > 2 * CFG.samples
+    assert len(drawn) == CFG.samples + rejected
+    assert len(set(drawn)) == len(drawn)
     assert [(a.hex(), b.hex()) for a, b in scoped] == [(a.hex(), b.hex()) for a, b in unscoped]
 
 
@@ -301,7 +306,7 @@ def test_a_failed_pass_stores_no_more_than_samples_candidates():
         assert list(table[(d, CFG.samples, CFG.seed)]) == [frozenset()]
         for key, value in table.items():
             if len(key) == 3:  # the passes of a (domain, samples, seed)
-                assert all(len(points) <= CFG.samples for _, points, _ in value.values())
+                assert all(len(points) <= CFG.samples for _, points, *_ in value.values())
 
 
 def _hexes(points) -> list[tuple[str, str]]:
@@ -404,5 +409,22 @@ def test_a_rejecting_pass_stores_the_head_it_drew(tmp_path, capsys, monkeypatch)
     starts, drawn = _counting_draws(monkeypatch)
     shared = _outputs([argv], capsys)
     assert (len(starts), len(drawn)) == (1, 3952)
+    monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
+    assert _outputs([argv], capsys) == shared
+
+
+@pytest.mark.parametrize("command", ["verify", "identities", "oracle"])
+def test_a_pass_that_reads_the_prefix_draws_on_from_its_end(tmp_path, capsys, monkeypatch, command):
+    # sqrt(x1) is undefined where x1 < 0: the guard-less pass draws the
+    # 2 000 candidates of the prefix, and the guarded pass that reads
+    # them rejects 2 037 and draws on past them, each candidate once.
+    body = json.loads((CORPUS / "ex03_cosh_metric.json").read_text(encoding="utf-8"))
+    body["field"]["V1"] = "sqrt(x1)"
+    spec = tmp_path / "sqrt_v1.json"
+    spec.write_text(json.dumps(body), encoding="utf-8")
+    argv = [command, "--spec", str(spec), "--samples", "2000"]
+    starts, drawn = _counting_draws(monkeypatch)
+    shared = _outputs([argv], capsys)
+    assert (len(starts), len(drawn), len(set(drawn))) == (2, 4037, 4037)
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
