@@ -82,12 +82,14 @@ class SpecError(ValueError):
 def load_spec(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SpecError(f"cannot read spec file {path}: {err}") from None
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as err:
         raise SpecError(f"spec file {path} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise SpecError(f"spec file {path} is nested too deeply") from None
     if not isinstance(spec, dict):
         raise SpecError("spec must be a JSON object")
     return spec

@@ -73,15 +73,30 @@ def _draws(d: Domain, rng: random.Random) -> Iterator[tuple[float, float]]:
         yield a1 + w1 * u(), a2 + w2 * u()
 
 
+class _Stream:
+    """A job's record of one (domain, samples, seed) stream.  `prefix` is
+    its first `samples` candidates, drawn once, and `end` the
+    random.Random state after them.  `passes` maps a guard key to
+    (guards, points) and `scans` an expression id to (expression,
+    verdict); each entry holds its own nodes, so the ids stay valid.
+    `cleared` holds the ids of the guards of each pass that rejected
+    nothing and of each expression whose scan passed: each is defined,
+    with |v| >= guard, at every prefix candidate.  `compile_many` values
+    are bit-identical per expression, and a fused kernel raises only
+    where one of its expressions does, so a set of cleared guards
+    accepts the whole prefix."""
+
+    __slots__ = ("prefix", "end", "cleared", "passes", "scans")
+
+    def __init__(self, d: Domain, cfg: SamplingConfig):
+        rng = random.Random(cfg.seed)
+        self.prefix = list(islice(_draws(d, rng), cfg.samples))
+        self.end = rng.getstate()
+        self.cleared, self.passes, self.scans = set(), {}, {}
+
+
 # The job scope of `sample_points` and `nowhere_zero`: None, or the
-# table of what the current job has run.  It maps (domain, samples,
-# seed) to {guard key: (guards, points, rejected, end)}, the passes of
-# `sample_points`, and (domain, samples, seed, id(e)) to (e, verdict),
-# the scans of `nowhere_zero`.  A pass holds its guards and a scan its
-# expression, so the ids in their keys stay valid; `rejected` counts
-# the candidates a pass drew but did not accept.  A pass that rejected
-# nothing holds the stream's prefix, and `end` is the random.Random
-# state where the prefix ends; it is None for any other pass.
+# current job's table from (domain, samples, seed) to its `_Stream`.
 _STREAM: contextvars.ContextVar[dict | None] = contextvars.ContextVar("ricciplane_job_stream", default=None)
 
 
@@ -99,6 +114,16 @@ def _job_stream() -> Iterator[None]:
         _STREAM.reset(token)
 
 
+def _stream(d: Domain, cfg: SamplingConfig) -> _Stream:
+    """The current job's record of the stream of (d, cfg.samples,
+    cfg.seed), or a fresh one outside a `_job_stream` scope."""
+    table = _STREAM.get()
+    if table is None:
+        return _Stream(d, cfg)
+    key = (d, cfg.samples, cfg.seed)
+    return table.get(key) or table.setdefault(key, _Stream(d, cfg))
+
+
 def sample_points(
     d: Domain,
     cfg: SamplingConfig,
@@ -112,76 +137,40 @@ def sample_points(
     and the set of guards.  Gives up after 100x oversampling; fewer than
     half the requested points is a DomainTooSingularError.
 
-    Within a `_job_stream` scope (each CLI job runs in one), a guard
-    set is sampled once and its list is returned again to later calls.
-    A stored pass that rejected nothing holds the first `samples`
-    candidates of the stream, the prefix, and clears its guards there,
-    as a passing `nowhere_zero` scan clears its expression.  A set of
-    cleared guards is served the prefix without running a kernel; a new
-    pass reads it in place of drawing it, and draws on from where it
-    ends.  A pass that drew the prefix itself and rejected some of it
-    stores it as the guard-less pass.
-    Sets are keyed by node identity, not equality: Constant(0.0) ==
-    Constant(-0.0), but they can evaluate differently.  Outside a scope
-    every call samples afresh and returns the same points.  The
-    returned list may be shared: callers must not mutate it.
+    A set of cleared guards (see `_Stream`), the empty set among them,
+    is served the stream's prefix without running a kernel.  Any other
+    set runs one pass, stored in the job's record within a `_job_stream`
+    scope (each CLI job runs in one) and returned again to later calls.
+    A pass that rejected nothing returns the prefix and clears its
+    guards.  Sets are keyed by node identity, not equality:
+    Constant(0.0) == Constant(-0.0), but they can evaluate differently.
+    Outside a scope every call samples afresh and returns the same
+    points.  The returned list may be shared: callers must not mutate it.
     """
-    table = _STREAM.get()
-    table = {} if table is None else table
-    stream = (d, cfg.samples, cfg.seed)
-    passes = table.setdefault(stream, {})
+    s = _stream(d, cfg)
     guards = tuple(guards)
     key = frozenset(map(id, guards))
-    done = passes.get(key)
-    if done is not None:
-        return done[1]
-    whole = [(k, p) for k, p in passes.items() if p[2] == 0]
-    # A non-rejecting pass or a passing scan shows that its guards do not
-    # raise and have |v| >= guard at every prefix candidate; `compile_many`
-    # values are bit-identical per expression, and a fused kernel raises
-    # only where one of its expressions does.
-    cleared = set().union(*(k for k, _ in whole))
-    cleared.update(k[3] for k, scan in table.items() if len(k) == 4 and k[:3] == stream and scan[1][0])
-    if whole and key <= cleared:
-        return whole[0][1][1]
-    done, head = _draw_pass(d, cfg, guards, whole[0][1] if whole else None)
-    passes[key] = done
-    if head is not None:
-        passes[frozenset()] = head
+    if key <= s.cleared:
+        return s.prefix
+    done = s.passes.get(key)
+    if done is None:
+        done = s.passes[key] = (guards, _draw_pass(d, cfg, guards, s))
+        if done[1] is s.prefix:
+            s.cleared |= key
     return done[1]
 
 
-def _draw_pass(
-    d: Domain,
-    cfg: SamplingConfig,
-    guards: tuple[Expr, ...],
-    whole: tuple | None,
-) -> tuple[tuple, tuple | None]:
-    """(guards, accepted points, rejected count, end) of one pass, and
-    the guard-less pass if this one drew the stream's prefix, its first
-    `samples` candidates, itself and rejected some of it, else None.
-    `whole` is None or a stored pass that rejected nothing: its points
-    are the prefix, read in place of drawing them, and `_draws` resumes
-    at its `end`, on the first request past the prefix."""
+def _draw_pass(d: Domain, cfg: SamplingConfig, guards: tuple[Expr, ...], s: _Stream) -> list[tuple[float, float]]:
+    """The first `samples` candidates of the stream at which every
+    guard is defined with |v| >= d.guard, in stream order: `s.prefix`
+    itself if the pass rejected none of it.  The prefix is read from
+    `s`, and the candidates past it are drawn on from `s.end`."""
     rng = random.Random(cfg.seed)
-    if whole is None:
-        draws = _draws(d, rng)
-        prefix, end = list(islice(draws, cfg.samples)), rng.getstate()
-    else:
-        _, prefix, _, end = whole
-
-        def resumed():  # a generator, so `_draws` starts on the first request
-            rng.setstate(end)
-            yield from _draws(d, rng)
-
-        draws = resumed()
-    if not guards:
-        return (guards, prefix, 0, end), None
+    rng.setstate(s.end)
     guard_values = compile_many(guards)
     guard = d.guard
     points: list[tuple[float, float]] = []
-    rejected = 0
-    for p in chain(prefix, islice(draws, cfg.samples * (OVERSAMPLE_FACTOR - 1))):
+    for p in chain(s.prefix, islice(_draws(d, rng), cfg.samples * (OVERSAMPLE_FACTOR - 1))):
         x1, x2 = p
         try:
             values = guard_values(x1, x2)
@@ -189,7 +178,6 @@ def _draw_pass(
             values = (0.0,)  # undefined: rejected like a zero (d.guard > 0)
         for v in values:
             if abs(v) < guard:
-                rejected += 1
                 break
         else:
             points.append(p)
@@ -200,9 +188,9 @@ def _draw_pass(
             f"accepted {len(points)} of {cfg.samples} requested points "
             f"after {OVERSAMPLE_FACTOR}x oversampling"
         )
-    if not rejected:
-        return (guards, points, 0, end), None
-    return (guards, points, rejected, None), ((), prefix, 0, end) if whole is None else None
+    # Points are accepted in stream order: the last of `samples` is the
+    # prefix's last only if no prefix candidate was rejected.
+    return s.prefix if len(points) == cfg.samples and points[-1] is s.prefix[-1] else points
 
 
 def _enough(samples: int) -> int:
@@ -225,29 +213,31 @@ _SIGN_CHANGE = "sign change detected (zero crossing on the domain)"
 def nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
     """Sample-check the 'nowhere zero on the domain' hypothesis.
 
-    At the points of the guard-less pass of `sample_points`, the first
-    `samples` candidates of the seeded stream, every e(p) must be
-    finite, |e(p)| must clear d.guard and the sign must be constant.  A
-    strict sign change witnesses a zero crossing that pointwise
-    magnitudes alone cannot see; a NaN has no sign and is never near
-    zero, so it is rejected on its own.
+    At the stream's prefix, its first `samples` candidates (the points
+    of the guard-less `sample_points`), every e(p) must be finite, |e(p)|
+    must clear d.guard and the sign must be constant.  A strict sign
+    change witnesses a zero crossing that pointwise magnitudes alone
+    cannot see; a NaN has no sign and is never near zero, so it is
+    rejected on its own.
 
     Within a `_job_stream` scope, each (expression, domain, samples,
-    seed) is scanned once and its verdict returned again to later calls.
+    seed) is scanned once and its verdict returned again to later calls;
+    a passing scan clears its expression for `sample_points`.
     """
-    table = _STREAM.get()
-    table = {} if table is None else table
-    key = (d, cfg.samples, cfg.seed, id(e))
-    if key not in table:
-        table[key] = (e, _scan_nowhere_zero(e, d, cfg))
-    return table[key][1]
+    s = _stream(d, cfg)
+    done = s.scans.get(id(e))
+    if done is None:
+        done = s.scans[id(e)] = (e, _scan_nowhere_zero(e, s.prefix, d.guard))
+        if done[1][0]:
+            s.cleared.add(id(e))
+    return done[1]
 
 
-def _scan_nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
+def _scan_nowhere_zero(e: Expr, points: Sequence[tuple[float, float]], guard: float) -> tuple[bool, str]:
     fn = compile_expr(e)
-    guard, inf = d.guard, math.inf
+    inf = math.inf
     saw_pos = saw_neg = False
-    for x1, x2 in sample_points(d, cfg):
+    for x1, x2 in points:
         try:
             v = fn(x1, x2)
         except EVAL_ERRORS:

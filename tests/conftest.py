@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ricciplane.expr import (
+    EVAL_ERRORS,
     Add,
     Apply,
     Constant,
@@ -22,6 +23,7 @@ from ricciplane.expr import (
     Sub,
     X1,
     X2,
+    compile_expr,
     evaluate_with_scale,
 )
 from ricciplane.families import (
@@ -34,7 +36,7 @@ from ricciplane.families import (
     construct,
 )
 from ricciplane.geometry import DiagonalMetric
-from ricciplane.numeric import SamplingConfig
+from ricciplane.numeric import OVERSAMPLE_FACTOR, SamplingConfig
 from ricciplane.riccifield import FrameField, from_coordinates
 
 REPO = Path(__file__).resolve().parent.parent
@@ -211,3 +213,23 @@ def draw_constructed(variant: str, count: int, seed: int, cfg: SamplingConfig):
             continue
         out.append((params, dom, m, V))
     return out
+
+
+def uniform_stream_points(d, cfg, guards):
+    """The guarded sample drawn the plain way: random.Random.uniform for
+    x1 then x2, one compiled guard at a time."""
+    rng = random.Random(cfg.seed)
+    fns = [compile_expr(g) for g in guards]
+    points = []
+    for _ in range(cfg.samples * OVERSAMPLE_FACTOR):
+        if len(points) == cfg.samples:
+            break
+        x1 = rng.uniform(*d.x1_range)
+        x2 = rng.uniform(*d.x2_range)
+        try:
+            values = [f(x1, x2) for f in fns]
+        except EVAL_ERRORS:
+            continue
+        if not any(abs(v) < d.guard for v in values):
+            points.append((x1, x2))
+    return points

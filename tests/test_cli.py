@@ -349,6 +349,25 @@ def test_deeply_nested_expression_is_a_spec_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_spec_file_that_is_not_utf8_is_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"metric": {"f1": "1", "f2": "1\xff"}}')
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"spec error: cannot read spec file {path}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_spec_file_is_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"spec error: spec file {path} is nested too deeply\n"
+
+
 def test_unexpected_exception_exits_5(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise KeyError("boom")

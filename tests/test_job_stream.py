@@ -13,12 +13,14 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ricciplane import cli, expr, numeric
 from ricciplane.expr import Domain, parse
 from ricciplane.numeric import DomainTooSingularError, SamplingConfig, sample_points
 
-from conftest import CORPUS
+from conftest import CORPUS, uniform_stream_points
 
 CFG = SamplingConfig(samples=100, seed=5)
 EXP = parse("exp(x1)")
@@ -47,8 +49,8 @@ def test_covered_subset_is_served_by_its_superset():
         superset = sample_points(Domain(), CFG, [COSH, EXP])
         assert sample_points(Domain(), CFG, [EXP]) is superset
         assert sample_points(Domain(), CFG) is superset
-        (table,) = numeric._STREAM.get().values()
-        assert len(table) == 1
+        (s,) = numeric._STREAM.get().values()
+        assert len(s.passes) == 1
     assert superset == sample_points(Domain(), CFG, [EXP]) == sample_points(Domain(), CFG)
 
 
@@ -56,15 +58,16 @@ def test_superset_that_rejected_candidates_serves_no_subset():
     d = Domain(guard=1e-2)
     with numeric._job_stream():
         superset = sample_points(d, CFG, [SINH, EXP])
-        (table,) = numeric._STREAM.get().values()
-        # The rejecting pass drew the stream's head itself: it is stored
-        # as the guard-less pass, which serves no guarded set.
-        assert list(table) == [frozenset(map(id, [SINH, EXP])), frozenset()]
-        assert table[frozenset(map(id, [SINH, EXP]))][2] > 0
+        (s,) = numeric._STREAM.get().values()
+        # The rejecting pass is stored with its own points and clears
+        # nothing; the record holds the stream's prefix and where it ends.
+        assert list(s.passes) == [frozenset(map(id, [SINH, EXP]))]
+        assert s.passes[frozenset(map(id, [SINH, EXP]))] == ((SINH, EXP), superset)
+        assert superset != s.prefix and s.cleared == set()
         rng = random.Random(CFG.seed)
-        assert table[frozenset()] == ((), list(islice(numeric._draws(d, rng), CFG.samples)), 0, rng.getstate())
+        assert (s.prefix, s.end) == (list(islice(numeric._draws(d, rng), CFG.samples)), rng.getstate())
         subset = sample_points(d, CFG, [EXP])
-        assert len(table) == 3
+        assert len(s.passes) == 2
     assert subset is not superset
     assert subset == sample_points(d, CFG, [EXP])
     assert subset != superset
@@ -100,7 +103,9 @@ def test_singular_domain_raises_the_same_message_in_and_out_of_the_scope():
             with pytest.raises(DomainTooSingularError) as inside:
                 sample_points(d, CFG, tiny)
             assert str(inside.value) == str(outside.value)
-        assert numeric._STREAM.get() == {(d, CFG.samples, CFG.seed): {}}
+        ((key, s),) = numeric._STREAM.get().items()
+        assert key == (d, CFG.samples, CFG.seed)
+        assert s.passes == {} and s.cleared == set()
 
 
 def _quiet_main(argv) -> int:
@@ -219,7 +224,9 @@ def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch,
     # the pair scans f1 and f2 again with the same domain, samples and seed.
     scans = []
     scan = numeric._scan_nowhere_zero
-    monkeypatch.setattr(numeric, "_scan_nowhere_zero", lambda e, d, cfg: scans.append(e) or scan(e, d, cfg))
+    monkeypatch.setattr(
+        numeric, "_scan_nowhere_zero", lambda e, points, guard: scans.append(e) or scan(e, points, guard)
+    )
     argv = next(job for job in _family_jobs(tmp_path) if job[2].endswith(f"{tag}.json"))
     assert argv[0] == "construct"
     shared = _outputs([argv], capsys)
@@ -278,19 +285,22 @@ def test_nowhere_zero_gives_the_same_verdict_in_a_scope(monkeypatch, e, ok, mess
 
 def test_a_rejecting_pass_reads_the_stored_prefix_bit_for_bit(monkeypatch):
     d = Domain(guard=1e-2)
-    unscoped = sample_points(d, CFG, [SINH])
     starts, drawn = _counting_draws(monkeypatch)
+    unscoped = sample_points(d, CFG, [SINH])
+    unscoped_draws = len(drawn)
+    starts.clear()
+    drawn.clear()
     with numeric._job_stream():
         sample_points(d, CFG)
         assert (len(starts), len(drawn)) == (1, CFG.samples)
         scoped = sample_points(d, CFG, [SINH])
-        (table,) = numeric._STREAM.get().values()
-        rejected = table[frozenset([id(SINH)])][2]
-        assert rejected > 0
+        (s,) = numeric._STREAM.get().values()
+        assert s.passes[frozenset([id(SINH)])][1] != s.prefix  # it rejected candidates
     # The second pass read the stored candidates, then drew past them
-    # from where they end: each candidate of the stream is drawn once.
+    # from where they end: each candidate of the stream is drawn once,
+    # as many as the pass draws outside the scope.
     assert len(starts) == 2
-    assert len(drawn) == CFG.samples + rejected
+    assert len(drawn) == unscoped_draws > CFG.samples
     assert len(set(drawn)) == len(drawn)
     assert [(a.hex(), b.hex()) for a, b in scoped] == [(a.hex(), b.hex()) for a, b in unscoped]
 
@@ -301,12 +311,11 @@ def test_a_failed_pass_stores_no_more_than_samples_candidates():
         numeric.nowhere_zero(COSH, d, CFG)
         with pytest.raises(DomainTooSingularError):
             sample_points(d, CFG, [parse("1e-9*x1")])
-        table = numeric._STREAM.get()
-        # The guard-less pass of `nowhere_zero` is stored; the failed one is not.
-        assert list(table[(d, CFG.samples, CFG.seed)]) == [frozenset()]
-        for key, value in table.items():
-            if len(key) == 3:  # the passes of a (domain, samples, seed)
-                assert all(len(points) <= CFG.samples for _, points, *_ in value.values())
+        (s,) = numeric._STREAM.get().values()
+        # The scan of `nowhere_zero` is stored; the failed pass is not.
+        assert list(s.scans) == [id(COSH)] and s.passes == {}
+        assert len(s.prefix) == CFG.samples
+        assert all(len(points) <= CFG.samples for _, points in s.passes.values())
 
 
 def _hexes(points) -> list[tuple[str, str]]:
@@ -314,8 +323,9 @@ def _hexes(points) -> list[tuple[str, str]]:
 
 
 def _counting_passes(monkeypatch) -> tuple[list, list]:
-    """Wrap `numeric._draw_pass` and `numeric.compile_many`: one entry
-    in `passes` per pass run, one in `kernels` per kernel compiled."""
+    """Wrap `numeric._draw_pass` and `numeric.compile_many`: the guards
+    of each pass run in `passes`, one entry in `kernels` per kernel
+    compiled."""
     passes, kernels = [], []
     draw_pass, compile_many = numeric._draw_pass, numeric.compile_many
     monkeypatch.setattr(numeric, "_draw_pass", lambda *args: passes.append(args[2]) or draw_pass(*args))
@@ -330,9 +340,10 @@ def test_passes_over_separate_guards_clear_their_union(monkeypatch):
         sample_points(Domain(), CFG, [EXP])
         passes, kernels = _counting_passes(monkeypatch)
         served = sample_points(Domain(), CFG, [COSH, EXP])
-        (table,) = numeric._STREAM.get().values()
-        assert list(table) == [frozenset([id(COSH)]), frozenset([id(EXP)])]
-    assert served is first
+        (s,) = numeric._STREAM.get().values()
+        assert list(s.passes) == [frozenset([id(COSH)]), frozenset([id(EXP)])]
+        assert s.cleared == {id(COSH), id(EXP)}
+    assert served is first is s.prefix
     assert passes == kernels == []
     assert _hexes(served) == _hexes(sample_points(Domain(), CFG, [COSH, EXP]))
 
@@ -345,9 +356,10 @@ def test_a_passing_scan_clears_its_expression(monkeypatch, guards):
         prefix = sample_points(Domain(), CFG)
         passes, kernels = _counting_passes(monkeypatch)
         served = sample_points(Domain(), CFG, guards)
-        (table,) = [v for k, v in numeric._STREAM.get().items() if len(k) == 3]
-        assert list(table) == [frozenset()]
-    assert served is prefix
+        (s,) = numeric._STREAM.get().values()
+        assert s.passes == {}
+        assert list(s.scans) == [id(COSH), id(EXP)] and s.cleared == {id(COSH), id(EXP)}
+    assert served is prefix is s.prefix
     assert passes == kernels == []
     assert _hexes(served) == _hexes(sample_points(Domain(), CFG, guards))
 
@@ -366,14 +378,15 @@ def test_a_failing_scan_clears_nothing(monkeypatch):
     with numeric._job_stream():
         assert numeric.nowhere_zero(x1, Domain(), CFG) == (False, numeric._SIGN_CHANGE)
         prefix = sample_points(Domain(), CFG)
+        (s,) = numeric._STREAM.get().values()
+        assert s.cleared == set()
         passes, kernels = _counting_passes(monkeypatch)
         scoped = sample_points(Domain(), CFG, [x1])
-        (table,) = [v for k, v in numeric._STREAM.get().items() if len(k) == 3]
         # |x1| >= 1e-6 at every prefix candidate: the pass rejects nothing,
         # but only running it shows that.
-        assert table[frozenset([id(x1)])][2] == 0
+        assert s.passes[frozenset([id(x1)])] == ((x1,), prefix)
     assert passes == [(x1,)] and len(kernels) == 1
-    assert scoped is not prefix
+    assert scoped is prefix
     assert _hexes(scoped) == _hexes(prefix) == _hexes(sample_points(Domain(), CFG, [x1]))
 
 
@@ -390,17 +403,19 @@ def test_a_rejecting_pass_clears_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["verify", "identities"])
-def test_a_job_on_ex03_runs_one_pass(monkeypatch, command):
-    # The job's scans of f1 and f2 clear every guard of its guarded set.
+def test_a_job_on_ex03_runs_no_pass(monkeypatch, command):
+    # The job's scans of f1 and f2 clear every guard of its guarded set,
+    # and the guard-less set is served the prefix.
     passes, _ = _counting_passes(monkeypatch)
     spec = str(CORPUS / "ex03_cosh_metric.json")
     assert _quiet_main([command, "--spec", spec, "--samples", "2000"]) == 0
-    assert passes == [()]
+    assert passes == []
 
 
-def test_a_rejecting_pass_stores_the_head_it_drew(tmp_path, capsys, monkeypatch):
+def test_a_rejecting_pass_and_a_scan_share_the_prefix(tmp_path, capsys, monkeypatch):
     # sqrt(x2) + 1 is undefined where x2 < 0: the curvature pass rejects
-    # about half of the stream, and the scan of f2 reads the head it drew.
+    # about half of the stream.  The record draws the prefix once, the
+    # pass reads it and draws on from its end, and the scan of f2 reads it.
     body = json.loads((CORPUS / "ex03_cosh_metric.json").read_text(encoding="utf-8"))
     body["metric"]["f2"] = "sqrt(x2) + 1"
     spec = tmp_path / "sqrt_f2.json"
@@ -408,15 +423,15 @@ def test_a_rejecting_pass_stores_the_head_it_drew(tmp_path, capsys, monkeypatch)
     argv = ["curvature", "--spec", str(spec), "--samples", "2000"]
     starts, drawn = _counting_draws(monkeypatch)
     shared = _outputs([argv], capsys)
-    assert (len(starts), len(drawn)) == (1, 3952)
+    assert (len(starts), len(drawn), len(set(drawn))) == (2, 3952, 3952)
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
 
 
 @pytest.mark.parametrize("command", ["verify", "identities", "oracle"])
 def test_a_pass_that_reads_the_prefix_draws_on_from_its_end(tmp_path, capsys, monkeypatch, command):
-    # sqrt(x1) is undefined where x1 < 0: the guard-less pass draws the
-    # 2 000 candidates of the prefix, and the guarded pass that reads
+    # sqrt(x1) is undefined where x1 < 0: the job's stream record draws
+    # the 2 000 candidates of the prefix, and the guarded pass that reads
     # them rejects 2 037 and draws on past them, each candidate once.
     body = json.loads((CORPUS / "ex03_cosh_metric.json").read_text(encoding="utf-8"))
     body["field"]["V1"] = "sqrt(x1)"
@@ -428,3 +443,70 @@ def test_a_pass_that_reads_the_prefix_draws_on_from_its_end(tmp_path, capsys, mo
     assert (len(starts), len(drawn), len(set(drawn))) == (2, 4037, 4037)
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
+
+
+def test_a_branch1_identities_job_sweeps_one_point_list(tmp_path, capsys, monkeypatch):
+    # Every pass of this job rejects nothing, so every sweep reads the
+    # stream's prefix itself, not an equal copy of it.
+    family = {"kind": "branch1", "f2": "cosh(0.616*x1) + 2", "k": 0.695, "c": 1.571}
+    spec = tmp_path / "b1.json"
+    spec.write_text(json.dumps({"family": family, "domain": {"x1": [0.25, 1.25], "x2": [-1.0, 1.0]}}), encoding="utf-8")
+    derived = tmp_path / "b1.derived.json"
+    seed = ["--seed", "2124989931"]
+    assert _quiet_main(["construct", "--spec", str(spec), "--emit-spec", str(derived), *seed]) == 0
+    swept = []
+    extrema = numeric._extrema
+    monkeypatch.setattr(
+        numeric, "_extrema", lambda exprs, spans, points: swept.append(points) or extrema(exprs, spans, points)
+    )
+    argv = ["identities", "--spec", str(derived), *seed]
+    shared = _outputs([argv], capsys)
+    assert len(swept) == 3 and len({id(points) for points in swept}) == 1
+    monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
+    assert _outputs([argv], capsys) == shared
+
+
+# sqrt and log(x1 + 1.2) are undefined or small on part of [-1, 1], sinh
+# and x1 change sign, 1e-9*x1 is below every guard (its pass fails), and
+# cosh and exp clear every guard below 1/e.
+_STREAM_GUARDS = [parse(t) for t in ("sqrt(x1)", "sinh(x1)", "1e-9*x1", "log(x1 + 1.2)", "cosh(x1)", "exp(x1)", "x1")]
+_SQRT, _SINH, _TINY, _LOG, _COSH, _EXP, _X1 = range(len(_STREAM_GUARDS))
+_stream_calls = st.lists(
+    st.one_of(
+        st.tuples(st.just("scan"), st.integers(0, len(_STREAM_GUARDS) - 1)),
+        st.tuples(st.just("sample"), st.lists(st.integers(0, len(_STREAM_GUARDS) - 1), max_size=3)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _stream_call(kind: str, which, d: Domain, cfg: SamplingConfig):
+    """The outcome of one `nowhere_zero` or `sample_points` call: the
+    verdict, the points by `float.hex`, or the message it raised."""
+    try:
+        if kind == "scan":
+            return numeric.nowhere_zero(_STREAM_GUARDS[which], d, cfg)
+        return _hexes(sample_points(d, cfg, [_STREAM_GUARDS[i] for i in which]))
+    except DomainTooSingularError as err:
+        return str(err)
+
+
+@given(st.sampled_from([1e-6, 1e-2, 0.3]), st.sampled_from([7, 50, 200]), st.integers(0, 3), _stream_calls)
+@settings(max_examples=150, deadline=None)
+@example(0.3, 50, 0, [("sample", [_SINH]), ("sample", [_SINH])])
+@example(0.3, 50, 0, [("scan", _X1), ("sample", [_X1])])
+@example(0.3, 50, 0, [("sample", [_SQRT])])
+@example(1e-2, 7, 1, [("sample", [_TINY, _COSH]), ("scan", _LOG), ("sample", [_COSH]), ("sample", [_LOG, _EXP])])
+def test_scoped_calls_equal_unscoped_ones(guard, samples, seed, calls):
+    """Any interleaving of passes and scans in one job scope gives, call
+    by call, what each call gives on its own, bit for bit; and a pass on
+    its own gives the points of the plain uniform draws."""
+    d, cfg = Domain(guard=guard), SamplingConfig(samples=samples, seed=seed)
+    unscoped = [_stream_call(kind, which, d, cfg) for kind, which in calls]
+    with numeric._job_stream():
+        scoped = [_stream_call(kind, which, d, cfg) for kind, which in calls]
+    assert scoped == unscoped
+    for (kind, which), got in zip(calls, unscoped):
+        if kind == "sample" and not isinstance(got, str):
+            assert got == _hexes(uniform_stream_points(d, cfg, [_STREAM_GUARDS[i] for i in which]))

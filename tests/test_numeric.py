@@ -9,7 +9,6 @@ import pytest
 
 from ricciplane.expr import EVAL_ERRORS, Constant, Domain, Point, Var, compile_expr, parse
 from ricciplane.numeric import (
-    OVERSAMPLE_FACTOR,
     DomainTooSingularError,
     SamplingConfig,
     fd_partial,
@@ -18,6 +17,8 @@ from ricciplane.numeric import (
     sample_points,
     sampled_range,
 )
+
+from conftest import uniform_stream_points
 
 
 def test_sample_points_deterministic():
@@ -98,26 +99,6 @@ def test_fd_validate_skips_kink_straddles():
     assert outcome.max_rel_error <= 1e-5
 
 
-def _uniform_stream_points(d, cfg, guards):
-    """The guarded sample drawn the plain way: random.Random.uniform for
-    x1 then x2, one compiled guard at a time."""
-    rng = random.Random(cfg.seed)
-    fns = [compile_expr(g) for g in guards]
-    points = []
-    for _ in range(cfg.samples * OVERSAMPLE_FACTOR):
-        if len(points) == cfg.samples:
-            break
-        x1 = rng.uniform(*d.x1_range)
-        x2 = rng.uniform(*d.x2_range)
-        try:
-            values = [f(x1, x2) for f in fns]
-        except EVAL_ERRORS:
-            continue
-        if not any(abs(v) < d.guard for v in values):
-            points.append((x1, x2))
-    return points
-
-
 @pytest.mark.parametrize(
     "d, guards",
     [
@@ -130,7 +111,7 @@ def _uniform_stream_points(d, cfg, guards):
 def test_sample_points_match_random_uniform_draws(d, guards):
     cfg = SamplingConfig(samples=300, seed=2026)
     got = sample_points(d, cfg, [parse(g) for g in guards])
-    want = _uniform_stream_points(d, cfg, [parse(g) for g in guards])
+    want = uniform_stream_points(d, cfg, [parse(g) for g in guards])
     assert all(type(p) is tuple for p in got)
     assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
 
