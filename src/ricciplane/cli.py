@@ -27,12 +27,10 @@ from typing import Iterator, TextIO
 
 from . import __version__, numeric
 from .expr import (
-    EVAL_ERRORS,
     Domain,
     EvaluationError,
     Expr,
     ParseError,
-    compile_expr,
     parse,
     to_string,
 )
@@ -224,7 +222,7 @@ def spec_family(spec: dict) -> FamilyParams:
     if not isinstance(family, dict) or "kind" not in family:
         raise SpecError('spec needs "family": {"kind": ..., ...}')
     kind = family["kind"]
-    if kind not in _FAMILY_KINDS:
+    if not isinstance(kind, str) or kind not in _FAMILY_KINDS:
         raise SpecError(f"unknown family kind {kind!r}; expected one of {sorted(_FAMILY_KINDS)}")
     cls = _FAMILY_KINDS[kind]
     names = [field.name for field in dataclasses.fields(cls)]
@@ -318,21 +316,15 @@ def emit_grid(path: str, exprs: dict, d: Domain, size: int) -> None:
     """CSV grid of sampled values on a regular size x size lattice."""
     if size < 2:
         raise SpecError(f"--grid-size must be at least 2, got {size}")
-    fns = {name: compile_expr(e) for name, e in exprs.items()}
+    values = numeric._one_by_one(list(exprs.values()))
     with _output(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", *fns.keys()])
+        writer.writerow(["x1", "x2", *exprs])
         for i in range(size):
             x1 = d.x1_range[0] + (d.x1_range[1] - d.x1_range[0]) * i / (size - 1)
             for j in range(size):
                 x2 = d.x2_range[0] + (d.x2_range[1] - d.x2_range[0]) * j / (size - 1)
-                row = [repr(x1), repr(x2)]
-                for fn in fns.values():
-                    try:
-                        row.append(repr(fn(x1, x2)))
-                    except EVAL_ERRORS:
-                        row.append("nan")
-                writer.writerow(row)
+                writer.writerow([repr(x1), repr(x2), *("nan" if v is None else repr(v) for v in values(x1, x2))])
 
 
 # ---------------------------------------------------------------------------

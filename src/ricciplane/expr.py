@@ -19,7 +19,10 @@ import types
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .numeric import SamplingConfig
 
 
 class Var(Enum):
@@ -860,32 +863,26 @@ def kink_arguments(e: Expr) -> list[Expr]:
 # ---------------------------------------------------------------------------
 
 
-def is_probably_zero(
-    e: Expr,
-    d: Domain,
-    samples: int = 200,
-    seed: int = 42,
-    tol: float = 1e-9,
-) -> bool:
+def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
     """Decide whether `e` vanishes identically on `d`, by sampling.
 
-    Draws seeded uniform points, rejecting any where a denominator of
-    `e` has magnitude below d.guard.  A point reads as zero iff every
-    node of `e` has a finite value there and |e(p)| <= tol * (1 + scale),
-    the scale being the largest |value| of any node (the scale of
-    `evaluate_with_scale`); a non-finite node value, even one that a
-    later division turns finite, counts as nonzero.  Accepts zero-ness
-    iff every evaluable point reads as zero.  The verdict is
+    Draws cfg.samples seeded uniform points (the stream of cfg.seed),
+    rejecting any where a denominator of `e` has magnitude below
+    d.guard.  A point reads as zero iff every node of `e` has a finite
+    value there and |e(p)| <= tol * (1 + scale), tol being
+    cfg.tolerance and the scale the largest |value| of any node (the
+    scale of `evaluate_with_scale`); a non-finite node value, even one
+    that a later division turns finite, counts as nonzero.  Accepts
+    zero-ness iff every evaluable point reads as zero.  The verdict is
     deterministic given the seed.  Raises DomainTooSingularError when
     fewer than samples/2 points survive rejection and evaluation.
     """
-    from .numeric import DomainTooSingularError, SamplingConfig, _enough, sample_points
+    from .numeric import DomainTooSingularError, _enough, sample_points
 
-    cfg = SamplingConfig(samples=samples, seed=seed, tolerance=tol)
     points = sample_points(d, cfg, guards=denominators(e))
     # The value of every node, that of `e` first.
     fn = compile_many(list(walk(e)))
-    enough = _enough(samples)
+    tol, enough = cfg.tolerance, _enough(cfg.samples)
     evaluated = 0
     verdict = True
     for x1, x2 in points:
@@ -907,7 +904,7 @@ def is_probably_zero(
             return False
     if evaluated < enough:
         raise DomainTooSingularError(
-            f"only {evaluated} of {samples} requested points were evaluable"
+            f"only {evaluated} of {cfg.samples} requested points were evaluable"
         )
     return verdict
 

@@ -221,7 +221,7 @@ def admissibility(
 
     Requires f2 to depend on x1 only (sample-checked via df2/dx2).
     """
-    if not is_probably_zero(differentiate(m.f2, Var.X2), d, cfg.samples, cfg.seed, cfg.tolerance):
+    if not is_probably_zero(differentiate(m.f2, Var.X2), d, cfg):
         raise HypothesisError("f2 depends on x1 only", "df2/dx2 is not sample-zero")
     f1, f2 = m.f1, m.f2
     f1p = simplify(differentiate(f1, Var.X1))

@@ -140,4 +140,4 @@ def is_flat(m: DiagonalMetric, d: Domain, cfg: SamplingConfig) -> bool:
     In the flat regime Q = 0 and the field equation degenerates to
     'V is parallel'.
     """
-    return is_probably_zero(ricci(m).rho, d, cfg.samples, cfg.seed, cfg.tolerance)
+    return is_probably_zero(ricci(m).rho, d, cfg)

@@ -282,28 +282,25 @@ class FdValidation:
 
 
 def fd_validate(
-    exprs: Expr | Sequence[Expr],
+    exprs: Sequence[Expr],
     d: Domain,
     cfg: SamplingConfig,
     guards: Sequence[Expr] = (),
-) -> FdValidation | list[FdValidation]:
-    """Max over sampled points and both variables of
-    |symbolic - fd| / (1 + |symbolic|).
+) -> list[FdValidation]:
+    """One FdValidation per expression, in order: the max over sampled
+    points and both variables of |symbolic - fd| / (1 + |symbolic|).
 
-    A lone Expr gives one FdValidation, a sequence one per expression,
-    in order.  Each expression is sampled at the points that clear the
-    guards and its own denominators.  Point/variable pairs where the
-    stencil straddles an abs/sign kink of the expression, or where
-    either side is undefined, are skipped and counted.  A NaN deviation
-    (say, both sides non-finite) makes the maximum math.inf.
+    Each expression is sampled at the points that clear the guards and
+    its own denominators.  Point/variable pairs where the stencil
+    straddles an abs/sign kink of the expression, or where either side
+    is undefined, are skipped and counted.  A NaN deviation (say, both
+    sides non-finite) makes the maximum math.inf.
 
     Each expression is sampled, then differentiated, before the next,
     so errors surface as if the expressions were validated one at a
     time.  Expressions sampled to the same list (the job scope of
     `sample_points` makes that the usual case) share one sweep.
     """
-    if isinstance(exprs, Expr):
-        return fd_validate([exprs], d, cfg, guards)[0]
     built = []
     for e in exprs:
         points = sample_points(d, cfg, merge_guards(guards, [e]))
@@ -378,7 +375,7 @@ def _one_by_one(exprs: Sequence[Expr]) -> Callable[[float, float], list[float | 
     """A callable (x1, x2) -> the values of `exprs`, each from its own
     kernel (compiled on first call), with None for each expression
     undefined there: the fallback of a sweep at a point where its fused
-    kernel raised."""
+    kernel raised, and the cells of `cli.emit_grid`."""
     kernels: list = []
 
     def evaluate_each(x1: float, x2: float):
@@ -409,75 +406,68 @@ def _straddles(kink, stencil) -> bool:
 
 
 def sampled_max_abs(
-    exprs: Sequence[Expr] | Sequence[Sequence[Expr]],
+    groups: Sequence[Sequence[Expr]],
     points: Sequence[tuple[float, float]],
-) -> tuple[list[float], int] | list[tuple[list[float], int]]:
-    """Max |value| of each expression over the points.
+) -> list[tuple[list[float], int]]:
+    """Max |value| of each expression of each group over the points:
+    one (maxima, points used) per group, in order.  Points where any
+    expression of a group is undefined are dropped for the whole group,
+    keeping its maxima comparable; other groups keep them.  A NaN or
+    infinite value at a used point makes that maximum math.inf.
 
-    A sequence of Expr is one group and gives (maxima, points used); a
-    sequence of groups gives one such pair per group, in order.  Points
-    where any expression of a group is undefined are dropped for the
-    whole group, keeping its maxima comparable; other groups keep them.
-    A NaN or infinite value at a used point makes that maximum math.inf.
-
-    One `_extrema` sweep folds every group's values into their (lo, hi,
-    saw_nan), and a group is dropped only where one of its own
-    expressions is undefined: that is exactly where a kernel of the
-    group alone would raise.  A maximum is math.inf after a NaN, else
-    max(|lo|, |hi|), or 0.0 where no value was folded.  A Constant is
-    left out of the sweep: its maximum is read once, or stays 0.0 in a
-    group that used no point.
+    The maxima are read from one `_extrema` sweep: math.inf after a NaN,
+    else max(|lo|, |hi|), or 0.0 where no value was folded.
     """
-    if all(isinstance(e, Expr) for e in exprs):
-        return sampled_max_abs([exprs], points)[0]
-    flat: list[Expr] = []
-    spans = []  # where each group's non-constant expressions sit in `flat`
-    for g in exprs:
-        start = len(flat)
-        flat.extend(e for e in g if not isinstance(e, Constant))
-        spans.append((start, len(flat)))
-    extrema, drops = _extrema(flat, spans, points)
     # max |v| over a set is max(|min|, |max|), and abs is exact.
-    live = iter([math.inf if nan else max(abs(lo), abs(hi)) if lo <= hi else 0.0 for lo, hi, nan in extrema])
-    # A constant never raises and has one value at every point.
     return [
-        ([_const_max(e.value, used) if isinstance(e, Constant) else next(live) for e in g], used)
-        for g, used in zip(exprs, [len(points) - k for k in drops])
+        ([math.inf if nan else max(abs(lo), abs(hi)) if lo <= hi else 0.0 for lo, hi, nan in states], used)
+        for states, used in _extrema(groups, points)
     ]
 
 
 def _extrema(
-    exprs: Sequence[Expr],
-    spans: Sequence[tuple[int, int]],
+    groups: Sequence[Sequence[Expr]],
     points: Sequence[tuple[float, float]],
-) -> tuple[list, list[int]]:
-    """The (lo, hi, saw_nan) of each expression over `points` (see
-    `compile_sweep`), and the number of points each span of `exprs`
-    dropped.  Where the sweep kernel raises, `_one_by_one` evaluates
-    the point: a span with an undefined expression drops it, the others
-    fold their values, and the kernel resumes the same iterator, so the
-    points fold in stream order and a signed-zero bound keeps its bits."""
+) -> list[tuple[list[tuple[float, float, bool]], int]]:
+    """Per group, the (lo, hi, saw_nan) of each of its expressions over
+    the points it used (see `compile_sweep`), and the number it used.
+
+    One sweep kernel folds every non-constant expression.  Where it
+    raises, `_one_by_one` evaluates the point: a group with an undefined
+    expression drops it, the others fold their values, and the kernel
+    resumes the same iterator, so the points fold in stream order and a
+    signed-zero bound keeps its bits.  A Constant c never raises and has
+    one value at every point, so it is left out of the sweep: its state
+    is (c, c, c != c) in a group that used a point, else that of no
+    value, (math.inf, -math.inf, False).
+    """
+    flat: list[Expr] = []
+    spans = []  # where each group's non-constant expressions sit in `flat`
+    for g in groups:
+        start = len(flat)
+        flat.extend(e for e in g if not isinstance(e, Constant))
+        spans.append((start, len(flat)))
     drops = [0] * len(spans)
-    if not exprs:
-        return [], drops
-    sweep, singles, stream = compile_sweep(exprs), _one_by_one(exprs), iter(points)
-    state, raised = sweep(stream, [math.inf, -math.inf, False] * len(exprs))
-    while raised is not None:
-        row = singles(*raised)
-        for k, (start, stop) in enumerate(spans):
-            if None in row[start:stop]:
-                drops[k] += 1
-                continue
-            for i in range(3 * start, 3 * stop, 3):  # the kernel's fold, at one point
-                v, (lo, hi, nan) = row[i // 3], state[i : i + 3]
-                state[i : i + 3] = v if v < lo else lo, v if v > hi else hi, nan or v != v
+    state = [math.inf, -math.inf, False] * len(flat)
+    if flat:
+        sweep, singles, stream = compile_sweep(flat), _one_by_one(flat), iter(points)
         state, raised = sweep(stream, state)
-    return list(zip(state[::3], state[1::3], state[2::3])), drops
-
-
-def _const_max(c: float, used: int) -> float:
-    """The `sampled_max_abs` maximum of the constant c over `used` points."""
-    return 0.0 if not used else math.inf if c != c else abs(c)
+        while raised is not None:
+            row = singles(*raised)
+            for k, (start, stop) in enumerate(spans):
+                if None in row[start:stop]:
+                    drops[k] += 1
+                    continue
+                for i in range(3 * start, 3 * stop, 3):  # the kernel's fold, at one point
+                    v, (lo, hi, nan) = row[i // 3], state[i : i + 3]
+                    state[i : i + 3] = v if v < lo else lo, v if v > hi else hi, nan or v != v
+            state, raised = sweep(stream, state)
+    live, unused = zip(state[::3], state[1::3], state[2::3]), (math.inf, -math.inf, False)
+    return [
+        ([next(live) if not isinstance(e, Constant) else (e.value, e.value, e.value != e.value) if used else unused
+          for e in g], used)
+        for g, used in zip(groups, [len(points) - k for k in drops])
+    ]
 
 
 def covered_max_abs(
@@ -542,31 +532,21 @@ def _per_point_list(collected: list[tuple[object, list[tuple[float, float]]]], s
 
 
 def sampled_range(
-    exprs: Expr | Sequence[Expr],
+    exprs: Sequence[Expr],
     points: Sequence[tuple[float, float]],
-) -> tuple[float, float] | list[tuple[float, float]]:
+) -> list[tuple[float, float]]:
     """(min, max) of each expression over the points where it is
-    evaluable; a NaN value at such a point makes its range
-    (-math.inf, math.inf).  A lone Expr gives one pair, a sequence a
-    list of pairs, in order.
-
-    One `_extrema` sweep folds every expression's values, and an
-    expression is skipped only where it is undefined itself.  Raises
-    DomainTooSingularError when an expression is nowhere evaluable.  A
-    Constant c is left out of the sweep: it is evaluable at every point,
-    and its range is (c, c).
+    evaluable, in order; a NaN value at such a point makes its range
+    (-math.inf, math.inf).  One `_extrema` sweep, each expression its
+    own group, so an expression is skipped only where it is undefined
+    itself.  Raises DomainTooSingularError when an expression is nowhere
+    evaluable.
     """
-    if isinstance(exprs, Expr):
-        return sampled_range([exprs], points)[0]
-    live = [e for e in exprs if not isinstance(e, Constant)]
-    bounds = iter(_extrema(live, [(i, i + 1) for i in range(len(live))], points)[0])
     ranges = []
-    for e in exprs:
-        # A constant never raises and has one value at every point.
-        a, b, saw_nan = (e.value, e.value, e.value != e.value) if isinstance(e, Constant) else next(bounds)
-        if saw_nan and points:
+    for [(a, b, saw_nan)], _ in _extrema([[e] for e in exprs], points):
+        if saw_nan:
             ranges.append((-math.inf, math.inf))
-        elif a > b or not points:
+        elif a > b:
             raise DomainTooSingularError("expression was nowhere evaluable on the sample")
         else:
             ranges.append((a, b))

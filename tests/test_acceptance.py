@@ -93,7 +93,7 @@ def test_criterion_2_family_soundness(capsys, family_pairs):
     for _, dom, m, _ in family_pairs["branch2"]:
         rho = ricci(m).rho
         points = sample_points(dom, CFG, equation_guards(m, [rho]))
-        maxima, _ = sampled_max_abs([rho], points)
+        [(maxima, _)] = sampled_max_abs([[rho]], points)
         assert maxima[0] <= 1e-9
     with capsys.disabled():
         announce(2, "family soundness, 100 draws per variant")
@@ -157,11 +157,11 @@ def test_criterion_4_identity_suite(capsys, family_pairs):
             difference = FrameField(simplify(Sub(Va.V1, Vb.V1)), simplify(Sub(Va.V2, Vb.V2)))
             cov = covariant_matrix(m, difference)
             points = sample_points(dom, CFG, equation_guards(m, cov.values()))
-            maxima, _ = sampled_max_abs(list(cov.values()), points)
+            [(maxima, _)] = sampled_max_abs([list(cov.values())], points)
             assert max(maxima) <= 2e-9
             for field in (Va, Vb):
                 defect = closedness_defect(m, field)
-                maxima, _ = sampled_max_abs([defect], points)
+                [(maxima, _)] = sampled_max_abs([[defect]], points)
                 assert maxima[0] <= 1e-9
             assert check_norm_symmetry(m, Va, Vb, dom, IDENTITY_CFG)
     assert tested_pairs >= 6  # corpus flat metric + the deliberate groups
@@ -176,7 +176,7 @@ def test_criterion_5_gradient_soliton(capsys):
     V = gradient_field(m, potential)
     points = sample_points(DEFAULT_DOMAIN, strict)
     for component in (Sub(V.V1, Constant(1.0)), Sub(V.V2, Constant(1.0))):
-        maxima, _ = sampled_max_abs([simplify(component)], points)
+        [(maxima, _)] = sampled_max_abs([[simplify(component)]], points)
         assert maxima[0] <= 1e-9
     assert verify(m, V, DEFAULT_DOMAIN, strict).passed
     entries = hessian(m, potential)
@@ -187,7 +187,7 @@ def test_criterion_5_gradient_soliton(capsys):
         entries[(2, 1)],
         simplify(Sub(entries[(2, 2)], rho)),
     ]
-    maxima, _ = sampled_max_abs(residuals, points)
+    [(maxima, _)] = sampled_max_abs([residuals], points)
     assert max(maxima) <= 1e-9
     assert check_steady_soliton(m, potential, DEFAULT_DOMAIN, strict)
     assert check_laplacian_scalar(m, potential, DEFAULT_DOMAIN, strict)

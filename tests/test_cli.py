@@ -262,7 +262,7 @@ def test_emit_grid_reports_a_faulty_kernel_as_internal_error(monkeypatch, tmp_pa
 
         return kernel
 
-    monkeypatch.setattr(cli, "compile_expr", faulty)
+    monkeypatch.setattr(numeric, "compile_expr", faulty)
     code, out, err = run_cli(
         capsys, "curvature", "--spec", str(CORPUS / "ex03_cosh_metric.json"),
         "--emit-grid", str(tmp_path / "grid.csv"), "--grid-size", "3",
@@ -492,6 +492,17 @@ def test_bad_family_parameter_is_a_spec_error(tmp_path, capsys, family, reason):
     assert out == ""
     assert err.startswith("spec error: bad family parameters:") and reason in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_unhashable_family_kind_is_a_spec_error(tmp_path, capsys):
+    for kind in (["branch1"], {"branch1": 1}):
+        path = write_spec(tmp_path, {"family": {"kind": kind, "f2": "exp(x1)", "k": 1, "c": 1}})
+        code, out, err = run_cli(capsys, "construct", "--spec", path)
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith(f"spec error: unknown family kind {kind!r}")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "job.json"]
 
 
 @pytest.mark.parametrize("command", ["verify", "curvature"])

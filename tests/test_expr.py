@@ -40,7 +40,7 @@ from ricciplane.expr import (
     simplify,
     to_string,
 )
-from ricciplane.numeric import fd_partial
+from ricciplane.numeric import SamplingConfig, fd_partial
 
 from conftest import random_smooth_tree, usable_point
 
@@ -258,25 +258,25 @@ def test_compiled_matches_reference_evaluator():
 
 def test_is_probably_zero_pythagorean_identity():
     e = parse("sin(x1)^2 + cos(x1)^2 - 1")
-    assert is_probably_zero(e, Domain()) is True
+    assert is_probably_zero(e, Domain(), SamplingConfig()) is True
 
 
 def test_is_probably_zero_rejects_nonzero():
-    assert is_probably_zero(parse("x1*x2"), Domain()) is False
+    assert is_probably_zero(parse("x1*x2"), Domain(), SamplingConfig()) is False
 
 
 def test_is_probably_zero_seed_deterministic():
     e = parse("x1*x2*1e-9")
     d = Domain()
-    first = is_probably_zero(e, d, samples=50, seed=7, tol=1e-9)
-    second = is_probably_zero(e, d, samples=50, seed=7, tol=1e-9)
+    first = is_probably_zero(e, d, SamplingConfig(samples=50, seed=7, tolerance=1e-9))
+    second = is_probably_zero(e, d, SamplingConfig(samples=50, seed=7, tolerance=1e-9))
     assert first == second
 
 
 def test_is_probably_zero_guards_denominators():
     # 1/x1 - 1/x1 is undefined on the x1 = 0 line but zero elsewhere
     e = parse("1/x1 - 1/x1")
-    assert is_probably_zero(e, Domain()) is True
+    assert is_probably_zero(e, Domain(), SamplingConfig()) is True
 
 
 def test_is_probably_zero_stops_once_the_answer_is_fixed(monkeypatch):
@@ -296,7 +296,7 @@ def test_is_probably_zero_stops_once_the_answer_is_fixed(monkeypatch):
         return counted
 
     monkeypatch.setattr(expr, "compile_many", counting)
-    assert is_probably_zero(parse("x1 + 2"), Domain(), 200) is False
+    assert is_probably_zero(parse("x1 + 2"), Domain(), SamplingConfig(samples=200)) is False
     assert calls == 100
 
 

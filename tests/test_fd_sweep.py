@@ -18,7 +18,7 @@ from conftest import CORPUS, FAILING_CORPUS, PASSING_CORPUS, load_corpus_pair
 
 
 def _one_at_a_time(exprs, d, cfg, guards=()):
-    return [fd_validate(e, d, cfg, guards) for e in exprs]
+    return [fd_validate([e], d, cfg, guards)[0] for e in exprs]
 
 
 @pytest.mark.parametrize("name", PASSING_CORPUS + FAILING_CORPUS)
@@ -37,8 +37,8 @@ def test_list_call_equals_per_expression_calls_on_corpus(name):
 def test_lone_expression_keeps_its_shape():
     d, cfg = Domain(), SamplingConfig(samples=20)
     e = parse("exp(x1)*sin(x2)")
-    assert isinstance(fd_validate(e, d, cfg), FdValidation)
-    assert fd_validate([e], d, cfg) == [fd_validate(e, d, cfg)]
+    [outcome] = fd_validate([e], d, cfg)
+    assert isinstance(outcome, FdValidation)
     assert fd_validate([], d, cfg) == []
 
 

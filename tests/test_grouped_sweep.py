@@ -47,17 +47,10 @@ def test_grouped_sweep_equals_separate_calls():
     points = sample_points(D, CFG)
     groups = [[parse("log(x1)")], [parse("x1^2")], [parse("x1*x2"), parse("sqrt(x2)")], []]
     grouped = sampled_max_abs(groups, points)
-    assert grouped == [sampled_max_abs(g, points) for g in groups]
+    assert grouped == [sampled_max_abs([g], points)[0] for g in groups]
     assert 0 < grouped[0][1] < len(points)
     assert grouped[1][1] == len(points)
     assert grouped[3] == ([], len(points))
-
-
-def test_lone_group_keeps_its_shape():
-    points = sample_points(D, CFG)
-    maxima, used = sampled_max_abs([parse("x1"), parse("x2")], points)
-    assert used == len(points) and len(maxima) == 2
-    assert sampled_max_abs([[parse("x1"), parse("x2")]], points) == [(maxima, used)]
 
 
 def test_non_finite_value_is_inf_in_its_own_group_only():
@@ -96,7 +89,7 @@ def test_sweeps_run_the_fused_kernel_once_where_it_raises(monkeypatch):
     sqrt_values = [compile_expr(root)(*p) for p in points if p[0] >= 0]
     x2_values = [p[1] for p in points]
     raises = _count_fused_raises(monkeypatch)
-    maxima, used = sampled_max_abs([root, x2], points)
+    [(maxima, used)] = sampled_max_abs([[root, x2]], points)
     assert raises == undefined
     assert used == len(points) - len(undefined)
     assert maxima == [max(sqrt_values), max(abs(x2) for x1, x2 in points if x1 >= 0)]
@@ -126,7 +119,7 @@ UNSAMPLEABLE = [parse("1/(x1 - x1)")]  # its guard rejects every candidate
 
 
 def _used(group):
-    return sampled_max_abs(group, sample_points(D, CFG))[1]
+    return sampled_max_abs([group], sample_points(D, CFG))[0][1]
 
 
 def test_earlier_shortfall_beats_later_sampling_error():
@@ -173,12 +166,12 @@ def test_covered_max_abs_needs_half_the_points_rounded_up():
 
 def test_zero_test_needs_half_the_points_rounded_up():
     with pytest.raises(DomainTooSingularError, match="only 1 of 3"):
-        is_probably_zero(parse("sqrt(x1) - sqrt(x1)"), D, 3, 1)
+        is_probably_zero(parse("sqrt(x1) - sqrt(x1)"), D, THREE)
 
 
 def test_admissibility_needs_half_the_points_rounded_up():
     m = DiagonalMetric(parse("sqrt(x1)"), parse("exp(x1)"))
-    assert is_probably_zero(differentiate(m.f2, Var.X2), D, 3, 1)
+    assert is_probably_zero(differentiate(m.f2, Var.X2), D, THREE)
     with pytest.raises(DomainTooSingularError, match="only 1 of 3"):
         admissibility("branch2", m, D, THREE)
 
@@ -263,15 +256,15 @@ def test_constant_maxima_equal_a_per_point_loop(monkeypatch, n):
     assert not any(isinstance(e, Constant) for exprs in inputs for e in exprs)
     reference = [_reference_max_abs(g, points) for g in groups]
     assert [(_hex(maxima), used) for maxima, used in grouped] == [(_hex(m), u) for m, u in reference]
-    assert [sampled_max_abs(g, points) for g in groups] == grouped
+    assert [sampled_max_abs([g], points)[0] for g in groups] == grouped
 
 
 def test_a_group_dropped_at_every_point_keeps_zero_maxima():
     points = sample_points(D, CFG)
     two_half, nan = Constant(2.5), Constant(math.nan)
-    assert sampled_max_abs([two_half, NOWHERE, nan], points) == ([0.0, 0.0, 0.0], 0)
+    assert sampled_max_abs([[two_half, NOWHERE, nan]], points) == [([0.0, 0.0, 0.0], 0)]
     # The same constants in a group that used the points.
-    assert sampled_max_abs([two_half, parse("x1"), nan], points)[0][::2] == [2.5, math.inf]
+    assert sampled_max_abs([[two_half, parse("x1"), nan]], points)[0][0][::2] == [2.5, math.inf]
 
 
 def test_constants_only_run_no_kernel_at_any_point(monkeypatch):
@@ -284,7 +277,7 @@ def test_constants_only_run_no_kernel_at_any_point(monkeypatch):
         return lambda stream, state: fn((calls.append(p) or p for p in stream), state)
 
     monkeypatch.setattr(numeric, "compile_sweep", counting)
-    maxima, used = sampled_max_abs(_constants(), points)
+    [(maxima, used)] = sampled_max_abs([_constants()], points)
     ranges = sampled_range(_constants(), points)
     assert calls == []
     assert used == len(points)
@@ -301,7 +294,7 @@ def test_constant_ranges_equal_a_per_point_loop(monkeypatch):
     ranges = sampled_range(exprs, points)
     assert not any(isinstance(e, Constant) for exprs in inputs for e in exprs)
     assert [_hex(r) for r in ranges] == [_hex(_reference_range(e, points)) for e in exprs]
-    assert [_hex(sampled_range(e, points)) for e in exprs] == [_hex(r) for r in ranges]
+    assert [_hex(sampled_range([e], points)[0]) for e in exprs] == [_hex(r) for r in ranges]
 
 
 def test_constant_range_on_no_points_is_nowhere_evaluable():

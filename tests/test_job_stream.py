@@ -456,9 +456,7 @@ def test_a_branch1_identities_job_sweeps_one_point_list(tmp_path, capsys, monkey
     assert _quiet_main(["construct", "--spec", str(spec), "--emit-spec", str(derived), *seed]) == 0
     swept = []
     extrema = numeric._extrema
-    monkeypatch.setattr(
-        numeric, "_extrema", lambda exprs, spans, points: swept.append(points) or extrema(exprs, spans, points)
-    )
+    monkeypatch.setattr(numeric, "_extrema", lambda groups, points: swept.append(points) or extrema(groups, points))
     argv = ["identities", "--spec", str(derived), *seed]
     shared = _outputs([argv], capsys)
     assert len(swept) == 3 and len({id(points) for points in swept}) == 1

@@ -70,15 +70,15 @@ def test_nan_residual_fails(tmp_path, capsys):
 
 
 def test_nan_is_not_zero():
-    assert is_probably_zero(parse("x1^400 - x1^399*x1"), Domain(x1_range=(10, 20))) is False
-    maxima, used = sampled_max_abs([parse("x1^400 - x1^399*x1"), parse("x1")], [Point(10.5, 0.0)])
+    assert is_probably_zero(parse("x1^400 - x1^399*x1"), Domain(x1_range=(10, 20)), SamplingConfig()) is False
+    [(maxima, used)] = sampled_max_abs([[parse("x1^400 - x1^399*x1"), parse("x1")]], [Point(10.5, 0.0)])
     assert (maxima, used) == ([math.inf, 10.5], 1)
 
 
 def test_overflowing_subexpression_is_not_zero():
     # x1^400 overflows to inf and 1/inf is 0: the value 1.0 is finite,
     # but the scale is not, so no tolerance may absorb the value.
-    assert not is_probably_zero(parse("1/x1^400 + 1"), Domain(x1_range=(10.0, 20.0)))
+    assert not is_probably_zero(parse("1/x1^400 + 1"), Domain(x1_range=(10.0, 20.0)), SamplingConfig())
 
 
 def exact_zero_reading(e, d, samples=200, seed=42, tol=1e-9):
@@ -110,7 +110,7 @@ def exact_zero_reading(e, d, samples=200, seed=42, tol=1e-9):
 )
 def test_zero_test_agrees_with_the_exact_reading(text, lo, hi, zero):
     e, d = parse(text), Domain(x1_range=(lo, hi))
-    assert is_probably_zero(e, d) is zero
+    assert is_probably_zero(e, d, SamplingConfig()) is zero
     assert exact_zero_reading(e, d) is zero
 
 
@@ -205,8 +205,8 @@ def test_curvature_range_with_nan_values_is_unbounded(tmp_path, capsys):
 def test_sampled_range_nan_at_some_points():
     e = parse("1 + x1^400 - x1^399*x1")
     # x1 = 1 evaluates to 1; x1 = 15 to NaN.
-    assert sampled_range(e, [Point(1.0, 0.0)]) == (1.0, 1.0)
-    assert sampled_range(e, [Point(1.0, 0.0), Point(15.0, 0.0)]) == (-math.inf, math.inf)
+    assert sampled_range([e], [Point(1.0, 0.0)]) == [(1.0, 1.0)]
+    assert sampled_range([e], [Point(1.0, 0.0), Point(15.0, 0.0)]) == [(-math.inf, math.inf)]
 
 
 # f1 equals 1, but evaluates to NaN at every point of the domain.

@@ -81,20 +81,20 @@ def test_fd_partial_known_derivatives():
 
 
 def test_fd_validate_smooth_expression():
-    outcome = fd_validate(parse("exp(x1)*sin(x2)"), Domain(), SamplingConfig())
+    [outcome] = fd_validate([parse("exp(x1)*sin(x2)")], Domain(), SamplingConfig())
     assert outcome.max_rel_error <= 1e-7
     assert outcome.points_skipped == 0
 
 
 def test_fd_validate_constant_is_exact():
-    outcome = fd_validate(Constant(5.0), Domain(), SamplingConfig())
+    [outcome] = fd_validate([Constant(5.0)], Domain(), SamplingConfig())
     assert outcome.max_rel_error == 0.0
 
 
 def test_fd_validate_skips_kink_straddles():
     # every stencil in this sliver of domain straddles the |.| kink
     d = Domain(x1_range=(0.123 - 5e-6, 0.123 + 5e-6))
-    outcome = fd_validate(parse("abs(x1 - 0.123)"), d, SamplingConfig(samples=20))
+    [outcome] = fd_validate([parse("abs(x1 - 0.123)")], d, SamplingConfig(samples=20))
     assert outcome.points_skipped > 0
     assert outcome.max_rel_error <= 1e-5
 
@@ -163,7 +163,7 @@ def test_fused_sampled_range_matches_per_expression_ranges():
         want_lo, want_hi = _per_expression_range(parse("x1*0"), zeros)
         assert (lo.hex(), hi.hex()) == (want_lo.hex(), want_hi.hex()) == ((first * 0).hex(),) * 2
     for e, pair in zip(exprs, want):
-        assert sampled_range(e, points) == pair
+        assert sampled_range([e], points) == [pair]
 
 
 def test_fused_sampled_range_nowhere_evaluable_column():
