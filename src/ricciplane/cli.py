@@ -269,22 +269,25 @@ def _echo_spec(spec: dict, d: Domain, cfg: SamplingConfig) -> dict:
     return echo
 
 
-def _report_head(command: str, spec: dict, d: Domain, cfg: SamplingConfig, m: DiagonalMetric | None) -> dict:
+def _report_head(command: str, spec: dict, d: Domain, cfg: SamplingConfig, m: DiagonalMetric | None, ranges=None) -> dict:
     """The keys every report starts with, and the curvature keys when
-    there is a metric `m` to report on."""
+    there is a metric `m` to report on (see `curvature_section`)."""
     head = {"version": __version__, "command": command, "seed": cfg.seed, "spec": _echo_spec(spec, d, cfg)}
     if m is not None:
-        section = curvature_section(m, d, cfg)
+        section = curvature_section(m, d, cfg, ranges)
         head.update(curvature=section, rho_range=section["rho_range"], flat=is_flat(m, d, cfg))
     return head
 
 
-def curvature_section(m: DiagonalMetric, d: Domain, cfg: SamplingConfig) -> dict:
+def curvature_section(m: DiagonalMetric, d: Domain, cfg: SamplingConfig, ranges=None) -> dict:
+    """h12, h21, rho and r with their sampled ranges: `ranges` when
+    given (a `verify` report's `curvature_ranges`), else sampled here."""
     curv = ricci(m)
     exprs = {"h12": curv.h12, "h21": curv.h21, "rho": curv.rho, "r": curv.r}
-    points = sample_points(d, cfg, equation_guards(m, exprs.values()))
+    if ranges is None:
+        ranges = sampled_range(list(exprs.values()), sample_points(d, cfg, equation_guards(m, exprs.values())))
     section = {}
-    for (name, e), (lo, hi) in zip(exprs.items(), sampled_range(list(exprs.values()), points)):
+    for (name, e), (lo, hi) in zip(exprs.items(), ranges):
         section[name] = to_string(e)
         section[f"{name}_range"] = [lo, hi]
     return section
@@ -313,18 +316,19 @@ def _write_report(report: dict, args) -> None:
 
 
 def emit_grid(path: str, exprs: dict, d: Domain, size: int) -> None:
-    """CSV grid of sampled values on a regular size x size lattice."""
+    """CSV grid of sampled values on a regular size x size lattice, each
+    cell evaluated before the file is opened: a failing job writes none."""
     if size < 2:
         raise SpecError(f"--grid-size must be at least 2, got {size}")
     values = numeric._one_by_one(list(exprs.values()))
+    rows = [["x1", "x2", *exprs]]
+    for i in range(size):
+        x1 = d.x1_range[0] + (d.x1_range[1] - d.x1_range[0]) * i / (size - 1)
+        for j in range(size):
+            x2 = d.x2_range[0] + (d.x2_range[1] - d.x2_range[0]) * j / (size - 1)
+            rows.append([repr(x1), repr(x2), *("nan" if v is None else repr(v) for v in values(x1, x2))])
     with _output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", *exprs])
-        for i in range(size):
-            x1 = d.x1_range[0] + (d.x1_range[1] - d.x1_range[0]) * i / (size - 1)
-            for j in range(size):
-                x2 = d.x2_range[0] + (d.x2_range[1] - d.x2_range[0]) * j / (size - 1)
-                writer.writerow([repr(x1), repr(x2), *("nan" if v is None else repr(v) for v in values(x1, x2))])
+        csv.writer(fh).writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +338,8 @@ def emit_grid(path: str, exprs: dict, d: Domain, size: int) -> None:
 
 def cmd_curvature(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
     m = spec_metric(spec)
+    if spec.get("field") is not None or spec.get("potential") is not None:
+        spec_field(spec, m)  # a malformed field is a spec error here too
     report = _report_head("curvature", spec, d, cfg, m)
     report["verdict"] = "pass"
     if args.emit_grid:
@@ -345,7 +351,7 @@ def cmd_curvature(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
 def _verify_report(spec, m, V, d, cfg, args, potential=None, extra=None) -> tuple[dict, int]:
     result = verify(m, V, d, cfg)
     command = "verify" if args.command == "identities" else args.command
-    report = _report_head(command, spec, d, cfg, m)
+    report = _report_head(command, spec, d, cfg, m, result.curvature_ranges)
     report.update(
         field={"V1": to_string(V.V1), "V2": to_string(V.V2)},
         residual_max=list(result.max_abs),

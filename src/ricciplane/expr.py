@@ -500,7 +500,7 @@ _CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value, "_EV
 _CODEGEN_NAMESPACE.update((f"_fn_{name}", fn) for name, fn in FUNCTIONS.items())
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _creation_order = operator.attrgetter("_serial")
-# Kernel shapes kept per process: a round of family draws needs 198.
+# Kernel shapes kept per process: a round of family draws needs 167.
 # At about 4 KiB each, a full cache holds about 1 MiB.
 _KERNEL_CACHE_SIZE = 256
 
@@ -876,37 +876,49 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
     zero-ness iff every evaluable point reads as zero.  The verdict is
     deterministic given the seed.  Raises DomainTooSingularError when
     fewer than samples/2 points survive rejection and evaluation.
+
+    When the first evaluable point reads as zero, one sweep of every
+    node counts the evaluable points and accepts if every node's range
+    is finite and e's within [-tol, tol]; else points are read one by one.
     """
-    from .numeric import DomainTooSingularError, _enough, sample_points
+    from .numeric import DomainTooSingularError, _enough, _extrema, sample_points
 
     points = sample_points(d, cfg, guards=denominators(e))
     # The value of every node, that of `e` first.
-    fn = compile_many(list(walk(e)))
+    nodes = list(walk(e))
+    fn = compile_many(nodes)
     tol, enough = cfg.tolerance, _enough(cfg.samples)
-    evaluated = 0
-    verdict = True
-    for x1, x2 in points:
-        try:
-            row = fn(x1, x2)
-        except EVAL_ERRORS:
-            continue
-        evaluated += 1
+
+    def reads_zero(row: tuple[float, ...]) -> bool:
         # The common case first, in one C-level call: a float sum with a
         # non-finite term is non-finite, so a finite sum means every
         # node is finite, and tol <= tol * (1 + scale).  Any other row
         # (an overflowing sum over finite nodes included) gets the rule.
-        verdict = verdict and (
-            (-tol <= row[0] <= tol and math.isfinite(sum(row)))
-            or (all(map(math.isfinite, row)) and abs(row[0]) <= tol * (1.0 + max(map(abs, row))))
+        return (-tol <= row[0] <= tol and math.isfinite(sum(row))) or (
+            all(map(math.isfinite, row)) and abs(row[0]) <= tol * (1.0 + max(map(abs, row)))
         )
-        if not verdict and evaluated >= enough:
-            # `evaluated` only grows: no later point can change the answer.
+
+    def evaluable_rows():
+        for x1, x2 in points:
+            try:
+                yield fn(x1, x2)
+            except EVAL_ERRORS:
+                pass
+
+    rows = evaluable_rows()
+    first = next(rows, None)
+    if first is not None and reads_zero(first):
+        [(states, evaluated)] = _extrema([nodes], points)
+        if evaluated >= enough:
+            lo, hi, _ = states[0]
+            finite = all(-math.inf < a <= b < math.inf and not nan for a, b, nan in states)
+            return (finite and -tol <= lo and hi <= tol) or all(map(reads_zero, rows))
+    else:
+        # Not zero: the answer is fixed once enough points are evaluable.
+        evaluated = (first is not None) + sum(1 for _ in itertools.islice(rows, enough - 1))
+        if evaluated >= enough:
             return False
-    if evaluated < enough:
-        raise DomainTooSingularError(
-            f"only {evaluated} of {cfg.samples} requested points were evaluable"
-        )
-    return verdict
+    raise DomainTooSingularError(f"only {evaluated} of {cfg.samples} requested points were evaluable")
 
 
 # ---------------------------------------------------------------------------

@@ -79,12 +79,12 @@ class _Stream:
     random.Random state after them.  `passes` maps a guard key to
     (guards, points) and `scans` an expression id to (expression,
     verdict); each entry holds its own nodes, so the ids stay valid.
-    `cleared` holds the ids of the guards of each pass that rejected
-    nothing and of each expression whose scan passed: each is defined,
-    with |v| >= guard, at every prefix candidate.  `compile_many` values
-    are bit-identical per expression, and a fused kernel raises only
-    where one of its expressions does, so a set of cleared guards
-    accepts the whole prefix."""
+    `cleared` holds the ids of the guards that accept every prefix
+    candidate: each is defined there with |v| >= guard or NaN (see
+    `_sweep_prefix`).  `compile_many` values are bit-identical per
+    expression, and a fused kernel raises only where one of its
+    expressions does, so a set of cleared guards accepts the whole
+    prefix."""
 
     __slots__ = ("prefix", "end", "cleared", "passes", "scans")
 
@@ -139,10 +139,12 @@ def sample_points(
 
     A set of cleared guards (see `_Stream`), the empty set among them,
     is served the stream's prefix without running a kernel.  Any other
-    set runs one pass, stored in the job's record within a `_job_stream`
-    scope (each CLI job runs in one) and returned again to later calls.
-    A pass that rejected nothing returns the prefix and clears its
-    guards.  Sets are keyed by node identity, not equality:
+    set first sweeps its uncleared guards over the prefix, and each that
+    clears is stored as the pass of its own set.  A set still not
+    cleared runs one pass, stored in the job's record within a
+    `_job_stream` scope (each CLI job runs in one) and returned again to
+    later calls.  A pass that rejected nothing returns the prefix and
+    clears its guards.  Sets are keyed by node identity, not equality:
     Constant(0.0) == Constant(-0.0), but they can evaluate differently.
     Outside a scope every call samples afresh and returns the same
     points.  The returned list may be shared: callers must not mutate it.
@@ -150,14 +152,18 @@ def sample_points(
     s = _stream(d, cfg)
     guards = tuple(guards)
     key = frozenset(map(id, guards))
-    if key <= s.cleared:
-        return s.prefix
-    done = s.passes.get(key)
-    if done is None:
-        done = s.passes[key] = (guards, _draw_pass(d, cfg, guards, s))
-        if done[1] is s.prefix:
-            s.cleared |= key
-    return done[1]
+    if not key <= s.cleared and key not in s.passes:
+        todo = list({id(g): g for g in guards if id(g) not in s.cleared}.values())
+        for g, (_, clears) in zip(todo, _sweep_prefix(todo, s, d.guard)):
+            if clears:
+                s.passes[frozenset([id(g)])] = ((g,), s.prefix)  # the entry holds the node
+                s.cleared.add(id(g))
+        if not key <= s.cleared:
+            s.passes[key] = (guards, _draw_pass(d, cfg, guards, s))
+            if s.passes[key][1] is s.prefix:
+                s.cleared |= key
+    # A stored pass that rejected a prefix candidate has a guard that is never cleared.
+    return s.prefix if key <= s.cleared else s.passes[key][1]
 
 
 def _draw_pass(d: Domain, cfg: SamplingConfig, guards: tuple[Expr, ...], s: _Stream) -> list[tuple[float, float]]:
@@ -193,6 +199,18 @@ def _draw_pass(d: Domain, cfg: SamplingConfig, guards: tuple[Expr, ...], s: _Str
     return s.prefix if len(points) == cfg.samples and points[-1] is s.prefix[-1] else points
 
 
+def _sweep_prefix(exprs: Sequence[Expr], s: _Stream, guard: float) -> list[tuple[tuple[float, float, bool], bool]]:
+    """Per expression, its (lo, hi, saw_nan) over `s.prefix` from one
+    `_extrema` sweep, and whether it clears as a guard: defined at every
+    candidate, and NaN aside (`_draw_pass` accepts a NaN) on one side
+    of (-guard, guard)."""
+    n = len(s.prefix)
+    return [
+        (state, used == n and (state[0] >= guard or state[1] <= -guard))
+        for [state], used in _extrema([[e] for e in exprs], s.prefix)
+    ]
+
+
 def _enough(samples: int) -> int:
     """The fewest usable points a sampled verdict accepts: half of
     `samples`, rounded up, and at least one."""
@@ -220,15 +238,19 @@ def nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
     cannot see; a NaN has no sign and is never near zero, so it is
     rejected on its own.
 
-    Within a `_job_stream` scope, each (expression, domain, samples,
-    seed) is scanned once and its verdict returned again to later calls;
-    a passing scan clears its expression for `sample_points`.
+    It passes iff e clears as a guard (`_sweep_prefix`) with no NaN and
+    a finite range; only a failure runs the per-point scan, for its
+    message.  Within a `_job_stream` scope, each (expression, domain,
+    samples, seed) is scanned once and its verdict returned again to
+    later calls; a passing scan clears its expression.
     """
     s = _stream(d, cfg)
     done = s.scans.get(id(e))
     if done is None:
-        done = s.scans[id(e)] = (e, _scan_nowhere_zero(e, s.prefix, d.guard))
-        if done[1][0]:
+        [((lo, hi, nan), clears)] = _sweep_prefix([e], s, d.guard)
+        ok = clears and not nan and -math.inf < lo <= hi < math.inf
+        done = s.scans[id(e)] = (e, (True, "") if ok else _scan_nowhere_zero(e, s.prefix, d.guard))
+        if ok:
             s.cleared.add(id(e))
     return done[1]
 
@@ -418,11 +440,12 @@ def sampled_max_abs(
     The maxima are read from one `_extrema` sweep: math.inf after a NaN,
     else max(|lo|, |hi|), or 0.0 where no value was folded.
     """
+    return [(_maxima(states), used) for states, used in _extrema(groups, points)]
+
+
+def _maxima(states: list[tuple[float, float, bool]]) -> list[float]:
     # max |v| over a set is max(|min|, |max|), and abs is exact.
-    return [
-        ([math.inf if nan else max(abs(lo), abs(hi)) if lo <= hi else 0.0 for lo, hi, nan in states], used)
-        for states, used in _extrema(groups, points)
-    ]
+    return [math.inf if nan else max(abs(lo), abs(hi)) if lo <= hi else 0.0 for lo, hi, nan in states]
 
 
 def _extrema(
@@ -490,26 +513,47 @@ def covered_max_abs(
     building or sampling a group raises, a shortfall of an earlier
     group is raised instead.
     """
+    return covered_sweep(groups, (), d, cfg, guards, what)[0]
+
+
+def covered_sweep(
+    groups: Iterable[Sequence[Expr]],
+    ranged: Sequence[Expr],
+    d: Domain,
+    cfg: SamplingConfig,
+    guards: Iterable[Expr],
+    what: str,
+) -> tuple[list[tuple[list[float], int]], list[tuple[float, float]]]:
+    """`covered_max_abs` of the groups, and the `sampled_range` of the
+    `ranged` expressions over the points that clear the guards and their
+    denominators: sampled after the groups, each its own group in the
+    sweep of its point list, its errors raised after every shortfall."""
     guards = tuple(guards)
     collected: list[tuple[Sequence[Expr], list[tuple[float, float]]]] = []
     try:
         for group in groups:
             collected.append((group, sample_points(d, cfg, merge_guards(guards, group))))
+        n = len(collected)
+        if ranged:
+            points = sample_points(d, cfg, merge_guards(guards, ranged))
+            collected += [([e], points) for e in ranged]
     except Exception:
-        _checked_sweeps(collected, cfg, what)
+        _checked_sweeps(collected, len(collected), cfg, what)
         raise
-    return _checked_sweeps(collected, cfg, what)
+    results = _checked_sweeps(collected, n, cfg, what)
+    return [(_maxima(states), used) for states, used in results[:n]], _ranges(results[n:])
 
 
 def _checked_sweeps(
     collected: list[tuple[Sequence[Expr], list[tuple[float, float]]]],
+    n: int,
     cfg: SamplingConfig,
     what: str,
-) -> list[tuple[list[float], int]]:
-    """One `sampled_max_abs` sweep per distinct point list, then the
-    first shortfall in group order."""
-    results = _per_point_list(collected, sampled_max_abs)
-    for _, used in results:
+) -> list[tuple[list[tuple[float, float, bool]], int]]:
+    """One `_extrema` sweep per distinct point list, then the first
+    shortfall of the first n groups, in order."""
+    results = _per_point_list(collected, _extrema)
+    for _, used in results[:n]:
         if used < _enough(cfg.samples):
             raise DomainTooSingularError(
                 f"{what} were evaluable at only {used} of {cfg.samples} requested points"
@@ -542,8 +586,12 @@ def sampled_range(
     itself.  Raises DomainTooSingularError when an expression is nowhere
     evaluable.
     """
+    return _ranges(_extrema([[e] for e in exprs], points))
+
+
+def _ranges(results: list[tuple[list[tuple[float, float, bool]], int]]) -> list[tuple[float, float]]:
     ranges = []
-    for [(a, b, saw_nan)], _ in _extrema([[e] for e in exprs], points):
+    for [(a, b, saw_nan)], _ in results:
         if saw_nan:
             ranges.append((-math.inf, math.inf))
         elif a > b:

@@ -26,7 +26,7 @@ from .geometry import (
     ricci,
     validate_metric,
 )
-from .numeric import SamplingConfig, covered_max_abs, merge_guards
+from .numeric import SamplingConfig, covered_sweep, merge_guards
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class ResidualReport:
     points_used: int
     seed: int
     tolerance: float
+    # The sampled (min, max) of h12, h21, rho and r, as `sampled_range` gives them.
+    curvature_ranges: tuple[tuple[float, float], ...]
 
     @property
     def passed(self) -> bool:
@@ -100,11 +102,15 @@ def verify(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> 
     """Sample the four residuals of nabla V = Q over `d`.
 
     The metric is sample-validated first.  Pass iff every residual's
-    max |value| over the accepted points is <= cfg.tolerance.
+    max |value| over the accepted points is <= cfg.tolerance.  The
+    curvature's ranges, which share nodes with the residuals, are swept
+    with them; their errors come after a residual shortfall.
     """
     validate_metric(m, d, cfg)
     residuals = residual_system(m, V)
-    [(maxima, used)] = covered_max_abs([residuals], d, cfg, (m.f1, m.f2), "residuals")
+    curv = ricci(m)
+    ranged = (curv.h12, curv.h21, curv.rho, curv.r)
+    [(maxima, used)], ranges = covered_sweep([residuals], ranged, d, cfg, (m.f1, m.f2), "residuals")
     verdict = "pass" if all(v <= cfg.tolerance for v in maxima) else "fail"
     return ResidualReport(
         residuals=residuals,
@@ -113,6 +119,7 @@ def verify(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> 
         points_used=used,
         seed=cfg.seed,
         tolerance=cfg.tolerance,
+        curvature_ranges=tuple(ranges),
     )
 
 

@@ -273,6 +273,51 @@ def test_emit_grid_reports_a_faulty_kernel_as_internal_error(monkeypatch, tmp_pa
     assert "TypeError: fault inside a kernel" in err
 
 
+@pytest.mark.parametrize("existing", [pytest.param(None, id="no-file"), pytest.param("x1,x2,rho\nold grid\n", id="old-file")])
+def test_a_failing_grid_leaves_the_path_as_it_was(monkeypatch, tmp_path, capsys, existing):
+    # The kernel of the grid's cells raises at the first cell: no file
+    # is written, and one already at the path keeps its bytes.
+    def faulty(e):
+        def kernel(x1, x2):
+            raise TypeError("fault inside a kernel")
+
+        return kernel
+
+    grid = tmp_path / "grid.csv"
+    if existing is not None:
+        grid.write_bytes(existing.encode())
+    monkeypatch.setattr(numeric, "compile_expr", faulty)
+    code, out, _ = run_cli(
+        capsys, "curvature", "--spec", str(CORPUS / "ex03_cosh_metric.json"),
+        "--emit-grid", str(grid), "--grid-size", "3",
+    )
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    if existing is None:
+        assert not grid.exists()
+    else:
+        assert grid.read_bytes() == existing.encode()
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        pytest.param({"field": ["x1"]}, id="field-list"),
+        pytest.param({"field": {"frame": ["orthonormal"], "V1": "1", "V2": "0"}}, id="frame-list"),
+        pytest.param({"potential": ["x1"]}, id="potential-list"),
+    ],
+)
+def test_malformed_field_is_a_spec_error_for_every_command(tmp_path, capsys, section):
+    # One spec, one answer: curvature reads the field as verify and oracle do.
+    spec = write_spec(tmp_path, {"metric": {"f1": "1", "f2": "1"}, **section})
+    errors = set()
+    for command in ("curvature", "verify", "oracle"):
+        code, out, err = run_cli(capsys, command, "--spec", spec)
+        assert (code, out) == (cli.EXIT_SPEC_ERROR, "")
+        assert err.startswith("spec error:")
+        errors.add(err)
+    assert len(errors) == 1
+
+
 def test_emit_grid_rejects_degenerate_size(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "verify", "--spec", str(CORPUS / "ex06_constant_metric.json"),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ricciplane import expr
+from ricciplane import expr, numeric
 from ricciplane.expr import (
     EVAL_ERRORS,
     Add,
@@ -281,8 +281,14 @@ def test_is_probably_zero_guards_denominators():
 
 def test_is_probably_zero_stops_once_the_answer_is_fixed(monkeypatch):
     # The verdict is False at the first point and half the requested
-    # points make the sample large enough, so 100 evaluations decide.
+    # points make the sample large enough, so 100 evaluations decide,
+    # and nothing is swept.  When the first point reads as zero, one
+    # sweep of every node decides or counts the evaluable points, and
+    # the per-point reading stops at the first point that is not zero.
     calls = 0
+    swept = []
+    extrema = numeric._extrema
+    monkeypatch.setattr(numeric, "_extrema", lambda groups, points: swept.append(groups) or extrema(groups, points))
     compile_many = expr.compile_many
 
     def counting(exprs):
@@ -296,8 +302,24 @@ def test_is_probably_zero_stops_once_the_answer_is_fixed(monkeypatch):
         return counted
 
     monkeypatch.setattr(expr, "compile_many", counting)
-    assert is_probably_zero(parse("x1 + 2"), Domain(), SamplingConfig(samples=200)) is False
-    assert calls == 100
+    cfg = SamplingConfig(samples=200)
+    assert is_probably_zero(parse("x1 + 2"), Domain(), cfg) is False
+    assert (calls, swept) == (100, [])
+    # Zero within tolerance at every point: the sweep decides.
+    e = parse("sin(x1)^2 + cos(x1)^2 - 1")
+    calls = 0
+    assert is_probably_zero(e, Domain(), cfg) is True
+    assert (calls, swept) == (1, [[list(expr.walk(e))]])
+    # Zero at the first point (x1 = 0.279), not at the second (x1 = -0.450).
+    e = parse("x1 - abs(x1)")
+    calls, swept[:] = 0, []
+    assert is_probably_zero(e, Domain(), cfg) is False
+    assert (calls, swept) == (2, [[list(expr.walk(e))]])
+    # Within tol * (1 + scale) at every point but above tol at some: the
+    # sweep cannot accept, so every point is read.
+    calls, swept[:] = 0, []
+    assert is_probably_zero(parse("x1 + 10000000000 - 10000000000 - x1"), Domain(), cfg) is True
+    assert (calls, len(swept)) == (200, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from ricciplane.numeric import (
     SamplingConfig,
     _job_stream,
     covered_max_abs,
+    covered_sweep,
     sample_points,
     sampled_max_abs,
     sampled_range,
@@ -137,6 +138,28 @@ def test_first_shortfall_in_group_order_wins():
 def test_later_sampling_error_surfaces_when_earlier_groups_are_fine():
     with pytest.raises(DomainTooSingularError, match="accepted 0 of 200 requested points"):
         covered_max_abs([[parse("x1")], UNSAMPLEABLE, SHORT], D, CFG, (), "e")
+
+
+def test_ranged_expressions_are_swept_with_the_groups():
+    guards = (parse("x1 + 2"),)
+    groups = [[parse("1/x1")], [parse("x2"), parse("x1")]]
+    ranged = [parse("x1"), parse("log(x1)"), parse("x2/(x1 - 0.5)")]
+    with _job_stream():
+        maxima, ranges = covered_sweep(groups, ranged, D, CFG, guards, "e")
+        assert maxima == covered_max_abs(groups, D, CFG, guards, "e")
+        points = sample_points(D, CFG, numeric.merge_guards(guards, ranged))
+        assert ranges == sampled_range(ranged, points)
+    assert covered_sweep(groups, ranged, D, CFG, guards, "e") == (maxima, ranges)
+    assert covered_sweep(groups, (), D, CFG, guards, "e") == (maxima, [])
+
+
+def test_a_shortfall_beats_the_errors_of_ranged_expressions():
+    # log(x1 - 5) is nowhere evaluable on D; 1/(x1 - x1) cannot be sampled.
+    for ranged, error in (([NOWHERE], "nowhere evaluable"), (UNSAMPLEABLE, "accepted 0 of 200")):
+        with pytest.raises(DomainTooSingularError, match=f"only {_used(SHORT)} of 200"):
+            covered_sweep([[parse("x1")], SHORT], ranged, D, CFG, (), "e")
+        with pytest.raises(DomainTooSingularError, match=error):
+            covered_sweep([[parse("x1")]], ranged, D, CFG, (), "e")
 
 
 def test_build_error_surfaces_after_earlier_groups_are_checked():

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 from ricciplane import cli, expr, numeric
 from ricciplane.expr import Domain, parse
+from ricciplane.geometry import ricci
 from ricciplane.numeric import DomainTooSingularError, SamplingConfig, sample_points
+from ricciplane.riccifield import residual_system
 
-from conftest import CORPUS, uniform_stream_points
+from conftest import CORPUS, load_corpus_pair, uniform_stream_points
 
 CFG = SamplingConfig(samples=100, seed=5)
 EXP = parse("exp(x1)")
@@ -43,31 +45,44 @@ def test_outside_a_scope_every_call_samples_afresh():
     assert sample_points(Domain(), CFG, [EXP]) is not first
 
 
-def test_covered_subset_is_served_by_its_superset():
-    # cosh >= 1 and exp >= 1/e on [-1, 1]: the superset rejects nothing.
+def test_covered_subset_is_served_by_its_superset(monkeypatch):
+    # cosh >= 1 and exp >= 1/e on [-1, 1]: one sweep over the prefix
+    # clears both, so the superset runs no pass and is served the prefix.
     with numeric._job_stream():
+        passes, _ = _counting_passes(monkeypatch)
+        swept = _counting_sweeps(monkeypatch)
         superset = sample_points(Domain(), CFG, [COSH, EXP])
         assert sample_points(Domain(), CFG, [EXP]) is superset
         assert sample_points(Domain(), CFG) is superset
         (s,) = numeric._STREAM.get().values()
-        assert len(s.passes) == 1
+        assert superset is s.prefix
+        # Each cleared guard is stored as the pass of its own set.
+        assert s.passes == {frozenset([id(COSH)]): ((COSH,), s.prefix), frozenset([id(EXP)]): ((EXP,), s.prefix)}
+        assert s.cleared == {id(COSH), id(EXP)}
+    assert passes == []
+    assert swept == [([[COSH], [EXP]], s.prefix)] and swept[0][1] is s.prefix
     assert superset == sample_points(Domain(), CFG, [EXP]) == sample_points(Domain(), CFG)
 
 
-def test_superset_that_rejected_candidates_serves_no_subset():
+def test_superset_that_rejected_candidates_serves_no_subset(monkeypatch):
     d = Domain(guard=1e-2)
     with numeric._job_stream():
+        passes, _ = _counting_passes(monkeypatch)
         superset = sample_points(d, CFG, [SINH, EXP])
         (s,) = numeric._STREAM.get().values()
-        # The rejecting pass is stored with its own points and clears
-        # nothing; the record holds the stream's prefix and where it ends.
-        assert list(s.passes) == [frozenset(map(id, [SINH, EXP]))]
+        # The sweep clears exp (>= 1/e), not sinh, which changes sign:
+        # exp is stored as the pass of its own set, then the rejecting
+        # pass with its own points, which clears nothing.  The record
+        # holds the stream's prefix and where it ends.
+        assert list(s.passes) == [frozenset([id(EXP)]), frozenset(map(id, [SINH, EXP]))]
+        assert s.passes[frozenset([id(EXP)])] == ((EXP,), s.prefix)
         assert s.passes[frozenset(map(id, [SINH, EXP]))] == ((SINH, EXP), superset)
-        assert superset != s.prefix and s.cleared == set()
+        assert superset != s.prefix and s.cleared == {id(EXP)}
         rng = random.Random(CFG.seed)
         assert (s.prefix, s.end) == (list(islice(numeric._draws(d, rng), CFG.samples)), rng.getstate())
         subset = sample_points(d, CFG, [EXP])
-        assert len(s.passes) == 2
+        assert subset is s.prefix and len(s.passes) == 2
+    assert passes == [(SINH, EXP)]
     assert subset is not superset
     assert subset == sample_points(d, CFG, [EXP])
     assert subset != superset
@@ -221,20 +236,27 @@ def test_reports_match_unshared_sampling(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("tag", ["b1", "b2"])
 def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch, tag):
     # f2, f2' and the induced f1 are scanned by `construct`; verifying
-    # the pair scans f1 and f2 again with the same domain, samples and seed.
-    scans = []
-    scan = numeric._scan_nowhere_zero
+    # the pair scans f1 and f2 again with the same domain, samples and
+    # seed.  Every scan passes, so none runs the per-point loop.
+    records, failures = [], []
+    stream, scan = numeric._stream, numeric._scan_nowhere_zero
+    monkeypatch.setattr(numeric, "_stream", lambda d, cfg: records.append(stream(d, cfg)) or records[-1])
     monkeypatch.setattr(
-        numeric, "_scan_nowhere_zero", lambda e, points, guard: scans.append(e) or scan(e, points, guard)
+        numeric, "_scan_nowhere_zero", lambda e, points, guard: failures.append(e) or scan(e, points, guard)
     )
+
+    def scanned() -> list:
+        return [e for s in {id(s): s for s in records}.values() for e, _ in s.scans.values()]
+
     argv = next(job for job in _family_jobs(tmp_path) if job[2].endswith(f"{tag}.json"))
     assert argv[0] == "construct"
     shared = _outputs([argv], capsys)
-    assert len(scans) == len({id(e) for e in scans}) == 3
-    scans.clear()
+    assert len(scanned()) == len({id(e) for e in scanned()}) == 3
+    records.clear()
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
-    assert len(scans) == 5
+    assert len(scanned()) == 5
+    assert failures == []
 
 
 def _counting_draws(monkeypatch) -> tuple[list, list]:
@@ -322,6 +344,14 @@ def _hexes(points) -> list[tuple[str, str]]:
     return [(a.hex(), b.hex()) for a, b in points]
 
 
+def _counting_sweeps(monkeypatch) -> list:
+    """Wrap `numeric._extrema`: one (groups, points) per sweep."""
+    swept = []
+    extrema = numeric._extrema
+    monkeypatch.setattr(numeric, "_extrema", lambda groups, points: swept.append((groups, points)) or extrema(groups, points))
+    return swept
+
+
 def _counting_passes(monkeypatch) -> tuple[list, list]:
     """Wrap `numeric._draw_pass` and `numeric.compile_many`: the guards
     of each pass run in `passes`, one entry in `kernels` per kernel
@@ -334,17 +364,20 @@ def _counting_passes(monkeypatch) -> tuple[list, list]:
 
 
 def test_passes_over_separate_guards_clear_their_union(monkeypatch):
-    # cosh >= 1 and exp >= 1/e on [-1, 1]: neither pass rejects anything.
+    # cosh >= 1 and exp >= 1/e on [-1, 1]: the sweep of each set clears
+    # it, and neither runs a pass.
     with numeric._job_stream():
+        passes, kernels = _counting_passes(monkeypatch)
+        swept = _counting_sweeps(monkeypatch)
         first = sample_points(Domain(), CFG, [COSH])
         sample_points(Domain(), CFG, [EXP])
-        passes, kernels = _counting_passes(monkeypatch)
+        assert [groups for groups, _ in swept] == [[[COSH]], [[EXP]]]
         served = sample_points(Domain(), CFG, [COSH, EXP])
         (s,) = numeric._STREAM.get().values()
         assert list(s.passes) == [frozenset([id(COSH)]), frozenset([id(EXP)])]
         assert s.cleared == {id(COSH), id(EXP)}
     assert served is first is s.prefix
-    assert passes == kernels == []
+    assert passes == kernels == [] and len(swept) == 2
     assert _hexes(served) == _hexes(sample_points(Domain(), CFG, [COSH, EXP]))
 
 
@@ -367,10 +400,14 @@ def test_a_passing_scan_clears_its_expression(monkeypatch, guards):
 def test_a_scan_of_another_stream_clears_nothing(monkeypatch):
     with numeric._job_stream():
         assert numeric.nowhere_zero(COSH, Domain(), SamplingConfig(samples=100, seed=6))[0]
-        sample_points(Domain(), CFG)
+        prefix = sample_points(Domain(), CFG)
+        s = numeric._STREAM.get()[(Domain(), CFG.samples, CFG.seed)]
+        assert s.cleared == set() and s.scans == {}
         passes, _ = _counting_passes(monkeypatch)
-        sample_points(Domain(), CFG, [COSH])
-    assert passes == [(COSH,)]
+        swept = _counting_sweeps(monkeypatch)
+        # cosh is swept over this stream's prefix, which clears it.
+        assert sample_points(Domain(), CFG, [COSH]) is prefix
+    assert passes == [] and swept == [([[COSH]], prefix)] and swept[0][1] is prefix
 
 
 def test_a_failing_scan_clears_nothing(monkeypatch):
@@ -446,20 +483,21 @@ def test_a_pass_that_reads_the_prefix_draws_on_from_its_end(tmp_path, capsys, mo
 
 
 def test_a_branch1_identities_job_sweeps_one_point_list(tmp_path, capsys, monkeypatch):
-    # Every pass of this job rejects nothing, so every sweep reads the
-    # stream's prefix itself, not an equal copy of it.
+    # Every guard of this job clears, so every sweep reads the stream's
+    # prefix itself, not an equal copy of it: the scans of f1 and f2,
+    # the sweep of the one guard left, the residuals with h12, h21, rho
+    # and r, and the four identity groups.
     family = {"kind": "branch1", "f2": "cosh(0.616*x1) + 2", "k": 0.695, "c": 1.571}
     spec = tmp_path / "b1.json"
     spec.write_text(json.dumps({"family": family, "domain": {"x1": [0.25, 1.25], "x2": [-1.0, 1.0]}}), encoding="utf-8")
     derived = tmp_path / "b1.derived.json"
     seed = ["--seed", "2124989931"]
     assert _quiet_main(["construct", "--spec", str(spec), "--emit-spec", str(derived), *seed]) == 0
-    swept = []
-    extrema = numeric._extrema
-    monkeypatch.setattr(numeric, "_extrema", lambda groups, points: swept.append(points) or extrema(groups, points))
+    swept = _counting_sweeps(monkeypatch)
     argv = ["identities", "--spec", str(derived), *seed]
     shared = _outputs([argv], capsys)
-    assert len(swept) == 3 and len({id(points) for points in swept}) == 1
+    assert [len(groups) for groups, _ in swept] == [1, 1, 1, 5, 4]
+    assert len({id(points) for _, points in swept}) == 1
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
 
@@ -508,3 +546,27 @@ def test_scoped_calls_equal_unscoped_ones(guard, samples, seed, calls):
     for (kind, which), got in zip(calls, unscoped):
         if kind == "sample" and not isinstance(got, str):
             assert got == _hexes(uniform_stream_points(d, cfg, [_STREAM_GUARDS[i] for i in which]))
+
+
+@pytest.mark.parametrize("command", ["verify", "identities"])
+def test_a_verify_job_sweeps_residuals_with_the_curvature_once(capsys, monkeypatch, command):
+    # The scans of f1 and f2, then one sweep of the residual group with
+    # h12, h21, rho and r, whose ranges the report reads; `identities`
+    # adds one sweep of its groups.  rho is not zero at the first point,
+    # so the flat test sweeps nothing.
+    swept = _counting_sweeps(monkeypatch)
+    argv = [command, "--spec", str(CORPUS / "ex03_cosh_metric.json"), "--samples", "2000"]
+    shared = _outputs([argv], capsys)
+    m, V, _, _ = load_corpus_pair("ex03_cosh_metric.json")
+    curv = ricci(m)
+    assert [groups for groups, _ in swept[:3]] == [
+        [[m.f1]],
+        [[m.f2]],
+        [residual_system(m, V), [curv.h12], [curv.h21], [curv.rho], [curv.r]],
+    ]
+    assert len(swept) == (3 if command == "verify" else 4)
+    assert len({id(points) for _, points in swept}) == 1
+    swept.clear()
+    assert _outputs([["curvature", *argv[1:]]], capsys)[0][0] == 0 == shared[0][0]
+    # `curvature` sweeps the guards f1, f2 and then the four ranges.
+    assert [groups for groups, _ in swept] == [[[m.f1], [m.f2]], [[curv.h12], [curv.h21], [curv.rho], [curv.r]]]
