@@ -14,10 +14,8 @@ from .expr import (
     EvaluationError,
     Expr,
     ParseError,
-    Point,
     Var,
     differentiate,
-    evaluate,
     is_probably_zero,
     parse,
     simplify,
@@ -62,7 +60,6 @@ __all__ = [
     "FrameField",
     "HypothesisError",
     "ParseError",
-    "Point",
     "PotentialFunction",
     "ResidualReport",
     "SamplingConfig",
@@ -74,7 +71,6 @@ __all__ = [
     "covariant_matrix",
     "differentiate",
     "divergence",
-    "evaluate",
     "fd_validate",
     "from_coordinates",
     "gradient_field",

@@ -434,15 +434,21 @@ def cmd_oracle(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(sub) -> None:
+def _add_command(subs, name: str, help_text: str, grid: bool = True, **defaults) -> argparse.ArgumentParser:
+    """The subcommand `name` with the flags every command takes, and with
+    --emit-grid and --grid-size unless `grid` is false."""
+    sub = subs.add_parser(name, help=help_text)
     sub.add_argument("--spec", required=True, help="path to the JSON job spec")
     sub.add_argument("--out", help="also write the JSON report to this path")
     sub.add_argument("--seed", type=int, help="override sampling.seed")
     sub.add_argument("--samples", type=int, help="override sampling.samples")
     sub.add_argument("--tolerance", type=float, help="override sampling.tolerance")
     sub.add_argument("--domain", help='override domain, e.g. "x1:-1,1;x2:-1,1"')
-    sub.add_argument("--emit-grid", help="write a CSV grid of sampled values to this path")
-    sub.add_argument("--grid-size", type=int, default=21, help="grid resolution per axis")
+    if grid:
+        sub.add_argument("--emit-grid", help="write a CSV grid of sampled values to this path")
+        sub.add_argument("--grid-size", type=int, default=21, help="grid resolution per axis")
+    sub.set_defaults(**defaults)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,29 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("curvature", help="curvature data and flatness of the metric")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_curvature)
-
-    p = subs.add_parser("verify", help="check nabla V = Q for the spec's field or potential")
-    _add_common_flags(p)
+    _add_command(subs, "curvature", "curvature data and flatness of the metric", handler=cmd_curvature)
+    p = _add_command(subs, "verify", "check nabla V = Q for the spec's field or potential", handler=cmd_verify)
     p.add_argument("--identities", action="store_true", help="append consequence-identity verdicts")
-    p.set_defaults(handler=cmd_verify)
-
-    p = subs.add_parser("identities", help="alias for verify --identities")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_verify, identities=True)
-
-    p = subs.add_parser("construct", help="build a family pair, emit its spec, and verify it")
-    _add_common_flags(p)
+    _add_command(subs, "identities", "alias for verify --identities", handler=cmd_verify, identities=True)
+    p = _add_command(subs, "construct", "build a family pair, emit its spec, and verify it", handler=cmd_construct)
     p.add_argument("--emit-spec", help="path for the derived metric+field spec")
-    p.set_defaults(handler=cmd_construct)
-
-    p = subs.add_parser("oracle", help="finite-difference validation of all derived expressions")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_oracle)
-
+    # oracle writes no grid, so it takes no grid flag.
+    _add_command(
+        subs, "oracle", "finite-difference validation of all derived expressions", grid=False, handler=cmd_oracle
+    )
     return parser
 
 

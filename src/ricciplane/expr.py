@@ -2,9 +2,10 @@
 
 Immutable expression trees, interned so that equal subtrees are one
 node, with exact differentiation, light value-preserving
-simplification (both memoised per node), deterministic evaluation, and
-a seeded probabilistic identically-zero test.  These trees are the
-single currency passed between all other modules.
+simplification (both memoised per node), deterministic evaluation by
+generated Python kernels, and a seeded probabilistic identically-zero
+test.  These trees are the single currency passed between all other
+modules.
 """
 
 from __future__ import annotations
@@ -28,32 +29,6 @@ if TYPE_CHECKING:
 class Var(Enum):
     X1 = "x1"
     X2 = "x2"
-
-
-class Point(tuple):
-    """A point (x1, x2) of the plane with finite coordinates: a pair that
-    unpacks, indexes and compares like the tuple (x1, x2).
-
-    `Point(x1, x2)` checks finiteness.  Sampled points are plain
-    (x1, x2) tuples; `evaluate` takes either.
-    """
-
-    __slots__ = ()
-    __match_args__ = ("x1", "x2")
-
-    def __new__(cls, x1: float, x2: float):
-        if not (math.isfinite(x1) and math.isfinite(x2)):
-            raise ValueError(f"point coordinates must be finite, got ({x1}, {x2})")
-        return tuple.__new__(cls, (x1, x2))
-
-    x1 = property(operator.itemgetter(0))
-    x2 = property(operator.itemgetter(1))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"Point(x1={self[0]!r}, x2={self[1]!r})"
 
 
 @dataclass(frozen=True)
@@ -88,9 +63,8 @@ class EvaluationError(ArithmeticError):
     """An expression is undefined at the requested point."""
 
 
-# Exceptions a compiled expression may raise on a bad point.  Compiled
-# callables skip the per-node bookkeeping of `evaluate`, so builtin
-# arithmetic errors leak through.
+# Exceptions a compiled expression may raise on a bad point: kernels do
+# not wrap the builtin arithmetic errors in an EvaluationError.
 EVAL_ERRORS = (EvaluationError, ZeroDivisionError, ValueError, OverflowError)
 
 
@@ -418,61 +392,21 @@ CHAIN_RULES: dict[str, Callable[[Expr, Expr, Expr], Expr]] = {
 # ---------------------------------------------------------------------------
 
 
-_OPERATORS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
-
-
-def evaluate(e: Expr, p: Point) -> float:
-    """Evaluate `e` at `p`.
-
-    Deterministic: the same tree at the same point always produces the
-    bit-identical float.  Raises EvaluationError naming the offending
-    subexpression and the point when some node is undefined.
-    """
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Variable):
-        return p[0] if e.var is Var.X1 else p[1]
-    if isinstance(e, Negate):
-        return -evaluate(e.arg, p)
-    if isinstance(e, Apply):
-        a = evaluate(e.arg, p)
-        try:
-            return FUNCTIONS[e.fn](a)
-        except EVAL_ERRORS as err:
-            raise EvaluationError(_undefined_message(str(err) or e.fn, e, p)) from None
-    if not isinstance(e, _Binary):
-        raise TypeError(f"not an expression node: {e!r}")
-    a = evaluate(e.lhs, p)
-    b = evaluate(e.rhs, p)
-    if isinstance(e, Pow):
-        try:
-            return _pow_value(a, b)
-        except EVAL_ERRORS as err:
-            raise EvaluationError(_undefined_message(str(err), e, p)) from None
-    if isinstance(e, Div) and b == 0.0:
-        raise EvaluationError(_undefined_message("division by zero", e, p))
-    return _OPERATORS[type(e)](a, b)
-
-
-def evaluate_with_scale(e: Expr, p: Point) -> tuple[float, float]:
-    """Evaluate `e` at `p` and also report the local magnitude scale:
-    the largest |value| of any node, in the order of `walk(e)`.  This is
-    the scale that `is_probably_zero` reads."""
-    values = [evaluate(node, p) for node in walk(e)]
-    return values[0], max(map(abs, values))
-
-
-def _undefined_message(reason: str, node: Expr, p: Point) -> str:
-    return f"{reason} in '{to_string(node)}' at (x1={p[0]!r}, x2={p[1]!r})"
+def evaluate_with_scale(e: Expr, p: tuple[float, float]) -> tuple[float, float]:
+    """The value of `e` at the point p = (x1, x2), and the local
+    magnitude scale: the largest |value| of any node, in the order of
+    `walk(e)`.  Both are read from the kernel `is_probably_zero` runs."""
+    row = compile_many(list(walk(e)))(*p)
+    return row[0], max(map(abs, row))
 
 
 def compile_expr(e: Expr) -> Callable[[float, float], float]:
     """Compile `e` to a plain Python callable `(x1, x2) -> float`.
 
-    The generated code performs the exact same float operations in the
-    same order as `evaluate`, so results are bit-identical.  Undefined
-    points surface as one of EVAL_ERRORS without node diagnostics; use
-    `evaluate` when the error message matters.
+    The generated code computes each node once, after its children, so
+    the same tree at the same point always gives the bit-identical
+    float.  Undefined points surface as one of EVAL_ERRORS without node
+    diagnostics.
     """
     return _generate([e], "single")
 

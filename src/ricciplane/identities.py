@@ -26,7 +26,7 @@ from .expr import (
     simplify,
 )
 from .geometry import DiagonalMetric, connection_table, frame_derivative, lie_bracket, ricci
-from .numeric import SamplingConfig, covered_max_abs
+from .numeric import SamplingConfig, covered_sweep
 from .riccifield import FrameField, closedness_defect, covariant_row, divergence
 
 
@@ -44,8 +44,8 @@ def _sampled_ok(
     cfg: SamplingConfig,
 ) -> list[bool]:
     """Per group of residuals: is every sampled max |value| within
-    tolerance?  One `covered_max_abs` call for all groups."""
-    results = covered_max_abs(groups, d, cfg, (m.f1, m.f2), "identity residuals")
+    tolerance?  One `covered_sweep` call for all groups."""
+    results = covered_sweep(groups, (), d, cfg, (m.f1, m.f2), "identity residuals")[0]
     return [all(v <= cfg.tolerance for v in maxima) for maxima, _ in results]
 
 

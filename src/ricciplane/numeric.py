@@ -20,16 +20,13 @@ from .expr import (
     EVAL_ERRORS,
     Constant,
     Domain,
-    EvaluationError,
     Expr,
-    Point,
     Var,
     compile_expr,
     compile_many,
     compile_sweep,
     denominators,
     differentiate,
-    evaluate,
     kink_arguments,
 )
 
@@ -281,19 +278,6 @@ def _scan_nowhere_zero(e: Expr, points: Sequence[tuple[float, float]], guard: fl
     return True, ""
 
 
-def fd_partial(e: Expr, p: Point, v: Var, h: float) -> float:
-    """Central difference (e(p + h e_v) - e(p - h e_v)) / (2h)."""
-    x1, x2 = p
-    try:
-        if v is Var.X1:
-            hi, lo = evaluate(e, Point(x1 + h, x2)), evaluate(e, Point(x1 + -h, x2))
-        else:
-            hi, lo = evaluate(e, Point(x1, x2 + h)), evaluate(e, Point(x1, x2 + -h))
-    except EvaluationError as err:
-        raise EvaluationError(f"finite-difference stencil failed: {err}") from None
-    return (hi - lo) / (2.0 * h)
-
-
 @dataclass(frozen=True)
 class FdValidation:
     """Outcome of comparing symbolic partials against central differences."""
@@ -493,29 +477,6 @@ def _extrema(
     ]
 
 
-def covered_max_abs(
-    groups: Iterable[Sequence[Expr]],
-    d: Domain,
-    cfg: SamplingConfig,
-    guards: Iterable[Expr],
-    what: str,
-) -> list[tuple[list[float], int]]:
-    """`sampled_max_abs` of each group over the points of `d` that clear
-    the guards and the denominators of that group: one (maxima, points
-    used) per group, in order.  Raises DomainTooSingularError, naming
-    the expressions as `what`, when a group was evaluable at fewer than
-    half the requested points.
-
-    `groups` may be lazy; each group is built and sampled in turn.
-    Groups sampled to the same list (the job scope of `sample_points`
-    makes that the usual case) share one sweep.  Errors surface as if
-    each group were built, sampled and checked before the next: when
-    building or sampling a group raises, a shortfall of an earlier
-    group is raised instead.
-    """
-    return covered_sweep(groups, (), d, cfg, guards, what)[0]
-
-
 def covered_sweep(
     groups: Iterable[Sequence[Expr]],
     ranged: Sequence[Expr],
@@ -524,10 +485,18 @@ def covered_sweep(
     guards: Iterable[Expr],
     what: str,
 ) -> tuple[list[tuple[list[float], int]], list[tuple[float, float]]]:
-    """`covered_max_abs` of the groups, and the `sampled_range` of the
-    `ranged` expressions over the points that clear the guards and their
-    denominators: sampled after the groups, each its own group in the
-    sweep of its point list, its errors raised after every shortfall."""
+    """`sampled_max_abs` of each group over the points of `d` that clear
+    the guards and that group's denominators, one (maxima, points used)
+    per group; and `sampled_range` of each `ranged` expression, sampled
+    after the groups.  Raises DomainTooSingularError, naming the
+    expressions as `what`, when a group was evaluable at fewer than half
+    the requested points.  `groups` may be lazy: errors surface as if
+    each group were built, sampled and checked in turn, so when building
+    or sampling one raises, a shortfall of an earlier group is raised
+    instead, and the errors of `ranged` come after every shortfall.
+    Groups sampled to one list (the job scope of `sample_points` makes
+    that usual) share one sweep, each `ranged` expression its own group.
+    """
     guards = tuple(guards)
     collected: list[tuple[Sequence[Expr], list[tuple[float, float]]]] = []
     try:

@@ -1,8 +1,9 @@
-"""Shared fixtures and generators for the suite."""
+"""Shared fixtures, generators and the reference evaluator for the suite."""
 
 from __future__ import annotations
 
 import json
+import operator
 import random
 from pathlib import Path
 
@@ -10,21 +11,27 @@ import pytest
 
 from ricciplane.expr import (
     EVAL_ERRORS,
+    FUNCTIONS,
     Add,
     Apply,
     Constant,
     Div,
     Domain,
+    EvaluationError,
     Expr,
     Mul,
     Negate,
-    Point,
     Pow,
     Sub,
+    Var,
+    Variable,
     X1,
     X2,
+    _Binary,
+    _pow_value,
     compile_expr,
     evaluate_with_scale,
+    to_string,
 )
 from ricciplane.families import (
     Branch1,
@@ -92,6 +99,64 @@ def load_corpus_pair(name: str) -> tuple[DiagonalMetric, FrameField, Domain, Sam
 
 
 # ---------------------------------------------------------------------------
+# Reference evaluator: a recursive tree walk, independent of the
+# generated kernels that the package evaluates with
+# ---------------------------------------------------------------------------
+
+_OPERATORS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def evaluate(e: Expr, p: tuple[float, float]) -> float:
+    """Evaluate `e` at the point p = (x1, x2).
+
+    Deterministic: the same tree at the same point always produces the
+    bit-identical float.  Raises EvaluationError naming the offending
+    subexpression and the point when some node is undefined.
+    """
+    if isinstance(e, Constant):
+        return e.value
+    if isinstance(e, Variable):
+        return p[0] if e.var is Var.X1 else p[1]
+    if isinstance(e, Negate):
+        return -evaluate(e.arg, p)
+    if isinstance(e, Apply):
+        a = evaluate(e.arg, p)
+        try:
+            return FUNCTIONS[e.fn](a)
+        except EVAL_ERRORS as err:
+            raise EvaluationError(_undefined_message(str(err) or e.fn, e, p)) from None
+    if not isinstance(e, _Binary):
+        raise TypeError(f"not an expression node: {e!r}")
+    a = evaluate(e.lhs, p)
+    b = evaluate(e.rhs, p)
+    if isinstance(e, Pow):
+        try:
+            return _pow_value(a, b)
+        except EVAL_ERRORS as err:
+            raise EvaluationError(_undefined_message(str(err), e, p)) from None
+    if isinstance(e, Div) and b == 0.0:
+        raise EvaluationError(_undefined_message("division by zero", e, p))
+    return _OPERATORS[type(e)](a, b)
+
+
+def _undefined_message(reason: str, node: Expr, p: tuple[float, float]) -> str:
+    return f"{reason} in '{to_string(node)}' at (x1={p[0]!r}, x2={p[1]!r})"
+
+
+def fd_partial(e: Expr, p: tuple[float, float], v: Var, h: float) -> float:
+    """Central difference (e(p + h e_v) - e(p - h e_v)) / (2h), by the reference evaluator."""
+    x1, x2 = p
+    try:
+        if v is Var.X1:
+            hi, lo = evaluate(e, (x1 + h, x2)), evaluate(e, (x1 + -h, x2))
+        else:
+            hi, lo = evaluate(e, (x1, x2 + h)), evaluate(e, (x1, x2 + -h))
+    except EvaluationError as err:
+        raise EvaluationError(f"finite-difference stencil failed: {err}") from None
+    return (hi - lo) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
 # Random expression trees
 # ---------------------------------------------------------------------------
 
@@ -144,7 +209,7 @@ def usable_point(e: Expr, rng: random.Random, scale_cap: float = 50.0, tries: in
     from ricciplane.expr import EVAL_ERRORS
 
     for _ in range(tries):
-        p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         try:
             _, scale = evaluate_with_scale(e, p)
         except EVAL_ERRORS:

@@ -107,11 +107,11 @@ def test_verify_potential_job(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     # the gradient field is the constant frame field (1, 1) value-wise
-    from ricciplane.expr import Point, evaluate, parse as parse_expr
+    from ricciplane.expr import compile_expr, parse as parse_expr
 
     for component in (report["field"]["V1"], report["field"]["V2"]):
         for xy in ((0.0, 0.0), (0.7, -0.3)):
-            assert abs(evaluate(parse_expr(component), Point(*xy)) - 1.0) <= 1e-12
+            assert abs(compile_expr(parse_expr(component))(*xy) - 1.0) <= 1e-12
     assert report["identities"]["steady_soliton"] is True
     assert report["identities"]["laplacian_scalar"] is True
 
@@ -325,6 +325,17 @@ def test_emit_grid_rejects_degenerate_size(tmp_path, capsys):
     )
     assert code == 2
     assert "grid-size" in err
+
+
+@pytest.mark.parametrize("flag", [["--emit-grid", "g.csv"], ["--grid-size", "5"]], ids=["emit-grid", "grid-size"])
+def test_oracle_takes_no_grid_flag(tmp_path, monkeypatch, capsys, flag):
+    # oracle writes no grid, so argparse rejects the flags, not the job.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["oracle", "--spec", str(CORPUS / "ex03_cosh_metric.json"), *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_default_derived_path(tmp_path, capsys):

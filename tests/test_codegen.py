@@ -19,21 +19,19 @@ from ricciplane.expr import (
     Constant,
     EvaluationError,
     Mul,
-    Point,
     Pow,
     X1,
     X2,
     compile_expr,
     compile_many,
     compile_sweep,
-    evaluate,
     evaluate_with_scale,
     parse,
     walk,
 )
 from ricciplane.expr import _int_pow
 
-from conftest import random_smooth_tree
+from conftest import evaluate, random_smooth_tree
 
 
 def _bits(values) -> tuple[str, ...]:
@@ -47,21 +45,21 @@ def _value_and_scale(row) -> tuple[float, float]:
 
 
 def test_scaled_kernel_is_bit_identical_to_evaluate_with_scale():
+    # The reference walker, node by node, against the zero test's kernel.
     rng = random.Random(2006)
     checked = 0
     while checked < 48:
         e = random_smooth_tree(rng, depth=5)
-        fn = compile_many(list(walk(e)))
-        p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         try:
-            expected = evaluate_with_scale(e, p)
+            expected = _value_and_scale([evaluate(node, p) for node in walk(e)])
         except EvaluationError:
             try:
-                fn(p.x1, p.x2)
+                evaluate_with_scale(e, p)
             except EVAL_ERRORS:
                 continue
             raise AssertionError(f"compiled kernel is defined where {e} is not")
-        assert _bits(_value_and_scale(fn(p.x1, p.x2))) == _bits(expected), str(e)
+        assert _bits(evaluate_with_scale(e, p)) == _bits(expected), str(e)
         checked += 1
 
 
@@ -69,8 +67,8 @@ def test_evaluate_with_scale_reads_a_nan_node_like_the_zero_test_kernel():
     # inf - inf is NaN, so the root is NaN: the kernel's max(map(abs, row))
     # starts from it and stays NaN, although another node is infinite.
     e = parse("1e400 - 1e400 + 1")
-    p = Point(0.5, 0.5)
-    expected = _value_and_scale(compile_many(list(walk(e)))(p.x1, p.x2))
+    p = (0.5, 0.5)
+    expected = _value_and_scale([evaluate(node, p) for node in walk(e)])
     assert _bits(evaluate_with_scale(e, p)) == _bits(expected) == ("nan", "nan")
 
 
@@ -141,8 +139,8 @@ def test_structurally_equal_subtrees_compile_once():
     code = fn.__code__
     assert code.co_argcount == 3
     assert code.co_nlocals - code.co_argcount == 5
-    p = Point(0.3, -0.7)
-    assert fn(p.x1, p.x2) == evaluate_with_scale(e, p)[0]
+    p = (0.3, -0.7)
+    assert fn(*p) == evaluate(e, p)
 
 
 def test_compiled_kernel_leaves_no_reference_cycles():
@@ -151,7 +149,7 @@ def test_compiled_kernel_leaves_no_reference_cycles():
     gc.disable()
     try:
         fn = compile_expr(e)
-        assert fn(0.5, 0.5) == evaluate_with_scale(e, Point(0.5, 0.5))[0]
+        assert fn(0.5, 0.5) == evaluate(e, (0.5, 0.5))
         del fn
         compile_many([e, e])
         assert gc.collect() == 0
@@ -186,7 +184,7 @@ def test_integer_power_beyond_the_cap_is_fast_and_matches_evaluate():
         e = parse(text)
         fn = compile_expr(e)
         for x1 in (0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0):
-            p = Point(x1, 0.0)
+            p = (x1, 0.0)
             try:
                 want = evaluate(e, p)
             except EvaluationError:
@@ -200,7 +198,7 @@ def test_integer_power_beyond_the_cap_is_fast_and_matches_evaluate():
     assert compile_expr(parse("x1^2000000000"))(-1.5, 0.0) == math.inf
     assert compile_expr(parse("x1^2000000000"))(0.5, 0.0) == 0.0
     with pytest.raises(EvaluationError, match="zero raised to a negative power"):
-        evaluate(parse("x1^-2000000000"), Point(0.0, 0.0))
+        compile_expr(parse("x1^-2000000000"))(0.0, 0.0)
 
 
 def test_powers_up_to_the_cap_keep_repeated_multiplication():

@@ -16,7 +16,6 @@ from ricciplane.expr import (
     EVAL_ERRORS,
     Constant,
     Domain,
-    Point,
     Var,
     compile_expr,
     differentiate,
@@ -29,7 +28,6 @@ from ricciplane.numeric import (
     DomainTooSingularError,
     SamplingConfig,
     _job_stream,
-    covered_max_abs,
     covered_sweep,
     sample_points,
     sampled_max_abs,
@@ -55,7 +53,7 @@ def test_grouped_sweep_equals_separate_calls():
 
 
 def test_non_finite_value_is_inf_in_its_own_group_only():
-    points = [Point(10.5, 0.0), Point(11.0, 0.5)]
+    points = [(10.5, 0.0), (11.0, 0.5)]
     nan = parse("x1^400 - x1^399*x1")  # inf - inf
     big = parse("x1^400")  # overflows to inf
     grouped = sampled_max_abs([[nan], [big, parse("x2")], [parse("x1")]], points)
@@ -103,15 +101,15 @@ def test_sweeps_run_the_fused_kernel_once_where_it_raises(monkeypatch):
 def test_covered_groups_match_one_group_calls():
     guards = (parse("x1 + 2"),)
     groups = [[parse("1/x1")], [parse("x2/(x1 - 0.5)"), parse("x1")], [parse("x2")]]
-    separate = [covered_max_abs([g], D, CFG, guards, "e")[0] for g in groups]
-    assert covered_max_abs(groups, D, CFG, guards, "e") == separate
+    separate = [covered_sweep([g], (), D, CFG, guards, "e")[0][0] for g in groups]
+    assert covered_sweep(groups, (), D, CFG, guards, "e")[0] == separate
     with _job_stream():
-        assert covered_max_abs(groups, D, CFG, guards, "e") == separate
+        assert covered_sweep(groups, (), D, CFG, guards, "e")[0] == separate
 
 
 def test_covered_groups_accept_a_lazy_sequence():
     groups = [[parse("x1")], [parse("x2")]]
-    assert covered_max_abs(iter(groups), D, CFG, (), "e") == covered_max_abs(groups, D, CFG, (), "e")
+    assert covered_sweep(iter(groups), (), D, CFG, (), "e")[0] == covered_sweep(groups, (), D, CFG, (), "e")[0]
 
 
 SHORT = [parse("sqrt(x1 - 0.5)")]  # evaluable at a quarter of the points
@@ -125,19 +123,19 @@ def _used(group):
 
 def test_earlier_shortfall_beats_later_sampling_error():
     with pytest.raises(DomainTooSingularError, match=f"only {_used(SHORT)} of 200"):
-        covered_max_abs([[parse("x1")], SHORT, UNSAMPLEABLE], D, CFG, (), "e")
+        covered_sweep([[parse("x1")], SHORT, UNSAMPLEABLE], (), D, CFG, (), "e")[0]
 
 
 def test_first_shortfall_in_group_order_wins():
     with pytest.raises(DomainTooSingularError, match=f"e were evaluable at only {_used(SHORTER)} of 200"):
-        covered_max_abs([SHORTER, SHORT], D, CFG, (), "e")
+        covered_sweep([SHORTER, SHORT], (), D, CFG, (), "e")[0]
     with pytest.raises(DomainTooSingularError, match=f"only {_used(SHORT)} of 200"):
-        covered_max_abs([SHORT, SHORTER], D, CFG, (), "e")
+        covered_sweep([SHORT, SHORTER], (), D, CFG, (), "e")[0]
 
 
 def test_later_sampling_error_surfaces_when_earlier_groups_are_fine():
     with pytest.raises(DomainTooSingularError, match="accepted 0 of 200 requested points"):
-        covered_max_abs([[parse("x1")], UNSAMPLEABLE, SHORT], D, CFG, (), "e")
+        covered_sweep([[parse("x1")], UNSAMPLEABLE, SHORT], (), D, CFG, (), "e")[0]
 
 
 def test_ranged_expressions_are_swept_with_the_groups():
@@ -146,7 +144,7 @@ def test_ranged_expressions_are_swept_with_the_groups():
     ranged = [parse("x1"), parse("log(x1)"), parse("x2/(x1 - 0.5)")]
     with _job_stream():
         maxima, ranges = covered_sweep(groups, ranged, D, CFG, guards, "e")
-        assert maxima == covered_max_abs(groups, D, CFG, guards, "e")
+        assert maxima == covered_sweep(groups, (), D, CFG, guards, "e")[0]
         points = sample_points(D, CFG, numeric.merge_guards(guards, ranged))
         assert ranges == sampled_range(ranged, points)
     assert covered_sweep(groups, ranged, D, CFG, guards, "e") == (maxima, ranges)
@@ -168,9 +166,9 @@ def test_build_error_surfaces_after_earlier_groups_are_checked():
         raise RuntimeError("cannot build the second group")
 
     with pytest.raises(RuntimeError, match="second group"):
-        covered_max_abs(groups([parse("x1")]), D, CFG, (), "e")
+        covered_sweep(groups([parse("x1")]), (), D, CFG, (), "e")[0]
     with pytest.raises(DomainTooSingularError, match="evaluable at only"):
-        covered_max_abs(groups(SHORT), D, CFG, (), "e")
+        covered_sweep(groups(SHORT), (), D, CFG, (), "e")[0]
 
 
 # "Fewer than half the requested points" rounds half up everywhere: with
@@ -184,7 +182,7 @@ def test_half_rule_draws():
 
 def test_covered_max_abs_needs_half_the_points_rounded_up():
     with pytest.raises(DomainTooSingularError, match="only 1 of 3"):
-        covered_max_abs([[parse("sqrt(x1)")]], D, THREE, (), "e")
+        covered_sweep([[parse("sqrt(x1)")]], (), D, THREE, (), "e")[0]
 
 
 def test_zero_test_needs_half_the_points_rounded_up():

@@ -20,7 +20,7 @@ from ricciplane.identities import (
     identity_verdicts,
     laplacian,
 )
-from ricciplane.numeric import SamplingConfig, _job_stream, covered_max_abs, sample_points
+from ricciplane.numeric import SamplingConfig, _job_stream, covered_sweep, sample_points
 from ricciplane.riccifield import FrameField, closedness_defect, verify
 
 from conftest import FAILING_CORPUS, PASSING_CORPUS, draw_constructed, load_corpus_pair
@@ -141,7 +141,7 @@ def test_identity_suite_for_verified_pairs():
 
 def separate_verdicts(m, V, d, cfg, potential=None):
     """The identity verdicts one check at a time, in report order."""
-    [(closed, _)] = covered_max_abs([[closedness_defect(m, V)]], d, cfg, (m.f1, m.f2), "identity residuals")
+    [(closed, _)] = covered_sweep([[closedness_defect(m, V)]], (), d, cfg, (m.f1, m.f2), "identity residuals")[0]
     verdicts = {
         "ric_vv": check_ric_vv(m, V, d, cfg),
         "scalar_divergence": check_scalar_divergence(m, V, d, cfg),

@@ -25,17 +25,15 @@ from ricciplane.expr import (
     EvaluationError,
     Expr,
     Mul,
-    Point,
     Pow,
     X1,
     compile_expr,
     compile_many,
-    evaluate,
     parse,
     walk,
 )
 
-from conftest import CORPUS, random_smooth_tree
+from conftest import CORPUS, evaluate, random_smooth_tree
 
 
 def _bits(value: float) -> int:
@@ -69,7 +67,7 @@ def test_second_identical_job_compiles_nothing(monkeypatch, capsys):
 
 def test_signed_zeros_and_non_finite_constants_are_separate_kernels():
     expr._compile_kernel.cache_clear()
-    p = Point(1.5, -0.25)
+    p = (1.5, -0.25)
     seen = set()
     for value in (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan):
         # Each tree dies before the next is built, so the NaN constant is
@@ -105,7 +103,7 @@ def test_cache_keeps_no_node_alive(monkeypatch):
     try:
         e = parse("exp(x1) * sinh(x2 + 17.25) / (3.5 + x1^2)")
         nodes = [weakref.ref(e), weakref.ref(e.num)]
-        expected = (evaluate(e, Point(0.5, 0.5)), evaluate(e.num, Point(0.5, 0.5)))
+        expected = (evaluate(e, (0.5, 0.5)), evaluate(e.num, (0.5, 0.5)))
         fn = compile_many([e, e.num])
         compiled = _counting_compile(monkeypatch)
         again = compile_many([e, e.num])
@@ -124,7 +122,7 @@ def test_threads_racing_on_the_kernel_cache():
         rng = random.Random(seed)
         for _ in range(60):
             e = random_smooth_tree(rng, depth=4)
-            p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
             try:
                 expected = _bits(evaluate(e, p))
             except EvaluationError:
@@ -251,7 +249,7 @@ def test_bound_constants_stay_bit_exact_when_they_share_a_shape():
             fn = compile_expr(e)
             kernels += 1
             for _ in range(4):
-                p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
                 try:
                     expected = _bits(evaluate(e, p))
                 except EvaluationError:

@@ -13,11 +13,9 @@ from ricciplane import cli
 from ricciplane.expr import (
     EVAL_ERRORS,
     Domain,
-    Point,
     compile_expr,
     compile_many,
     denominators,
-    evaluate,
     is_probably_zero,
     parse,
     walk,
@@ -25,7 +23,7 @@ from ricciplane.expr import (
 from ricciplane.geometry import is_flat, ricci
 from ricciplane.numeric import SamplingConfig, nowhere_zero, sample_points, sampled_max_abs, sampled_range
 
-from conftest import CORPUS, FAILING_CORPUS, PASSING_CORPUS, load_corpus_pair
+from conftest import CORPUS, FAILING_CORPUS, PASSING_CORPUS, evaluate, load_corpus_pair
 
 FLAT = {"f1": "1", "f2": "1"}
 
@@ -40,7 +38,7 @@ def run_cli(capsys, tmp_path, spec_text: str, *flags) -> tuple[int, str, str]:
 
 def test_non_finite_constant_compiles_like_evaluate():
     e = parse("1e400 + x1")
-    assert compile_expr(e)(0.5, 0.0) == evaluate(e, Point(0.5, 0.0))
+    assert compile_expr(e)(0.5, 0.0) == evaluate(e, (0.5, 0.0))
 
 
 def test_non_finite_constant_spec_gives_a_report(tmp_path, capsys):
@@ -71,7 +69,7 @@ def test_nan_residual_fails(tmp_path, capsys):
 
 def test_nan_is_not_zero():
     assert is_probably_zero(parse("x1^400 - x1^399*x1"), Domain(x1_range=(10, 20)), SamplingConfig()) is False
-    [(maxima, used)] = sampled_max_abs([[parse("x1^400 - x1^399*x1"), parse("x1")]], [Point(10.5, 0.0)])
+    [(maxima, used)] = sampled_max_abs([[parse("x1^400 - x1^399*x1"), parse("x1")]], [(10.5, 0.0)])
     assert (maxima, used) == ([math.inf, 10.5], 1)
 
 
@@ -205,8 +203,8 @@ def test_curvature_range_with_nan_values_is_unbounded(tmp_path, capsys):
 def test_sampled_range_nan_at_some_points():
     e = parse("1 + x1^400 - x1^399*x1")
     # x1 = 1 evaluates to 1; x1 = 15 to NaN.
-    assert sampled_range([e], [Point(1.0, 0.0)]) == [(1.0, 1.0)]
-    assert sampled_range([e], [Point(1.0, 0.0), Point(15.0, 0.0)]) == [(-math.inf, math.inf)]
+    assert sampled_range([e], [(1.0, 0.0)]) == [(1.0, 1.0)]
+    assert sampled_range([e], [(1.0, 0.0), (15.0, 0.0)]) == [(-math.inf, math.inf)]
 
 
 # f1 equals 1, but evaluates to NaN at every point of the domain.

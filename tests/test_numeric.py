@@ -7,18 +7,17 @@ import random
 
 import pytest
 
-from ricciplane.expr import EVAL_ERRORS, Constant, Domain, Point, Var, compile_expr, parse
+from ricciplane.expr import EVAL_ERRORS, Constant, Domain, Var, compile_expr, parse
 from ricciplane.numeric import (
     DomainTooSingularError,
     SamplingConfig,
-    fd_partial,
     fd_validate,
     nowhere_zero,
     sample_points,
     sampled_range,
 )
 
-from conftest import uniform_stream_points
+from conftest import fd_partial, uniform_stream_points
 
 
 def test_sample_points_deterministic():
@@ -74,9 +73,9 @@ def test_nowhere_zero_checks():
 
 def test_fd_partial_known_derivatives():
     h = 1e-5
-    assert abs(fd_partial(parse("exp(x1)"), Point(0, 0), Var.X1, h) - 1.0) <= 1e-9
-    assert abs(fd_partial(parse("cosh(x1)"), Point(0, 0), Var.X1, h)) <= 1e-10
-    fd = fd_partial(parse("x1^3"), Point(2, 0), Var.X1, h)
+    assert abs(fd_partial(parse("exp(x1)"), (0, 0), Var.X1, h) - 1.0) <= 1e-9
+    assert abs(fd_partial(parse("cosh(x1)"), (0, 0), Var.X1, h)) <= 1e-10
+    fd = fd_partial(parse("x1^3"), (2, 0), Var.X1, h)
     assert abs(fd - 12.0) / 12.0 <= 1e-6
 
 
@@ -158,7 +157,7 @@ def test_fused_sampled_range_matches_per_expression_ranges():
     assert got[3] == (-math.inf, math.inf) and math.inf in got[2]
     # Equal extremes: the first one met is kept, -0.0 or 0.0.
     for first in (0.5, -0.5):
-        zeros = [Point(first, 0.0), Point(-first, 1.0)]
+        zeros = [(first, 0.0), (-first, 1.0)]
         lo, hi = sampled_range([parse("x1*0"), parse("x2")], zeros)[0]
         want_lo, want_hi = _per_expression_range(parse("x1*0"), zeros)
         assert (lo.hex(), hi.hex()) == (want_lo.hex(), want_hi.hex()) == ((first * 0).hex(),) * 2
