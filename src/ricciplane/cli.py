@@ -31,6 +31,7 @@ from .expr import (
     EvaluationError,
     Expr,
     ParseError,
+    _finiteness_folds,
     parse,
     to_string,
 )
@@ -48,13 +49,11 @@ from .identities import PotentialFunction, gradient_field, identity_verdicts
 from .numeric import (
     DomainTooSingularError,
     SamplingConfig,
+    covered_sweep,
     fd_validate,
-    sample_points,
-    sampled_range,
 )
 from .riccifield import (
     FrameField,
-    equation_guards,
     from_coordinates,
     residual_system,
     verify,
@@ -281,11 +280,13 @@ def _report_head(command: str, spec: dict, d: Domain, cfg: SamplingConfig, m: Di
 
 def curvature_section(m: DiagonalMetric, d: Domain, cfg: SamplingConfig, ranges=None) -> dict:
     """h12, h21, rho and r with their sampled ranges: `ranges` when
-    given (a `verify` report's `curvature_ranges`), else sampled here."""
+    given (a `verify` report's `curvature_ranges`), else swept here, with
+    rho's folds for `is_flat` (`_finiteness_folds`)."""
     curv = ricci(m)
     exprs = {"h12": curv.h12, "h21": curv.h21, "rho": curv.rho, "r": curv.r}
     if ranges is None:
-        ranges = sampled_range(list(exprs.values()), sample_points(d, cfg, equation_guards(m, exprs.values())))
+        swept = [*exprs.values(), *_finiteness_folds(curv.rho)]
+        ranges = covered_sweep((), swept, d, cfg, (m.f1, m.f2), "curvature")[1]
     section = {}
     for (name, e), (lo, hi) in zip(exprs.items(), ranges):
         section[name] = to_string(e)

@@ -797,6 +797,33 @@ def kink_arguments(e: Expr) -> list[Expr]:
 # ---------------------------------------------------------------------------
 
 
+_FINITE_ARGUMENT = frozenset({"log", "sin", "cos", "tan", "sinh", "cosh", "sqrt", "abs"})
+
+
+def _finiteness_folds(e: Expr) -> list[Expr]:
+    """The nodes of `e` that need finite ranges of their own for finite
+    `e` to mean finite nodes, in one pass from the root, parents first.
+    An operand of `+ - *` or negation, a Div numerator, the base of a
+    positive integer constant power and a `_FINITE_ARGUMENT` argument
+    are finite where their parent is; no other operand is (x/inf = 0,
+    exp(-inf) = 0, sign(nan) = -1).  Variables (Domain keeps coordinates
+    finite) and finite constants are never folds."""
+    finite, folds = {id(e)}, []
+    for node in sorted(walk(e), key=_creation_order, reverse=True):
+        if id(node) not in finite:
+            if isinstance(node, Variable) or isinstance(node, Constant) and math.isfinite(node.value):
+                continue
+            folds.append(node)
+        kind, expo = type(node), getattr(node, "exponent", None)  # a Pow's only
+        if kind is Div:
+            finite.add(id(node.num))
+        elif kind in (Add, Sub, Mul, Negate) or kind is Apply and node.fn in _FINITE_ARGUMENT or (
+            isinstance(expo, Constant) and expo.value > 0 and expo.value.is_integer()
+        ):
+            finite.update(map(id, node.children()))
+    return folds
+
+
 def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
     """Decide whether `e` vanishes identically on `d`, by sampling.
 
@@ -811,17 +838,19 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
     deterministic given the seed.  Raises DomainTooSingularError when
     fewer than samples/2 points survive rejection and evaluation.
 
-    When the first evaluable point reads as zero, one sweep of every
-    node counts the evaluable points and accepts if every node's range
-    is finite and e's within [-tol, tol]; else points are read one by one.
+    The ranges of `e` and its `_finiteness_folds`, read from the job's
+    record of the prefix (`_Stream.swept`) or swept once the first
+    evaluable point reads as zero, accept when e's lies in [-tol, tol]
+    with no NaN and each fold's is finite; else points are read in turn.
     """
-    from .numeric import DomainTooSingularError, _enough, _extrema, sample_points
+    from .numeric import DomainTooSingularError, _enough, _extrema, _scoped_stream, sample_points
 
     points = sample_points(d, cfg, guards=denominators(e))
     # The value of every node, that of `e` first.
     nodes = list(walk(e))
     fn = compile_many(nodes)
     tol, enough = cfg.tolerance, _enough(cfg.samples)
+    folds = _finiteness_folds(e)
 
     def reads_zero(row: tuple[float, ...]) -> bool:
         # The common case first, in one C-level call: a float sum with a
@@ -839,20 +868,25 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
             except EVAL_ERRORS:
                 pass
 
-    rows = evaluable_rows()
-    first = next(rows, None)
-    if first is not None and reads_zero(first):
-        [(states, evaluated)] = _extrema([nodes], points)
-        if evaluated >= enough:
-            lo, hi, _ = states[0]
-            finite = all(-math.inf < a <= b < math.inf and not nan for a, b, nan in states)
-            return (finite and -tol <= lo and hi <= tol) or all(map(reads_zero, rows))
-    else:
-        # Not zero: the answer is fixed once enough points are evaluable.
-        evaluated = (first is not None) + sum(1 for _ in itertools.islice(rows, enough - 1))
-        if evaluated >= enough:
-            return False
-    raise DomainTooSingularError(f"only {evaluated} of {cfg.samples} requested points were evaluable")
+    rows, first, s = evaluable_rows(), None, _scoped_stream(d, cfg)
+    recorded = [s.swept.get(id(f)) for f in (e, *folds)] if s is not None and points is s.prefix else [None]
+    if None in recorded:
+        if (first := next(rows, None)) is None or not reads_zero(first):
+            # Not zero at the first point: the answer is fixed once enough points are evaluable.
+            recorded = [(e, None, (first is not None) + sum(1 for _ in itertools.islice(rows, enough - 1)))]
+        else:
+            # The prefix is drawn from `d`, with finite coordinates; check another list's.
+            groups = [[e], *[[f] for f in folds], *[[v] for v in nodes if isinstance(v, Variable)]]
+            recorded = [(e, state, used) for [state], used in _extrema(groups, points)]
+    (_, state, evaluated), *rest = recorded
+    if evaluated < enough:
+        raise DomainTooSingularError(f"only {evaluated} of {cfg.samples} requested points were evaluable")
+    if state is None:
+        return False
+    (lo, hi, nan), finite = state, all(-math.inf < a <= b < math.inf and not n for _, (a, b, n), _ in rest)
+    if not nan and -tol <= lo and hi <= tol and finite:
+        return True
+    return reads_zero(first or next(rows)) and all(map(reads_zero, rows))
 
 
 # ---------------------------------------------------------------------------

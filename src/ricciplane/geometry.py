@@ -27,7 +27,7 @@ from .expr import (
     is_probably_zero,
     simplify,
 )
-from .numeric import DomainTooSingularError, SamplingConfig, nowhere_zero
+from .numeric import DomainTooSingularError, SamplingConfig, _stream, _sweep_prefix, nowhere_zero
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,10 @@ def validate_metric(m: DiagonalMetric, d: Domain, cfg: SamplingConfig) -> None:
     Raises DomainTooSingularError naming the failing component; the
     hypothesis is only ever checked at seeded sample points, never proved.
     A component shared by f1 and f2 (one interned node) is checked once.
+    Both are swept at once; f1's verdict, and its failure, comes first.
     """
     components = [("f1", m.f1)] if m.f2 is m.f1 else [("f1", m.f1), ("f2", m.f2)]
+    _sweep_prefix([c for _, c in components], _stream(d, cfg), d.guard)
     for label, component in components:
         ok, reason = nowhere_zero(component, d, cfg)
         if not ok:

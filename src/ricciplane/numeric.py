@@ -74,22 +74,23 @@ class _Stream:
     """A job's record of one (domain, samples, seed) stream.  `prefix` is
     its first `samples` candidates, drawn once, and `end` the
     random.Random state after them.  `passes` maps a guard key to
-    (guards, points) and `scans` an expression id to (expression,
-    verdict); each entry holds its own nodes, so the ids stay valid.
-    `cleared` holds the ids of the guards that accept every prefix
-    candidate: each is defined there with |v| >= guard or NaN (see
-    `_sweep_prefix`).  `compile_many` values are bit-identical per
-    expression, and a fused kernel raises only where one of its
-    expressions does, so a set of cleared guards accepts the whole
-    prefix."""
+    (guards, points) and `swept` an expression id to (expression,
+    (lo, hi, saw_nan), used), its `_extrema` state over the prefix as a
+    group of its own; each entry holds its own nodes, so the ids there
+    and in `cleared` stay valid.  `cleared` holds the ids of the guards
+    that accept every prefix candidate: each is defined there with
+    |v| >= guard or NaN (see `_sweep_prefix`).  `compile_many` values
+    are bit-identical per expression, and a fused kernel raises only
+    where one of its expressions does, so a set of cleared guards
+    accepts the whole prefix."""
 
-    __slots__ = ("prefix", "end", "cleared", "passes", "scans")
+    __slots__ = ("prefix", "end", "cleared", "passes", "swept")
 
     def __init__(self, d: Domain, cfg: SamplingConfig):
         rng = random.Random(cfg.seed)
         self.prefix = list(islice(_draws(d, rng), cfg.samples))
         self.end = rng.getstate()
-        self.cleared, self.passes, self.scans = set(), {}, {}
+        self.cleared, self.passes, self.swept = set(), {}, {}
 
 
 # The job scope of `sample_points` and `nowhere_zero`: None, or the
@@ -101,7 +102,7 @@ _STREAM: contextvars.ContextVar[dict | None] = contextvars.ContextVar("ricciplan
 def _job_stream() -> Iterator[None]:
     """Scope in which `sample_points` runs each guard set of a
     (domain, samples, seed) at most once and shares the result, and
-    `nowhere_zero` scans each expression of one at most once.  The
+    each expression is swept over its prefix at most once.  The
     scope belongs to the current context, so each thread has its own;
     it ends, and its table is dropped, on every exit path."""
     token = _STREAM.set({})
@@ -121,6 +122,11 @@ def _stream(d: Domain, cfg: SamplingConfig) -> _Stream:
     return table.get(key) or table.setdefault(key, _Stream(d, cfg))
 
 
+def _scoped_stream(d: Domain, cfg: SamplingConfig) -> _Stream | None:
+    """The current job's record of the stream of (d, cfg), or None."""
+    return (_STREAM.get() or {}).get((d, cfg.samples, cfg.seed))
+
+
 def sample_points(
     d: Domain,
     cfg: SamplingConfig,
@@ -137,7 +143,7 @@ def sample_points(
     A set of cleared guards (see `_Stream`), the empty set among them,
     is served the stream's prefix without running a kernel.  Any other
     set first sweeps its uncleared guards over the prefix, and each that
-    clears is stored as the pass of its own set.  A set still not
+    clears is cleared (its sweep state holds its node).  A set still not
     cleared runs one pass, stored in the job's record within a
     `_job_stream` scope (each CLI job runs in one) and returned again to
     later calls.  A pass that rejected nothing returns the prefix and
@@ -151,10 +157,7 @@ def sample_points(
     key = frozenset(map(id, guards))
     if not key <= s.cleared and key not in s.passes:
         todo = list({id(g): g for g in guards if id(g) not in s.cleared}.values())
-        for g, (_, clears) in zip(todo, _sweep_prefix(todo, s, d.guard)):
-            if clears:
-                s.passes[frozenset([id(g)])] = ((g,), s.prefix)  # the entry holds the node
-                s.cleared.add(id(g))
+        s.cleared.update(id(g) for g, (_, clears) in zip(todo, _sweep_prefix(todo, s, d.guard)) if clears)
         if not key <= s.cleared:
             s.passes[key] = (guards, _draw_pass(d, cfg, guards, s))
             if s.passes[key][1] is s.prefix:
@@ -197,14 +200,17 @@ def _draw_pass(d: Domain, cfg: SamplingConfig, guards: tuple[Expr, ...], s: _Str
 
 
 def _sweep_prefix(exprs: Sequence[Expr], s: _Stream, guard: float) -> list[tuple[tuple[float, float, bool], bool]]:
-    """Per expression, its (lo, hi, saw_nan) over `s.prefix` from one
-    `_extrema` sweep, and whether it clears as a guard: defined at every
-    candidate, and NaN aside (`_draw_pass` accepts a NaN) on one side
-    of (-guard, guard)."""
+    """Per expression, its (lo, hi, saw_nan) over `s.prefix` as recorded,
+    those not in `s.swept` from one `_extrema` sweep, and whether it
+    clears as a guard: defined at every candidate, and NaN aside
+    (`_draw_pass` accepts a NaN) on one side of (-guard, guard)."""
+    todo = [[e] for e in {id(e): e for e in exprs if id(e) not in s.swept}.values()]
+    if todo:
+        s.swept.update((id(e), (e, state, used)) for [e], ([state], used) in zip(todo, _extrema(todo, s.prefix)))
     n = len(s.prefix)
     return [
         (state, used == n and (state[0] >= guard or state[1] <= -guard))
-        for [state], used in _extrema([[e] for e in exprs], s.prefix)
+        for _, state, used in (s.swept[id(e)] for e in exprs)
     ]
 
 
@@ -238,18 +244,14 @@ def nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
     It passes iff e clears as a guard (`_sweep_prefix`) with no NaN and
     a finite range; only a failure runs the per-point scan, for its
     message.  Within a `_job_stream` scope, each (expression, domain,
-    samples, seed) is scanned once and its verdict returned again to
-    later calls; a passing scan clears its expression.
+    samples, seed) is swept once (`_Stream.swept`); a pass clears it.
     """
     s = _stream(d, cfg)
-    done = s.scans.get(id(e))
-    if done is None:
-        [((lo, hi, nan), clears)] = _sweep_prefix([e], s, d.guard)
-        ok = clears and not nan and -math.inf < lo <= hi < math.inf
-        done = s.scans[id(e)] = (e, (True, "") if ok else _scan_nowhere_zero(e, s.prefix, d.guard))
-        if ok:
-            s.cleared.add(id(e))
-    return done[1]
+    [((lo, hi, nan), clears)] = _sweep_prefix([e], s, d.guard)
+    if not (clears and not nan and -math.inf < lo <= hi < math.inf):
+        return _scan_nowhere_zero(e, s.prefix, d.guard)
+    s.cleared.add(id(e))
+    return True, ""
 
 
 def _scan_nowhere_zero(e: Expr, points: Sequence[tuple[float, float]], guard: float) -> tuple[bool, str]:
@@ -495,7 +497,8 @@ def covered_sweep(
     or sampling one raises, a shortfall of an earlier group is raised
     instead, and the errors of `ranged` come after every shortfall.
     Groups sampled to one list (the job scope of `sample_points` makes
-    that usual) share one sweep, each `ranged` expression its own group.
+    that usual) share one sweep, each `ranged` expression its own group
+    (recorded in `_Stream.swept` if swept over the job's prefix).
     """
     guards = tuple(guards)
     collected: list[tuple[Sequence[Expr], list[tuple[float, float]]]] = []
@@ -510,6 +513,9 @@ def covered_sweep(
         _checked_sweeps(collected, len(collected), cfg, what)
         raise
     results = _checked_sweeps(collected, n, cfg, what)
+    s = _scoped_stream(d, cfg) if ranged else None
+    if s is not None and points is s.prefix:
+        s.swept.update((id(e), (e, state, used)) for e, ([state], used) in zip(ranged, results[n:]))
     return [(_maxima(states), used) for states, used in results[:n]], _ranges(results[n:])
 
 

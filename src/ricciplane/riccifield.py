@@ -17,6 +17,7 @@ from .expr import (
     Expr,
     Mul,
     Sub,
+    _finiteness_folds,
     simplify,
 )
 from .geometry import (
@@ -103,14 +104,16 @@ def verify(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> 
 
     The metric is sample-validated first.  Pass iff every residual's
     max |value| over the accepted points is <= cfg.tolerance.  The
-    curvature's ranges, which share nodes with the residuals, are swept
-    with them; their errors come after a residual shortfall.
+    curvature's ranges and rho's folds (for `is_flat`), which share nodes
+    with the residuals, are swept with them; their errors come after a
+    residual shortfall.
     """
     validate_metric(m, d, cfg)
     residuals = residual_system(m, V)
     curv = ricci(m)
     ranged = (curv.h12, curv.h21, curv.rho, curv.r)
-    [(maxima, used)], ranges = covered_sweep([residuals], ranged, d, cfg, (m.f1, m.f2), "residuals")
+    swept = (*ranged, *_finiteness_folds(curv.rho))
+    [(maxima, used)], ranges = covered_sweep([residuals], swept, d, cfg, (m.f1, m.f2), "residuals")
     verdict = "pass" if all(v <= cfg.tolerance for v in maxima) else "fail"
     return ResidualReport(
         residuals=residuals,
@@ -119,7 +122,7 @@ def verify(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> 
         points_used=used,
         seed=cfg.seed,
         tolerance=cfg.tolerance,
-        curvature_ranges=tuple(ranges),
+        curvature_ranges=tuple(ranges[: len(ranged)]),
     )
 
 

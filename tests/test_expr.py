@@ -260,8 +260,9 @@ def test_is_probably_zero_stops_once_the_answer_is_fixed(monkeypatch):
     # The verdict is False at the first point and half the requested
     # points make the sample large enough, so 100 evaluations decide,
     # and nothing is swept.  When the first point reads as zero, one
-    # sweep of every node decides or counts the evaluable points, and
-    # the per-point reading stops at the first point that is not zero.
+    # sweep of e with its finiteness folds (none here) and its variable
+    # decides or counts the evaluable points, and the per-point reading
+    # stops at the first point that is not zero.
     calls = 0
     swept = []
     extrema = numeric._extrema
@@ -286,12 +287,14 @@ def test_is_probably_zero_stops_once_the_answer_is_fixed(monkeypatch):
     e = parse("sin(x1)^2 + cos(x1)^2 - 1")
     calls = 0
     assert is_probably_zero(e, Domain(), cfg) is True
-    assert (calls, swept) == (1, [[list(expr.walk(e))]])
+    assert expr._finiteness_folds(e) == []
+    assert (calls, swept) == (1, [[[e], [X1]]])
     # Zero at the first point (x1 = 0.279), not at the second (x1 = -0.450).
     e = parse("x1 - abs(x1)")
     calls, swept[:] = 0, []
     assert is_probably_zero(e, Domain(), cfg) is False
-    assert (calls, swept) == (2, [[list(expr.walk(e))]])
+    assert expr._finiteness_folds(e) == []
+    assert (calls, swept) == (2, [[[e], [X1]]])
     # Within tol * (1 + scale) at every point but above tol at some: the
     # sweep cannot accept, so every point is read.
     calls, swept[:] = 0, []

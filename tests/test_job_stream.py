@@ -56,8 +56,8 @@ def test_covered_subset_is_served_by_its_superset(monkeypatch):
         assert sample_points(Domain(), CFG) is superset
         (s,) = numeric._STREAM.get().values()
         assert superset is s.prefix
-        # Each cleared guard is stored as the pass of its own set.
-        assert s.passes == {frozenset([id(COSH)]): ((COSH,), s.prefix), frozenset([id(EXP)]): ((EXP,), s.prefix)}
+        # Each cleared guard is held by its sweep state, not by a pass.
+        assert s.passes == {} and list(s.swept) == [id(COSH), id(EXP)]
         assert s.cleared == {id(COSH), id(EXP)}
     assert passes == []
     assert swept == [([[COSH], [EXP]], s.prefix)] and swept[0][1] is s.prefix
@@ -71,17 +71,17 @@ def test_superset_that_rejected_candidates_serves_no_subset(monkeypatch):
         superset = sample_points(d, CFG, [SINH, EXP])
         (s,) = numeric._STREAM.get().values()
         # The sweep clears exp (>= 1/e), not sinh, which changes sign:
-        # exp is stored as the pass of its own set, then the rejecting
-        # pass with its own points, which clears nothing.  The record
-        # holds the stream's prefix and where it ends.
-        assert list(s.passes) == [frozenset([id(EXP)]), frozenset(map(id, [SINH, EXP]))]
-        assert s.passes[frozenset([id(EXP)])] == ((EXP,), s.prefix)
+        # both sweep states are stored, then the rejecting pass with its
+        # own points, which clears nothing.  The record holds the
+        # stream's prefix and where it ends.
+        assert list(s.swept) == [id(SINH), id(EXP)]
+        assert list(s.passes) == [frozenset(map(id, [SINH, EXP]))]
         assert s.passes[frozenset(map(id, [SINH, EXP]))] == ((SINH, EXP), superset)
         assert superset != s.prefix and s.cleared == {id(EXP)}
         rng = random.Random(CFG.seed)
         assert (s.prefix, s.end) == (list(islice(numeric._draws(d, rng), CFG.samples)), rng.getstate())
         subset = sample_points(d, CFG, [EXP])
-        assert subset is s.prefix and len(s.passes) == 2
+        assert subset is s.prefix and len(s.passes) == 1
     assert passes == [(SINH, EXP)]
     assert subset is not superset
     assert subset == sample_points(d, CFG, [EXP])
@@ -237,7 +237,10 @@ def test_reports_match_unshared_sampling(tmp_path, capsys, monkeypatch):
 def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch, tag):
     # f2, f2' and the induced f1 are scanned by `construct`; verifying
     # the pair scans f1 and f2 again with the same domain, samples and
-    # seed.  Every scan passes, so none runs the per-point loop.
+    # seed.  Every scan passes, so none runs the per-point loop.  The
+    # job's record holds each expression swept over its prefix once: the
+    # three scans, one guard, h12, h21, rho, r and rho's two folds.  Each
+    # call on its own records them in streams of its own, 13 in all.
     records, failures = [], []
     stream, scan = numeric._stream, numeric._scan_nowhere_zero
     monkeypatch.setattr(numeric, "_stream", lambda d, cfg: records.append(stream(d, cfg)) or records[-1])
@@ -246,16 +249,20 @@ def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch,
     )
 
     def scanned() -> list:
-        return [e for s in {id(s): s for s in records}.values() for e, _ in s.scans.values()]
+        return [e for s in {id(s): s for s in records}.values() for e, _, _ in s.swept.values()]
 
     argv = next(job for job in _family_jobs(tmp_path) if job[2].endswith(f"{tag}.json"))
     assert argv[0] == "construct"
+    swept = _counting_sweeps(monkeypatch)
     shared = _outputs([argv], capsys)
-    assert len(scanned()) == len({id(e) for e in scanned()}) == 3
+    assert len(scanned()) == len({id(e) for e in scanned()}) == 9
+    # No expression is swept on its own twice.
+    singles = [group[0] for groups, _ in swept for group in groups if len(group) == 1]
+    assert len(singles) == len({id(e) for e in singles}) == 9
     records.clear()
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
-    assert len(scanned()) == 5
+    assert len(scanned()) == 13
     assert failures == []
 
 
@@ -331,11 +338,12 @@ def test_a_failed_pass_stores_no_more_than_samples_candidates():
     d = Domain(guard=1e-2)
     with numeric._job_stream():
         numeric.nowhere_zero(COSH, d, CFG)
+        tiny = parse("1e-9*x1")
         with pytest.raises(DomainTooSingularError):
-            sample_points(d, CFG, [parse("1e-9*x1")])
+            sample_points(d, CFG, [tiny])
         (s,) = numeric._STREAM.get().values()
-        # The scan of `nowhere_zero` is stored; the failed pass is not.
-        assert list(s.scans) == [id(COSH)] and s.passes == {}
+        # The sweeps of the scan and of the guard are stored; the failed pass is not.
+        assert list(s.swept) == [id(COSH), id(tiny)] and s.passes == {}
         assert len(s.prefix) == CFG.samples
         assert all(len(points) <= CFG.samples for _, points in s.passes.values())
 
@@ -374,7 +382,7 @@ def test_passes_over_separate_guards_clear_their_union(monkeypatch):
         assert [groups for groups, _ in swept] == [[[COSH]], [[EXP]]]
         served = sample_points(Domain(), CFG, [COSH, EXP])
         (s,) = numeric._STREAM.get().values()
-        assert list(s.passes) == [frozenset([id(COSH)]), frozenset([id(EXP)])]
+        assert s.passes == {} and list(s.swept) == [id(COSH), id(EXP)]
         assert s.cleared == {id(COSH), id(EXP)}
     assert served is first is s.prefix
     assert passes == kernels == [] and len(swept) == 2
@@ -391,7 +399,7 @@ def test_a_passing_scan_clears_its_expression(monkeypatch, guards):
         served = sample_points(Domain(), CFG, guards)
         (s,) = numeric._STREAM.get().values()
         assert s.passes == {}
-        assert list(s.scans) == [id(COSH), id(EXP)] and s.cleared == {id(COSH), id(EXP)}
+        assert list(s.swept) == [id(COSH), id(EXP)] and s.cleared == {id(COSH), id(EXP)}
     assert served is prefix is s.prefix
     assert passes == kernels == []
     assert _hexes(served) == _hexes(sample_points(Domain(), CFG, guards))
@@ -402,7 +410,7 @@ def test_a_scan_of_another_stream_clears_nothing(monkeypatch):
         assert numeric.nowhere_zero(COSH, Domain(), SamplingConfig(samples=100, seed=6))[0]
         prefix = sample_points(Domain(), CFG)
         s = numeric._STREAM.get()[(Domain(), CFG.samples, CFG.seed)]
-        assert s.cleared == set() and s.scans == {}
+        assert s.cleared == set() and s.swept == {}
         passes, _ = _counting_passes(monkeypatch)
         swept = _counting_sweeps(monkeypatch)
         # cosh is swept over this stream's prefix, which clears it.
@@ -484,9 +492,10 @@ def test_a_pass_that_reads_the_prefix_draws_on_from_its_end(tmp_path, capsys, mo
 
 def test_a_branch1_identities_job_sweeps_one_point_list(tmp_path, capsys, monkeypatch):
     # Every guard of this job clears, so every sweep reads the stream's
-    # prefix itself, not an equal copy of it: the scans of f1 and f2,
-    # the sweep of the one guard left, the residuals with h12, h21, rho
-    # and r, and the four identity groups.
+    # prefix itself, not an equal copy of it: the scans of f1 and f2 in
+    # one sweep, the sweep of the one guard left, the residuals with h12,
+    # h21, rho, r and rho's one finiteness fold, and the four identity
+    # groups.  The zero test reads the recorded ranges and sweeps nothing.
     family = {"kind": "branch1", "f2": "cosh(0.616*x1) + 2", "k": 0.695, "c": 1.571}
     spec = tmp_path / "b1.json"
     spec.write_text(json.dumps({"family": family, "domain": {"x1": [0.25, 1.25], "x2": [-1.0, 1.0]}}), encoding="utf-8")
@@ -496,8 +505,10 @@ def test_a_branch1_identities_job_sweeps_one_point_list(tmp_path, capsys, monkey
     swept = _counting_sweeps(monkeypatch)
     argv = ["identities", "--spec", str(derived), *seed]
     shared = _outputs([argv], capsys)
-    assert [len(groups) for groups, _ in swept] == [1, 1, 1, 5, 4]
+    assert [len(groups) for groups, _ in swept] == [2, 1, 6, 4]
     assert len({id(points) for _, points in swept}) == 1
+    m = cli.spec_metric(json.loads(derived.read_text(encoding="utf-8")))
+    assert swept[2][0][5:] == [[f] for f in expr._finiteness_folds(ricci(m).rho)] != []
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
 
@@ -548,25 +559,62 @@ def test_scoped_calls_equal_unscoped_ones(guard, samples, seed, calls):
             assert got == _hexes(uniform_stream_points(d, cfg, [_STREAM_GUARDS[i] for i in which]))
 
 
+def _counting_rows(monkeypatch) -> list:
+    """Wrap `expr.compile_many`, whose kernel the zero test reads row by
+    row: one entry per point it evaluates."""
+    rows = []
+    compile_many = expr.compile_many
+    monkeypatch.setattr(
+        expr, "compile_many", lambda exprs: (lambda f: lambda x1, x2: rows.append((x1, x2)) or f(x1, x2))(compile_many(exprs))
+    )
+    return rows
+
+
 @pytest.mark.parametrize("command", ["verify", "identities"])
 def test_a_verify_job_sweeps_residuals_with_the_curvature_once(capsys, monkeypatch, command):
-    # The scans of f1 and f2, then one sweep of the residual group with
-    # h12, h21, rho and r, whose ranges the report reads; `identities`
-    # adds one sweep of its groups.  rho is not zero at the first point,
-    # so the flat test sweeps nothing.
-    swept = _counting_sweeps(monkeypatch)
+    # One sweep scans f1 and f2, then one sweeps the residual group with
+    # h12, h21, rho and r, whose ranges the report reads, and rho's
+    # finiteness fold exp(x1)^2; `identities` adds one sweep of its
+    # groups.  The flat test reads rho's recorded range, which is not
+    # within the tolerance, and one row, which is not zero.
+    swept, rows = _counting_sweeps(monkeypatch), _counting_rows(monkeypatch)
     argv = [command, "--spec", str(CORPUS / "ex03_cosh_metric.json"), "--samples", "2000"]
     shared = _outputs([argv], capsys)
     m, V, _, _ = load_corpus_pair("ex03_cosh_metric.json")
     curv = ricci(m)
-    assert [groups for groups, _ in swept[:3]] == [
-        [[m.f1]],
-        [[m.f2]],
-        [residual_system(m, V), [curv.h12], [curv.h21], [curv.rho], [curv.r]],
+    fold = parse("exp(x1)^2")
+    assert [groups for groups, _ in swept[:2]] == [
+        [[m.f1], [m.f2]],
+        [residual_system(m, V), [curv.h12], [curv.h21], [curv.rho], [curv.r], [fold]],
     ]
-    assert len(swept) == (3 if command == "verify" else 4)
+    assert len(swept) == (2 if command == "verify" else 3)
     assert len({id(points) for _, points in swept}) == 1
+    assert len(rows) == 1
     swept.clear()
+    rows.clear()
     assert _outputs([["curvature", *argv[1:]]], capsys)[0][0] == 0 == shared[0][0]
-    # `curvature` sweeps the guards f1, f2 and then the four ranges.
-    assert [groups for groups, _ in swept] == [[[m.f1], [m.f2]], [[curv.h12], [curv.h21], [curv.rho], [curv.r]]]
+    # `curvature` sweeps the guards f1, f2 and then the four ranges with the fold.
+    assert [groups for groups, _ in swept] == [[[m.f1], [m.f2]], [[curv.h12], [curv.h21], [curv.rho], [curv.r], [fold]]]
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize("name", ["ex04_rotating_equal_scales.json", "ex04_rotating_unequal_scales.json"])
+@pytest.mark.parametrize("command", ["curvature", "verify", "identities"])
+def test_a_flat_job_decides_the_zero_test_from_recorded_ranges(capsys, monkeypatch, name, command):
+    # rho needs no finiteness fold and its recorded range is within the
+    # tolerance: the zero test sweeps nothing and reads no row.
+    m, V, _, _ = load_corpus_pair(name)
+    curv = ricci(m)
+    assert expr._finiteness_folds(curv.rho) == []
+    swept, rows = _counting_sweeps(monkeypatch), _counting_rows(monkeypatch)
+    [(code, out)] = _outputs([[command, "--spec", str(CORPUS / name), "--samples", "2000"]], capsys)
+    assert json.loads(out)["flat"] is True
+    ranges = [[curv.h12], [curv.h21], [curv.rho], [curv.r]]
+    scans = [[m.f1]] if m.f1 is m.f2 else [[m.f1], [m.f2]]
+    if command == "curvature":
+        assert [groups for groups, _ in swept] == [scans, ranges]
+    else:
+        assert [groups for groups, _ in swept[:2]] == [scans, [residual_system(m, V), *ranges]]
+        # A failing verify runs no identity groups.
+        assert len(swept) == (2 if command == "verify" or code == 1 else 3)
+    assert rows == []

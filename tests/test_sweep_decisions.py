@@ -1,10 +1,12 @@
 """Verdicts read from sweep kernels equal the per-point loops they replace.
 
 `nowhere_zero`, the guard clearing of `sample_points` and the flat test
-`is_probably_zero` decide from one `_extrema` sweep where they can.  The
-per-point references below are the loops that decided before; each test
-runs the package on chosen points (NaN, the infinities, both zeros,
-values at the guard and just inside it, raising points) and compares.
+`is_probably_zero` decide from one `_extrema` sweep where they can, and
+the flat test from the states a job's stream records where its points
+are the prefix.  The per-point references below are the loops that
+decided before; each test runs the package on chosen points (NaN, the
+infinities, both zeros, values at the guard and just inside it, raising
+points) and compares.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ricciplane import numeric
+from ricciplane import expr, numeric
 from ricciplane.expr import (
     EVAL_ERRORS,
     Constant,
     Domain,
+    Variable,
+    _finiteness_folds,
     compile_expr,
     compile_many,
     denominators,
@@ -27,7 +31,10 @@ from ricciplane.expr import (
     parse,
     walk,
 )
+from ricciplane.geometry import ricci
 from ricciplane.numeric import DomainTooSingularError, SamplingConfig, _enough, sample_points
+
+from conftest import load_corpus_pair
 
 GUARD = 0.5
 INSIDE = math.nextafter(GUARD, 0.0)  # the largest float below the guard
@@ -232,8 +239,10 @@ def test_is_probably_zero_equals_the_per_point_loop(points, which, samples, tol)
 def test_a_flat_expression_with_an_overflowing_node_is_not_zero(monkeypatch):
     # 1/x1^400*0 is 0 wherever it is defined, but x1^400 is inf where
     # x1 > 5.9: the first point (x1 = 5.47) reads as zero, the sweep sees
-    # an infinite node and the per-point reading finds the first point
-    # that does not read as zero.  (exp(1000*x1) would raise there instead.)
+    # that the fold x1^400 (a Div denominator) is infinite, and the
+    # per-point reading finds the first point that does not read as
+    # zero.  The job records only the guard x1, so the test sweeps e with
+    # its fold and its variable.  (exp(1000*x1) would raise there instead.)
     e = parse("1/x1^400*0")
     d, cfg = Domain(x1_range=(1.0, 8.0)), SamplingConfig()
     swept = []
@@ -243,7 +252,9 @@ def test_a_flat_expression_with_an_overflowing_node_is_not_zero(monkeypatch):
         assert points[0][0] < 5.9 and max(x1 for x1, _ in points) > 5.9
         monkeypatch.setattr(numeric, "_extrema", lambda groups, pts: swept.append(groups) or extrema(groups, pts))
         assert is_probably_zero(e, d, cfg) is False
-    assert swept == [[list(walk(e))]]
+    x1, x1_400 = parse("x1"), parse("x1^400")
+    assert _finiteness_folds(e) == [x1_400]
+    assert swept == [[[e], [x1_400], [x1]]]
     assert _reference_is_probably_zero(e, points, cfg) is False
 
 
@@ -255,3 +266,116 @@ def test_a_constant_is_decided_without_a_kernel(monkeypatch):
     assert is_probably_zero(Constant(1e-12), Domain(), SamplingConfig()) is True
     assert is_probably_zero(Constant(2.0), Domain(), SamplingConfig()) is False
     assert kernels == []
+
+
+def _corpus_rho(name: str):
+    return ricci(load_corpus_pair(name)[0]).rho
+
+
+def test_the_corpus_flat_tests_need_at_most_one_fold():
+    assert _finiteness_folds(_corpus_rho("ex04_rotating_equal_scales.json")) == []
+    assert _finiteness_folds(_corpus_rho("ex04_rotating_unequal_scales.json")) == []
+    assert _finiteness_folds(_corpus_rho("ex03_cosh_metric.json")) == [parse("exp(x1)^2")]
+
+
+@pytest.mark.parametrize(
+    "text, folds",
+    [
+        ("x2/(x1*x2)", ["x1*x2"]),  # a Div denominator: x/inf = 0
+        ("tanh(x1*x2) - 1", ["x1*x2"]),  # tanh(inf) = 1
+        ("sign(x1 + 1)", ["x1 + 1"]),  # sign(nan) = -1
+        ("sech(x1*x2)", ["x1*x2"]),
+        ("(x1*x2)^0.5", ["x1*x2"]),  # a non-integer power
+        ("(x1 + 1)^(-2)", ["x1 + 1"]),  # a negative one
+        ("exp(x1)^x2", ["exp(x1)"]),  # a power that is not a constant
+        ("x1/1e400", ["1e400"]),  # a constant that is not finite
+        ("(x1*x2)^3 + log(x1*x2) - sqrt(abs(sin(x1 + x2)))", []),
+        ("exp(x1*x2)*(x1*x2)", []),  # a product reaches x1*x2 as well
+        ("x1/exp(x1*x2)", ["exp(x1*x2)", "x1*x2"]),  # a fold's own operand
+    ],
+)
+def test_finiteness_folds_are_the_operands_no_finite_parent_covers(text, folds):
+    assert _finiteness_folds(parse(text)) == [parse(f) for f in folds]
+
+
+def test_a_flat_product_needs_the_fold_under_exp():
+    # exp(-(x1^400))*0 is 0 at every point, but x1^400 is inf where
+    # x1 > 5.9 and exp(-inf) = 0: the fold -(x1^400) is what shows it.
+    e, d, cfg = parse("exp(-(x1^400))*0"), Domain(x1_range=(1.0, 8.0)), SamplingConfig()
+    assert _finiteness_folds(e) == [parse("-(x1^400)")]
+    assert _reference_is_probably_zero(e, sample_points(d, cfg, denominators(e)), cfg) is False
+    with numeric._job_stream():
+        assert is_probably_zero(e, d, cfg) is False
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        # Without the fold, the range rule would accept.
+        monkeypatch.setattr(expr, "_finiteness_folds", lambda e: [])
+        assert is_probably_zero(e, d, cfg) is True
+
+
+def _rows(e, points) -> list:
+    """The row of every node of `e` at each point, None where undefined."""
+    fn = compile_many(list(walk(e)))
+    rows = []
+    for p in points:
+        try:
+            rows.append(fn(*p))
+        except EVAL_ERRORS:
+            rows.append(None)
+    return rows
+
+
+def _reads_zero(row, tol: float) -> bool:
+    return all(map(math.isfinite, row)) and abs(row[0]) <= tol * (1.0 + max(map(abs, row)))
+
+
+# The zero pool, and flat products whose only non-finite node sits under
+# exp, tanh or sign, where x1^400 overflows (x1 > 5.9).  x1 is not
+# cleared as a guard with guard 0.3 on [-1, 1].
+_RECORDED_POOL = [*_ZERO_POOL, "exp(-(x1^400))*0", "tanh(x1^400) - 1", "sign(x1^400) - 1"]
+_RECORDED_DOMAINS = [Domain(), Domain(guard=0.3), Domain(x1_range=(1.0, 8.0)), Domain(x1_range=(6.0, 8.0))]
+
+
+@given(
+    st.integers(0, len(_RECORDED_POOL) - 1),
+    st.sampled_from(_RECORDED_DOMAINS),
+    st.integers(1, 40),
+    st.integers(0, 50),
+    st.sampled_from([1e-9, 1e-3]),
+)
+@settings(max_examples=300, deadline=None)
+@example(3, _RECORDED_DOMAINS[1], 20, 0, 1e-9)  # 1/x1 - 1/x1: the guard x1 is not cleared
+@example(len(_ZERO_POOL), _RECORDED_DOMAINS[2], 40, 0, 1e-9)  # the fold under exp
+@example(len(_ZERO_POOL) + 1, _RECORDED_DOMAINS[3], 10, 0, 1e-9)  # tanh(inf) - 1 = 0
+@example(9, _RECORDED_DOMAINS[0], 10, 0, 1e-9)  # x1: not zero at the first point
+def test_a_recorded_sweep_decides_as_the_per_point_loop(which, d, samples, seed, tol):
+    """In a job scope whose stream records e and its folds over the
+    prefix, the zero test gives the per-point answer.  On the prefix it
+    sweeps nothing and reads no row past the first evaluable one unless
+    that one reads as zero; where a guard of e is not cleared, its points
+    are another list and it sweeps e, its folds and its variables."""
+    e = parse(_RECORDED_POOL[which])
+    cfg = SamplingConfig(samples=samples, seed=seed, tolerance=tol)
+    folds = _finiteness_folds(e)
+    swept, read = [], []
+    with pytest.MonkeyPatch.context() as monkeypatch, numeric._job_stream():
+        s = numeric._stream(d, cfg)
+        numeric._sweep_prefix([e, *folds], s, d.guard)
+        points = _outcome(sample_points, d, cfg, denominators(e))
+        extrema, kernel = numeric._extrema, expr.compile_many
+        monkeypatch.setattr(numeric, "_extrema", lambda groups, pts: swept.append(groups) or extrema(groups, pts))
+        monkeypatch.setattr(
+            expr, "compile_many", lambda exprs: (lambda f: lambda x1, x2: read.append(1) or f(x1, x2))(kernel(exprs))
+        )
+        got = _outcome(is_probably_zero, e, d, cfg)
+    if isinstance(points, str):  # the guards' pass failed
+        assert got == points
+        return
+    assert got == _outcome(_reference_is_probably_zero, e, points, cfg)
+    if points is s.prefix:
+        assert swept == []
+        rows = _rows(e, points)
+        k = next((k for k, row in enumerate(rows) if row is not None), None)
+        assert len(read) <= (0 if k is None else k + 1) or _reads_zero(rows[k], tol)
+    else:
+        variables = [[v] for v in walk(e) if isinstance(v, Variable)]
+        assert swept in ([], [[[e], *[[f] for f in folds], *variables]])
