@@ -45,7 +45,7 @@ from .families import (
     construct,
 )
 from .geometry import DiagonalMetric, is_flat, ricci
-from .identities import PotentialFunction, gradient_field, identity_verdicts
+from .identities import PotentialFunction, gradient_field, identity_groups, identity_verdicts
 from .numeric import (
     DomainTooSingularError,
     SamplingConfig,
@@ -350,7 +350,9 @@ def cmd_curvature(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
 
 
 def _verify_report(spec, m, V, d, cfg, args, potential=None, extra=None) -> tuple[dict, int]:
-    result = verify(m, V, d, cfg)
+    # The identity residuals are swept with the residuals, and read only after a pass.
+    identities = identity_groups(m, V, potential) if getattr(args, "identities", False) else None
+    result = verify(m, V, d, cfg, identities and (build() for build in identities.values()))
     command = "verify" if args.command == "identities" else args.command
     report = _report_head(command, spec, d, cfg, m, result.curvature_ranges)
     report.update(
@@ -362,8 +364,8 @@ def _verify_report(spec, m, V, d, cfg, args, potential=None, extra=None) -> tupl
     if extra:
         report.update(extra)
     exit_code = EXIT_PASS if result.passed else EXIT_FAIL
-    if getattr(args, "identities", False) and result.passed:
-        verdicts = identity_verdicts(m, V, d, cfg, potential=potential)
+    if identities and result.passed:
+        verdicts = identity_verdicts(m, V, d, cfg, potential, result.extra_max_abs)
         report["identities"] = verdicts
         if not all(verdicts.values()):
             report["verdict"] = "fail"

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from .expr import (
-    EVAL_ERRORS,
     Add,
     Apply,
     Constant,
@@ -26,7 +25,6 @@ from .expr import (
     Pow,
     Sub,
     Var,
-    compile_expr,
     differentiate,
     is_probably_zero,
     simplify,
@@ -35,7 +33,8 @@ from .expr import (
     X2,
 )
 from .geometry import DiagonalMetric
-from .numeric import DomainTooSingularError, SamplingConfig, _enough, merge_guards, nowhere_zero, sample_points
+from .numeric import DomainTooSingularError, SamplingConfig, _enough, _stream, _sweep_prefix, merge_guards, nowhere_zero
+from .numeric import _one_by_one, sample_points
 from .riccifield import FrameField
 
 
@@ -108,10 +107,14 @@ def _require_depends_only_on(name: str, e: Expr, var: Var) -> None:
         raise HypothesisError(f"{name} depends on {var.value} only", f"found {sorted(v.value for v in extra)}")
 
 
-def _check_nowhere_zero(name: str, e: Expr, d: Domain, cfg: SamplingConfig) -> None:
-    ok, reason = nowhere_zero(e, d, cfg)
-    if not ok:
-        raise HypothesisError(f"{name} nowhere zero on the domain", reason)
+def _check_nowhere_zero(named: list[tuple[str, Expr]], d: Domain, cfg: SamplingConfig) -> None:
+    """Sample-check that each named expression is nowhere zero on `d`: one
+    sweep of all of them, then the verdicts in order (the first failure raises)."""
+    _sweep_prefix([e for _, e in named], _stream(d, cfg), d.guard)
+    for name, e in named:
+        ok, reason = nowhere_zero(e, d, cfg)
+        if not ok:
+            raise HypothesisError(f"{name} nowhere zero on the domain", reason)
 
 
 def construct(
@@ -125,8 +128,7 @@ def construct(
         _require_depends_only_on("f1", p.f1, Var.X1)
         _require_depends_only_on("f2", p.f2, Var.X2)
         metric = DiagonalMetric(f1=simplify(p.f1), f2=simplify(p.f2))
-        _check_nowhere_zero("f1", metric.f1, d, cfg)
-        _check_nowhere_zero("f2", metric.f2, d, cfg)
+        _check_nowhere_zero([("f1", metric.f1), ("f2", metric.f2)], d, cfg)
         return metric, FrameField(Constant(p.c1), Constant(p.c2))
 
     if isinstance(p, Branch1):
@@ -134,15 +136,13 @@ def construct(
         _require_depends_only_on("f2", p.f2, Var.X1)
         f2 = simplify(p.f2)
         f2p = simplify(differentiate(f2, Var.X1))
-        _check_nowhere_zero("f2", f2, d, cfg)
-        _check_nowhere_zero("f2'", f2p, d, cfg)
         f1 = simplify(
             Div(
                 Add(Mul(Constant(p.k), Pow(f2, Constant(2.0))), Constant(p.c)),
                 Mul(Constant(2.0), f2p),
             )
         )
-        _check_nowhere_zero("induced f1", f1, d, cfg)
+        _check_nowhere_zero([("f2", f2), ("f2'", f2p), ("induced f1", f1)], d, cfg)
         field = FrameField(V1=simplify(Div(Constant(p.c), f2)), V2=Constant(0.0))
         return DiagonalMetric(f1=f1, f2=f2), field
 
@@ -151,10 +151,8 @@ def construct(
         _require_depends_only_on("f2", p.f2, Var.X1)
         f2 = simplify(p.f2)
         f2p = simplify(differentiate(f2, Var.X1))
-        _check_nowhere_zero("f2", f2, d, cfg)
-        _check_nowhere_zero("f2'", f2p, d, cfg)
         f1 = simplify(Div(Mul(Constant(p.c), Pow(f2, Constant(2.0))), f2p))
-        _check_nowhere_zero("induced f1", f1, d, cfg)
+        _check_nowhere_zero([("f2", f2), ("f2'", f2p), ("induced f1", f1)], d, cfg)
         # sign(c) resolves to a constant now; symbolic sign of a variable
         # expression never enters a family field.
         sgn = math.copysign(1.0, p.c)
@@ -203,7 +201,7 @@ def remark_metric(
     else:
         raise ValueError(f"unknown remark family kind {kind!r}")
     f1 = simplify(f1)
-    _check_nowhere_zero("f1", f1, d, cfg)
+    _check_nowhere_zero([("f1", f1)], d, cfg)
     return DiagonalMetric(f1=f1, f2=f2)
 
 
@@ -228,7 +226,7 @@ def admissibility(
     f2p = simplify(differentiate(f2, Var.X1))
     if kind == "branch1":
         f2pp = simplify(differentiate(f2p, Var.X1))
-        _check_nowhere_zero("f2'", f2p, d, cfg)
+        _check_nowhere_zero([("f2'", f2p)], d, cfg)
         condition = simplify(
             Add(
                 Sub(Mul(f1p, f2), Mul(Constant(2.0), Mul(f1, f2p))),
@@ -242,13 +240,8 @@ def admissibility(
     else:
         raise ValueError(f"unknown admissibility kind {kind!r}")
     points = sample_points(d, cfg, merge_guards(guards, [condition]))
-    fn = compile_expr(condition)
-    values = []
-    for x1, x2 in points:
-        try:
-            values.append(fn(x1, x2))
-        except EVAL_ERRORS:
-            continue
+    value = _one_by_one([condition])
+    values = [v for v, in (value(x1, x2) for x1, x2 in points) if v is not None]
     if len(values) < _enough(cfg.samples):
         raise DomainTooSingularError(
             f"condition was evaluable at only {len(values)} of {cfg.samples} requested points"

@@ -12,7 +12,7 @@ machinery is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .expr import (
     Add,
@@ -26,7 +26,7 @@ from .expr import (
     simplify,
 )
 from .geometry import DiagonalMetric, connection_table, frame_derivative, lie_bracket, ricci
-from .numeric import SamplingConfig, covered_sweep
+from .numeric import SamplingConfig, _check_shortfall, covered_sweep
 from .riccifield import FrameField, closedness_defect, covariant_row, divergence
 
 
@@ -42,11 +42,17 @@ def _sampled_ok(
     groups: Iterable[Sequence[Expr]],
     d: Domain,
     cfg: SamplingConfig,
+    swept: Iterable[tuple[Sequence[float], int]] | None = None,
 ) -> list[bool]:
     """Per group of residuals: is every sampled max |value| within
-    tolerance?  One `covered_sweep` call for all groups."""
-    results = covered_sweep(groups, (), d, cfg, (m.f1, m.f2), "identity residuals")[0]
-    return [all(v <= cfg.tolerance for v in maxima) for maxima, _ in results]
+    tolerance?  One `covered_sweep` call for all groups, or, when their
+    (maxima, used) were `swept` already, only the shortfall check."""
+    what = "identity residuals"
+    if swept is None:
+        swept = covered_sweep(groups, (), d, cfg, (m.f1, m.f2), what)[0]
+    else:
+        _check_shortfall(swept, cfg, what)
+    return [all(v <= cfg.tolerance for v in maxima) for maxima, _ in swept]
 
 
 def _directional(m: DiagonalMetric, V: FrameField, u: Expr) -> Expr:
@@ -133,10 +139,6 @@ def check_curvature_identity(m: DiagonalMetric, V: FrameField, d: Domain, cfg: S
     return _sampled_ok(m, [_curvature_identity_residuals(m, V)], d, cfg)[0]
 
 
-def _closedness_residuals(m: DiagonalMetric, V: FrameField) -> list[Expr]:
-    return [closedness_defect(m, V)]
-
-
 def gradient_field(m: DiagonalMetric, p: PotentialFunction) -> FrameField:
     """grad f = E1(f) E1 + E2(f) E2 in the orthonormal frame."""
     return FrameField(
@@ -190,30 +192,40 @@ def check_laplacian_scalar(m: DiagonalMetric, p: PotentialFunction, d: Domain, c
     return _sampled_ok(m, [_laplacian_scalar_residuals(m, p)], d, cfg)[0]
 
 
+def identity_groups(m: DiagonalMetric, V: FrameField, potential: PotentialFunction | None = None) -> dict[str, Callable]:
+    """The consequence identities of a verified field, in report order,
+    each with a builder of its residual group: Ric(V, V), the scalar
+    divergence, the curvature identity and closedness (the dual 1-form
+    of V is closed), plus the steady-soliton and Laplacian identities
+    when V is the gradient of `potential`."""
+    checks = {
+        "ric_vv": lambda: _ric_vv_residuals(m, V),
+        "scalar_divergence": lambda: _scalar_divergence_residuals(m, V),
+        "curvature_identity": lambda: _curvature_identity_residuals(m, V),
+        "closedness": lambda: [closedness_defect(m, V)],
+    }
+    if potential is not None:
+        checks["steady_soliton"] = lambda: _steady_soliton_residuals(m, potential)
+        checks["laplacian_scalar"] = lambda: _laplacian_scalar_residuals(m, potential)
+    return checks
+
+
 def identity_verdicts(
     m: DiagonalMetric,
     V: FrameField,
     d: Domain,
     cfg: SamplingConfig,
     potential: PotentialFunction | None = None,
+    swept: Sequence[tuple[Sequence[float], int]] | None = None,
 ) -> dict[str, bool]:
-    """Every consequence-identity verdict for a verified field: Ric(V, V),
-    the scalar divergence, the curvature identity and closedness (the
-    dual 1-form of V is closed), plus the steady-soliton and Laplacian
-    identities when V is the gradient of `potential`.
+    """Every consequence-identity verdict of `identity_groups`.
 
     Each verdict equals that of its `check_*` function (closedness has
     none); the residuals of all of them are built and sampled in this
-    order and evaluated in one sweep per point list.
+    order and evaluated in one sweep per point list.  `swept` may give
+    their (maxima, used) from a sweep already made (`verify`'s
+    `extra_max_abs`); then nothing is built or sampled.
     """
-    checks = {
-        "ric_vv": (_ric_vv_residuals, V),
-        "scalar_divergence": (_scalar_divergence_residuals, V),
-        "curvature_identity": (_curvature_identity_residuals, V),
-        "closedness": (_closedness_residuals, V),
-    }
-    if potential is not None:
-        checks["steady_soliton"] = (_steady_soliton_residuals, potential)
-        checks["laplacian_scalar"] = (_laplacian_scalar_residuals, potential)
-    groups = (residuals(m, arg) for residuals, arg in checks.values())
-    return dict(zip(checks, _sampled_ok(m, groups, d, cfg)))
+    checks = identity_groups(m, V, potential)
+    groups = (build() for build in checks.values())
+    return dict(zip(checks, _sampled_ok(m, groups, d, cfg, swept)))

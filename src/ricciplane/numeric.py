@@ -486,6 +486,7 @@ def covered_sweep(
     cfg: SamplingConfig,
     guards: Iterable[Expr],
     what: str,
+    late: Iterable[Sequence[Expr]] = (),
 ) -> tuple[list[tuple[list[float], int]], list[tuple[float, float]]]:
     """`sampled_max_abs` of each group over the points of `d` that clear
     the guards and that group's denominators, one (maxima, points used)
@@ -499,6 +500,10 @@ def covered_sweep(
     Groups sampled to one list (the job scope of `sample_points` makes
     that usual) share one sweep, each `ranged` expression its own group
     (recorded in `_Stream.swept` if swept over the job's prefix).
+    `late` groups, lazy too, are built and sampled after `ranged` and
+    swept with the rest, but never checked: their (maxima, used) follow
+    the groups', unless building or sampling one raised, which leaves
+    every late group out (sampled again on their own, they raise again).
     """
     guards = tuple(guards)
     collected: list[tuple[Sequence[Expr], list[tuple[float, float]]]] = []
@@ -512,11 +517,17 @@ def covered_sweep(
     except Exception:
         _checked_sweeps(collected, len(collected), cfg, what)
         raise
+    k = len(collected)
+    try:
+        for group in late:
+            collected.append((group, sample_points(d, cfg, merge_guards(guards, group))))
+    except Exception:  # whatever it is, the caller's own phase raises it again
+        del collected[k:]
     results = _checked_sweeps(collected, n, cfg, what)
     s = _scoped_stream(d, cfg) if ranged else None
     if s is not None and points is s.prefix:
-        s.swept.update((id(e), (e, state, used)) for e, ([state], used) in zip(ranged, results[n:]))
-    return [(_maxima(states), used) for states, used in results[:n]], _ranges(results[n:])
+        s.swept.update((id(e), (e, state, used)) for e, ([state], used) in zip(ranged, results[n:k]))
+    return [(_maxima(states), used) for states, used in results[:n] + results[k:]], _ranges(results[n:k])
 
 
 def _checked_sweeps(
@@ -528,12 +539,17 @@ def _checked_sweeps(
     """One `_extrema` sweep per distinct point list, then the first
     shortfall of the first n groups, in order."""
     results = _per_point_list(collected, _extrema)
-    for _, used in results[:n]:
+    _check_shortfall(results[:n], cfg, what)
+    return results
+
+
+def _check_shortfall(results: Iterable[tuple[object, int]], cfg: SamplingConfig, what: str) -> None:
+    """Raise the first shortfall of (..., points used) results, in order."""
+    for _, used in results:
         if used < _enough(cfg.samples):
             raise DomainTooSingularError(
                 f"{what} were evaluable at only {used} of {cfg.samples} requested points"
             )
-    return results
 
 
 def _per_point_list(collected: list[tuple[object, list[tuple[float, float]]]], sweep: Callable) -> list:

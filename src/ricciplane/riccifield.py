@@ -9,6 +9,7 @@ residual maxima, never on the symbolic shape of the residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .expr import (
     Add,
@@ -27,7 +28,7 @@ from .geometry import (
     ricci,
     validate_metric,
 )
-from .numeric import SamplingConfig, covered_sweep, merge_guards
+from .numeric import SamplingConfig, covered_sweep, merge_guards, sample_points, sampled_max_abs
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,8 @@ class ResidualReport:
     tolerance: float
     # The sampled (min, max) of h12, h21, rho and r, as `sampled_range` gives them.
     curvature_ranges: tuple[tuple[float, float], ...]
+    # (maxima, points used) per extra group of `verify`, unchecked; None if none was swept.
+    extra_max_abs: tuple[tuple[tuple[float, ...], int], ...] | None = None
 
     @property
     def passed(self) -> bool:
@@ -99,7 +102,9 @@ def equation_guards(m: DiagonalMetric, exprs) -> list[Expr]:
     return merge_guards((m.f1, m.f2), exprs)
 
 
-def verify(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> ResidualReport:
+def verify(
+    m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig, extra_groups: Iterable[Sequence[Expr]] | None = None
+) -> ResidualReport:
     """Sample the four residuals of nabla V = Q over `d`.
 
     The metric is sample-validated first.  Pass iff every residual's
@@ -107,23 +112,35 @@ def verify(m: DiagonalMetric, V: FrameField, d: Domain, cfg: SamplingConfig) -> 
     curvature's ranges and rho's folds (for `is_flat`), which share nodes
     with the residuals, are swept with them; their errors come after a
     residual shortfall.
+
+    Lazy `extra_groups` (the identity residuals) are built only if the
+    residuals pass at the first point of their list, then swept with them
+    as `covered_sweep`'s late groups: `extra_max_abs`, read after a pass.
     """
     validate_metric(m, d, cfg)
     residuals = residual_system(m, V)
     curv = ricci(m)
     ranged = (curv.h12, curv.h21, curv.rho, curv.r)
     swept = (*ranged, *_finiteness_folds(curv.rho))
-    [(maxima, used)], ranges = covered_sweep([residuals], swept, d, cfg, (m.f1, m.f2), "residuals")
-    verdict = "pass" if all(v <= cfg.tolerance for v in maxima) else "fail"
+    late = extra_groups if extra_groups is not None and _passes_first_point(m, residuals, d, cfg) else ()
+    [(maxima, used), *extra], ranges = covered_sweep([residuals], swept, d, cfg, (m.f1, m.f2), "residuals", late)
     return ResidualReport(
         residuals=residuals,
         max_abs=tuple(maxima),
-        verdict=verdict,
+        verdict="pass" if all(v <= cfg.tolerance for v in maxima) else "fail",
         points_used=used,
         seed=cfg.seed,
         tolerance=cfg.tolerance,
         curvature_ranges=tuple(ranges[: len(ranged)]),
+        extra_max_abs=tuple((tuple(mx), n) for mx, n in extra) or None,
     )
+
+
+def _passes_first_point(m: DiagonalMetric, residuals: Sequence[Expr], d: Domain, cfg: SamplingConfig) -> bool:
+    """Whether the residuals are within tolerance, or undefined, at the
+    first point of their sampled list: where not, `verify` fails."""
+    [(first, _)] = sampled_max_abs([residuals], sample_points(d, cfg, equation_guards(m, residuals))[:1])
+    return all(v <= cfg.tolerance for v in first)
 
 
 def from_coordinates(m: DiagonalMetric, A: Expr, B: Expr) -> FrameField:

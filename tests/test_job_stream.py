@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ricciplane import cli, expr, numeric
+from ricciplane import cli, expr, families, identities, numeric
 from ricciplane.expr import Domain, parse
 from ricciplane.geometry import ricci
 from ricciplane.numeric import DomainTooSingularError, SamplingConfig, sample_points
@@ -235,12 +235,13 @@ def test_reports_match_unshared_sampling(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("tag", ["b1", "b2"])
 def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch, tag):
-    # f2, f2' and the induced f1 are scanned by `construct`; verifying
-    # the pair scans f1 and f2 again with the same domain, samples and
-    # seed.  Every scan passes, so none runs the per-point loop.  The
-    # job's record holds each expression swept over its prefix once: the
-    # three scans, one guard, h12, h21, rho, r and rho's two folds.  Each
-    # call on its own records them in streams of its own, 13 in all.
+    # f2, f2' and the induced f1 are scanned by `construct` in the job's
+    # first sweep; verifying the pair scans f1 and f2 again with the
+    # same domain, samples and seed.  Every scan passes, so none runs the
+    # per-point loop.  The job's record holds each expression swept over
+    # its prefix once: the three scans, one guard, h12, h21, rho, r and
+    # rho's two folds.  Each call on its own records them in streams of
+    # its own, 13 in all.
     records, failures = [], []
     stream, scan = numeric._stream, numeric._scan_nowhere_zero
     monkeypatch.setattr(numeric, "_stream", lambda d, cfg: records.append(stream(d, cfg)) or records[-1])
@@ -259,6 +260,12 @@ def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch,
     # No expression is swept on its own twice.
     singles = [group[0] for groups, _ in swept for group in groups if len(group) == 1]
     assert len(singles) == len({id(e) for e in singles}) == 9
+    # The job's first sweep holds the three scans, in the order of their verdicts.
+    params = cli.spec_family(json.loads(Path(argv[2]).read_text(encoding="utf-8")))
+    m, _ = families.construct(params, Domain(x1_range=(0.25, 1.25)), SamplingConfig())
+    scans = (m.f2, expr.simplify(expr.differentiate(m.f2, expr.Var.X1)), m.f1)
+    assert swept[0][0] == [[e] for e in scans]
+    assert all(e is g for e, [g] in zip(scans, swept[0][0]))
     records.clear()
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
@@ -491,11 +498,14 @@ def test_a_pass_that_reads_the_prefix_draws_on_from_its_end(tmp_path, capsys, mo
 
 
 def test_a_branch1_identities_job_sweeps_one_point_list(tmp_path, capsys, monkeypatch):
-    # Every guard of this job clears, so every sweep reads the stream's
-    # prefix itself, not an equal copy of it: the scans of f1 and f2 in
-    # one sweep, the sweep of the one guard left, the residuals with h12,
-    # h21, rho, r and rho's one finiteness fold, and the four identity
-    # groups.  The zero test reads the recorded ranges and sweeps nothing.
+    # Every guard of this job clears, so every sweep but one reads the
+    # stream's prefix itself, not an equal copy of it: the scans of f1
+    # and f2 in one sweep, the sweep of the one guard left, and the
+    # residuals with h12, h21, rho, r, rho's one finiteness fold and the
+    # four identity groups.  The other reads the residuals at the first
+    # point of the prefix alone; they pass there, so the identity groups
+    # join the residual sweep.  The zero test reads the recorded ranges
+    # and sweeps nothing.
     family = {"kind": "branch1", "f2": "cosh(0.616*x1) + 2", "k": 0.695, "c": 1.571}
     spec = tmp_path / "b1.json"
     spec.write_text(json.dumps({"family": family, "domain": {"x1": [0.25, 1.25], "x2": [-1.0, 1.0]}}), encoding="utf-8")
@@ -505,10 +515,20 @@ def test_a_branch1_identities_job_sweeps_one_point_list(tmp_path, capsys, monkey
     swept = _counting_sweeps(monkeypatch)
     argv = ["identities", "--spec", str(derived), *seed]
     shared = _outputs([argv], capsys)
-    assert [len(groups) for groups, _ in swept] == [2, 1, 6, 4]
-    assert len({id(points) for _, points in swept}) == 1
-    m = cli.spec_metric(json.loads(derived.read_text(encoding="utf-8")))
-    assert swept[2][0][5:] == [[f] for f in expr._finiteness_folds(ricci(m).rho)] != []
+    assert [len(groups) for groups, _ in swept] == [2, 1, 1, 10]
+    prefix = swept[0][1]
+    assert [points is prefix for _, points in swept] == [True, True, False, True]
+    assert swept[2][1] == prefix[:1]
+    spec = json.loads(derived.read_text(encoding="utf-8"))
+    m = cli.spec_metric(spec)
+    V, _ = cli.spec_field(spec, m)
+    curv = ricci(m)
+    residuals = residual_system(m, V)
+    folds = [[f] for f in expr._finiteness_folds(curv.rho)]
+    built = [build() for build in identities.identity_groups(m, V).values()]
+    assert swept[2][0] == [residuals]
+    assert swept[3][0] == [residuals, [curv.h12], [curv.h21], [curv.rho], [curv.r], *folds, *built]
+    assert len(folds) == 1 and len(built) == 4
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
 
@@ -574,21 +594,27 @@ def _counting_rows(monkeypatch) -> list:
 def test_a_verify_job_sweeps_residuals_with_the_curvature_once(capsys, monkeypatch, command):
     # One sweep scans f1 and f2, then one sweeps the residual group with
     # h12, h21, rho and r, whose ranges the report reads, and rho's
-    # finiteness fold exp(x1)^2; `identities` adds one sweep of its
-    # groups.  The flat test reads rho's recorded range, which is not
-    # within the tolerance, and one row, which is not zero.
+    # finiteness fold exp(x1)^2.  `identities` first reads the residuals
+    # at the first point of their list; they pass there, so its groups
+    # join the residual sweep.  The flat test reads rho's recorded range,
+    # which is not within the tolerance, and one row, which is not zero.
     swept, rows = _counting_sweeps(monkeypatch), _counting_rows(monkeypatch)
     argv = [command, "--spec", str(CORPUS / "ex03_cosh_metric.json"), "--samples", "2000"]
     shared = _outputs([argv], capsys)
     m, V, _, _ = load_corpus_pair("ex03_cosh_metric.json")
     curv = ricci(m)
     fold = parse("exp(x1)^2")
-    assert [groups for groups, _ in swept[:2]] == [
-        [[m.f1], [m.f2]],
-        [residual_system(m, V), [curv.h12], [curv.h21], [curv.rho], [curv.r], [fold]],
-    ]
-    assert len(swept) == (2 if command == "verify" else 3)
-    assert len({id(points) for _, points in swept}) == 1
+    residuals = residual_system(m, V)
+    fused = [residuals, [curv.h12], [curv.h21], [curv.rho], [curv.r], [fold]]
+    prefix = swept[0][1]
+    if command == "verify":
+        assert [groups for groups, _ in swept] == [[[m.f1], [m.f2]], fused]
+        assert [points is prefix for _, points in swept] == [True, True]
+    else:
+        fused += [build() for build in identities.identity_groups(m, V).values()]
+        assert [groups for groups, _ in swept] == [[[m.f1], [m.f2]], [residuals], fused]
+        assert [points is prefix for _, points in swept] == [True, False, True]
+        assert swept[1][1] == prefix[:1]
     assert len(rows) == 1
     swept.clear()
     rows.clear()
@@ -602,19 +628,47 @@ def test_a_verify_job_sweeps_residuals_with_the_curvature_once(capsys, monkeypat
 @pytest.mark.parametrize("command", ["curvature", "verify", "identities"])
 def test_a_flat_job_decides_the_zero_test_from_recorded_ranges(capsys, monkeypatch, name, command):
     # rho needs no finiteness fold and its recorded range is within the
-    # tolerance: the zero test sweeps nothing and reads no row.
+    # tolerance: the zero test sweeps nothing and reads no row.  An
+    # `identities` job reads the residuals at the first point of their
+    # list: on the unequal scales they fail there, so no identity
+    # residual is built; on the equal scales each identity group is
+    # built once and swept with the residuals.
     m, V, _, _ = load_corpus_pair(name)
     curv = ricci(m)
     assert expr._finiteness_folds(curv.rho) == []
     swept, rows = _counting_sweeps(monkeypatch), _counting_rows(monkeypatch)
+    built = _counting_identity_builds(monkeypatch)
     [(code, out)] = _outputs([[command, "--spec", str(CORPUS / name), "--samples", "2000"]], capsys)
     assert json.loads(out)["flat"] is True
     ranges = [[curv.h12], [curv.h21], [curv.rho], [curv.r]]
     scans = [[m.f1]] if m.f1 is m.f2 else [[m.f1], [m.f2]]
+    residuals = residual_system(m, V)
     if command == "curvature":
         assert [groups for groups, _ in swept] == [scans, ranges]
+    elif command == "verify":
+        assert [groups for groups, _ in swept] == [scans, [residuals, *ranges]]
+    elif "unequal" in name:
+        assert code == 1
+        assert [groups for groups, _ in swept] == [scans, [residuals], [residuals, *ranges]]
+        assert built == []
     else:
-        assert [groups for groups, _ in swept[:2]] == [scans, [residual_system(m, V), *ranges]]
-        # A failing verify runs no identity groups.
-        assert len(swept) == (2 if command == "verify" or code == 1 else 3)
+        assert code == 0
+        assert built == list(_IDENTITY_BUILDERS)
+        identity = [build() for build in identities.identity_groups(m, V).values()]
+        assert [groups for groups, _ in swept] == [scans, [residuals], [residuals, *ranges, *identity]]
     assert rows == []
+
+
+_IDENTITY_BUILDERS = (
+    "_ric_vv_residuals", "_scalar_divergence_residuals", "_curvature_identity_residuals", "closedness_defect"
+)
+
+
+def _counting_identity_builds(monkeypatch) -> list:
+    """Wrap the builders of the identity residual groups: one entry, the
+    builder's name, per group built."""
+    built = []
+    for name in _IDENTITY_BUILDERS:
+        build = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda *args, name=name, build=build: built.append(name) or build(*args))
+    return built
