@@ -31,7 +31,6 @@ from .expr import (
     EvaluationError,
     Expr,
     ParseError,
-    _finiteness_folds,
     parse,
     to_string,
 )
@@ -44,14 +43,9 @@ from .families import (
     HypothesisError,
     construct,
 )
-from .geometry import DiagonalMetric, is_flat, ricci
+from .geometry import DiagonalMetric, curvature_sweep, is_flat, ricci
 from .identities import PotentialFunction, gradient_field, identity_groups, identity_verdicts
-from .numeric import (
-    DomainTooSingularError,
-    SamplingConfig,
-    covered_sweep,
-    fd_validate,
-)
+from .numeric import DomainTooSingularError, SamplingConfig, fd_validate
 from .riccifield import (
     FrameField,
     from_coordinates,
@@ -268,25 +262,22 @@ def _echo_spec(spec: dict, d: Domain, cfg: SamplingConfig) -> dict:
     return echo
 
 
-def _report_head(command: str, spec: dict, d: Domain, cfg: SamplingConfig, m: DiagonalMetric | None, ranges=None) -> dict:
+def _report_head(command: str, spec: dict, d: Domain, cfg: SamplingConfig, m: DiagonalMetric | None, ranges=()) -> dict:
     """The keys every report starts with, and the curvature keys when
-    there is a metric `m` to report on (see `curvature_section`)."""
+    there is a metric `m` to report on, with its sampled `ranges` (see
+    `curvature_section`)."""
     head = {"version": __version__, "command": command, "seed": cfg.seed, "spec": _echo_spec(spec, d, cfg)}
     if m is not None:
-        section = curvature_section(m, d, cfg, ranges)
+        section = curvature_section(m, ranges)
         head.update(curvature=section, rho_range=section["rho_range"], flat=is_flat(m, d, cfg))
     return head
 
 
-def curvature_section(m: DiagonalMetric, d: Domain, cfg: SamplingConfig, ranges=None) -> dict:
-    """h12, h21, rho and r with their sampled ranges: `ranges` when
-    given (a `verify` report's `curvature_ranges`), else swept here, with
-    rho's folds for `is_flat` (`_finiteness_folds`)."""
+def curvature_section(m: DiagonalMetric, ranges) -> dict:
+    """h12, h21, rho and r with their sampled ranges, as
+    `geometry.curvature_sweep` gives them."""
     curv = ricci(m)
     exprs = {"h12": curv.h12, "h21": curv.h21, "rho": curv.rho, "r": curv.r}
-    if ranges is None:
-        swept = [*exprs.values(), *_finiteness_folds(curv.rho)]
-        ranges = covered_sweep((), swept, d, cfg, (m.f1, m.f2), "curvature")[1]
     section = {}
     for (name, e), (lo, hi) in zip(exprs.items(), ranges):
         section[name] = to_string(e)
@@ -341,7 +332,7 @@ def cmd_curvature(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
     m = spec_metric(spec)
     if spec.get("field") is not None or spec.get("potential") is not None:
         spec_field(spec, m)  # a malformed field is a spec error here too
-    report = _report_head("curvature", spec, d, cfg, m)
+    report = _report_head("curvature", spec, d, cfg, m, curvature_sweep(m, d, cfg)[1])
     report["verdict"] = "pass"
     if args.emit_grid:
         emit_grid(args.emit_grid, {"rho": ricci(m).rho}, d, args.grid_size)
@@ -349,7 +340,7 @@ def cmd_curvature(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
     return EXIT_PASS
 
 
-def _verify_report(spec, m, V, d, cfg, args, potential=None, extra=None) -> tuple[dict, int]:
+def _verify_report(spec, m, V, d, cfg, args, potential=None) -> tuple[dict, int]:
     # The identity residuals are swept with the residuals, and read only after a pass.
     identities = identity_groups(m, V, potential) if getattr(args, "identities", False) else None
     result = verify(m, V, d, cfg, identities and (build() for build in identities.values()))
@@ -361,8 +352,6 @@ def _verify_report(spec, m, V, d, cfg, args, potential=None, extra=None) -> tupl
         points_used=result.points_used,
         verdict=result.verdict,
     )
-    if extra:
-        report.update(extra)
     exit_code = EXIT_PASS if result.passed else EXIT_FAIL
     if identities and result.passed:
         verdicts = identity_verdicts(m, V, d, cfg, potential, result.extra_max_abs)
@@ -398,12 +387,9 @@ def cmd_construct(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
     emit_path = args.emit_spec or str(Path(args.spec).with_suffix("")) + ".derived.json"
     with _output(emit_path) as fh:
         fh.write(json.dumps(derived, indent=2, sort_keys=True) + "\n")
-    extra = {
-        "derived_spec": derived,
-        "derived_spec_path": emit_path,
-        "proof_only_case": isinstance(params, Branch1) and params.k == 0.0,
-    }
-    report, exit_code = _verify_report(spec, m, V, d, cfg, args, extra=extra)
+    report, exit_code = _verify_report(spec, m, V, d, cfg, args)
+    proof_only = isinstance(params, Branch1) and params.k == 0.0
+    report.update(derived_spec=derived, derived_spec_path=emit_path, proof_only_case=proof_only)
     _write_report(report, args)
     return exit_code
 

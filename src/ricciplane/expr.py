@@ -79,6 +79,12 @@ _forget = _INTERNED.pop
 _next_serial = itertools.count().__next__
 
 
+def _live(key: tuple) -> "Expr | None":
+    """The live node entered under `key`, or None."""
+    ref = _INTERNED.get(key)
+    return None if ref is None else ref()
+
+
 def _interned(node: "Expr", key: tuple, structural_hash: int) -> "Expr":
     """Finish a new node (its fields already set) and enter it in the table."""
     node._hash = structural_hash
@@ -180,11 +186,8 @@ class Constant(Expr):
     def __new__(cls, value: float):
         value = float(value)
         key = (cls, value.hex())
-        ref = _INTERNED.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
+        if (node := _live(key)) is not None:
+            return node
         node = object.__new__(cls)
         node.value = value
         return _interned(node, key, hash(value))
@@ -196,11 +199,8 @@ class Variable(Expr):
 
     def __new__(cls, var: Var):
         key = (cls, var)
-        ref = _INTERNED.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
+        if (node := _live(key)) is not None:
+            return node
         node = object.__new__(cls)
         node.var = var
         return _interned(node, key, hash(key))
@@ -212,11 +212,8 @@ class Negate(Expr):
 
     def __new__(cls, arg: Expr):
         key = (cls, id(arg))
-        ref = _INTERNED.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
+        if (node := _live(key)) is not None:
+            return node
         node = object.__new__(cls)
         node.arg = arg
         return _interned(node, key, hash((cls, arg._hash)))
@@ -233,11 +230,8 @@ class _Binary(Expr):
 
     def __new__(cls, lhs: Expr, rhs: Expr):
         key = (cls, id(lhs), id(rhs))
-        ref = _INTERNED.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
+        if (node := _live(key)) is not None:
+            return node
         node = object.__new__(cls)
         node.lhs = lhs
         node.rhs = rhs
@@ -280,11 +274,8 @@ class Apply(Expr):
 
     def __new__(cls, fn: str, arg: Expr):
         key = (cls, fn, id(arg))
-        ref = _INTERNED.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
+        if (node := _live(key)) is not None:
+            return node
         if fn not in FUNCTIONS:
             raise ValueError(f"unsupported function {fn!r}")
         node = object.__new__(cls)
@@ -433,6 +424,8 @@ def compile_sweep(exprs: Sequence[Expr]) -> Callable[[Iterator[tuple[float, floa
 _CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value, "_EVAL_ERRORS": EVAL_ERRORS}
 _CODEGEN_NAMESPACE.update((f"_fn_{name}", fn) for name, fn in FUNCTIONS.items())
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# The binary nodes whose two constant operands `simplify` folds to one constant.
+_CONSTANT_FOLDS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 _creation_order = operator.attrgetter("_serial")
 # Kernel shapes kept per process: a round of family draws needs 167.
 # At about 4 KiB each, a full cache holds about 1 MiB.
@@ -637,17 +630,15 @@ def _simplify_rule(e: Expr, a: Expr, b: Expr | None) -> Expr:
     """`e` simplified, given its simplified children `a` and `b`, in order."""
     if isinstance(e, Negate):
         return _negated(a)
+    if type(e) in _CONSTANT_FOLDS and isinstance(a, Constant) and isinstance(b, Constant):
+        return Constant(_CONSTANT_FOLDS[type(e)](a.value, b.value))
     if isinstance(e, Add):
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            return Constant(a.value + b.value)
         if _is_zero(a):
             return b
         if _is_zero(b):
             return a
         return Add(a, b)
     if isinstance(e, Sub):
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            return Constant(a.value - b.value)
         if _is_zero(b):
             return a
         if a == b:
@@ -656,8 +647,6 @@ def _simplify_rule(e: Expr, a: Expr, b: Expr | None) -> Expr:
             return _negated(b)
         return Sub(a, b)
     if isinstance(e, Mul):
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            return Constant(a.value * b.value)
         if _is_zero(a) or _is_zero(b):
             return ZERO
         if _is_one(a):
@@ -1020,6 +1009,8 @@ def parse(text: str) -> Expr:
 
 
 def _format_number(v: float) -> str:
+    if math.isinf(v):
+        return "1e999" if v > 0 else "-1e999"  # literals that overflow to +-inf
     if v.is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -1038,6 +1029,8 @@ _INFIX = {
 
 def to_string(e: Expr) -> str:
     """Render `e` in the parse grammar; parse(to_string(e)) == e.
+    An infinite constant prints as 1e999 or -1e999; a NaN constant
+    prints as nan, which the grammar has no literal for.
 
     No recursion: each distinct node is rendered once, children first,
     and its text dropped once its last parent has read it, so a long

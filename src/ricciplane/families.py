@@ -33,8 +33,7 @@ from .expr import (
     X2,
 )
 from .geometry import DiagonalMetric
-from .numeric import DomainTooSingularError, SamplingConfig, _enough, _stream, _sweep_prefix, merge_guards, nowhere_zero
-from .numeric import _one_by_one, sample_points
+from .numeric import DomainTooSingularError, SamplingConfig, _enough, _one_by_one, first_zero_failure, merge_guards, sample_points
 from .riccifield import FrameField
 
 
@@ -108,13 +107,11 @@ def _require_depends_only_on(name: str, e: Expr, var: Var) -> None:
 
 
 def _check_nowhere_zero(named: list[tuple[str, Expr]], d: Domain, cfg: SamplingConfig) -> None:
-    """Sample-check that each named expression is nowhere zero on `d`: one
-    sweep of all of them, then the verdicts in order (the first failure raises)."""
-    _sweep_prefix([e for _, e in named], _stream(d, cfg), d.guard)
-    for name, e in named:
-        ok, reason = nowhere_zero(e, d, cfg)
-        if not ok:
-            raise HypothesisError(f"{name} nowhere zero on the domain", reason)
+    """Sample-check that each named expression is nowhere zero on `d`; the
+    first failure, in order, raises (`first_zero_failure`)."""
+    failure = first_zero_failure(named, d, cfg)
+    if failure is not None:
+        raise HypothesisError(f"{failure[0]} nowhere zero on the domain", failure[2])
 
 
 def construct(
@@ -131,28 +128,19 @@ def construct(
         _check_nowhere_zero([("f1", metric.f1), ("f2", metric.f2)], d, cfg)
         return metric, FrameField(Constant(p.c1), Constant(p.c2))
 
-    if isinstance(p, Branch1):
+    if isinstance(p, (Branch1, Branch2)):
         _require_nonzero("c", p.c)
         _require_depends_only_on("f2", p.f2, Var.X1)
         f2 = simplify(p.f2)
         f2p = simplify(differentiate(f2, Var.X1))
-        f1 = simplify(
-            Div(
-                Add(Mul(Constant(p.k), Pow(f2, Constant(2.0))), Constant(p.c)),
-                Mul(Constant(2.0), f2p),
-            )
-        )
+        if isinstance(p, Branch1):
+            f1 = Div(Add(Mul(Constant(p.k), Pow(f2, Constant(2.0))), Constant(p.c)), Mul(Constant(2.0), f2p))
+        else:
+            f1 = Div(Mul(Constant(p.c), Pow(f2, Constant(2.0))), f2p)
+        f1 = simplify(f1)
         _check_nowhere_zero([("f2", f2), ("f2'", f2p), ("induced f1", f1)], d, cfg)
-        field = FrameField(V1=simplify(Div(Constant(p.c), f2)), V2=Constant(0.0))
-        return DiagonalMetric(f1=f1, f2=f2), field
-
-    if isinstance(p, Branch2):
-        _require_nonzero("c", p.c)
-        _require_depends_only_on("f2", p.f2, Var.X1)
-        f2 = simplify(p.f2)
-        f2p = simplify(differentiate(f2, Var.X1))
-        f1 = simplify(Div(Mul(Constant(p.c), Pow(f2, Constant(2.0))), f2p))
-        _check_nowhere_zero([("f2", f2), ("f2'", f2p), ("induced f1", f1)], d, cfg)
+        if isinstance(p, Branch1):
+            return DiagonalMetric(f1=f1, f2=f2), FrameField(V1=simplify(Div(Constant(p.c), f2)), V2=Constant(0.0))
         # sign(c) resolves to a constant now; symbolic sign of a variable
         # expression never enters a family field.
         sgn = math.copysign(1.0, p.c)

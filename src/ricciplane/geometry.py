@@ -23,11 +23,12 @@ from .expr import (
     Sub,
     Var,
     ZERO,
+    _finiteness_folds,
     differentiate,
     is_probably_zero,
     simplify,
 )
-from .numeric import DomainTooSingularError, SamplingConfig, _stream, _sweep_prefix, nowhere_zero
+from .numeric import DomainTooSingularError, SamplingConfig, covered_sweep, first_zero_failure
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,13 @@ class CurvatureData:
 def validate_metric(m: DiagonalMetric, d: Domain, cfg: SamplingConfig) -> None:
     """Sample-check that f1 and f2 are nowhere zero on `d`.
 
-    Raises DomainTooSingularError naming the failing component; the
-    hypothesis is only ever checked at seeded sample points, never proved.
-    A component shared by f1 and f2 (one interned node) is checked once.
-    Both are swept at once; f1's verdict, and its failure, comes first.
+    Raises DomainTooSingularError naming the failing component, f1's
+    failure first (`first_zero_failure`); the hypothesis is only ever
+    checked at seeded sample points, never proved.
     """
-    components = [("f1", m.f1)] if m.f2 is m.f1 else [("f1", m.f1), ("f2", m.f2)]
-    _sweep_prefix([c for _, c in components], _stream(d, cfg), d.guard)
-    for label, component in components:
-        ok, reason = nowhere_zero(component, d, cfg)
-        if not ok:
-            raise DomainTooSingularError(f"metric component {label} = {component}: {reason}")
+    failure = first_zero_failure([("f1", m.f1), ("f2", m.f2)], d, cfg)
+    if failure is not None:
+        raise DomainTooSingularError("metric component {} = {}: {}".format(*failure))
 
 
 def frame_derivative(m: DiagonalMetric, u: Expr, i: int) -> Expr:
@@ -134,6 +131,17 @@ def _derive_curvature(m: DiagonalMetric) -> CurvatureData:
         )
     )
     return CurvatureData(h12=h12, h21=h21, rho=rho, r=simplify(Mul(Constant(2.0), rho)))
+
+
+def curvature_sweep(m: DiagonalMetric, d: Domain, cfg: SamplingConfig, groups=(), what: str = "curvature", late=()) -> tuple:
+    """`covered_sweep` of `groups` (checked, named `what`) and `late`
+    guarded by f1 and f2, with the sampled ranges of h12, h21, rho and r
+    and of rho's `_finiteness_folds`, which `is_flat` reads from the
+    job's record: the groups' (maxima, used) and the four ranges."""
+    curv = ricci(m)
+    ranged = (curv.h12, curv.h21, curv.rho, curv.r)
+    results, ranges = covered_sweep(groups, (*ranged, *_finiteness_folds(curv.rho)), d, cfg, (m.f1, m.f2), what, late)
+    return results, ranges[: len(ranged)]
 
 
 def is_flat(m: DiagonalMetric, d: Domain, cfg: SamplingConfig) -> bool:

@@ -239,19 +239,25 @@ def nowhere_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> tuple[bool, str]:
     must clear d.guard and the sign must be constant.  A strict sign
     change witnesses a zero crossing that pointwise magnitudes alone
     cannot see; a NaN has no sign and is never near zero, so it is
-    rejected on its own.
+    rejected on its own.  `first_zero_failure` of `e` alone.
+    """
+    failure = first_zero_failure([("", e)], d, cfg)
+    return (True, "") if failure is None else (False, failure[2])
 
-    It passes iff e clears as a guard (`_sweep_prefix`) with no NaN and
-    a finite range; only a failure runs the per-point scan, for its
-    message.  Within a `_job_stream` scope, each (expression, domain,
-    samples, seed) is swept once (`_Stream.swept`); a pass clears it.
+
+def first_zero_failure(named: Sequence[tuple[str, Expr]], d: Domain, cfg: SamplingConfig) -> tuple[str, Expr, str] | None:
+    """The first (name, expression, reason) of `named`, in order, that
+    fails `nowhere_zero`, or None.  One `_sweep_prefix` call sweeps them
+    all (in a `_job_stream` scope, once per job); each passes iff it
+    clears as a guard with no NaN and a finite range, and is then
+    cleared.  Only the failure runs the per-point scan, for its message.
     """
     s = _stream(d, cfg)
-    [((lo, hi, nan), clears)] = _sweep_prefix([e], s, d.guard)
-    if not (clears and not nan and -math.inf < lo <= hi < math.inf):
-        return _scan_nowhere_zero(e, s.prefix, d.guard)
-    s.cleared.add(id(e))
-    return True, ""
+    for (name, e), ((lo, hi, nan), clears) in zip(named, _sweep_prefix([e for _, e in named], s, d.guard)):
+        if not (clears and not nan and -math.inf < lo <= hi < math.inf):
+            return name, e, _scan_nowhere_zero(e, s.prefix, d.guard)[1]
+        s.cleared.add(id(e))
+    return None
 
 
 def _scan_nowhere_zero(e: Expr, points: Sequence[tuple[float, float]], guard: float) -> tuple[bool, str]:

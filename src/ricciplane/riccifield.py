@@ -18,17 +18,17 @@ from .expr import (
     Expr,
     Mul,
     Sub,
-    _finiteness_folds,
     simplify,
 )
 from .geometry import (
     DiagonalMetric,
     channel_coefficients,
+    curvature_sweep,
     frame_derivative,
     ricci,
     validate_metric,
 )
-from .numeric import SamplingConfig, covered_sweep, merge_guards, sample_points, sampled_max_abs
+from .numeric import SamplingConfig, merge_guards, sample_points, sampled_max_abs
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,9 @@ def verify(
 
     The metric is sample-validated first.  Pass iff every residual's
     max |value| over the accepted points is <= cfg.tolerance.  The
-    curvature's ranges and rho's folds (for `is_flat`), which share nodes
-    with the residuals, are swept with them; their errors come after a
-    residual shortfall.
+    curvature's ranges and rho's folds (`curvature_sweep`), which share
+    nodes with the residuals, are swept with them; their errors come
+    after a residual shortfall.
 
     Lazy `extra_groups` (the identity residuals) are built only if the
     residuals pass at the first point of their list, then swept with them
@@ -119,11 +119,8 @@ def verify(
     """
     validate_metric(m, d, cfg)
     residuals = residual_system(m, V)
-    curv = ricci(m)
-    ranged = (curv.h12, curv.h21, curv.rho, curv.r)
-    swept = (*ranged, *_finiteness_folds(curv.rho))
     late = extra_groups if extra_groups is not None and _passes_first_point(m, residuals, d, cfg) else ()
-    [(maxima, used), *extra], ranges = covered_sweep([residuals], swept, d, cfg, (m.f1, m.f2), "residuals", late)
+    [(maxima, used), *extra], ranges = curvature_sweep(m, d, cfg, [residuals], "residuals", late)
     return ResidualReport(
         residuals=residuals,
         max_abs=tuple(maxima),
@@ -131,7 +128,7 @@ def verify(
         points_used=used,
         seed=cfg.seed,
         tolerance=cfg.tolerance,
-        curvature_ranges=tuple(ranges[: len(ranged)]),
+        curvature_ranges=tuple(ranges),
         extra_max_abs=tuple((tuple(mx), n) for mx, n in extra) or None,
     )
 

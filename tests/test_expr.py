@@ -339,9 +339,10 @@ def test_fd_oracle_property():
                 assert abs(sym - fd) <= 1e-5 * (1.0 + abs(sym)), to_string(e)
 
 
-_constants = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6).map(
-    lambda v: Constant(v)
-)
+_constants = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6),
+    st.sampled_from([math.inf, -math.inf]),
+).map(Constant)
 _leaves = st.one_of(_constants, st.sampled_from([X1, X2]))
 _trees = st.recursive(
     _leaves,
@@ -362,6 +363,16 @@ _trees = st.recursive(
 @settings(max_examples=300)
 def test_print_parse_round_trip(e):
     assert parse(to_string(e)) == e
+
+
+def test_infinite_constants_print_as_overflowing_literals():
+    assert to_string(parse("1e400")) == "1e999"
+    assert to_string(Constant(-math.inf)) == "-1e999"
+    folded = simplify(parse("1e200*1e200*x1"))
+    assert to_string(folded) == "1e999*x1" and parse(to_string(folded)) is folded
+    assert to_string(parse("x1 - -1e400")) == "x1 - -1e999"
+    for e in (Constant(math.inf), Constant(-math.inf), Negate(Constant(math.inf)), Pow(Constant(-math.inf), X1)):
+        assert parse(to_string(e)) is e
 
 
 def test_simplify_preserves_value():

@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from ricciplane import geometry
+from ricciplane import numeric
 from ricciplane.expr import (
     Constant,
     Domain,
@@ -25,7 +25,7 @@ from ricciplane.geometry import (
     ricci,
     validate_metric,
 )
-from ricciplane.numeric import DomainTooSingularError, SamplingConfig, nowhere_zero, sample_points
+from ricciplane.numeric import DomainTooSingularError, SamplingConfig, sample_points
 
 COSH_METRIC = DiagonalMetric(parse("cosh(x1)"), parse("exp(x1)"))
 FLAT_EXP = DiagonalMetric(parse("exp(x1)"), parse("exp(x2)"))
@@ -145,25 +145,29 @@ def test_validate_metric_rejects_sign_change():
     with pytest.raises(DomainTooSingularError, match="f2"):
         validate_metric(DiagonalMetric(parse("2"), parse("sin(x1)")), Domain(), SamplingConfig())
     validate_metric(COSH_METRIC, Domain(), SamplingConfig())
+    # Both components fail (f2 is undefined at x1 < 0): f1's failure is raised.
+    with pytest.raises(DomainTooSingularError, match=r"^metric component f1 = x1: sign change"):
+        validate_metric(DiagonalMetric(parse("x1"), parse("log(x1)")), Domain(), SamplingConfig())
 
 
 def test_validate_metric_checks_a_shared_component_once(monkeypatch):
-    checked = []
-
-    def recording(e, d, cfg):
-        checked.append(e)
-        return nowhere_zero(e, d, cfg)
-
-    monkeypatch.setattr(geometry, "nowhere_zero", recording)
+    # One sweep of the components, a shared node swept as one group; a
+    # failing shared component is reported as f1.
+    swept = []
+    extrema = numeric._extrema
+    monkeypatch.setattr(numeric, "_extrema", lambda groups, points: swept.append(groups) or extrema(groups, points))
     shared = DiagonalMetric(parse("exp(x1)"), parse("exp(x1)"))
     assert shared.f1 is shared.f2
     validate_metric(shared, Domain(), SamplingConfig())
-    assert checked == [shared.f1]
-    checked.clear()
+    assert swept == [[[shared.f1]]] and swept[0][0][0] is shared.f1
+    swept.clear()
     validate_metric(FLAT_EXP, Domain(), SamplingConfig())
-    assert checked == [FLAT_EXP.f1, FLAT_EXP.f2]
-    with pytest.raises(DomainTooSingularError, match="f1"):
-        validate_metric(DiagonalMetric(parse("sin(x1)"), parse("sin(x1)")), Domain(), SamplingConfig())
+    assert swept == [[[FLAT_EXP.f1], [FLAT_EXP.f2]]]
+    swept.clear()
+    sin = DiagonalMetric(parse("sin(x1)"), parse("sin(x1)"))
+    with pytest.raises(DomainTooSingularError, match=r"^metric component f1 = sin\(x1\): sign change"):
+        validate_metric(sin, Domain(), SamplingConfig())
+    assert swept == [[[sin.f1]]]
 
 
 def _fd_rho(m: DiagonalMetric, p: tuple[float, float], outer: float = 1e-4, inner: float = 1e-5) -> float:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ricciplane import cli, expr, families, identities, numeric
+from ricciplane import cli, expr, families, geometry, identities, numeric
 from ricciplane.expr import Domain, parse
 from ricciplane.geometry import ricci
 from ricciplane.numeric import DomainTooSingularError, SamplingConfig, sample_points
@@ -271,6 +271,20 @@ def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch,
     assert _outputs([argv], capsys) == shared
     assert len(scanned()) == 13
     assert failures == []
+
+
+def test_unscoped_hypothesis_scans_sweep_the_prefix_once(monkeypatch):
+    # Outside a job scope each scan draws a stream record of its own: the
+    # named expressions of one scan share one sweep of its prefix.  f2' of
+    # exp(x1) is f2 itself, one group.
+    swept = _counting_sweeps(monkeypatch)
+    cfg = SamplingConfig(samples=2000)
+    m, _ = families.construct(families.Branch1(f2=EXP, k=1.0, c=1.0), Domain(), cfg)
+    assert [groups for groups, _ in swept] == [[[m.f2], [m.f1]]]
+    assert len(swept[0][1]) == 2000
+    swept.clear()
+    geometry.validate_metric(m, Domain(), cfg)
+    assert [groups for groups, _ in swept] == [[[m.f1], [m.f2]]]
 
 
 def _counting_draws(monkeypatch) -> tuple[list, list]:
