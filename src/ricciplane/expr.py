@@ -331,10 +331,8 @@ def _int_pow(base: float, n: int) -> float:
             return math.pow(base, n)
         except OverflowError:
             return -math.inf if base < 0.0 and n % 2 else math.inf
-    acc = 1.0
-    for _ in range(n):
-        acc *= base
-    return acc
+    # The loop acc *= base from acc = 1.0, left to right, in C.
+    return math.prod(itertools.repeat(base, n), start=1.0)
 
 
 def _pow_value(base: float, exponent: float) -> float:
@@ -421,7 +419,22 @@ def compile_sweep(exprs: Sequence[Expr]) -> Callable[[Iterator[tuple[float, floa
     return _generate(exprs, "sweep")
 
 
-_CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value, "_EVAL_ERRORS": EVAL_ERRORS}
+def compile_fd(values: Sequence[Expr], slopes: Sequence[Expr], kinks: Sequence[Expr]) -> Callable[
+        [Iterator[tuple[float, float]], list, float], tuple[list, tuple | None]]:
+    """Compile the central-difference check of `values` against `slopes`
+    (each d/dx1, then each d/dx2) to one callable `(points, worst, h) ->
+    (worst, raised)`.  At each point of the iterator `points` it runs the
+    node code of the slopes there and of the values at (x1 +- h, x2) and
+    (x1, x2 +- h), then folds |s - (up - down) / (2h)| / (1 + |s|) of each
+    value and direction into its maximum in `worst`, a NaN as math.inf.
+    At the first point where a node is undefined, a stencil coordinate is
+    not finite, or a `kinks` expression is not strictly one-signed on a
+    stencil and its midpoint, it returns the state before that point and
+    the point, leaving the rest of `points` unread; else `raised` is None."""
+    return _generate((values, slopes, kinks), "fd")
+
+
+_CODEGEN_NAMESPACE: dict = {"_int_pow": _int_pow, "_pow_value": _pow_value, "_EVAL_ERRORS": EVAL_ERRORS, "_inf": math.inf}
 _CODEGEN_NAMESPACE.update((f"_fn_{name}", fn) for name, fn in FUNCTIONS.items())
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 # The binary nodes whose two constant operands `simplify` folds to one constant.
@@ -432,37 +445,81 @@ _creation_order = operator.attrgetter("_serial")
 _KERNEL_CACHE_SIZE = 256
 
 
-def _generate(exprs: Sequence[Expr], shape: str) -> Callable:
+def _generate(exprs: Sequence, shape: str) -> Callable:
     """Emit one Python function that evaluates every expression in
     `exprs`, and compile it unless the same source was compiled before.
     A function of (x1, x2) returns the value of the only one ("single")
     or the tuple of their values ("many"); a "sweep" runs the same node
     code in a loop over points and folds the values (`compile_sweep`).
+    An "fd" kernel (`compile_fd`) takes `exprs` as (values, slopes,
+    kinks) and runs one copy of the node code per point of a stencil.
 
-    Each distinct node is emitted once, in creation order: a node is
-    built after its children, so they are emitted first.  Nodes are
-    interned, so equal subtrees are one node and this is
+    Each distinct node is emitted once per copy, in creation order: a
+    node is built after its children, so they are emitted first.  Nodes
+    are interned, so equal subtrees are one node and this is
     common-subexpression elimination.  Variables stay inline, every
     constant is a parameter `_k{i}` bound to the node's own float (its
-    exact bits), and every other node gets one local.
+    exact bits), and every other node gets one local, which a later fd
+    copy reuses for the same code: the same operation on the same operands.
     """
     consts: list[float] = []
+    bound: dict[int, str] = {}
+    reused: dict[str, str] | None = {} if shape == "fd" else None
     lines: list[str] = []
-    names: dict[int, str] = {}
-    pad = " " * (12 if shape == "sweep" else 4)
-    for node in sorted(walk(*exprs), key=_creation_order):
-        kind = type(node)
-        if kind is Constant:
-            name = f"_k{len(consts)}"
-            consts.append(node.value)
-        elif kind is Variable:
-            name = node.var.value
-        else:
-            name = f"t{len(lines)}"
-            lines.append(f"{pad}{name} = {_operation(node, kind, names)}\n")
-        names[id(node)] = name
-    outs = [names[id(e)] for e in exprs]
-    params = "".join(f", _k{i}" for i in range(len(consts)))
+    pad = " " * (4 if shape in ("single", "many") else 12)
+
+    def emit(nodes: list[Expr], x1: str = "x1", x2: str = "x2") -> dict[int, str]:
+        # One copy of the node code, at the point (x1, x2) named here.
+        names: dict[int, str] = {}
+        for node in nodes:
+            kind = type(node)
+            if kind is Constant:
+                name = bound.get(id(node))
+                if name is None:
+                    name = bound[id(node)] = f"_k{len(consts)}"
+                    consts.append(node.value)
+            elif kind is Variable:
+                name = x1 if node.var is Var.X1 else x2
+            else:
+                code = _operation(node, kind, names)
+                name = None if reused is None else reused.get(code)
+                if name is None:
+                    name = f"t{len(lines)}"
+                    lines.append(f"{pad}{name} = {code}\n")
+                    if reused is not None:
+                        reused[code] = name
+            names[id(node)] = name
+        return names
+
+    def nodes(roots: Sequence[Expr]) -> list[Expr]:
+        return sorted(walk(*roots), key=_creation_order)
+
+    if shape == "fd":
+        values, slopes, kinks = exprs
+        n, at = len(values), (("_a1", "x2"), ("_b1", "x2"), ("x1", "_a2"), ("x1", "_b2"))
+        lines.append(f"{pad}_a1, _b1, _a2, _b2 = x1 + _mh, x1 + _h, x2 + _mh, x2 + _h\n{pad}if not "
+                     "(-_inf < _a1 < _inf and -_inf < _b1 < _inf and -_inf < _a2 < _inf and -_inf < _b2 < _inf): break\n")
+        sym, value_nodes = emit(nodes(slopes)), nodes(values)
+        lo1, hi1, lo2, hi2 = (emit(value_nodes, *p) for p in at)
+        if kinks:
+            lines.append(f"{pad}_m1, _m2 = x1 + 0.0, x2 + 0.0\n")
+            kink_nodes = nodes(kinks)
+            mid1, mid2 = emit(kink_nodes, "_m1", "x2"), emit(kink_nodes, "x1", "_m2")
+            lines += [
+                f"{pad}if not (0.0 < {a} and 0.0 < {b} and 0.0 < {c} or {a} < 0.0 and {b} < 0.0 and {c} < 0.0): break\n"
+                for k in map(id, kinks) for a, b, c in ((lo1[k], mid1[k], hi1[k]), (lo2[k], mid2[k], hi2[k]))
+            ]
+        # The fold of `numeric._fd_point`, after every node of the point ran.
+        lines += [
+            f"{pad}_e = abs({s} - ({hi[e]} - {lo[e]}) / _2h) / (1.0 + abs({s}))\n"
+            f"{pad}if not _e <= w{i}: w{i} = _e if _e == _e else _inf\n"
+            for i, e in enumerate(map(id, values))
+            for s, lo, hi in ((sym[id(slopes[i])], lo1, hi1), (sym[id(slopes[n + i])], lo2, hi2))
+        ]
+        state = "[" + "".join(f"w{i}, " for i in range(n)) + "]"
+        extra, pre = ", _h", "    _mh, _2h = -_h, 2.0 * _h\n"
+    else:
+        outs = [names[id(e)] for names in [emit(nodes(exprs))] for e in exprs]
     if shape == "sweep":
         state = "[" + "".join(f"lo{i}, hi{i}, nan{i}, " for i in range(len(outs))) + "]"
         # Only a value outside [lo, hi] can move a bound, -0.0 against 0.0
@@ -472,14 +529,21 @@ def _generate(exprs: Sequence[Expr], shape: str) -> Callable:
             f"{pad}    if {o} > hi{i}: hi{i} = {o}\n{pad}    if {o} != {o}: nan{i} = True\n"
             for i, o in enumerate(outs)
         ] or [f"{pad}pass\n"]
-        # The loop sits in one try: the node code runs before any fold.
-        head = f"def _compiled(_points, _state{params}):\n    {state} = _state\n"
-        head += "    try:\n        for x1, x2 in _points:\n"
-        tail = f"    except _EVAL_ERRORS:\n        return {state}, (x1, x2)\n    return {state}, None\n"
-    else:
+        extra = pre = ""
+    params = "".join(f", _k{i}" for i in range(len(consts)))
+    if shape in ("single", "many"):
         result = outs[0] if shape == "single" else "(" + "".join(f"{o}, " for o in outs) + ")"
-        head, tail = f"def _compiled(x1, x2{params}):\n", f"    return {result}\n"
-    template = _compile_kernel(head + "".join(lines) + tail)
+        src = f"def _compiled(x1, x2{params}):\n" + "".join(lines) + f"    return {result}\n"
+    else:
+        # The loop sits in one try, and a point's node code runs before any
+        # fold: a raise or a break leaves the state of the points before.
+        src = (
+            f"def _compiled(_points, _state{extra}{params}):\n    {state} = _state\n{pre}"
+            "    try:\n        for x1, x2 in _points:\n" + "".join(lines)
+            + f"        else:\n            return {state}, None\n    except _EVAL_ERRORS:\n        pass\n"
+            f"    return {state}, (x1, x2)\n"
+        )
+    template = _compile_kernel(src)
     if not consts:
         return template
     # The shared template is never mutated: a new function binds the constants.

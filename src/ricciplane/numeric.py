@@ -23,6 +23,7 @@ from .expr import (
     Expr,
     Var,
     compile_expr,
+    compile_fd,
     compile_many,
     compile_sweep,
     denominators,
@@ -323,25 +324,40 @@ def fd_validate(
     return _per_point_list(built, lambda items, points: _fd_sweep(items, points, cfg.fd_step))
 
 
-def _fd_sweep(
-    built: list[tuple[Expr, tuple[Expr, Expr], list[Expr]]],
-    points: Sequence[tuple[float, float]],
-    h: float,
-) -> list[FdValidation]:
-    """`fd_validate` of (expression, (d/dx1, d/dx2), kink arguments)
-    triples over one point list.  One kernel gives every value at the
-    stencil points and one every derivative at the point; where either
-    raises, each entry is evaluated on its own kernel, so an expression
-    is skipped only where it is undefined itself."""
-    n = len(built)
-    values = _lenient([e for e, _, _ in built])
-    slopes = _lenient([s[j] for j in (0, 1) for _, s, _ in built])
-    kink_fns = {k: compile_expr(k) for _, _, ks in built for k in ks}
+_FdTriple = tuple[Expr, tuple[Expr, Expr], list[Expr]]  # (expression, (d/dx1, d/dx2), kink arguments)
+
+
+def _fd_sweep(built: list[_FdTriple], points: Sequence[tuple[float, float]], h: float) -> list[FdValidation]:
+    """`fd_validate` of the triples over one point list.  A `compile_fd`
+    kernel folds each point it can decide alone, `_fd_point` each point
+    it returns, and the kernel resumes the same iterator: max is order-free
+    and math.inf absorbs, so the maxima equal `_fd_point`'s alone."""
+    values, slopes = [e for e, _, _ in built], [s[j] for j in (0, 1) for _, s, _ in built]
+    kernel = compile_fd(values, slopes, list({id(k): k for _, _, ks in built for k in ks}.values()))
+    stream, skipped, fold = iter(points), [0] * len(built), None
+    worst, raised = kernel(stream, [0.0] * len(built), h)
+    while raised is not None:
+        fold = fold or _fd_point(built, values, slopes, h)
+        fold(*raised, worst, skipped)
+        worst, raised = kernel(stream, worst, h)
+    return [FdValidation(w, 2 * len(points) - k, k) for w, k in zip(worst, skipped)]
+
+
+def _fd_point(
+    built: list[_FdTriple], values: list[Expr], slopes: list[Expr], h: float
+) -> Callable[[float, float, list[float], list[int]], None]:
+    """A callable (x1, x2, worst, skipped) that folds the point into the
+    maxima and skip counts of the triples, in place, each of `values`,
+    `slopes` and the kink arguments on its own kernel: an expression is
+    skipped only where it is undefined itself or one of its kink
+    arguments is undefined on the stencil or takes two of the signs +, 0, -."""
+    n, values, slopes = len(built), _one_by_one(values), _one_by_one(slopes)
+    kinks = list({k: k for _, _, ks in built for k in ks}.values())
+    kink_values = _one_by_one(kinks)
     owned = [(i, ks) for i, (_, _, ks) in enumerate(built) if ks]
     two_h = 2.0 * h
-    worst = [0.0] * n
-    skipped = [0] * n  # each (point, variable) pair is skipped or used
-    for x1, x2 in points:
+
+    def fold(x1: float, x2: float, worst: list[float], skipped: list[int]) -> None:
         sym = slopes(x1, x2)
         # The middle points add 0.0 on the axis, so a -0.0 there reads as 0.0.
         stencils = (
@@ -351,13 +367,13 @@ def _fd_sweep(
         for j, stencil in enumerate(stencils):
             lo, _, hi = stencil
             if not (math.isfinite(lo[j]) and math.isfinite(hi[j])):
-                for i in range(n):
-                    skipped[i] += 1
+                skipped[:] = [k + 1 for k in skipped]
                 continue
             straddling = ()
             if owned:
-                straddles = {k: _straddles(fn, stencil) for k, fn in kink_fns.items()}
-                straddling = {i for i, ks in owned if any(straddles[k] for k in ks)}
+                rows = zip(kinks, *(kink_values(*q) for q in stencil))
+                straddles = {k for k, *vs in rows if None in vs or len({v > 0 if v != 0 else None for v in vs}) > 1}
+                straddling = {i for i, ks in owned if not straddles.isdisjoint(ks)}
             for i, s, up, down in zip(range(n), sym[j * n : (j + 1) * n], values(*hi), values(*lo)):
                 if s is None or up is None or down is None or i in straddling:
                     skipped[i] += 1
@@ -365,31 +381,15 @@ def _fd_sweep(
                 err = abs(s - (up - down) / two_h) / (1.0 + abs(s))
                 if not err <= worst[i]:  # larger, or NaN
                     worst[i] = err if err == err else math.inf
-    pairs = 2 * len(points)
-    return [FdValidation(w, pairs - k, k) for w, k in zip(worst, skipped)]
 
-
-def _lenient(exprs: Sequence[Expr]) -> Callable[[float, float], Sequence[float | None]]:
-    """A callable (x1, x2) -> the values of `exprs`, with None for each
-    expression undefined there.  One fused kernel; at a point where it
-    raises, `_one_by_one` of the expressions."""
-    fused = compile_many(exprs)
-    singles = _one_by_one(exprs)
-
-    def evaluate_all(x1: float, x2: float):
-        try:
-            return fused(x1, x2)
-        except EVAL_ERRORS:
-            return singles(x1, x2)
-
-    return evaluate_all
+    return fold
 
 
 def _one_by_one(exprs: Sequence[Expr]) -> Callable[[float, float], list[float | None]]:
     """A callable (x1, x2) -> the values of `exprs`, each from its own
     kernel (compiled on first call), with None for each expression
-    undefined there: the fallback of a sweep at a point where its fused
-    kernel raised, and the cells of `cli.emit_grid`."""
+    undefined there: at the points a sweep or `compile_fd` kernel hands
+    back, and at the cells of `cli.emit_grid`."""
     kernels: list = []
 
     def evaluate_each(x1: float, x2: float):
@@ -404,19 +404,6 @@ def _one_by_one(exprs: Sequence[Expr]) -> Callable[[float, float], list[float | 
         return row
 
     return evaluate_each
-
-
-def _straddles(kink, stencil) -> bool:
-    """Whether the kink argument is undefined somewhere on the stencil
-    or takes more than one of the signs +, 0, -."""
-    signs = set()
-    for q in stencil:
-        try:
-            val = kink(*q)
-        except EVAL_ERRORS:
-            return True
-        signs.add(val > 0 if val != 0 else None)
-    return len(signs) > 1
 
 
 def sampled_max_abs(

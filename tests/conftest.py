@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import operator
 import random
 from pathlib import Path
@@ -30,7 +31,9 @@ from ricciplane.expr import (
     _Binary,
     _pow_value,
     compile_expr,
+    differentiate,
     evaluate_with_scale,
+    kink_arguments,
     to_string,
 )
 from ricciplane.families import (
@@ -43,7 +46,7 @@ from ricciplane.families import (
     construct,
 )
 from ricciplane.geometry import DiagonalMetric
-from ricciplane.numeric import OVERSAMPLE_FACTOR, SamplingConfig
+from ricciplane.numeric import OVERSAMPLE_FACTOR, FdValidation, SamplingConfig, merge_guards, sample_points
 from ricciplane.riccifield import FrameField, from_coordinates
 
 REPO = Path(__file__).resolve().parent.parent
@@ -154,6 +157,94 @@ def fd_partial(e: Expr, p: tuple[float, float], v: Var, h: float) -> float:
     except EvaluationError as err:
         raise EvaluationError(f"finite-difference stencil failed: {err}") from None
     return (hi - lo) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# Reference finite-difference oracle: the per-point fold `fd_validate` ran
+# over every point before it had a generated kernel, on the tree walker
+# ---------------------------------------------------------------------------
+
+
+def reference_fd_validate(exprs, d, cfg, guards=()) -> list[FdValidation]:
+    """`fd_validate` of `exprs`, each sampled as the package samples it,
+    folded point by point by `_reference_fd_sweep` over each point list."""
+    built = []
+    for e in exprs:
+        points = sample_points(d, cfg, merge_guards(guards, [e]))
+        built.append(((e, (differentiate(e, Var.X1), differentiate(e, Var.X2)), kink_arguments(e)), points))
+    lists: dict[int, tuple[list, list[int]]] = {}
+    for k, (_, points) in enumerate(built):
+        lists.setdefault(id(points), (points, []))[1].append(k)
+    results: list = [None] * len(built)
+    for points, members in lists.values():
+        for k, result in zip(members, _reference_fd_sweep([built[k][0] for k in members], points, cfg.fd_step)):
+            results[k] = result
+    return results
+
+
+def _walked(exprs):
+    """(x1, x2) -> the walker's value of each expression, None where it is undefined."""
+
+    def values(x1, x2):
+        row = []
+        for e in exprs:
+            try:
+                row.append(evaluate(e, (x1, x2)))
+            except EVAL_ERRORS:
+                row.append(None)
+        return row
+
+    return values
+
+
+def _reference_fd_sweep(built, points, h):
+    n = len(built)
+    values = _walked([e for e, _, _ in built])
+    slopes = _walked([s[j] for j in (0, 1) for _, s, _ in built])
+    kink_fns = {k: k for _, _, ks in built for k in ks}
+    owned = [(i, ks) for i, (_, _, ks) in enumerate(built) if ks]
+    two_h = 2.0 * h
+    worst = [0.0] * n
+    skipped = [0] * n  # each (point, variable) pair is skipped or used
+    for x1, x2 in points:
+        sym = slopes(x1, x2)
+        # The middle points add 0.0 on the axis, so a -0.0 there reads as 0.0.
+        stencils = (
+            ((x1 + -h, x2), (x1 + 0.0, x2), (x1 + h, x2)),
+            ((x1, x2 + -h), (x1, x2 + 0.0), (x1, x2 + h)),
+        )
+        for j, stencil in enumerate(stencils):
+            lo, _, hi = stencil
+            if not (math.isfinite(lo[j]) and math.isfinite(hi[j])):
+                for i in range(n):
+                    skipped[i] += 1
+                continue
+            straddling = ()
+            if owned:
+                straddles = {k: _straddles(fn, stencil) for k, fn in kink_fns.items()}
+                straddling = {i for i, ks in owned if any(straddles[k] for k in ks)}
+            for i, s, up, down in zip(range(n), sym[j * n : (j + 1) * n], values(*hi), values(*lo)):
+                if s is None or up is None or down is None or i in straddling:
+                    skipped[i] += 1
+                    continue
+                err = abs(s - (up - down) / two_h) / (1.0 + abs(s))
+                if not err <= worst[i]:  # larger, or NaN
+                    worst[i] = err if err == err else math.inf
+    pairs = 2 * len(points)
+    return [FdValidation(w, pairs - k, k) for w, k in zip(worst, skipped)]
+
+
+def _straddles(kink, stencil) -> bool:
+    """Whether the kink argument is undefined somewhere on the stencil
+    or takes more than one of the signs +, 0, -."""
+    signs = set()
+    for q in stencil:
+        try:
+            val = evaluate(kink, q)
+        except EVAL_ERRORS:
+            return True
+        signs.add(val > 0 if val != 0 else None)
+    return len(signs) > 1
 
 
 # ---------------------------------------------------------------------------

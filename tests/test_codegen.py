@@ -8,9 +8,12 @@ from __future__ import annotations
 import gc
 import math
 import random
+import struct
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ricciplane.expr import (
     EVAL_ERRORS,
@@ -199,6 +202,30 @@ def test_integer_power_beyond_the_cap_is_fast_and_matches_evaluate():
     assert compile_expr(parse("x1^2000000000"))(0.5, 0.0) == 0.0
     with pytest.raises(EvaluationError, match="zero raised to a negative power"):
         compile_expr(parse("x1^-2000000000"))(0.0, 0.0)
+
+
+def _ieee(v: float) -> int:
+    # float.hex does not tell NaN signs and payloads apart; the IEEE bits do.
+    return struct.unpack("<Q", struct.pack("<d", v))[0]
+
+
+@given(
+    st.one_of(
+        st.floats(),  # every float: subnormals, NaNs with their payloads and signs
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math.nan]),
+        st.floats(0.5, 2.0),  # near 1, where n = 1024 stays finite
+        st.floats(-2.0, -0.5),
+    ),
+    st.integers(0, 1024),
+)
+@example(1.001, 400)
+@example(-1.7, 1023)
+@settings(max_examples=1000)
+def test_int_pow_is_the_repeated_multiplication_loop(base, n):
+    acc = 1.0
+    for _ in range(n):
+        acc *= base
+    assert _ieee(_int_pow(base, n)) == _ieee(acc)
 
 
 def test_powers_up_to_the_cap_keep_repeated_multiplication():

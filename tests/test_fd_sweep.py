@@ -1,20 +1,24 @@
 """The fused finite-difference oracle: one `fd_validate` call checks many
-expressions in one sweep per point list, and each expression keeps the
-points, skips and maximum it has when checked on its own."""
+expressions in one generated kernel per point list, each expression
+keeps the points, skips and maximum it has when checked on its own, and
+every result equals the per-point reference fold exactly."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ricciplane import cli, expr
-from ricciplane.expr import Apply, Domain, X1, parse
+from ricciplane import cli, expr, numeric
+from ricciplane.expr import FUNCTIONS, Add, Apply, Constant, Div, Domain, Mul, Negate, Pow, Sub, X1, X2, parse
 from ricciplane.geometry import ricci
 from ricciplane.numeric import DomainTooSingularError, FdValidation, SamplingConfig, _job_stream, fd_validate
 from ricciplane.riccifield import residual_system
 
-from conftest import CORPUS, FAILING_CORPUS, PASSING_CORPUS, load_corpus_pair
+from conftest import CORPUS, FAILING_CORPUS, PASSING_CORPUS, load_corpus_pair, reference_fd_validate
 
 
 def _one_at_a_time(exprs, d, cfg, guards=()):
@@ -120,3 +124,105 @@ def test_oracle_job_compiles_at_most_three_kernels(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert len(generated) <= 3
+
+
+def _outcome(check, exprs, d, cfg, scoped):
+    """The results of `check`, or the type and text of the shortfall it raised."""
+    with _job_stream() if scoped else contextlib.nullcontext():
+        try:
+            return check(exprs, d, cfg)
+        except DomainTooSingularError as err:
+            return type(err), str(err)
+
+
+# Small trees over every operation and function, with constants near the
+# kinks and the poles the domains below reach.
+_trees = st.recursive(
+    st.one_of(st.sampled_from([X1, X2]), st.sampled_from([0.0, 1.0, -1.0, 0.003, 2.5]).map(Constant)),
+    lambda sub: st.one_of(
+        st.builds(Negate, sub),
+        st.builds(Add, sub, sub),
+        st.builds(Sub, sub, sub),
+        st.builds(Mul, sub, sub),
+        st.builds(Div, sub, sub),
+        st.builds(Pow, sub, st.sampled_from([2.0, 3.0, -1.0, 0.5, 400.0]).map(Constant)),
+        st.builds(Apply, st.sampled_from(sorted(FUNCTIONS)), sub),
+    ),
+    max_leaves=5,
+)
+_DOMAINS = [
+    Domain(),
+    Domain(x1_range=(-0.01, 0.01), x2_range=(-0.02, 0.03), guard=1e-3),  # kinks and poles at 0 and 0.003
+    Domain(x1_range=(10.0, 20.0)),  # x1^400 overflows
+    Domain(x1_range=(0.0, 1.7e308), x2_range=(-0.5, 0.5)),  # with fd_step 1e308, stencils leave the plane
+]
+_KINKS = [parse("abs(x1 - 0.003)*exp(x2)"), parse("exp(x1)*sin(x2)"), parse("sign(x2)*x1 + x2")]
+
+
+@given(
+    st.lists(_trees, min_size=1, max_size=3),
+    st.sampled_from(range(len(_DOMAINS))),
+    st.sampled_from([1e-5, 0.01, 1e308]),
+    st.integers(3, 12),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+@example([parse("sqrt(x1)"), parse("log(x2)"), parse("1/x1 + x2^2")], 1, 0.01, 12, 7, True)  # undefined regions
+@example(_KINKS, 1, 0.01, 12, 3, True)  # a kink straddle skips only its owner
+@example([parse("x1^400 - x1^399*x1 + x1"), parse("x1^2")], 2, 1e-5, 8, 1, True)  # NaN errors
+@example([parse("1/x1"), parse("x2^2"), parse("1/(x2 - 0.003)")], 1, 1e-5, 10, 5, True)  # three point lists
+@example([parse("x1*x2"), parse("exp(x2) + x1"), parse("1/x1")], 3, 1e308, 10, 2, True)  # stencils leave the plane
+@example([parse("x1*x2"), parse("x2")], 0, 1e308, 6, 9, False)
+@settings(max_examples=150, deadline=None)
+def test_fd_validate_equals_the_per_point_reference(exprs, domain, step, samples, seed, scoped):
+    d, cfg = _DOMAINS[domain], SamplingConfig(samples=samples, seed=seed, fd_step=step)
+    assert _outcome(fd_validate, exprs, d, cfg, scoped) == _outcome(reference_fd_validate, exprs, d, cfg, scoped)
+
+
+def test_reference_examples_exercise_every_path():
+    # The explicit examples above skip at kinks and off the finite plane,
+    # and span three point lists.
+    d, cfg = _DOMAINS[1], SamplingConfig(samples=12, seed=3, fd_step=0.01)
+    with _job_stream():
+        kinked, smooth, signed = fd_validate(_KINKS, d, cfg)
+    assert kinked.points_skipped > 0 and smooth.points_skipped == 0 and signed.points_skipped > 0
+    d, cfg = _DOMAINS[3], SamplingConfig(samples=10, seed=2, fd_step=1e308)
+    with _job_stream():
+        results = fd_validate([parse("x1*x2"), parse("exp(x2) + x1")], d, cfg)
+    assert all(0 < r.points_skipped < 2 * cfg.samples for r in results)
+    lists = []
+    sweep = numeric._fd_sweep
+    with _job_stream(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "_fd_sweep", lambda built, points, h: lists.append(id(points)) or sweep(built, points, h))
+        fd_validate([parse("1/x1"), parse("x2^2"), parse("1/(x2 - 0.003)")], _DOMAINS[1], SamplingConfig(samples=10, seed=5))
+    assert len(lists) == len(set(lists)) == 3
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.json")))
+def test_oracle_job_decides_every_corpus_point_in_one_kernel_per_list(name, monkeypatch, capsys):
+    lists, kernels, returned, compiled = [], [], [], []
+    sweep, compile_fd = numeric._fd_sweep, numeric.compile_fd
+
+    def recording_sweep(built, points, h):
+        lists.append(id(points))
+        return sweep(built, points, h)
+
+    def recording_compile_fd(*exprs):
+        kernels.append(exprs)
+        kernel = compile_fd(*exprs)
+
+        def run(points, worst, h):
+            worst, raised = kernel(points, worst, h)
+            returned.extend([raised] if raised is not None else [])
+            return worst, raised
+
+        return run
+
+    monkeypatch.setattr(numeric, "_fd_sweep", recording_sweep)
+    monkeypatch.setattr(numeric, "compile_fd", recording_compile_fd)
+    monkeypatch.setattr(numeric, "_fd_point", lambda *args: compiled.append(args))
+    monkeypatch.setattr(numeric, "compile_expr", lambda e: compiled.append(e))
+    assert cli.main(["oracle", "--spec", str(CORPUS / name)]) == 0
+    capsys.readouterr()
+    assert len(kernels) == len(lists) == len(set(lists)) >= 1
+    assert returned == [] and compiled == []
