@@ -40,7 +40,7 @@ def main() -> int:
             out = REPORTS / (spec.stem + suffix)
             before = out.read_text() if out.exists() else None
             written = []
-            expr._compile_kernel.cache_clear()
+            expr._template.cache_clear()
             for _ in range(2):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main([command, "--spec", str(spec), "--out", str(out)])

@@ -10,6 +10,7 @@ modules.
 
 from __future__ import annotations
 
+import array
 import collections
 import functools
 import itertools
@@ -385,7 +386,7 @@ def evaluate_with_scale(e: Expr, p: tuple[float, float]) -> tuple[float, float]:
     """The value of `e` at the point p = (x1, x2), and the local
     magnitude scale: the largest |value| of any node, in the order of
     `walk(e)`.  Both are read from the kernel `is_probably_zero` runs."""
-    row = compile_many(list(walk(e)))(*p)
+    row = compile_many(walk(e))(*p)
     return row[0], max(map(abs, row))
 
 
@@ -439,87 +440,158 @@ _CODEGEN_NAMESPACE.update((f"_fn_{name}", fn) for name, fn in FUNCTIONS.items())
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 # The binary nodes whose two constant operands `simplify` folds to one constant.
 _CONSTANT_FOLDS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-_creation_order = operator.attrgetter("_serial")
-# Kernel shapes kept per process: a round of family draws needs 167.
-# At about 4 KiB each, a full cache holds about 1 MiB.
+# Kernel shapes kept per process: set-up and five rounds of family draws need 134.
 _KERNEL_CACHE_SIZE = 256
+# The deepest nesting of inlined operations in a line; CPython refuses 200 parentheses.
+_INLINE_DEPTH = 32
+
+# A kernel's shape key is the bytes of an array("i"): the kernel shape,
+# the number of constants, the length of each role (the expressions; fd's
+# values, slopes and kinks), a reference to each role expression, then
+# three words per operation in creation order: its code and operands (an
+# `_INT_POW`'s base and exponent, a unary one's operand and 0).  An
+# operation is referred to by its position among them, a leaf by `_X1_REF`,
+# `_X2_REF` or `_K0_REF - slot` for the parameter `_k{slot}`.
+_SHAPES = ("single", "many", "sweep", "fd")
+_POW, _ADD, _SUB, _MUL, _DIV, _NEG, _INT_POW = range(7)  # binary up to _DIV; then a code per function
+_X1_REF, _X2_REF, _K0_REF = -1, -2, -3
+_CODES: dict = {Pow: _POW, Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV, Negate: _NEG}
+_CODES.update((fn, _INT_POW + 1 + i) for i, fn in enumerate(FUNCTIONS))
+# The code of each operation but `_INT_POW`, from its operands' code.
+_FORMATS = {_POW: "_pow_value({}, {})", _NEG: "-{}"}
+_FORMATS.update((_CODES[kind], f"{{}} {op} {{}}") for kind, op in _BINARY_OPS.items())
+_FORMATS.update((_CODES[fn], f"_fn_{fn}({{}})") for fn in FUNCTIONS)
+
+
+def _nodes(roots: Sequence[Expr]) -> list[Expr]:
+    """Each distinct node under `roots` once, in creation order: a node
+    is built after its children, so they come first."""
+    seen = {id(root): root for root in roots}
+    order = list(seen.values())
+    for node in order:
+        for child in node.children():
+            if id(child) not in seen:
+                seen[id(child)] = child
+                order.append(child)
+    order.sort(key=operator.attrgetter("_serial"))
+    return order
 
 
 def _generate(exprs: Sequence, shape: str) -> Callable:
-    """Emit one Python function that evaluates every expression in
-    `exprs`, and compile it unless the same source was compiled before.
-    A function of (x1, x2) returns the value of the only one ("single")
-    or the tuple of their values ("many"); a "sweep" runs the same node
-    code in a loop over points and folds the values (`compile_sweep`).
-    An "fd" kernel (`compile_fd`) takes `exprs` as (values, slopes,
-    kinks) and runs one copy of the node code per point of a stencil.
+    """The kernel of `shape` ("single", "many", "sweep" or "fd", as the
+    `compile_` functions describe) over `exprs`, fd's (values, slopes,
+    kinks).  The kernel cache is keyed on the shape of the DAG: its node
+    list (`_nodes`) with no node and no constant value in it.  Every
+    constant is a parameter `_k{slot}`, numbered in creation order and
+    bound to the node's own float (its exact bits), so the draws of a
+    family with other constants share one template.  The source is
+    emitted and compiled only on a miss (`_emit`)."""
+    roles = exprs if shape == "fd" else (exprs,)
+    refs, consts, ops = {}, [], []  # node ids to references; constant values; operation words
+    for node in _nodes([e for role in roles for e in role]):
+        kind = type(node)
+        if kind is Constant:
+            refs[id(node)] = _K0_REF - len(consts)
+            consts.append(node.value)
+            continue
+        if kind is Variable:
+            refs[id(node)] = _X1_REF if node.var is Var.X1 else _X2_REF
+            continue
+        if kind is Apply or kind is Negate:
+            ops += (_NEG if kind is Negate else _CODES[node.fn], refs[id(node.arg)], 0)
+        elif kind is Pow and type(expo := node.exponent) is Constant and expo.value.is_integer() and abs(expo.value) <= _INT_POW_MAX:
+            ops += (_INT_POW, refs[id(node.base)], int(expo.value))
+        else:
+            ops += (_CODES[kind], refs[id(node.lhs)], refs[id(node.rhs)])
+        refs[id(node)] = len(ops) // 3 - 1
+    roots = [refs[id(e)] for role in roles for e in role]
+    template = _template(array.array("i", [_SHAPES.index(shape), len(consts), *map(len, roles), *roots, *ops]).tobytes())
+    if not consts:
+        return template
+    # The shared template is never mutated: a new function binds the constants.
+    return types.FunctionType(template.__code__, template.__globals__, "_compiled", tuple(consts))
 
-    Each distinct node is emitted once per copy, in creation order: a
-    node is built after its children, so they are emitted first.  Nodes
-    are interned, so equal subtrees are one node and this is
-    common-subexpression elimination.  Variables stay inline, every
-    constant is a parameter `_k{i}` bound to the node's own float (its
-    exact bits), and every other node gets one local, which a later fd
-    copy reuses for the same code: the same operation on the same operands.
-    """
-    consts: list[float] = []
-    bound: dict[int, str] = {}
-    reused: dict[str, str] | None = {} if shape == "fd" else None
-    lines: list[str] = []
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _template(key: bytes) -> Callable:
+    """The function `_compiled` of the kernel shape `key`.  The cache
+    holds no expression node, no constant value and no source."""
+    namespace = dict(_CODEGEN_NAMESPACE)
+    exec(compile(_emit(key), "<compiled-expr>", "exec"), namespace)
+    # Taken out of its own globals, the function forms no reference cycle.
+    return namespace.pop("_compiled")
+
+
+def _emit(key: bytes) -> str:
+    """The source of the kernel shape `key`.  Each operation is emitted
+    once per copy of the node code, in creation order.  One that is no
+    output and is read by one operand of the code is inlined there, in
+    parentheses, up to `_INLINE_DEPTH` deep; any other gets one local.
+    Operands stay the same, so values keep their bits, and a point's node
+    code all runs before any fold, so a raise in it is a raise of the
+    point.  An fd kernel inlines nothing; a later copy reuses the local
+    of the same code."""
+    words = array.array("i", key).tolist()
+    shape = _SHAPES[words[0]]
+    bounds = list(itertools.accumulate(words[2 : 5 if shape == "fd" else 3], initial=5 if shape == "fd" else 3))
+    roles = [words[a:b] for a, b in zip(bounds, bounds[1:])]
+    ops = list(zip(*[iter(words[bounds[-1] :])] * 3))
+    leaves = {_K0_REF - slot: f"_k{slot}" for slot in range(words[1])}
+    inline, outputs = shape != "fd", {i for role in roles for i in role}
+    reads = collections.Counter(  # how many operands of the code read each operation
+        r for code, a, b in ops for r in ((a,) * b if code == _INT_POW and 1 <= b <= 8 else (a, b) if code <= _DIV else (a,)))
+    reused, lines = {}, []  # the local of each code text; the lines of node code
     pad = " " * (4 if shape in ("single", "many") else 12)
 
-    def emit(nodes: list[Expr], x1: str = "x1", x2: str = "x2") -> dict[int, str]:
-        # One copy of the node code, at the point (x1, x2) named here.
-        names: dict[int, str] = {}
-        for node in nodes:
-            kind = type(node)
-            if kind is Constant:
-                name = bound.get(id(node))
-                if name is None:
-                    name = bound[id(node)] = f"_k{len(consts)}"
-                    consts.append(node.value)
-            elif kind is Variable:
-                name = x1 if node.var is Var.X1 else x2
+    def emit(roots: list[int], x1: str = "x1", x2: str = "x2") -> dict[int, str]:
+        # One copy of the node code under `roots`, at the point (x1, x2) named here.
+        under = set(roots)
+        for i in range(len(ops) - 1, -1, -1):
+            if i in under:
+                under.update(ops[i][1:] if ops[i][0] <= _DIV else ops[i][1:2])
+        names, depth = {_X1_REF: x1, _X2_REF: x2, **leaves}, {}
+        for i in sorted(i for i in under if i >= 0):
+            code, a, b = ops[i]
+            if code == _INT_POW:
+                # _int_pow's (1.0*b)*b*... with 1.0*b == b exactly, so bit-identical.
+                text = "*".join([names[a]] * b) if 1 <= b <= 8 else f"_int_pow({names[a]}, {b})"
             else:
-                code = _operation(node, kind, names)
-                name = None if reused is None else reused.get(code)
-                if name is None:
-                    name = f"t{len(lines)}"
-                    lines.append(f"{pad}{name} = {code}\n")
-                    if reused is not None:
-                        reused[code] = name
-            names[id(node)] = name
+                text = _FORMATS[code].format(names[a], names[b] if code <= _DIV else "")
+            d = 1 + max(depth.get(a, 0), depth.get(b, 0) if code <= _DIV else 0)
+            if inline and reads[i] == 1 and i not in outputs and d <= _INLINE_DEPTH:
+                names[i], depth[i] = f"({text})", d
+                continue
+            if text not in reused:
+                reused[text] = f"t{len(lines)}"
+                lines.append(f"{pad}{reused[text]} = {text}\n")
+            names[i] = reused[text]
         return names
 
-    def nodes(roots: Sequence[Expr]) -> list[Expr]:
-        return sorted(walk(*roots), key=_creation_order)
-
     if shape == "fd":
-        values, slopes, kinks = exprs
+        values, slopes, kinks = roles
         n, at = len(values), (("_a1", "x2"), ("_b1", "x2"), ("x1", "_a2"), ("x1", "_b2"))
         lines.append(f"{pad}_a1, _b1, _a2, _b2 = x1 + _mh, x1 + _h, x2 + _mh, x2 + _h\n{pad}if not "
                      "(-_inf < _a1 < _inf and -_inf < _b1 < _inf and -_inf < _a2 < _inf and -_inf < _b2 < _inf): break\n")
-        sym, value_nodes = emit(nodes(slopes)), nodes(values)
-        lo1, hi1, lo2, hi2 = (emit(value_nodes, *p) for p in at)
+        sym = emit(slopes)
+        lo1, hi1, lo2, hi2 = (emit(values, *p) for p in at)
         if kinks:
             lines.append(f"{pad}_m1, _m2 = x1 + 0.0, x2 + 0.0\n")
-            kink_nodes = nodes(kinks)
-            mid1, mid2 = emit(kink_nodes, "_m1", "x2"), emit(kink_nodes, "x1", "_m2")
+            mid1, mid2 = emit(kinks, "_m1", "x2"), emit(kinks, "x1", "_m2")
             lines += [
                 f"{pad}if not (0.0 < {a} and 0.0 < {b} and 0.0 < {c} or {a} < 0.0 and {b} < 0.0 and {c} < 0.0): break\n"
-                for k in map(id, kinks) for a, b, c in ((lo1[k], mid1[k], hi1[k]), (lo2[k], mid2[k], hi2[k]))
+                for k in kinks for a, b, c in ((lo1[k], mid1[k], hi1[k]), (lo2[k], mid2[k], hi2[k]))
             ]
         # The fold of `numeric._fd_point`, after every node of the point ran.
         lines += [
             f"{pad}_e = abs({s} - ({hi[e]} - {lo[e]}) / _2h) / (1.0 + abs({s}))\n"
             f"{pad}if not _e <= w{i}: w{i} = _e if _e == _e else _inf\n"
-            for i, e in enumerate(map(id, values))
-            for s, lo, hi in ((sym[id(slopes[i])], lo1, hi1), (sym[id(slopes[n + i])], lo2, hi2))
+            for i, e in enumerate(values)
+            for s, lo, hi in ((sym[slopes[i]], lo1, hi1), (sym[slopes[n + i]], lo2, hi2))
         ]
         state = "[" + "".join(f"w{i}, " for i in range(n)) + "]"
         extra, pre = ", _h", "    _mh, _2h = -_h, 2.0 * _h\n"
     else:
-        outs = [names[id(e)] for names in [emit(nodes(exprs))] for e in exprs]
+        outs = [names[i] for names in [emit(roles[0])] for i in roles[0]]
     if shape == "sweep":
         state = "[" + "".join(f"lo{i}, hi{i}, nan{i}, " for i in range(len(outs))) + "]"
         # Only a value outside [lo, hi] can move a bound, -0.0 against 0.0
@@ -530,54 +602,18 @@ def _generate(exprs: Sequence, shape: str) -> Callable:
             for i, o in enumerate(outs)
         ] or [f"{pad}pass\n"]
         extra = pre = ""
-    params = "".join(f", _k{i}" for i in range(len(consts)))
+    params = "".join(f", _k{slot}" for slot in range(words[1]))
     if shape in ("single", "many"):
         result = outs[0] if shape == "single" else "(" + "".join(f"{o}, " for o in outs) + ")"
-        src = f"def _compiled(x1, x2{params}):\n" + "".join(lines) + f"    return {result}\n"
-    else:
-        # The loop sits in one try, and a point's node code runs before any
-        # fold: a raise or a break leaves the state of the points before.
-        src = (
-            f"def _compiled(_points, _state{extra}{params}):\n    {state} = _state\n{pre}"
-            "    try:\n        for x1, x2 in _points:\n" + "".join(lines)
-            + f"        else:\n            return {state}, None\n    except _EVAL_ERRORS:\n        pass\n"
-            f"    return {state}, (x1, x2)\n"
-        )
-    template = _compile_kernel(src)
-    if not consts:
-        return template
-    # The shared template is never mutated: a new function binds the constants.
-    return types.FunctionType(template.__code__, template.__globals__, "_compiled", tuple(consts))
-
-
-@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
-def _compile_kernel(src: str) -> Callable:
-    """The function `_compiled` that `src` defines.  Keyed on the shape
-    alone, the cache holds no expression node and no constant value."""
-    namespace = dict(_CODEGEN_NAMESPACE)
-    exec(compile(src, "<compiled-expr>", "exec"), namespace)
-    # Taken out of its own globals, the function forms no reference cycle.
-    return namespace.pop("_compiled")
-
-
-def _operation(node: Expr, kind: type, names: dict[int, str]) -> str:
-    """The code of the non-leaf `node`, of type `kind`, from the names of the nodes emitted so far."""
-    if kind is Negate:
-        return f"-{names[id(node.arg)]}"
-    if kind is Apply:
-        return f"_fn_{node.fn}({names[id(node.arg)]})"
-    if kind is Pow:
-        base, expo = names[id(node.base)], node.exponent
-        if isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= _INT_POW_MAX:
-            n = int(expo.value)
-            if 1 <= n <= 8:
-                # _int_pow's (1.0*b)*b*... with 1.0*b == b exactly, so bit-identical.
-                return "*".join([base] * n)
-            return f"_int_pow({base}, {n})"
-        return f"_pow_value({base}, {names[id(expo)]})"
-    if kind in _BINARY_OPS:
-        return f"{names[id(node.lhs)]} {_BINARY_OPS[kind]} {names[id(node.rhs)]}"
-    raise TypeError(f"not an expression node: {node!r}")
+        return f"def _compiled(x1, x2{params}):\n" + "".join(lines) + f"    return {result}\n"
+    # The loop sits in one try, and a point's node code runs before any
+    # fold: a raise or a break leaves the state of the points before.
+    return (
+        f"def _compiled(_points, _state{extra}{params}):\n    {state} = _state\n{pre}"
+        "    try:\n        for x1, x2 in _points:\n" + "".join(lines)
+        + f"        else:\n            return {state}, None\n    except _EVAL_ERRORS:\n        pass\n"
+        f"    return {state}, (x1, x2)\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -777,19 +813,18 @@ def _is_one(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def walk(*roots: Expr) -> Iterator[Expr]:
+def walk(*roots: Expr) -> list[Expr]:
     """Each distinct node of the DAG under `roots` once, parents before
     children: the preorder of each root's tree in turn, skipping nodes
     already visited (under an earlier root too)."""
-    seen = set()
-    stack = list(reversed(roots))
+    seen, order, stack = set(), [], list(reversed(roots))
     while stack:
         node = stack.pop()
-        key = id(node)
-        if key not in seen:
-            seen.add(key)
-            yield node
-            stack.extend(node.children()[::-1])
+        if id(node) not in seen:
+            seen.add(id(node))
+            order.append(node)
+            stack += node.children()[::-1]
+    return order
 
 
 def variables_of(e: Expr) -> set[Var]:
@@ -862,7 +897,7 @@ def _finiteness_folds(e: Expr) -> list[Expr]:
     exp(-inf) = 0, sign(nan) = -1).  Variables (Domain keeps coordinates
     finite) and finite constants are never folds."""
     finite, folds = {id(e)}, []
-    for node in sorted(walk(e), key=_creation_order, reverse=True):
+    for node in reversed(_nodes([e])):
         if id(node) not in finite:
             if isinstance(node, Variable) or isinstance(node, Constant) and math.isfinite(node.value):
                 continue
@@ -900,7 +935,7 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
 
     points = sample_points(d, cfg, guards=denominators(e))
     # The value of every node, that of `e` first.
-    nodes = list(walk(e))
+    nodes = walk(e)
     fn = compile_many(nodes)
     tol, enough = cfg.tolerance, _enough(cfg.samples)
     folds = _finiteness_folds(e)
@@ -1100,8 +1135,10 @@ def to_string(e: Expr) -> str:
     and its text dropped once its last parent has read it, so a long
     chain never holds the texts of all its prefixes.
     """
-    nodes = list(walk(e))
-    uses = collections.Counter(id(child) for node in nodes for child in node.children())
+    nodes = _nodes([e])
+    uses: dict[int, int] = {}
+    for child in [child for node in nodes for child in node.children()]:
+        uses[id(child)] = uses.get(id(child), 0) + 1
     texts: dict[int, tuple[int, str]] = {}
 
     def operand(child: Expr, min_prec: int) -> str:
@@ -1112,7 +1149,7 @@ def to_string(e: Expr) -> str:
             del texts[key]
         return f"({s})" if prec < min_prec else s
 
-    for node in sorted(nodes, key=_creation_order):
+    for node in nodes:
         kind = type(node)
         if kind is Constant:
             text = (_ATOM_PREC if node.value >= 0 else _UNARY_PREC, _format_number(node.value))

@@ -5,6 +5,7 @@ elimination, and kernels that leave nothing for the cycle collector."""
 
 from __future__ import annotations
 
+import dis
 import gc
 import math
 import random
@@ -137,11 +138,16 @@ def test_structurally_equal_subtrees_compile_once():
     e = Add(block(), Mul(block(), block()))
     fn = compile_expr(e)
     # Distinct non-leaf shapes: sin(x1), x2 + 1, their product, the
-    # product of two blocks, and the root sum.  The arguments are x1, x2
-    # and the one constant.
+    # product of two blocks, and the root sum: one call and four binary
+    # operations.  The arguments are x1, x2 and the one constant; the
+    # block, read three times, and the root get locals, and the
+    # operations read once are inlined.
     code = fn.__code__
+    instructions = list(dis.get_instructions(code))
+    assert [i.argval for i in instructions if i.opname == "LOAD_GLOBAL"] == ["_fn_sin"]
+    assert sum(i.opname.startswith("BINARY_") for i in instructions) == 4
     assert code.co_argcount == 3
-    assert code.co_nlocals - code.co_argcount == 5
+    assert code.co_nlocals - code.co_argcount == 2
     p = (0.3, -0.7)
     assert fn(*p) == evaluate(e, p)
 

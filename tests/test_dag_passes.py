@@ -134,20 +134,41 @@ def _per_root_source(exprs: list[Expr], single: bool) -> str:
     nodes: dict[int, Expr] = {}
     for e in exprs:
         nodes.update((id(n), n) for n in walk(e))
-    consts, lines, names = 0, [], {}
-    for node in sorted(nodes.values(), key=lambda n: n._serial):
+    order = sorted(nodes.values(), key=lambda n: n._serial)
+    # How many operands of the code read each node: a power spelled out
+    # as b*b*b reads its base three times.
+    reads: dict[int, int] = {}
+    for node in order:
+        kids = node.children()
+        if isinstance(node, Pow) and _spelled_out(node.exponent):
+            n = int(node.exponent.value)
+            kids = [node.base] * (n if 1 <= n <= 8 else 1)
+        for k in kids:
+            reads[id(k)] = reads.get(id(k), 0) + 1
+    outputs = {id(e) for e in exprs}
+    consts, lines, names, depth = 0, [], {}, {}
+    for node in order:
         if isinstance(node, Constant):
             name = f"_k{consts}"
             consts += 1
         elif isinstance(node, Variable):
             name = node.var.value
         else:
-            name = f"t{len(lines)}"
-            lines.append(f"    {name} = {_per_root_operation(node, [names[id(c)] for c in node.children()])}\n")
+            text = _per_root_operation(node, [names[id(c)] for c in node.children()])
+            d = 1 + max(depth.get(id(c), 0) for c in node.children())
+            if id(node) not in outputs and reads[id(node)] == 1 and d <= expr._INLINE_DEPTH:
+                name, depth[id(node)] = f"({text})", d
+            else:
+                name = f"t{len(lines)}"
+                lines.append(f"    {name} = {text}\n")
         names[id(node)] = name
     result = names[id(exprs[0])] if single else "(" + "".join(f"{names[id(e)]}, " for e in exprs) + ")"
     params = "".join(f", _k{i}" for i in range(consts))
     return f"def _compiled(x1, x2{params}):\n" + "".join(lines) + f"    return {result}\n"
+
+
+def _spelled_out(expo: Expr) -> bool:
+    return isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= expr._INT_POW_MAX
 
 
 def _per_root_operation(node: Expr, args: list[str]) -> str:
@@ -156,9 +177,8 @@ def _per_root_operation(node: Expr, args: list[str]) -> str:
     if isinstance(node, Apply):
         return f"_fn_{node.fn}({args[0]})"
     if isinstance(node, Pow):
-        expo = node.exponent
-        if isinstance(expo, Constant) and expo.value.is_integer() and abs(expo.value) <= expr._INT_POW_MAX:
-            n = int(expo.value)
+        if _spelled_out(node.exponent):
+            n = int(node.exponent.value)
             return "*".join([args[0]] * n) if 1 <= n <= 8 else f"_int_pow({args[0]}, {n})"
         return f"_pow_value({args[0]}, {args[1]})"
     return f"{args[0]} {({Add: '+', Sub: '-', Mul: '*', Div: '/'})[type(node)]} {args[1]}"
@@ -173,12 +193,13 @@ def _per_root_guards(guards: list[Expr], exprs: list[Expr]) -> list[Expr]:
 
 def test_kernel_source_and_guards_match_the_per_root_composition(monkeypatch):
     sources = []
-    original = expr._compile_kernel
-    monkeypatch.setattr(expr, "_compile_kernel", lambda src: sources.append(src) or original(src))
+    original = expr._emit
+    monkeypatch.setattr(expr, "_emit", lambda key: sources.append(original(key)) or sources[-1])
     rng = random.Random(2026)
     for _ in range(60):
         roots = _random_group(rng)
         sources.clear()
+        expr._template.cache_clear()
         compile_many(roots)
         compile_expr(roots[-2])
         assert sources == [_per_root_source(roots, False), _per_root_source([roots[-2]], True)]

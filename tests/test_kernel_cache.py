@@ -1,8 +1,9 @@
-"""The process-wide kernel cache behind compile_expr and compile_many:
-one compiled kernel per distinct shape, with every constant bound as a
-parameter, so a parameter sweep compiles once; exact on signed zeros
-and non-finite constants, bounded, holding no expression node, and safe
-under racing threads."""
+"""The process-wide kernel cache behind the compiled kernels: keyed on
+the shape of the DAG, one compiled kernel per distinct shape, with every
+constant bound as a parameter, so a parameter sweep emits and compiles
+once; exact on sharing, exponents, signed zeros and non-finite
+constants, bounded, holding no expression node, and safe under racing
+threads."""
 
 from __future__ import annotations
 
@@ -22,18 +23,22 @@ from ricciplane.expr import (
     Add,
     Apply,
     Constant,
+    Domain,
     EvaluationError,
     Expr,
     Mul,
     Pow,
+    Sub,
     X1,
+    X2,
     compile_expr,
     compile_many,
     parse,
     walk,
 )
+from ricciplane.numeric import SamplingConfig, fd_validate
 
-from conftest import CORPUS, evaluate, random_smooth_tree
+from conftest import CORPUS, evaluate, random_smooth_tree, reference_fd_validate
 
 
 def _bits(value: float) -> int:
@@ -53,7 +58,7 @@ def _counting_compile(monkeypatch) -> list:
 
 
 def test_second_identical_job_compiles_nothing(monkeypatch, capsys):
-    expr._compile_kernel.cache_clear()
+    expr._template.cache_clear()
     compiled = _counting_compile(monkeypatch)
     argv = ["oracle", "--spec", str(CORPUS / "ex03_cosh_metric.json")]
     assert cli.main(argv) == 0
@@ -66,7 +71,7 @@ def test_second_identical_job_compiles_nothing(monkeypatch, capsys):
 
 
 def test_signed_zeros_and_non_finite_constants_are_separate_kernels():
-    expr._compile_kernel.cache_clear()
+    expr._template.cache_clear()
     p = (1.5, -0.25)
     seen = set()
     for value in (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan):
@@ -81,20 +86,20 @@ def test_signed_zeros_and_non_finite_constants_are_separate_kernels():
         del e
     assert len(seen) == 6
     # Two shapes: x1*k + k, and a lone constant.
-    assert expr._compile_kernel.cache_info().currsize == 2
+    assert expr._template.cache_info().currsize == 2
 
 
 def test_cache_stays_within_its_bound():
-    expr._compile_kernel.cache_clear()
+    expr._template.cache_clear()
     bound = expr._KERNEL_CACHE_SIZE
     for n in range(9, bound + 19):
         # Each exponent is its own shape: above 8 it is spelled out in
         # an _int_pow call, whatever the constants.
         e = Pow(X1, Constant(float(n)))
         assert compile_expr(e)(-1.0, 0.0) == (-1.0) ** n
-        assert expr._compile_kernel.cache_info().currsize <= bound
-    assert expr._compile_kernel.cache_info().currsize == bound
-    assert expr._compile_kernel.cache_info().maxsize == bound
+        assert expr._template.cache_info().currsize <= bound
+    assert expr._template.cache_info().currsize == bound
+    assert expr._template.cache_info().maxsize == bound
 
 
 def test_cache_keeps_no_node_alive(monkeypatch):
@@ -133,7 +138,7 @@ def test_threads_racing_on_the_kernel_cache():
                 got = None
             out.append(got == expected)
 
-    expr._compile_kernel.cache_clear()
+    expr._template.cache_clear()
     results = [[] for _ in range(6)]
     # Overlapping seeds: threads share some sources and evict each other's.
     threads = [threading.Thread(target=work, args=(i // 2, out)) for i, out in enumerate(results)]
@@ -148,7 +153,7 @@ def test_threads_racing_on_the_kernel_cache():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [[True] * 60] * len(results)
-    assert expr._compile_kernel.cache_info().currsize <= expr._KERNEL_CACHE_SIZE
+    assert expr._template.cache_info().currsize <= expr._KERNEL_CACHE_SIZE
 
 
 # Two members of each family sweep: the same f2 shape and kind, other
@@ -181,13 +186,13 @@ def _sweep_member(tmp_path, capsys, name: str, family: dict) -> list:
 def test_parameter_sweep_compiles_nothing_after_its_first_member(tmp_path, monkeypatch, capsys):
     compiled = _counting_compile(monkeypatch)
     for i, (first, second) in enumerate(SWEEPS):
-        expr._compile_kernel.cache_clear()
+        expr._template.cache_clear()
         assert [code for code, _ in _sweep_member(tmp_path, capsys, f"a{i}", first)] == [0, 0]
         assert compiled != []
         compiled.clear()
         warm = _sweep_member(tmp_path, capsys, f"b{i}", second)
         assert compiled == []
-        expr._compile_kernel.cache_clear()
+        expr._template.cache_clear()
         assert _sweep_member(tmp_path, capsys, f"b{i}", second) == warm
 
 
@@ -240,7 +245,7 @@ def test_bound_constants_stay_bit_exact_when_they_share_a_shape():
             return rng.choice(SPECIAL_CONSTANTS)
         return math.ldexp(rng.uniform(-1.0, 1.0), rng.randrange(-1074, 1024))
 
-    expr._compile_kernel.cache_clear()
+    expr._template.cache_clear()
     shapes, kernels = set(), 0
     for _ in range(25):
         base = random_smooth_tree(rng, depth=4)
@@ -259,4 +264,127 @@ def test_bound_constants_stay_bit_exact_when_they_share_a_shape():
                 except EVAL_ERRORS:
                     got = None
                 assert got == expected, (expr.to_string(e), p)
-    assert expr._compile_kernel.cache_info().currsize == len(shapes) < kernels
+    assert expr._template.cache_info().currsize == len(shapes) < kernels
+
+
+def _emits(monkeypatch) -> list:
+    """Records the key of every kernel source emitted: one per cache miss."""
+    emitted = []
+    original = expr._emit
+    monkeypatch.setattr(expr, "_emit", lambda key: emitted.append(key) or original(key))
+    return emitted
+
+
+def _walked(e: Expr, p) -> int | None:
+    try:
+        return _bits(evaluate(e, p))
+    except EvaluationError:
+        return None
+
+
+def _assert_walker_bits(fn, e: Expr, points) -> None:
+    for p in points:
+        try:
+            got = _bits(fn(*p))
+        except EVAL_ERRORS:
+            got = None
+        assert got == _walked(e, p), (expr.to_string(e), p)
+
+
+POINTS = [(x1, x2) for x1 in (-1.5, -1.0, -0.0, 0.0, 0.75, 2.0) for x2 in (-1.0, 0.5, 1.0)]
+
+
+def test_same_tree_shape_with_other_sharing_is_another_kernel(monkeypatch):
+    expr._template.cache_clear()
+    emitted = _emits(monkeypatch)
+    # a != b: two products and two exponentials; a == b: one of each,
+    # read twice.  The trees have one shape, the DAGs two.
+    apart, shared = parse("exp(1.0625*x1)*exp(0.5078125*x1)"), parse("exp(1.0625*x1)*exp(1.0625*x1)")
+    assert shared.lhs is shared.rhs and apart.lhs is not apart.rhs
+    kernels = [compile_expr(e) for e in (apart, shared)]
+    assert len(emitted) == 2 and kernels[0].__code__ is not kernels[1].__code__
+    for fn, e in zip(kernels, (apart, shared)):
+        _assert_walker_bits(fn, e, POINTS)
+    # Other constants with either sharing take that sharing's kernel.
+    for e, fn in ((parse("exp(2.0625*x1)*exp(0.3828125*x1)"), kernels[0]), (parse("exp(2.0625*x1)*exp(2.0625*x1)"), kernels[1])):
+        again = compile_expr(e)
+        assert again.__code__ is fn.__code__
+        _assert_walker_bits(again, e, POINTS)
+    assert len(emitted) == 2
+
+
+def test_each_spelled_out_exponent_is_its_own_kernel(monkeypatch):
+    expr._template.cache_clear()
+    emitted = _emits(monkeypatch)
+    base = Sub(X1, Constant(0.3125))
+    kernels = {n: compile_expr(Pow(base, Constant(n))) for n in (2.0, 3.0, 9.0, 2.5)}
+    assert len(emitted) == 4 and len({fn.__code__ for fn in kernels.values()}) == 4
+    assert [("_int_pow" in fn.__code__.co_names, "_pow_value" in fn.__code__.co_names) for fn in kernels.values()] == [
+        (False, False), (False, False), (True, False), (False, True)
+    ]
+    for n, fn in kernels.items():
+        # Negative bases: the integer powers are defined, 2.5 raises.
+        _assert_walker_bits(fn, Pow(base, Constant(n)), POINTS)
+    # Another non-integer exponent is a constant like any other: same kernel.
+    assert compile_expr(Pow(base, Constant(0.75))).__code__ is kernels[2.5].__code__
+    # An exponent that is also a factor stays one slot, bound to its bits.
+    e = Mul(Constant(9.0), Pow(base, Constant(9.0)))
+    _assert_walker_bits(compile_expr(e), e, POINTS)
+    assert len(emitted) == 5
+
+
+def test_signed_zero_and_nan_slots_keep_their_bits(monkeypatch):
+    expr._template.cache_clear()
+    emitted = _emits(monkeypatch)
+    # Two zero constants are two slots; one zero read twice is one.
+    # At x1 < 0 < x2, -0.0 + -0.0 is -0.0 and -0.0 + 0.0 is 0.0.
+    two = Add(Mul(X1, Constant(0.0)), Mul(X2, Constant(-0.0)))
+    one = Add(Mul(X1, Constant(0.0)), Mul(X2, Constant(0.0)))
+    kernels = [compile_expr(e) for e in (two, one)]
+    assert len(emitted) == 2
+    assert [_bits(fn(-1.0, 1.0)) for fn in kernels] == [_bits(-0.0), _bits(0.0)]
+    for fn, e in zip(kernels, (two, one)):
+        _assert_walker_bits(fn, e, POINTS)
+    for nan in (math.nan, -math.nan):
+        # A NaN slot next to the infinities' slots carries the bits of its node.
+        e = Add(Mul(Add(X1, Constant(math.inf)), Constant(nan)), Sub(X2, Constant(-math.inf)))
+        fn = compile_many([e, e.lhs, e.rhs])
+        for p in POINTS:
+            assert [_bits(v) for v in fn(*p)] == [_walked(n, p) for n in (e, e.lhs, e.rhs)]
+        del e
+    assert len(emitted) == 3
+
+
+def test_fd_kernel_over_lists_that_share_constants(monkeypatch):
+    # One constant node read by a value, by both of its slopes and by a
+    # kink argument: one slot in the fd kernel.  TWO outlives both jobs,
+    # so each job's constants come in the same creation order.
+    two = Constant(2.0)
+    d, cfg = Domain((0.25, 1.25), (-1.0, 1.0)), SamplingConfig(samples=300, seed=8)
+
+    def job(c: float) -> list:
+        k = Constant(c)
+        return [
+            Add(Mul(k, Pow(X1, two)), Apply("abs", Sub(X2, k))),
+            Mul(Apply("sin", Mul(k, X2)), Add(k, X1)),
+            Apply("exp", Mul(k, Mul(X1, X2))),
+        ]
+
+    expr._template.cache_clear()
+    first = job(0.1171875)
+    assert fd_validate(first, d, cfg) == reference_fd_validate(first, d, cfg)
+    emitted = _emits(monkeypatch)
+    second = job(0.4140625)
+    assert fd_validate(second, d, cfg) == reference_fd_validate(second, d, cfg)
+    assert emitted == []
+
+
+def test_second_family_draw_emits_no_source(tmp_path, monkeypatch, capsys):
+    emitted = _emits(monkeypatch)
+    for i, (first, second) in enumerate(SWEEPS):
+        expr._template.cache_clear()
+        assert [code for code, _ in _sweep_member(tmp_path, capsys, f"a{i}", first)] == [0, 0]
+        assert emitted != []
+        emitted.clear()
+        assert [code for code, _ in _sweep_member(tmp_path, capsys, f"b{i}", second)] == [0, 0]
+        assert emitted == []
