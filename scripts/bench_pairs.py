@@ -78,7 +78,7 @@ def main(argv=None) -> int:
         "python": sys.version,
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "sides": {
-            name: {"path": str(path), "commit": _git(path, "rev-parse", "HEAD"), "dirty": bool(_git(path, "status", "--porcelain"))}
+            name: {"commit": _git(path, "rev-parse", "HEAD"), "dirty": bool(_git(path, "status", "--porcelain"))}
             for name, path in sides.items()
         },
         "workloads": {},
