@@ -357,7 +357,7 @@ def test_signed_zero_and_nan_slots_keep_their_bits(monkeypatch):
 
 def test_fd_kernel_over_lists_that_share_constants(monkeypatch):
     # One constant node read by a value, by both of its slopes and by a
-    # kink argument: one slot in the fd kernel.  TWO outlives both jobs,
+    # kink argument: one slot in the fd kernel.  `two` outlives both jobs,
     # so each job's constants come in the same creation order.
     two = Constant(2.0)
     d, cfg = Domain((0.25, 1.25), (-1.0, 1.0)), SamplingConfig(samples=300, seed=8)
