@@ -1,7 +1,8 @@
 """Kernels inline each operation that one operand reads, up to a nesting
 cap: deep sums and long single-use chains still compile, and every
 value, sweep state and returned point stays bit-identical to the tree
-walker, NaN, signed zeros, infinities and raising points included."""
+walker (a NaN as NaN), signed zeros, infinities and raising points
+included."""
 
 from __future__ import annotations
 
@@ -36,12 +37,16 @@ from ricciplane.expr import (
 from conftest import evaluate
 
 
-def _bits(v: float) -> int:
-    # The IEEE bits tell NaN signs and -0.0 apart.
-    return struct.unpack("<Q", struct.pack("<d", v))[0]
+def _bits(v: float) -> int | str:
+    """The IEEE bits of `v`, which tell -0.0 from 0.0; every NaN is one
+    value.  Where both operands of + or * are NaN, CPython's specialised
+    float instructions return the first one's NaN and its generic float
+    operations the second one's, so the sign of such a NaN depends on
+    how often the code ran, not on the tree."""
+    return "nan" if v != v else struct.unpack("<Q", struct.pack("<d", v))[0]
 
 
-def _walker_row(roots: list[Expr], p) -> list[int] | None:
+def _walker_row(roots: list[Expr], p) -> list | None:
     """The bits of each root's value at `p` by the tree walker, or None
     where any root is undefined."""
     try:
@@ -65,7 +70,7 @@ def _walker_sweep(roots: list[Expr], points: list) -> tuple[list, tuple | None]:
     return state, None
 
 
-def _kernel_row(fn, p, single: bool = False) -> list[int] | None:
+def _kernel_row(fn, p, single: bool = False) -> list | None:
     try:
         return [_bits(fn(*p))] if single else [_bits(v) for v in fn(*p)]
     except EVAL_ERRORS:
