@@ -1,11 +1,12 @@
 """Interleaved before/after pairs of the benchmark, run in two checkouts.
 
     python3 scripts/bench_pairs.py --base ../before --head . --name kernel_shapes \\
-        --pairs dense=10 --pairs corpus=5 --pairs family=5 --seconds 10 --seed 500
+        --pairs dense=10 --pairs corpus=10 --pairs family=10 --seed 500
 
 Pair k of a workload runs `bench/run.py --workload W --seed SEED+k
---seconds T --trace 0` once in each checkout, each run a subprocess of
-this interpreter in its checkout directory; the base side goes first in
+--seconds T --trace 0` once in each checkout, T being the `run_seconds`
+of the head checkout's BENCHMARK.json, each run a subprocess of this
+interpreter in its checkout directory; the base side goes first in
 even pairs and the head side in odd ones.  The file BENCH_<name>.json
 (in --out-dir) records every run's last-line JSON with its seed and
 seconds, each side's `git rev-parse HEAD` and whether its tree differs
@@ -67,13 +68,13 @@ def main(argv=None) -> int:
     parser.add_argument("--head", type=Path, required=True, help="checkout of the code after the change")
     parser.add_argument("--name", required=True, help="the file written is BENCH_<name>.json")
     parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N", help="N pairs of WORKLOAD")
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=500, help="pair k runs at seed SEED+k")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
     sides = {"base": args.base.resolve(), "head": args.head.resolve()}
     spec = json.loads((sides["head"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    seconds = spec["run_seconds"]
     record = {
         "python": sys.version,
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
             order = ("base", "head") if k % 2 == 0 else ("head", "base")
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = _run(sides[side], workload, args.seed + k, args.seconds)
+                pair[side] = _run(sides[side], workload, args.seed + k, seconds)
                 correct = correct and pair[side]["result"].get("correct") is True
             pairs.append(pair)
             print(workload, k, {s: pair[s]["result"]["metrics"] for s in ("base", "head")}, file=sys.stderr)

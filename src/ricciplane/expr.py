@@ -526,11 +526,12 @@ def _emit(key: bytes) -> str:
     """The source of the kernel shape `key`.  Each operation is emitted
     once per copy of the node code, in creation order.  One that is no
     output and is read by one operand of the code is inlined there, in
-    parentheses, up to `_INLINE_DEPTH` deep; any other gets one local.
-    Operands stay the same, so values keep their bits, and a point's node
-    code all runs before any fold, so a raise in it is a raise of the
-    point.  An fd kernel inlines nothing; a later copy reuses the local
-    of the same code."""
+    parentheses, up to `_INLINE_DEPTH` deep; any other gets one local,
+    shared by every operation whose code reads the same (`Pow(t, 0.0)`
+    and `Pow(t, -0.0)`, or in fd a later copy of a node).  Operands stay
+    the same, so values keep their bits, and a point's node code all runs
+    before any fold, so a raise in it is a raise of the point.  An fd
+    kernel inlines nothing."""
     words = array.array("i", key).tolist()
     shape = _SHAPES[words[0]]
     bounds = list(itertools.accumulate(words[2 : 5 if shape == "fd" else 3], initial=5 if shape == "fd" else 3))

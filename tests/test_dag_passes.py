@@ -7,6 +7,7 @@ it reads."""
 from __future__ import annotations
 
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -41,7 +42,7 @@ from ricciplane.identities import _curvature_identity_residuals
 from ricciplane.numeric import SamplingConfig, merge_guards
 from ricciplane.riccifield import FrameField, covariant_matrix, covariant_row
 
-from conftest import PASSING_CORPUS, draw_constructed, load_corpus_pair, random_smooth_tree
+from conftest import PASSING_CORPUS, draw_constructed, evaluate, load_corpus_pair, random_smooth_tree
 
 
 @pytest.fixture
@@ -146,7 +147,8 @@ def _per_root_source(exprs: list[Expr], single: bool) -> str:
         for k in kids:
             reads[id(k)] = reads.get(id(k), 0) + 1
     outputs = {id(e) for e in exprs}
-    consts, lines, names, depth = 0, [], {}, {}
+    # Operations whose code reads the same (`Pow(t, 0.0)`, `Pow(t, -0.0)`) share one local.
+    consts, lines, names, depth, reused = 0, [], {}, {}, {}
     for node in order:
         if isinstance(node, Constant):
             name = f"_k{consts}"
@@ -159,8 +161,10 @@ def _per_root_source(exprs: list[Expr], single: bool) -> str:
             if id(node) not in outputs and reads[id(node)] == 1 and d <= expr._INLINE_DEPTH:
                 name, depth[id(node)] = f"({text})", d
             else:
-                name = f"t{len(lines)}"
-                lines.append(f"    {name} = {text}\n")
+                if text not in reused:
+                    reused[text] = f"t{len(lines)}"
+                    lines.append(f"    {reused[text]} = {text}\n")
+                name = reused[text]
         names[id(node)] = name
     result = names[id(exprs[0])] if single else "(" + "".join(f"{names[id(e)]}, " for e in exprs) + ")"
     params = "".join(f", _k{i}" for i in range(consts))
@@ -207,6 +211,24 @@ def test_kernel_source_and_guards_match_the_per_root_composition(monkeypatch):
         assert [id(g) for g in merge_guards(guards, roots)] == [id(g) for g in _per_root_guards(guards, roots)]
         flat = [g for r in roots for g in denominators(r)]
         assert [id(g) for g in denominators(*roots)] == [id(g) for g in dict.fromkeys(flat)]
+
+
+def test_outputs_with_the_same_code_share_one_local(monkeypatch):
+    # t^2 is spelled t0*t0 and t*t is t0 * t0: two locals.  The powers to
+    # 0.0 and -0.0 are distinct nodes whose code is the same: one local.
+    sources = []
+    original = expr._emit
+    monkeypatch.setattr(expr, "_emit", lambda key: sources.append(original(key)) or sources[-1])
+    t = Apply("sin", X1)
+    roots = [Pow(t, Constant(2.0)), Mul(t, t), Pow(t, Constant(0.0)), Pow(t, Constant(-0.0))]
+    assert roots[2] is not roots[3]
+    expr._template.cache_clear()
+    kernel = compile_many(roots)
+    assert sources == [_per_root_source(roots, False)]
+    assert "    t1 = t0*t0\n    t2 = t0 * t0\n    t3 = _int_pow(t0, 0)\n    return (t1, t2, t3, t3, )\n" in sources[0]
+    for p in [(0.5, 0.3), (-1.25, 0.0), (3.0, 2.0)]:
+        got = kernel(*p)
+        assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", evaluate(r, p)) for r in roots]
 
 
 # The recursive printer `to_string` replaces, kept as a reference.

@@ -184,14 +184,15 @@ def _sweep_member(tmp_path, capsys, name: str, family: dict) -> list:
 
 
 def test_parameter_sweep_compiles_nothing_after_its_first_member(tmp_path, monkeypatch, capsys):
-    compiled = _counting_compile(monkeypatch)
+    compiled, emitted = _counting_compile(monkeypatch), _emits(monkeypatch)
     for i, (first, second) in enumerate(SWEEPS):
         expr._template.cache_clear()
         assert [code for code, _ in _sweep_member(tmp_path, capsys, f"a{i}", first)] == [0, 0]
-        assert compiled != []
+        assert compiled != [] and emitted != []
         compiled.clear()
+        emitted.clear()
         warm = _sweep_member(tmp_path, capsys, f"b{i}", second)
-        assert compiled == []
+        assert compiled == [] and emitted == []
         expr._template.cache_clear()
         assert _sweep_member(tmp_path, capsys, f"b{i}", second) == warm
 
@@ -378,13 +379,3 @@ def test_fd_kernel_over_lists_that_share_constants(monkeypatch):
     assert fd_validate(second, d, cfg) == reference_fd_validate(second, d, cfg)
     assert emitted == []
 
-
-def test_second_family_draw_emits_no_source(tmp_path, monkeypatch, capsys):
-    emitted = _emits(monkeypatch)
-    for i, (first, second) in enumerate(SWEEPS):
-        expr._template.cache_clear()
-        assert [code for code, _ in _sweep_member(tmp_path, capsys, f"a{i}", first)] == [0, 0]
-        assert emitted != []
-        emitted.clear()
-        assert [code for code, _ in _sweep_member(tmp_path, capsys, f"b{i}", second)] == [0, 0]
-        assert emitted == []
