@@ -70,11 +70,11 @@ EVAL_ERRORS = (EvaluationError, ZeroDivisionError, ValueError, OverflowError)
 
 
 # The intern table: one live node per structure.  Keys are the node
-# class and the id() of each child (a node holds its children, so their
-# ids stay valid while its entry exists); a Constant is keyed on the
-# bits of its float, so -0.0 and 0.0 stay distinct and every NaN maps to
-# one node.  An entry dies with its node: the weakref's callback is a
-# functools.partial of the table's pop, so no Python code runs.
+# class and its children themselves (nodes compare by identity); a
+# Constant is keyed on the bits of its float, so -0.0 and 0.0 stay
+# distinct and every NaN maps to one node.  An entry dies with its node:
+# the weakref's callback is a functools.partial of the table's pop, so
+# no Python code runs.
 _INTERNED: dict[tuple, weakref.ref] = {}
 _forget = _INTERNED.pop
 _next_serial = itertools.count().__next__
@@ -86,13 +86,15 @@ def _live(key: tuple) -> "Expr | None":
     return None if ref is None else ref()
 
 
-def _interned(node: "Expr", key: tuple, structural_hash: int) -> "Expr":
-    """Finish a new node (its fields already set) and enter it in the table."""
-    node._hash = structural_hash
+def _interned(node: "Expr", key: tuple) -> "Expr":
+    """Finish a new node (its fields already set) and enter it in the
+    table; the node a racing thread entered first wins.  A losing `ref`
+    dies before its node, which the caller holds, so its callback never
+    runs."""
     node._serial = _next_serial()
     node._simplified = node._dx1 = node._dx2 = node._origin = None
-    _INTERNED[key] = weakref.ref(node, functools.partial(_forget, key))
-    return node
+    ref = weakref.ref(node, functools.partial(_forget, key))
+    return _INTERNED.setdefault(key, ref)() or node
 
 
 class Expr:
@@ -100,12 +102,10 @@ class Expr:
 
     Nodes are hash-consed: constructing a node returns the live node of
     that structure when there is one, so equal trees share their
-    subtrees and a tree is a DAG of distinct nodes.  Fields are plain
-    slots and must never be assigned after construction: every tree
-    that shares a node would change with it.  Equality and
-    hashing stay structural (Constant(-0.0) == Constant(0.0), although
-    the two are distinct nodes); the structural hash is computed once,
-    when the node is built.
+    subtrees, a tree is a DAG of distinct nodes, and two nodes are the
+    same tree iff they are one object.  Nodes compare and hash by
+    identity.  Fields are plain slots and must never be assigned after
+    construction: every tree that shares a node would change with it.
 
     Each node also carries the memos of `simplify` and `differentiate`.
     A memo refers to its result weakly; a result built after its source
@@ -115,23 +115,13 @@ class Expr:
     cycles and die with the last tree that uses them.
 
     Thread safety: the table and the memos take no lock.  Two threads
-    racing to build the same new node can each create one, so a racing
-    insert can only yield two equal objects; a racing memo write stores
-    the same pure result twice.
+    racing to build the same new node can each create one, but one
+    `dict.setdefault` enters the first and both get it; a racing memo
+    write stores the same pure result twice.
     """
 
-    __slots__ = ("_hash", "_serial", "_simplified", "_dx1", "_dx2", "_origin", "__weakref__")
+    __slots__ = ("_serial", "_simplified", "_dx1", "_dx2", "_origin", "__weakref__")
     __match_args__: tuple[str, ...] = ()
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self._fields() == other._fields()
 
     def __repr__(self):
         args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields()))
@@ -191,7 +181,7 @@ class Constant(Expr):
             return node
         node = object.__new__(cls)
         node.value = value
-        return _interned(node, key, hash(value))
+        return _interned(node, key)
 
 
 class Variable(Expr):
@@ -204,7 +194,7 @@ class Variable(Expr):
             return node
         node = object.__new__(cls)
         node.var = var
-        return _interned(node, key, hash(key))
+        return _interned(node, key)
 
 
 class Negate(Expr):
@@ -212,12 +202,12 @@ class Negate(Expr):
     __match_args__ = ("arg",)
 
     def __new__(cls, arg: Expr):
-        key = (cls, id(arg))
+        key = (cls, arg)
         if (node := _live(key)) is not None:
             return node
         node = object.__new__(cls)
         node.arg = arg
-        return _interned(node, key, hash((cls, arg._hash)))
+        return _interned(node, key)
 
     def children(self):
         return (self.arg,)
@@ -230,13 +220,13 @@ class _Binary(Expr):
     __match_args__ = ("lhs", "rhs")
 
     def __new__(cls, lhs: Expr, rhs: Expr):
-        key = (cls, id(lhs), id(rhs))
+        key = (cls, lhs, rhs)
         if (node := _live(key)) is not None:
             return node
         node = object.__new__(cls)
         node.lhs = lhs
         node.rhs = rhs
-        return _interned(node, key, hash((cls, lhs._hash, rhs._hash)))
+        return _interned(node, key)
 
     def children(self):
         return (self.lhs, self.rhs)
@@ -274,7 +264,7 @@ class Apply(Expr):
     __match_args__ = ("fn", "arg")
 
     def __new__(cls, fn: str, arg: Expr):
-        key = (cls, fn, id(arg))
+        key = (cls, fn, arg)
         if (node := _live(key)) is not None:
             return node
         if fn not in FUNCTIONS:
@@ -282,7 +272,7 @@ class Apply(Expr):
         node = object.__new__(cls)
         node.fn = fn
         node.arg = arg
-        return _interned(node, key, hash((cls, fn, arg._hash)))
+        return _interned(node, key)
 
     def children(self):
         return (self.arg,)
@@ -322,11 +312,13 @@ _INT_POW_MAX = 1024
 def _int_pow(base: float, n: int) -> float:
     """Repeated-multiplication power for integer exponents.  Beyond
     _INT_POW_MAX, math.pow, with an overflow read as the infinity that
-    repeated multiplication would reach."""
+    repeated multiplication would reach.  A negative power is 1.0 over
+    the positive one, a signed infinity where that underflows to 0."""
     if n < 0:
         if base == 0.0:
             raise EvaluationError("zero raised to a negative power")
-        return 1.0 / _int_pow(base, -n)
+        p = _int_pow(base, -n)
+        return 1.0 / p if p else math.copysign(math.inf, p)
     if n > _INT_POW_MAX:
         try:
             return math.pow(base, n)
@@ -395,8 +387,9 @@ def compile_expr(e: Expr) -> Callable[[float, float], float]:
 
     The generated code computes each node once, after its children, so
     the same tree at the same point always gives the bit-identical
-    float.  Undefined points surface as one of EVAL_ERRORS without node
-    diagnostics.
+    float, but for the sign and payload of a NaN (CPython's float
+    operations on two NaNs pick either).  Undefined points surface as
+    one of EVAL_ERRORS without node diagnostics.
     """
     return _generate([e], "single")
 
@@ -404,7 +397,8 @@ def compile_expr(e: Expr) -> Callable[[float, float], float]:
 def compile_many(exprs: Sequence[Expr]) -> Callable[[float, float], tuple[float, ...]]:
     """Compile `exprs` to one callable `(x1, x2) -> tuple` of their
     values, in order.  Subtrees the expressions share are computed once;
-    each value is bit-identical to `compile_expr` of that expression.
+    each value is bit-identical to `compile_expr` of that expression, a
+    NaN's sign and payload aside.
     The call raises one of EVAL_ERRORS when any expression is undefined."""
     return _generate(exprs, "many")
 
@@ -466,12 +460,12 @@ _FORMATS.update((_CODES[fn], f"_fn_{fn}({{}})") for fn in FUNCTIONS)
 def _nodes(roots: Sequence[Expr]) -> list[Expr]:
     """Each distinct node under `roots` once, in creation order: a node
     is built after its children, so they come first."""
-    seen = {id(root): root for root in roots}
-    order = list(seen.values())
+    order = list(dict.fromkeys(roots))
+    seen = set(order)
     for node in order:
         for child in node.children():
-            if id(child) not in seen:
-                seen[id(child)] = child
+            if child not in seen:
+                seen.add(child)
                 order.append(child)
     order.sort(key=operator.attrgetter("_serial"))
     return order
@@ -487,24 +481,24 @@ def _generate(exprs: Sequence, shape: str) -> Callable:
     family with other constants share one template.  The source is
     emitted and compiled only on a miss (`_emit`)."""
     roles = exprs if shape == "fd" else (exprs,)
-    refs, consts, ops = {}, [], []  # node ids to references; constant values; operation words
+    refs, consts, ops = {}, [], []  # nodes to references; constant values; operation words
     for node in _nodes([e for role in roles for e in role]):
         kind = type(node)
         if kind is Constant:
-            refs[id(node)] = _K0_REF - len(consts)
+            refs[node] = _K0_REF - len(consts)
             consts.append(node.value)
             continue
         if kind is Variable:
-            refs[id(node)] = _X1_REF if node.var is Var.X1 else _X2_REF
+            refs[node] = _X1_REF if node.var is Var.X1 else _X2_REF
             continue
         if kind is Apply or kind is Negate:
-            ops += (_NEG if kind is Negate else _CODES[node.fn], refs[id(node.arg)], 0)
+            ops += (_NEG if kind is Negate else _CODES[node.fn], refs[node.arg], 0)
         elif kind is Pow and type(expo := node.exponent) is Constant and expo.value.is_integer() and abs(expo.value) <= _INT_POW_MAX:
-            ops += (_INT_POW, refs[id(node.base)], int(expo.value))
+            ops += (_INT_POW, refs[node.base], int(expo.value))
         else:
-            ops += (_CODES[kind], refs[id(node.lhs)], refs[id(node.rhs)])
-        refs[id(node)] = len(ops) // 3 - 1
-    roots = [refs[id(e)] for role in roles for e in role]
+            ops += (_CODES[kind], refs[node.lhs], refs[node.rhs])
+        refs[node] = len(ops) // 3 - 1
+    roots = [refs[e] for role in roles for e in role]
     template = _template(array.array("i", [_SHAPES.index(shape), len(consts), *map(len, roles), *roots, *ops]).tobytes())
     if not consts:
         return template
@@ -742,7 +736,7 @@ def _simplify_rule(e: Expr, a: Expr, b: Expr | None) -> Expr:
     if isinstance(e, Sub):
         if _is_zero(b):
             return a
-        if a == b:
+        if a is b:
             return ZERO
         if _is_zero(a):
             return _negated(b)
@@ -766,7 +760,7 @@ def _simplify_rule(e: Expr, a: Expr, b: Expr | None) -> Expr:
             return a
         if _is_zero(a):
             return ZERO
-        if a == b:
+        if a is b:
             return ONE
         return Div(a, b)
     if isinstance(e, Pow):
@@ -821,8 +815,8 @@ def walk(*roots: Expr) -> list[Expr]:
     seen, order, stack = set(), [], list(reversed(roots))
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
+        if node not in seen:
+            seen.add(node)
             order.append(node)
             stack += node.children()[::-1]
     return order
@@ -856,29 +850,20 @@ def _guard_root(e: Expr) -> Expr:
 def denominators(*roots: Expr) -> list[Expr]:
     """Subexpressions that must stay away from zero for `roots` to be
     defined: Div denominators and bases of negative constant powers,
-    reduced to their guard roots.  Deduplicated structurally, in
-    first-occurrence order over the roots in turn; one walk of the DAG
-    under all of them."""
-    seen: dict[Expr, None] = {}
+    reduced to their guard roots.  Each node once, in first-occurrence
+    order over the roots in turn; one walk of the DAG under all of them."""
+    found = []
     for node in walk(*roots):
         if isinstance(node, Div):
-            root = _guard_root(node.den)
-            if not isinstance(root, Constant):
-                seen.setdefault(root)
+            found.append(_guard_root(node.den))
         elif isinstance(node, Pow) and isinstance(node.exponent, Constant) and node.exponent.value < 0:
-            root = _guard_root(node.base)
-            if not isinstance(root, Constant):
-                seen.setdefault(root)
-    return list(seen)
+            found.append(_guard_root(node.base))
+    return [root for root in dict.fromkeys(found) if not isinstance(root, Constant)]
 
 
 def kink_arguments(e: Expr) -> list[Expr]:
-    """Arguments of abs/sign nodes, the loci of nonsmoothness."""
-    seen: dict[Expr, None] = {}
-    for node in walk(e):
-        if isinstance(node, Apply) and node.fn in ("abs", "sign"):
-            seen.setdefault(node.arg)
-    return list(seen)
+    """Arguments of abs/sign nodes, the loci of nonsmoothness, each once."""
+    return list(dict.fromkeys(node.arg for node in walk(e) if isinstance(node, Apply) and node.fn in ("abs", "sign")))
 
 
 # ---------------------------------------------------------------------------
@@ -897,19 +882,19 @@ def _finiteness_folds(e: Expr) -> list[Expr]:
     are finite where their parent is; no other operand is (x/inf = 0,
     exp(-inf) = 0, sign(nan) = -1).  Variables (Domain keeps coordinates
     finite) and finite constants are never folds."""
-    finite, folds = {id(e)}, []
+    finite, folds = {e}, []
     for node in reversed(_nodes([e])):
-        if id(node) not in finite:
+        if node not in finite:
             if isinstance(node, Variable) or isinstance(node, Constant) and math.isfinite(node.value):
                 continue
             folds.append(node)
         kind, expo = type(node), getattr(node, "exponent", None)  # a Pow's only
         if kind is Div:
-            finite.add(id(node.num))
+            finite.add(node.num)
         elif kind in (Add, Sub, Mul, Negate) or kind is Apply and node.fn in _FINITE_ARGUMENT or (
             isinstance(expo, Constant) and expo.value > 0 and expo.value.is_integer()
         ):
-            finite.update(map(id, node.children()))
+            finite.update(node.children())
     return folds
 
 
@@ -958,21 +943,21 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
                 pass
 
     rows, first, s = evaluable_rows(), None, _scoped_stream(d, cfg)
-    recorded = [s.swept.get(id(f)) for f in (e, *folds)] if s is not None and points is s.prefix else [None]
+    recorded = [s.swept.get(f) for f in (e, *folds)] if s is not None and points is s.prefix else [None]
     if None in recorded:
         if (first := next(rows, None)) is None or not reads_zero(first):
             # Not zero at the first point: the answer is fixed once enough points are evaluable.
-            recorded = [(e, None, (first is not None) + sum(1 for _ in itertools.islice(rows, enough - 1)))]
+            recorded = [(None, (first is not None) + sum(1 for _ in itertools.islice(rows, enough - 1)))]
         else:
             # The prefix is drawn from `d`, with finite coordinates; check another list's.
             groups = [[e], *[[f] for f in folds], *[[v] for v in nodes if isinstance(v, Variable)]]
-            recorded = [(e, state, used) for [state], used in _extrema(groups, points)]
-    (_, state, evaluated), *rest = recorded
+            recorded = [(state, used) for [state], used in _extrema(groups, points)]
+    (state, evaluated), *rest = recorded
     if evaluated < enough:
         raise DomainTooSingularError(f"only {evaluated} of {cfg.samples} requested points were evaluable")
     if state is None:
         return False
-    (lo, hi, nan), finite = state, all(-math.inf < a <= b < math.inf and not n for _, (a, b, n), _ in rest)
+    (lo, hi, nan), finite = state, all(-math.inf < a <= b < math.inf and not n for (a, b, n), _ in rest)
     if not nan and -tol <= lo and hi <= tol and finite:
         return True
     return reads_zero(first or next(rows)) and all(map(reads_zero, rows))
@@ -1112,7 +1097,7 @@ def _format_number(v: float) -> str:
     if math.isinf(v):
         return "1e999" if v > 0 else "-1e999"  # literals that overflow to +-inf
     if v.is_integer() and abs(v) < 1e16:
-        return str(int(v))
+        return f"{v:.0f}"  # the integer's digits, "-0" for -0.0
     return repr(v)
 
 
@@ -1128,8 +1113,9 @@ _INFIX = {
 
 
 def to_string(e: Expr) -> str:
-    """Render `e` in the parse grammar; parse(to_string(e)) == e.
-    An infinite constant prints as 1e999 or -1e999; a NaN constant
+    """Render `e` in the parse grammar; parse(to_string(e)) is e.
+    Constant(-0.0) prints as -0 and an infinite constant as 1e999 or
+    -1e999, each a negative one at unary precedence; a NaN constant
     prints as nan, which the grammar has no literal for.
 
     No recursion: each distinct node is rendered once, children first,
@@ -1137,23 +1123,23 @@ def to_string(e: Expr) -> str:
     chain never holds the texts of all its prefixes.
     """
     nodes = _nodes([e])
-    uses: dict[int, int] = {}
+    uses: dict[Expr, int] = {}
     for child in [child for node in nodes for child in node.children()]:
-        uses[id(child)] = uses.get(id(child), 0) + 1
-    texts: dict[int, tuple[int, str]] = {}
+        uses[child] = uses.get(child, 0) + 1
+    texts: dict[Expr, tuple[int, str]] = {}
 
     def operand(child: Expr, min_prec: int) -> str:
-        key = id(child)
-        prec, s = texts[key]
-        uses[key] -= 1
-        if not uses[key]:
-            del texts[key]
+        prec, s = texts[child]
+        uses[child] -= 1
+        if not uses[child]:
+            del texts[child]
         return f"({s})" if prec < min_prec else s
 
     for node in nodes:
         kind = type(node)
         if kind is Constant:
-            text = (_ATOM_PREC if node.value >= 0 else _UNARY_PREC, _format_number(node.value))
+            s = _format_number(node.value)
+            text = (_UNARY_PREC if s[0] == "-" or s == "nan" else _ATOM_PREC, s)
         elif kind is Variable:
             text = (_ATOM_PREC, node.var.value)
         elif kind is Apply:
@@ -1170,5 +1156,5 @@ def to_string(e: Expr) -> str:
             text = (prec, operand(node.lhs, left) + op + operand(node.rhs, right))
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        texts[id(node)] = text
-    return texts[id(e)][1]
+        texts[node] = text
+    return texts[e][1]

@@ -74,16 +74,15 @@ def _draws(d: Domain, rng: random.Random) -> Iterator[tuple[float, float]]:
 class _Stream:
     """A job's record of one (domain, samples, seed) stream.  `prefix` is
     its first `samples` candidates, drawn once, and `end` the
-    random.Random state after them.  `passes` maps a guard key to
-    (guards, points) and `swept` an expression id to (expression,
-    (lo, hi, saw_nan), used), its `_extrema` state over the prefix as a
-    group of its own; each entry holds its own nodes, so the ids there
-    and in `cleared` stay valid.  `cleared` holds the ids of the guards
-    that accept every prefix candidate: each is defined there with
-    |v| >= guard or NaN (see `_sweep_prefix`).  `compile_many` values
-    are bit-identical per expression, and a fused kernel raises only
-    where one of its expressions does, so a set of cleared guards
-    accepts the whole prefix."""
+    random.Random state after them.  `passes` maps a frozenset of guards
+    to the points of its pass, and `swept` an expression to
+    ((lo, hi, saw_nan), used), its `_extrema` state over the prefix as a
+    group of its own.  `cleared` holds the guards that accept every
+    prefix candidate: each is defined there with |v| >= guard or NaN
+    (see `_sweep_prefix`).  `compile_many` values are bit-identical per
+    expression, and a fused kernel raises only where one of its
+    expressions does, so a set of cleared guards accepts the whole
+    prefix."""
 
     __slots__ = ("prefix", "end", "cleared", "passes", "swept")
 
@@ -144,27 +143,25 @@ def sample_points(
     A set of cleared guards (see `_Stream`), the empty set among them,
     is served the stream's prefix without running a kernel.  Any other
     set first sweeps its uncleared guards over the prefix, and each that
-    clears is cleared (its sweep state holds its node).  A set still not
-    cleared runs one pass, stored in the job's record within a
-    `_job_stream` scope (each CLI job runs in one) and returned again to
-    later calls.  A pass that rejected nothing returns the prefix and
-    clears its guards.  Sets are keyed by node identity, not equality:
-    Constant(0.0) == Constant(-0.0), but they can evaluate differently.
-    Outside a scope every call samples afresh and returns the same
-    points.  The returned list may be shared: callers must not mutate it.
+    clears is cleared.  A set still not cleared runs one pass, stored in
+    the job's record within a `_job_stream` scope (each CLI job runs in
+    one) and returned again to later calls.  A pass that rejected
+    nothing returns the prefix and clears its guards.  Outside a scope
+    every call samples afresh and returns the same points.  The returned
+    list may be shared: callers must not mutate it.
     """
     s = _stream(d, cfg)
     guards = tuple(guards)
-    key = frozenset(map(id, guards))
+    key = frozenset(guards)
     if not key <= s.cleared and key not in s.passes:
-        todo = list({id(g): g for g in guards if id(g) not in s.cleared}.values())
-        s.cleared.update(id(g) for g, (_, clears) in zip(todo, _sweep_prefix(todo, s, d.guard)) if clears)
+        todo = [g for g in dict.fromkeys(guards) if g not in s.cleared]
+        s.cleared.update(g for g, (_, clears) in zip(todo, _sweep_prefix(todo, s, d.guard)) if clears)
         if not key <= s.cleared:
-            s.passes[key] = (guards, _draw_pass(d, cfg, guards, s))
-            if s.passes[key][1] is s.prefix:
+            s.passes[key] = _draw_pass(d, cfg, guards, s)
+            if s.passes[key] is s.prefix:
                 s.cleared |= key
     # A stored pass that rejected a prefix candidate has a guard that is never cleared.
-    return s.prefix if key <= s.cleared else s.passes[key][1]
+    return s.prefix if key <= s.cleared else s.passes[key]
 
 
 def _draw_pass(d: Domain, cfg: SamplingConfig, guards: tuple[Expr, ...], s: _Stream) -> list[tuple[float, float]]:
@@ -205,13 +202,13 @@ def _sweep_prefix(exprs: Sequence[Expr], s: _Stream, guard: float) -> list[tuple
     those not in `s.swept` from one `_extrema` sweep, and whether it
     clears as a guard: defined at every candidate, and NaN aside
     (`_draw_pass` accepts a NaN) on one side of (-guard, guard)."""
-    todo = [[e] for e in {id(e): e for e in exprs if id(e) not in s.swept}.values()]
+    todo = [[e] for e in dict.fromkeys(exprs) if e not in s.swept]
     if todo:
-        s.swept.update((id(e), (e, state, used)) for [e], ([state], used) in zip(todo, _extrema(todo, s.prefix)))
+        s.swept.update((e, (state, used)) for [e], ([state], used) in zip(todo, _extrema(todo, s.prefix)))
     n = len(s.prefix)
     return [
         (state, used == n and (state[0] >= guard or state[1] <= -guard))
-        for _, state, used in (s.swept[id(e)] for e in exprs)
+        for state, used in map(s.swept.get, exprs)
     ]
 
 
@@ -224,8 +221,8 @@ def _enough(samples: int) -> int:
 def merge_guards(guards: Iterable[Expr], exprs: Iterable[Expr]) -> list[Expr]:
     """The guards, then each denominator of `exprs` not already listed:
     every subexpression that must stay away from zero at a sample point
-    where `exprs` are evaluated.  Deduplicated structurally, in
-    first-occurrence order; one walk of the DAG under all of `exprs`."""
+    where `exprs` are evaluated.  Each node once, in first-occurrence
+    order; one walk of the DAG under all of `exprs`."""
     return list(dict.fromkeys([*guards, *denominators(*exprs)]))
 
 
@@ -257,7 +254,7 @@ def first_zero_failure(named: Sequence[tuple[str, Expr]], d: Domain, cfg: Sampli
     for (name, e), ((lo, hi, nan), clears) in zip(named, _sweep_prefix([e for _, e in named], s, d.guard)):
         if not (clears and not nan and -math.inf < lo <= hi < math.inf):
             return name, e, _scan_nowhere_zero(e, s.prefix, d.guard)[1]
-        s.cleared.add(id(e))
+        s.cleared.add(e)
     return None
 
 
@@ -333,7 +330,7 @@ def _fd_sweep(built: list[_FdTriple], points: Sequence[tuple[float, float]], h: 
     it returns, and the kernel resumes the same iterator: max is order-free
     and math.inf absorbs, so the maxima equal `_fd_point`'s alone."""
     values, slopes = [e for e, _, _ in built], [s[j] for j in (0, 1) for _, s, _ in built]
-    kernel = compile_fd(values, slopes, list({id(k): k for _, _, ks in built for k in ks}.values()))
+    kernel = compile_fd(values, slopes, list(dict.fromkeys(k for _, _, ks in built for k in ks)))
     stream, skipped, fold = iter(points), [0] * len(built), None
     worst, raised = kernel(stream, [0.0] * len(built), h)
     while raised is not None:
@@ -352,7 +349,7 @@ def _fd_point(
     skipped only where it is undefined itself or one of its kink
     arguments is undefined on the stencil or takes two of the signs +, 0, -."""
     n, values, slopes = len(built), _one_by_one(values), _one_by_one(slopes)
-    kinks = list({k: k for _, _, ks in built for k in ks}.values())
+    kinks = list(dict.fromkeys(k for _, _, ks in built for k in ks))
     kink_values = _one_by_one(kinks)
     owned = [(i, ks) for i, (_, _, ks) in enumerate(built) if ks]
     two_h = 2.0 * h
@@ -519,7 +516,7 @@ def covered_sweep(
     results = _checked_sweeps(collected, n, cfg, what)
     s = _scoped_stream(d, cfg) if ranged else None
     if s is not None and points is s.prefix:
-        s.swept.update((id(e), (e, state, used)) for e, ([state], used) in zip(ranged, results[n:k]))
+        s.swept.update((e, (state, used)) for e, ([state], used) in zip(ranged, results[n:k]))
     return [(_maxima(states), used) for states, used in results[:n] + results[k:]], _ranges(results[n:k])
 
 

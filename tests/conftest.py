@@ -102,6 +102,12 @@ def load_corpus_pair(name: str) -> tuple[DiagonalMetric, FrameField, Domain, Sam
 
 
 # ---------------------------------------------------------------------------
+def is_zero_constant(e: Expr) -> bool:
+    """Whether `e` is a Constant of value 0.0, of either sign: nodes
+    compare by identity, and Constant(-0.0) is not Constant(0.0)."""
+    return isinstance(e, Constant) and e.value == 0.0
+
+
 # Reference evaluator: a recursive tree walk, independent of the
 # generated kernels that the package evaluates with
 # ---------------------------------------------------------------------------

@@ -222,16 +222,36 @@ def _ieee(v: float) -> int:
         st.floats(0.5, 2.0),  # near 1, where n = 1024 stays finite
         st.floats(-2.0, -0.5),
     ),
-    st.integers(0, 1024),
+    st.integers(-1024, 1024),
 )
 @example(1.001, 400)
 @example(-1.7, 1023)
+@example(2.875876400983461e-225, -2)  # the square underflows to 0.0
+@example(-2.875876400983461e-225, -3)  # the cube underflows to -0.0
 @settings(max_examples=1000)
 def test_int_pow_is_the_repeated_multiplication_loop(base, n):
+    if n < 0 and base == 0.0:
+        with pytest.raises(EvaluationError, match="zero raised to a negative power"):
+            _int_pow(base, n)
+        return
     acc = 1.0
-    for _ in range(n):
+    for _ in range(abs(n)):
         acc *= base
+    if n < 0:
+        # 1.0 / acc in IEEE arithmetic: a signed zero gives the infinity of its sign.
+        acc = 1.0 / acc if acc != 0.0 else math.copysign(math.inf, acc)
     assert _ieee(_int_pow(base, n)) == _ieee(acc)
+
+
+def test_a_negative_power_that_underflows_is_a_signed_infinity():
+    tiny = 2.875876400983461e-225
+    assert _int_pow(tiny, -2) == math.inf and _int_pow(-tiny, -2) == math.inf
+    assert _int_pow(-tiny, -3) == -math.inf
+    # The kernels call _int_pow for exponents outside 1..8.
+    assert compile_expr(parse("x1^-2"))(tiny, 0.0) == math.inf
+    assert compile_expr(parse("x1^-3"))(-tiny, 0.0) == -math.inf
+    # A non-constant exponent reaches it through _pow_value.
+    assert compile_expr(parse("x1^x2"))(-tiny, -3.0) == -math.inf
 
 
 def test_powers_up_to_the_cap_keep_repeated_multiplication():

@@ -6,6 +6,7 @@ it reads."""
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 import tracemalloc
@@ -238,7 +239,8 @@ _SYMBOL = {Add: " + ", Sub: " - ", Mul: "*", Div: "/", Pow: "^"}
 
 def _recursive_render(e: Expr, min_prec: int = 0) -> str:
     if isinstance(e, Constant):
-        prec, s = (100 if e.value >= 0 else 25), expr._format_number(e.value)
+        s = expr._format_number(e.value)
+        prec = 25 if s.startswith("-") or math.isnan(e.value) else 100
     elif isinstance(e, Variable):
         prec, s = 100, e.var.value
     elif isinstance(e, Apply):
@@ -264,11 +266,15 @@ def test_to_string_matches_the_recursive_printer_and_round_trips():
         Pow(Pow(X1, X2), Pow(X2, X1)),
         Mul(Constant(-0.0), Div(X1, Mul(X2, X2))),
         Negate(Negate(Constant(1e300))),
+        Pow(Constant(-0.0), Sub(X1, Constant(-0.0))),
+        Negate(Constant(-0.0)),
+        Add(Constant(math.inf), Pow(X2, Constant(-math.inf))),
+        Div(Constant(0.0), Mul(Constant(-math.inf), X1)),
     ]
     for e in trees:
         text = to_string(e)
         assert text == _recursive_render(e)
-        assert parse(text) == e
+        assert parse(text) is e
 
 
 def test_to_string_renders_a_long_chain_without_recursion():

@@ -341,7 +341,7 @@ def test_fd_oracle_property():
 
 _constants = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6),
-    st.sampled_from([math.inf, -math.inf]),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
 ).map(Constant)
 _leaves = st.one_of(_constants, st.sampled_from([X1, X2]))
 _trees = st.recursive(
@@ -362,7 +362,15 @@ _trees = st.recursive(
 @given(_trees)
 @settings(max_examples=300)
 def test_print_parse_round_trip(e):
-    assert parse(to_string(e)) == e
+    assert parse(to_string(e)) is e
+
+
+def test_negative_zero_prints_as_minus_zero_at_unary_precedence():
+    assert to_string(Constant(-0.0)) == "-0" and to_string(Constant(0.0)) == "0"
+    assert to_string(Pow(Constant(-0.0), X1)) == "(-0)^x1"
+    assert to_string(Sub(X1, Constant(-0.0))) == "x1 - -0"
+    for e in (Constant(-0.0), Negate(Constant(-0.0)), Pow(Constant(-0.0), X1), Mul(X1, Constant(-0.0))):
+        assert parse(to_string(e)) is e
 
 
 def test_infinite_constants_print_as_overflowing_literals():

@@ -22,7 +22,7 @@ from ricciplane.geometry import DiagonalMetric, is_flat, ricci
 from ricciplane.numeric import SamplingConfig, sample_points
 from ricciplane.riccifield import covariant_matrix, equation_guards, verify
 
-from conftest import FAMILY_VARIANTS, draw_constructed
+from conftest import FAMILY_VARIANTS, draw_constructed, is_zero_constant
 
 D = Domain()
 CFG = SamplingConfig()
@@ -176,7 +176,7 @@ def test_constant_metric_outputs_are_flat_and_parallel():
     for _, dom, m, V in draw_constructed("constant_metric", 10, seed=9, cfg=CFG):
         assert is_flat(m, dom, CFG)
         for entry in covariant_matrix(m, V).values():
-            assert entry == Constant(0.0)
+            assert is_zero_constant(entry)
 
 
 def test_admissibility_nan_condition_is_not_constant():

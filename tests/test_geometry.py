@@ -27,6 +27,8 @@ from ricciplane.geometry import (
 )
 from ricciplane.numeric import DomainTooSingularError, SamplingConfig, sample_points
 
+from conftest import is_zero_constant
+
 COSH_METRIC = DiagonalMetric(parse("cosh(x1)"), parse("exp(x1)"))
 FLAT_EXP = DiagonalMetric(parse("exp(x1)"), parse("exp(x2)"))
 CONSTANTS = DiagonalMetric(parse("2"), parse("3"))
@@ -63,14 +65,14 @@ def test_channel_coefficients_examples():
 def test_connection_table_flat_metric():
     conn = connection_table(CONSTANTS)
     for pair in conn.values():
-        assert pair == (ZERO, ZERO)
+        assert len(pair) == 2 and all(map(is_zero_constant, pair))
 
 
 def test_connection_table_cosh_metric():
     conn = connection_table(COSH_METRIC)
     points = sample_points(Domain(), SamplingConfig(samples=50))
-    assert conn[(1, 1)] == (ZERO, ZERO)
-    assert conn[(1, 2)] == (ZERO, ZERO)
+    for pair in (conn[(1, 1)], conn[(1, 2)]):
+        assert len(pair) == 2 and all(map(is_zero_constant, pair))
     assert sampled_max(Sub(conn[(2, 2)][0], parse("cosh(x1)")), points) <= 1e-12
     assert conn[(2, 2)][1] == ZERO
     assert conn[(2, 1)][0] == ZERO

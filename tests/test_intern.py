@@ -91,13 +91,15 @@ def test_equal_structure_is_one_node(e):
     assert parse(to_string(e)) is parse(to_string(e))
 
 
-def test_signed_zeros_are_distinct_nodes_that_compare_equal():
+def test_signed_zeros_are_distinct_unequal_nodes_of_value_zero():
+    # Nodes compare by identity: the two zeros are two trees.
     assert Constant(-0.0) is not Constant(0.0)
-    assert Constant(-0.0) == Constant(0.0)
-    assert hash(Constant(-0.0)) == hash(Constant(0.0))
+    assert Constant(-0.0) != Constant(0.0)
+    assert Constant(-0.0).value == 0.0 and Constant(0.0).value == 0.0
+    assert math.copysign(1.0, Constant(-0.0).value) == -1.0
     assert Mul(X1, Constant(-0.0)) is not Mul(X1, Constant(0.0))
-    assert Mul(X1, Constant(-0.0)) == Mul(X1, Constant(0.0))
-    assert hash(Mul(X1, Constant(-0.0))) == hash(Mul(X1, Constant(0.0)))
+    assert Mul(X1, Constant(-0.0)) != Mul(X1, Constant(0.0))
+    assert len({Constant(-0.0), Constant(0.0), Mul(X1, Constant(-0.0)), Mul(X1, Constant(0.0))}) == 4
     assert Constant(2) is Constant(2.0)
     assert Constant(math.nan) is Constant(-math.nan)
     assert Add(X1, X2) != Sub(X1, X2)
@@ -199,8 +201,21 @@ def test_threads_racing_on_the_intern_table():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    # A racing insert may build a second equal node; results stay the same
-    # and no entry outlives its node.
+    # A racing insert builds a node that it drops for the one entered
+    # first: results stay the same, and no entry outlives its node.
     assert results == [expected] * len(results)
     gc.collect()
     assert len(expr._INTERNED) == baseline
+
+
+def test_a_racing_insert_gets_the_node_entered_first(monkeypatch):
+    # A thread that found no live node builds one; if another thread
+    # entered the key meanwhile, that node wins and its entry stays.
+    first = Apply("sech", Add(X2, Constant(0.123456789)))
+    monkeypatch.setattr(expr, "_live", lambda key: None)
+    second = Apply("sech", first.arg)
+    monkeypatch.undo()
+    assert second is first
+    gc.collect()
+    assert expr._live((Apply, "sech", first.arg)) is first
+    assert Apply("sech", first.arg) is first

@@ -57,8 +57,8 @@ def test_covered_subset_is_served_by_its_superset(monkeypatch):
         (s,) = numeric._STREAM.get().values()
         assert superset is s.prefix
         # Each cleared guard is held by its sweep state, not by a pass.
-        assert s.passes == {} and list(s.swept) == [id(COSH), id(EXP)]
-        assert s.cleared == {id(COSH), id(EXP)}
+        assert s.passes == {} and list(s.swept) == [COSH, EXP]
+        assert s.cleared == {COSH, EXP}
     assert passes == []
     assert swept == [([[COSH], [EXP]], s.prefix)] and swept[0][1] is s.prefix
     assert superset == sample_points(Domain(), CFG, [EXP]) == sample_points(Domain(), CFG)
@@ -74,10 +74,10 @@ def test_superset_that_rejected_candidates_serves_no_subset(monkeypatch):
         # both sweep states are stored, then the rejecting pass with its
         # own points, which clears nothing.  The record holds the
         # stream's prefix and where it ends.
-        assert list(s.swept) == [id(SINH), id(EXP)]
-        assert list(s.passes) == [frozenset(map(id, [SINH, EXP]))]
-        assert s.passes[frozenset(map(id, [SINH, EXP]))] == ((SINH, EXP), superset)
-        assert superset != s.prefix and s.cleared == {id(EXP)}
+        assert list(s.swept) == [SINH, EXP]
+        assert list(s.passes) == [frozenset([SINH, EXP])]
+        assert s.passes[frozenset([SINH, EXP])] is superset
+        assert superset != s.prefix and s.cleared == {EXP}
         rng = random.Random(CFG.seed)
         assert (s.prefix, s.end) == (list(islice(numeric._draws(d, rng), CFG.samples)), rng.getstate())
         subset = sample_points(d, CFG, [EXP])
@@ -250,16 +250,16 @@ def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch,
     )
 
     def scanned() -> list:
-        return [e for s in {id(s): s for s in records}.values() for e, _, _ in s.swept.values()]
+        return [e for s in dict.fromkeys(records) for e in s.swept]
 
     argv = next(job for job in _family_jobs(tmp_path) if job[2].endswith(f"{tag}.json"))
     assert argv[0] == "construct"
     swept = _counting_sweeps(monkeypatch)
     shared = _outputs([argv], capsys)
-    assert len(scanned()) == len({id(e) for e in scanned()}) == 9
+    assert len(scanned()) == len(set(scanned())) == 9
     # No expression is swept on its own twice.
     singles = [group[0] for groups, _ in swept for group in groups if len(group) == 1]
-    assert len(singles) == len({id(e) for e in singles}) == 9
+    assert len(singles) == len(set(singles)) == 9
     # The job's first sweep holds the three scans, in the order of their verdicts.
     params = cli.spec_family(json.loads(Path(argv[2]).read_text(encoding="utf-8")))
     m, _ = families.construct(params, Domain(x1_range=(0.25, 1.25)), SamplingConfig())
@@ -345,7 +345,7 @@ def test_a_rejecting_pass_reads_the_stored_prefix_bit_for_bit(monkeypatch):
         assert (len(starts), len(drawn)) == (1, CFG.samples)
         scoped = sample_points(d, CFG, [SINH])
         (s,) = numeric._STREAM.get().values()
-        assert s.passes[frozenset([id(SINH)])][1] != s.prefix  # it rejected candidates
+        assert s.passes[frozenset([SINH])] != s.prefix  # it rejected candidates
     # The second pass read the stored candidates, then drew past them
     # from where they end: each candidate of the stream is drawn once,
     # as many as the pass draws outside the scope.
@@ -364,9 +364,9 @@ def test_a_failed_pass_stores_no_more_than_samples_candidates():
             sample_points(d, CFG, [tiny])
         (s,) = numeric._STREAM.get().values()
         # The sweeps of the scan and of the guard are stored; the failed pass is not.
-        assert list(s.swept) == [id(COSH), id(tiny)] and s.passes == {}
+        assert list(s.swept) == [COSH, tiny] and s.passes == {}
         assert len(s.prefix) == CFG.samples
-        assert all(len(points) <= CFG.samples for _, points in s.passes.values())
+        assert all(len(points) <= CFG.samples for points in s.passes.values())
 
 
 def _hexes(points) -> list[tuple[str, str]]:
@@ -403,8 +403,8 @@ def test_passes_over_separate_guards_clear_their_union(monkeypatch):
         assert [groups for groups, _ in swept] == [[[COSH]], [[EXP]]]
         served = sample_points(Domain(), CFG, [COSH, EXP])
         (s,) = numeric._STREAM.get().values()
-        assert s.passes == {} and list(s.swept) == [id(COSH), id(EXP)]
-        assert s.cleared == {id(COSH), id(EXP)}
+        assert s.passes == {} and list(s.swept) == [COSH, EXP]
+        assert s.cleared == {COSH, EXP}
     assert served is first is s.prefix
     assert passes == kernels == [] and len(swept) == 2
     assert _hexes(served) == _hexes(sample_points(Domain(), CFG, [COSH, EXP]))
@@ -420,7 +420,7 @@ def test_a_passing_scan_clears_its_expression(monkeypatch, guards):
         served = sample_points(Domain(), CFG, guards)
         (s,) = numeric._STREAM.get().values()
         assert s.passes == {}
-        assert list(s.swept) == [id(COSH), id(EXP)] and s.cleared == {id(COSH), id(EXP)}
+        assert list(s.swept) == [COSH, EXP] and s.cleared == {COSH, EXP}
     assert served is prefix is s.prefix
     assert passes == kernels == []
     assert _hexes(served) == _hexes(sample_points(Domain(), CFG, guards))
@@ -450,7 +450,7 @@ def test_a_failing_scan_clears_nothing(monkeypatch):
         scoped = sample_points(Domain(), CFG, [x1])
         # |x1| >= 1e-6 at every prefix candidate: the pass rejects nothing,
         # but only running it shows that.
-        assert s.passes[frozenset([id(x1)])] == ((x1,), prefix)
+        assert s.passes[frozenset([x1])] is prefix
     assert passes == [(x1,)] and len(kernels) == 1
     assert scoped is prefix
     assert _hexes(scoped) == _hexes(prefix) == _hexes(sample_points(Domain(), CFG, [x1]))
