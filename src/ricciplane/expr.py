@@ -1,11 +1,11 @@
 """Symbolic expressions in the plane coordinates x1, x2.
 
 Immutable expression trees, interned so that equal subtrees are one
-node, with exact differentiation, light value-preserving
-simplification (both memoised per node), deterministic evaluation by
-generated Python kernels, and a seeded probabilistic identically-zero
-test.  These trees are the single currency passed between all other
-modules.
+node, with exact differentiation, light simplification, both in one
+pass for simplified derivatives (memoised per node), deterministic
+evaluation by generated Python kernels, and a seeded probabilistic
+identically-zero test.  These trees are the single currency passed
+between all other modules.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class Expr:
     identity.  Fields are plain slots and must never be assigned after
     construction: every tree that shares a node would change with it.
 
-    Each node also carries the memos of `simplify` and `differentiate`.
+    Each node also carries the memos of `simplify` and `derive`.
     A memo refers to its result weakly; a result built after its source
     keeps the source alive instead (`_origin`), and a simplify output is
     marked as its own fixpoint by a flag.  Every strong reference between
@@ -352,20 +352,20 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 }
 
 # The chain rule of each function: the derivative of e = fn(u), given u
-# and its derivative du.
-CHAIN_RULES: dict[str, Callable[[Expr, Expr, Expr], Expr]] = {
-    "exp": lambda e, u, du: Mul(e, du),
-    "log": lambda e, u, du: Div(du, u),
-    "sin": lambda e, u, du: Mul(Apply("cos", u), du),
-    "cos": lambda e, u, du: Negate(Mul(Apply("sin", u), du)),
-    "tan": lambda e, u, du: Mul(Add(ONE, Pow(e, Constant(2.0))), du),
-    "sinh": lambda e, u, du: Mul(Apply("cosh", u), du),
-    "cosh": lambda e, u, du: Mul(Apply("sinh", u), du),
-    "tanh": lambda e, u, du: Mul(Sub(ONE, Pow(e, Constant(2.0))), du),
-    "sech": lambda e, u, du: Negate(Mul(Mul(e, Apply("tanh", u)), du)),
-    "sqrt": lambda e, u, du: Div(du, Mul(Constant(2.0), e)),
-    "abs": lambda e, u, du: Mul(Apply("sign", u), du),
-    "sign": lambda e, u, du: Mul(Mul(ZERO, e), du),
+# and its derivative du, each node built by `mk` (see `_derivative_rule`).
+CHAIN_RULES: dict[str, Callable[..., Expr]] = {
+    "exp": lambda mk, e, u, du: mk(Mul, e, du),
+    "log": lambda mk, e, u, du: mk(Div, du, u),
+    "sin": lambda mk, e, u, du: mk(Mul, mk(Apply, u, fn="cos"), du),
+    "cos": lambda mk, e, u, du: mk(Negate, mk(Mul, mk(Apply, u, fn="sin"), du)),
+    "tan": lambda mk, e, u, du: mk(Mul, mk(Add, ONE, mk(Pow, e, Constant(2.0))), du),
+    "sinh": lambda mk, e, u, du: mk(Mul, mk(Apply, u, fn="cosh"), du),
+    "cosh": lambda mk, e, u, du: mk(Mul, mk(Apply, u, fn="sinh"), du),
+    "tanh": lambda mk, e, u, du: mk(Mul, mk(Sub, ONE, mk(Pow, e, Constant(2.0))), du),
+    "sech": lambda mk, e, u, du: mk(Negate, mk(Mul, mk(Mul, e, mk(Apply, u, fn="tanh")), du)),
+    "sqrt": lambda mk, e, u, du: mk(Div, du, mk(Mul, Constant(2.0), e)),
+    "abs": lambda mk, e, u, du: mk(Mul, mk(Apply, u, fn="sign"), du),
+    "sign": lambda mk, e, u, du: mk(Mul, mk(Mul, ZERO, e), du),
 }
 
 
@@ -476,18 +476,18 @@ def _generate(exprs: Sequence, shape: str) -> Callable:
     `compile_` functions describe) over `exprs`, fd's (values, slopes,
     kinks).  The kernel cache is keyed on the shape of the DAG: its node
     list (`_nodes`) with no node and no constant value in it.  Every
-    constant is a parameter `_k{slot}`, numbered in creation order and
-    bound to the node's own float (its exact bits), so the draws of a
-    family with other constants share one template.  The source is
-    emitted and compiled only on a miss (`_emit`)."""
+    constant an operation or a root reads is a parameter `_k{slot}`,
+    numbered at its first reference in the operation words, then the
+    roots, and bound to the node's own float (its exact bits), so the
+    draws of a family with other constants, old or new, share one
+    template.  The source is emitted and compiled only on a miss (`_emit`)."""
     roles = exprs if shape == "fd" else (exprs,)
-    refs, consts, ops = {}, [], []  # nodes to references; constant values; operation words
+    refs, ops = _Refs(), []  # nodes to references; operation words
+    refs.consts = consts = []  # constant values, by slot
     for node in _nodes([e for role in roles for e in role]):
         kind = type(node)
         if kind is Constant:
-            refs[node] = _K0_REF - len(consts)
-            consts.append(node.value)
-            continue
+            continue  # referred to by slot, numbered at its first reference
         if kind is Variable:
             refs[node] = _X1_REF if node.var is Var.X1 else _X2_REF
             continue
@@ -504,6 +504,16 @@ def _generate(exprs: Sequence, shape: str) -> Callable:
         return template
     # The shared template is never mutated: a new function binds the constants.
     return types.FunctionType(template.__code__, template.__globals__, "_compiled", tuple(consts))
+
+
+class _Refs(dict):
+    """`_generate`'s references of nodes: a constant's is `_K0_REF - slot`,
+    its slot numbered at its first reference and its value put in `consts`."""
+
+    def __missing__(self, node: Constant) -> int:
+        ref = self[node] = _K0_REF - len(self.consts)
+        self.consts.append(node.value)
+        return ref
 
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
@@ -626,13 +636,35 @@ def _memo(result: Expr, source: Expr) -> weakref.ref:
 
 
 def differentiate(e: Expr, v: Var) -> Expr:
-    """Exact symbolic partial derivative of `e` with respect to `v`.
+    """Exact symbolic partial derivative of `e` with respect to `v`, as
+    the rules build it, unsimplified (`derive` is its simplified form).
 
     Total on the supported node set.  The derivative of abs(u) is
     sign(u)*u' and the derivative of sign(u) is 0 away from zeros of u;
-    both evaluate to an error where u vanishes.  Memoised per node and
-    variable, so a shared subtree is differentiated once.
+    both evaluate to an error where u vanishes.  Memoised per call, so a
+    shared subtree is differentiated once.
     """
+    return _differentiated(e, v, {})
+
+
+def _differentiated(e: Expr, v: Var, memo: dict[Expr, Expr]) -> Expr:
+    if (d := memo.get(e)) is None:
+        kids = e.children()
+        if not kids:
+            d = _derivative_rule(_build, _as_built, e, v)
+        elif len(kids) == 1:
+            d = _derivative_rule(_build, _as_built, e, v, _differentiated(kids[0], v, memo))
+        else:
+            d = _derivative_rule(_build, _as_built, e, v, _differentiated(kids[0], v, memo), _differentiated(kids[1], v, memo))
+        memo[e] = d
+    return d
+
+
+def derive(e: Expr, v: Var) -> Expr:
+    """`simplify(differentiate(e, v))`, the same node, built in one pass:
+    each node's rule is applied to the simplified derivatives of its
+    children, and every node is built by `_rule`, so none that `simplify`
+    would drop is built.  Memoised per node and variable."""
     memo = e._dx1 if v is Var.X1 else e._dx2
     if memo is not None:
         d = memo()
@@ -640,11 +672,11 @@ def differentiate(e: Expr, v: Var) -> Expr:
             return d
     kids = e.children()
     if not kids:
-        d = _derivative_rule(e, v, None, None)
+        d = _derivative_rule(_rule, simplify, e, v)
     elif len(kids) == 1:
-        d = _derivative_rule(e, v, differentiate(kids[0], v), None)
+        d = _derivative_rule(_rule, simplify, e, v, derive(kids[0], v))
     else:
-        d = _derivative_rule(e, v, differentiate(kids[0], v), differentiate(kids[1], v))
+        d = _derivative_rule(_rule, simplify, e, v, derive(kids[0], v), derive(kids[1], v))
     if v is Var.X1:
         e._dx1 = _memo(d, e)
     else:
@@ -652,37 +684,52 @@ def differentiate(e: Expr, v: Var) -> Expr:
     return d
 
 
-def _derivative_rule(e: Expr, v: Var, da: Expr | None, db: Expr | None) -> Expr:
-    """The derivative of `e` given those of its children, in order."""
-    if isinstance(e, Constant):
+def _build(kind: type, a: Expr, b: Expr | None = None, fn: str | None = None) -> Expr:
+    """The node `kind` of `a` and `b` (an Apply's `fn` of `a`) as it
+    stands: `differentiate`'s builder."""
+    if kind is Apply:
+        return Apply(fn, a)
+    return kind(a) if b is None else kind(a, b)
+
+
+def _as_built(e: Expr) -> Expr:
+    """`differentiate`'s reader: a node as it stands."""
+    return e
+
+
+def _derivative_rule(mk: Callable[..., Expr], read: Callable[[Expr], Expr], e: Expr, v: Var,
+                     da: Expr | None = None, db: Expr | None = None) -> Expr:
+    """The derivative of `e` given those of its children, in order.  Each
+    node is built by `mk`, `_build` or `_rule`, and `e` or a child is
+    read through `read`, as it stands or simplified; the branch is chosen
+    on `e` itself (`Pow(u, 1 + 1)` takes the general power rule)."""
+    kind = type(e)
+    if kind is Constant:
         return ZERO
-    if isinstance(e, Variable):
+    if kind is Variable:
         return ONE if e.var is v else ZERO
-    if isinstance(e, Negate):
-        return Negate(da)
-    if isinstance(e, Add):
-        return Add(da, db)
-    if isinstance(e, Sub):
-        return Sub(da, db)
-    if isinstance(e, Mul):
-        return Add(Mul(da, e.rhs), Mul(e.lhs, db))
-    if isinstance(e, Div):
-        return Div(
-            Sub(Mul(da, e.den), Mul(e.num, db)),
-            Pow(e.den, Constant(2.0)),
-        )
-    if isinstance(e, Pow):
-        base, expo = e.base, e.exponent
-        if isinstance(expo, Constant):
+    if kind is Negate:
+        return mk(Negate, da)
+    if kind is Add or kind is Sub:
+        return mk(kind, da, db)
+    if kind is Mul:
+        return mk(Add, mk(Mul, da, read(e.rhs)), mk(Mul, read(e.lhs), db))
+    if kind is Div:
+        den = read(e.den)
+        return mk(Div, mk(Sub, mk(Mul, da, den), mk(Mul, read(e.num), db)), mk(Pow, den, Constant(2.0)))
+    if kind is Pow:
+        expo = e.exponent
+        if type(expo) is Constant:
             if expo.value == 0.0:
                 return ZERO
             if expo.value == 1.0:
                 return da
-            return Mul(Mul(expo, Pow(base, Constant(expo.value - 1.0))), da)
+            return mk(Mul, mk(Mul, expo, mk(Pow, read(e.base), Constant(expo.value - 1.0))), da)
         # general u^w via u^w * (w' log u + w u'/u)
-        return Mul(e, Add(Mul(db, Apply("log", base)), Mul(expo, Div(da, base))))
-    if isinstance(e, Apply):
-        return CHAIN_RULES[e.fn](e, e.arg, da)
+        base = read(e.base)
+        return mk(Mul, read(e), mk(Add, mk(Mul, db, mk(Apply, base, fn="log")), mk(Mul, read(expo), mk(Div, da, base))))
+    if kind is Apply:
+        return CHAIN_RULES[e.fn](mk, read(e), read(e.arg), da)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -692,115 +739,97 @@ def _derivative_rule(e: Expr, v: Var, da: Expr | None, db: Expr | None) -> Expr:
 
 
 def simplify(e: Expr) -> Expr:
-    """Light value-preserving cleanup: constant folding, 0/1 identities,
-    double negation, x-x and x/x collapse.  No completeness claim; in
-    particular no trigonometric or hyperbolic rewriting ever happens.
+    """Light cleanup: constant folding, 0/1 identities, double negation,
+    x-x and x/x collapse.  No completeness claim; in particular no
+    trigonometric or hyperbolic rewriting ever happens.
 
-    Every rule preserves the evaluated float exactly wherever both the
-    input and output are defined.  Memoised per node: the output is
-    flagged as its own fixpoint, so simplifying an already simplified
-    tree returns at once.
+    Wherever the input is defined the output gives its float, except
+    that the rules for a sum, difference, product or quotient with a zero
+    operand, x-x and x/x drop the sign of a zero result (`0*x1` at
+    x1 = -3 is -0.0, simplified 0; `x1 + 0` at x1 = -0.0 is 0.0,
+    simplified -0.0) and the NaN of a non-finite operand (`0*x1^400` at
+    x1 = 10 is NaN, simplified 0; so is `x1^400 - x1^400`).  Memoised
+    per node: the output is flagged as its own fixpoint, so simplifying
+    an already simplified tree returns at once.
     """
     memo = e._simplified
     if memo is not None:
         s = e if memo is True else memo()
         if s is not None:
             return s
-    kids = e.children()
-    if not kids:
+    kind = type(e)
+    if kind is Apply:
+        s = _rule(Apply, simplify(e.arg), None, e.fn)
+    elif kind is Negate:
+        s = _rule(Negate, simplify(e.arg))
+    elif kind is Constant or kind is Variable:
         s = e
-    elif len(kids) == 1:
-        s = _simplify_rule(e, simplify(kids[0]), None)
     else:
-        s = _simplify_rule(e, simplify(kids[0]), simplify(kids[1]))
-    if s is e:
-        e._simplified = True
-        return e
-    e._simplified = _memo(s, e)
+        s = _rule(kind, simplify(e.lhs), simplify(e.rhs))
+    e._simplified = True if s is e else _memo(s, e)
+    return s
+
+
+def _rule(kind: type, a: Expr, b: Expr | None = None, fn: str | None = None) -> Expr:
+    """The node `kind` of the operands `a` and `b` (an Apply's `fn` of
+    `a`), both already simplified, simplified: the one rule of `simplify`
+    and `derive`, a smart constructor that builds no node a rule drops.
+    The output is flagged as its own fixpoint."""
+    x = a.value if type(a) is Constant else None  # an operand's value where it is a constant
+    y = b.value if type(b) is Constant else None
+    if kind is Negate:
+        s = _negated(a)
+    elif kind in _CONSTANT_FOLDS and x is not None and y is not None:
+        s = Constant(_CONSTANT_FOLDS[kind](x, y))
+    elif kind is Add:
+        s = b if x == 0.0 else a if y == 0.0 else Add(a, b)
+    elif kind is Sub:
+        s = a if y == 0.0 else ZERO if a is b else _negated(b) if x == 0.0 else Sub(a, b)
+    elif kind is Mul:
+        if x == 0.0 or y == 0.0:
+            s = ZERO
+        elif x == 1.0 or y == 1.0:
+            s = b if x == 1.0 else a
+        elif x == -1.0 or y == -1.0:
+            s = _negated(b if x == -1.0 else a)
+        else:
+            s = Mul(a, b)
+    elif kind is Div:
+        if x is not None and y is not None and y != 0.0:
+            s = Constant(x / y)
+        else:
+            s = a if y == 1.0 else ZERO if x == 0.0 else ONE if a is b else Div(a, b)
+    elif kind is Pow:
+        if y == 0.0 or y == 1.0:
+            s = ONE if y == 0.0 else a
+        else:
+            s = Pow(a, b) if (v := _folded(_pow_value, x, y)) is None else Constant(v)
+    elif kind is Apply:
+        s = Constant(v) if (v := _folded(FUNCTIONS[fn], x)) is not None and math.isfinite(v) else Apply(fn, a)
+    else:
+        raise TypeError(f"not an expression node type: {kind!r}")
     s._simplified = True
     return s
 
 
-def _simplify_rule(e: Expr, a: Expr, b: Expr | None) -> Expr:
-    """`e` simplified, given its simplified children `a` and `b`, in order."""
-    if isinstance(e, Negate):
-        return _negated(a)
-    if type(e) in _CONSTANT_FOLDS and isinstance(a, Constant) and isinstance(b, Constant):
-        return Constant(_CONSTANT_FOLDS[type(e)](a.value, b.value))
-    if isinstance(e, Add):
-        if _is_zero(a):
-            return b
-        if _is_zero(b):
-            return a
-        return Add(a, b)
-    if isinstance(e, Sub):
-        if _is_zero(b):
-            return a
-        if a is b:
-            return ZERO
-        if _is_zero(a):
-            return _negated(b)
-        return Sub(a, b)
-    if isinstance(e, Mul):
-        if _is_zero(a) or _is_zero(b):
-            return ZERO
-        if _is_one(a):
-            return b
-        if _is_one(b):
-            return a
-        if isinstance(a, Constant) and a.value == -1.0:
-            return _negated(b)
-        if isinstance(b, Constant) and b.value == -1.0:
-            return _negated(a)
-        return Mul(a, b)
-    if isinstance(e, Div):
-        if isinstance(a, Constant) and isinstance(b, Constant) and b.value != 0.0:
-            return Constant(a.value / b.value)
-        if _is_one(b):
-            return a
-        if _is_zero(a):
-            return ZERO
-        if a is b:
-            return ONE
-        return Div(a, b)
-    if isinstance(e, Pow):
-        if _is_zero(b):
-            return ONE
-        if _is_one(b):
-            return a
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            try:
-                return Constant(_pow_value(a.value, b.value))
-            except EVAL_ERRORS:
-                pass
-        return Pow(a, b)
-    if isinstance(e, Apply):
-        if isinstance(a, Constant):
-            try:
-                folded = FUNCTIONS[e.fn](a.value)
-                if math.isfinite(folded):
-                    return Constant(folded)
-            except EVAL_ERRORS:
-                pass
-        return Apply(e.fn, a)
-    raise TypeError(f"not an expression node: {e!r}")
+def _folded(f: Callable[..., float], *values: float | None) -> float | None:
+    """`f(*values)`, or None where a value is None (an operand that is no
+    constant) or `f` is undefined there."""
+    if None in values:
+        return None
+    try:
+        return f(*values)
+    except EVAL_ERRORS:
+        return None
 
 
 def _negated(e: Expr) -> Expr:
     """Negation of an already-simplified expression, kept reduced."""
-    if isinstance(e, Constant):
+    if type(e) is Constant:
         return Constant(-e.value)
-    if isinstance(e, Negate):
+    if type(e) is Negate:
         return e.arg
     return Negate(e)
-
-
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Constant) and e.value == 0.0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Constant) and e.value == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -149,15 +149,21 @@ def _per_root_source(exprs: list[Expr], single: bool) -> str:
             reads[id(k)] = reads.get(id(k), 0) + 1
     outputs = {id(e) for e in exprs}
     # Operations whose code reads the same (`Pow(t, 0.0)`, `Pow(t, -0.0)`) share one local.
-    consts, lines, names, depth, reused = 0, [], {}, {}, {}
+    # A constant is the parameter `_k{slot}`, its slot numbered at its
+    # first read by an operation (in creation order), then by a root.
+    consts, lines, names, depth, reused = {}, [], {}, {}, {}
+
+    def name_of(n: Expr) -> str:
+        return f"_k{consts.setdefault(id(n), len(consts))}" if isinstance(n, Constant) else names[id(n)]
+
     for node in order:
         if isinstance(node, Constant):
-            name = f"_k{consts}"
-            consts += 1
-        elif isinstance(node, Variable):
+            continue
+        if isinstance(node, Variable):
             name = node.var.value
         else:
-            text = _per_root_operation(node, [names[id(c)] for c in node.children()])
+            read = [node.base] if isinstance(node, Pow) and _spelled_out(node.exponent) else node.children()
+            text = _per_root_operation(node, [name_of(c) for c in read])
             d = 1 + max(depth.get(id(c), 0) for c in node.children())
             if id(node) not in outputs and reads[id(node)] == 1 and d <= expr._INLINE_DEPTH:
                 name, depth[id(node)] = f"({text})", d
@@ -167,8 +173,9 @@ def _per_root_source(exprs: list[Expr], single: bool) -> str:
                     lines.append(f"    {reused[text]} = {text}\n")
                 name = reused[text]
         names[id(node)] = name
-    result = names[id(exprs[0])] if single else "(" + "".join(f"{names[id(e)]}, " for e in exprs) + ")"
-    params = "".join(f", _k{i}" for i in range(consts))
+    outs = [name_of(e) for e in exprs]
+    result = outs[0] if single else "(" + "".join(f"{o}, " for o in outs) + ")"
+    params = "".join(f", _k{i}" for i in range(len(consts)))
     return f"def _compiled(x1, x2{params}):\n" + "".join(lines) + f"    return {result}\n"
 
 

@@ -32,8 +32,10 @@ from ricciplane.expr import (
     Var,
     X1,
     X2,
+    _as_built,
+    _build,
     _derivative_rule,
-    _simplify_rule,
+    _rule,
     compile_expr,
     differentiate,
     parse,
@@ -74,14 +76,14 @@ def _rebuilt(e: Expr) -> Expr:
 
 
 def _fresh_simplify(e: Expr) -> Expr:
-    """simplify without reading any memo: the same rules, applied bottom up."""
+    """simplify without reading any memo: the same rule, applied bottom up."""
     kids = [_fresh_simplify(k) for k in e.children()]
-    return _simplify_rule(e, *kids, *[None] * (2 - len(kids))) if kids else e
+    return _rule(type(e), *kids, *[None] * (2 - len(kids)), getattr(e, "fn", None)) if kids else e
 
 
 def _fresh_derivative(e: Expr, v: Var) -> Expr:
     kids = [_fresh_derivative(k, v) for k in e.children()]
-    return _derivative_rule(e, v, *kids, *[None] * (2 - len(kids)))
+    return _derivative_rule(_build, _as_built, e, v, *kids)
 
 
 @given(_trees)

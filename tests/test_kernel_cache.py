@@ -216,26 +216,31 @@ def _with_constants(e: Expr, draw) -> Expr:
 def _shape(exprs: list) -> tuple:
     """What a kernel of `exprs` depends on besides its constants' values:
     in creation order, the operation and operands of each inner node
-    (a variable, the i-th constant or the j-th inner node), with the
-    exponent of a power whose code spells it out; the number of
-    constants; and the results."""
+    (a variable, the i-th constant read or the j-th inner node), with
+    the exponent of a power whose code spells it out, in place of that
+    operand; the number of constants read; and the results.  Constants
+    are numbered at their first read, by an operation, then by a result."""
     nodes = sorted({id(n): n for e in exprs for n in walk(e)}.values(), key=lambda n: n._serial)
-    names, consts, ops = {}, 0, []
+    names, consts, ops = {}, {}, []
+
+    def name(n: Expr) -> tuple:
+        return ("k", consts.setdefault(id(n), len(consts))) if isinstance(n, Constant) else names[id(n)]
+
     for n in nodes:
         if isinstance(n, Constant):
-            names[id(n)] = ("k", consts)
-            consts += 1
-        elif not n.children():
+            continue
+        if not n.children():
             names[id(n)] = n.var
-        else:
-            tag = getattr(n, "fn", None)
-            if isinstance(n, Pow) and isinstance(n.exponent, Constant):
-                v = n.exponent.value
-                if v.is_integer() and abs(v) <= expr._INT_POW_MAX:
-                    tag = int(v)
-            names[id(n)] = ("t", len(ops))
-            ops.append((type(n).__name__, tag, tuple(names[id(k)] for k in n.children())))
-    return tuple(ops), consts, tuple(names[id(e)] for e in exprs)
+            continue
+        tag, read = getattr(n, "fn", None), n.children()
+        if isinstance(n, Pow) and isinstance(n.exponent, Constant):
+            v = n.exponent.value
+            if v.is_integer() and abs(v) <= expr._INT_POW_MAX:
+                tag, read = int(v), (n.base,)
+        names[id(n)] = ("t", len(ops))
+        ops.append((type(n).__name__, tag, tuple(name(k) for k in read)))
+    results = tuple(name(e) for e in exprs)
+    return tuple(ops), len(consts), results
 
 
 def test_bound_constants_stay_bit_exact_when_they_share_a_shape():
@@ -379,3 +384,27 @@ def test_fd_kernel_over_lists_that_share_constants(monkeypatch):
     assert fd_validate(second, d, cfg) == reference_fd_validate(second, d, cfg)
     assert emitted == []
 
+
+def test_constants_of_any_age_share_the_kernel_of_their_shape(monkeypatch):
+    # A constant slot is numbered at its first reference, not by the
+    # constant's age.  0.6875 is made after k in the first job and, kept
+    # alive by that job's trees, is older than k in the second; slots
+    # numbered in creation order gave the second job other keys.
+    d, cfg = Domain((0.25, 1.25), (-1.0, 1.0)), SamplingConfig(samples=300, seed=8)
+
+    def job(c: float) -> list:
+        k = Constant(c)
+        return [
+            Add(Mul(k, Pow(X1, Constant(2.0))), Apply("abs", Sub(X2, k))),
+            Mul(Apply("sin", Mul(k, X2)), Add(k, X1)),
+            Apply("exp", Mul(k, Mul(Mul(X1, X2), Constant(0.6875)))),
+        ]
+
+    assert expr._live((Constant, (0.6875).hex())) is None
+    expr._template.cache_clear()
+    first = job(0.1171875)
+    assert fd_validate(first, d, cfg) == reference_fd_validate(first, d, cfg)
+    emitted = _emits(monkeypatch)
+    second = job(0.4140625)
+    assert fd_validate(second, d, cfg) == reference_fd_validate(second, d, cfg)
+    assert emitted == []
