@@ -31,8 +31,8 @@ from .expr import (
     EvaluationError,
     Expr,
     ParseError,
+    _to_strings,
     parse,
-    to_string,
 )
 from .families import (
     Branch1,
@@ -277,10 +277,10 @@ def curvature_section(m: DiagonalMetric, ranges) -> dict:
     """h12, h21, rho and r with their sampled ranges, as
     `geometry.curvature_sweep` gives them."""
     curv = ricci(m)
-    exprs = {"h12": curv.h12, "h21": curv.h21, "rho": curv.rho, "r": curv.r}
+    texts = _to_strings([curv.h12, curv.h21, curv.rho, curv.r])  # r = 2*rho reads rho's text
     section = {}
-    for (name, e), (lo, hi) in zip(exprs.items(), ranges):
-        section[name] = to_string(e)
+    for name, text, (lo, hi) in zip(("h12", "h21", "rho", "r"), texts, ranges):
+        section[name] = text
         section[f"{name}_range"] = [lo, hi]
     return section
 
@@ -346,8 +346,9 @@ def _verify_report(spec, m, V, d, cfg, args, potential=None) -> tuple[dict, int]
     result = verify(m, V, d, cfg, identities and (build() for build in identities.values()))
     command = "verify" if args.command == "identities" else args.command
     report = _report_head(command, spec, d, cfg, m, result.curvature_ranges)
+    V1, V2 = _to_strings([V.V1, V.V2])
     report.update(
-        field={"V1": to_string(V.V1), "V2": to_string(V.V2)},
+        field={"V1": V1, "V2": V2},
         residual_max=list(result.max_abs),
         points_used=result.points_used,
         verdict=result.verdict,
@@ -378,9 +379,10 @@ def cmd_verify(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
 def cmd_construct(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
     params = spec_family(spec)
     m, V = construct(params, d, cfg)
+    f1, f2, V1, V2 = _to_strings([m.f1, m.f2, V.V1, V.V2])
     derived = {
-        "metric": {"f1": to_string(m.f1), "f2": to_string(m.f2)},
-        "field": {"frame": "orthonormal", "V1": to_string(V.V1), "V2": to_string(V.V2)},
+        "metric": {"f1": f1, "f2": f2},
+        "field": {"frame": "orthonormal", "V1": V1, "V2": V2},
         "domain": _echo_domain(d),
         "sampling": dataclasses.asdict(cfg),
     }

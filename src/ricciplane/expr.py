@@ -641,10 +641,13 @@ def differentiate(e: Expr, v: Var) -> Expr:
 
     Total on the supported node set.  The derivative of abs(u) is
     sign(u)*u' and the derivative of sign(u) is 0 away from zeros of u;
-    both evaluate to an error where u vanishes.  Memoised per call, so a
-    shared subtree is differentiated once.
+    both evaluate to an error where u vanishes.  Memoised per job within
+    a `numeric._job_stream` scope (the job's memo of `v`), per call
+    outside one, so a shared subtree is differentiated once.
     """
-    return _differentiated(e, v, {})
+    from .numeric import _job_memo
+
+    return _differentiated(e, v, _job_memo((_differentiated, v)))
 
 
 def _differentiated(e: Expr, v: Var, memo: dict[Expr, Expr]) -> Expr:
@@ -945,15 +948,15 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
     record of the prefix (`_Stream.swept`) or swept once the first
     evaluable point reads as zero, accept when e's lies in [-tol, tol]
     with no NaN and each fold's is finite; else points are read in turn.
+    The folds are computed once per job (`numeric._once_per_job`), and
+    the kernel of every node only when a point is read.
     """
-    from .numeric import DomainTooSingularError, _enough, _extrema, _scoped_stream, sample_points
+    from .numeric import DomainTooSingularError, _enough, _extrema, _once_per_job, _scoped_stream, sample_points
 
     points = sample_points(d, cfg, guards=denominators(e))
-    # The value of every node, that of `e` first.
-    nodes = walk(e)
-    fn = compile_many(nodes)
     tol, enough = cfg.tolerance, _enough(cfg.samples)
-    folds = _finiteness_folds(e)
+    folds = _once_per_job(_finiteness_folds, e)
+    nodes: list[Expr] = []  # every node, `e` first: walked and compiled when a row is first read
 
     def reads_zero(row: tuple[float, ...]) -> bool:
         # The common case first, in one C-level call: a float sum with a
@@ -965,6 +968,8 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
         )
 
     def evaluable_rows():
+        nodes.extend(walk(e))
+        fn = compile_many(nodes)
         for x1, x2 in points:
             try:
                 yield fn(x1, x2)
@@ -1151,10 +1156,15 @@ def to_string(e: Expr) -> str:
     and its text dropped once its last parent has read it, so a long
     chain never holds the texts of all its prefixes.
     """
-    nodes = _nodes([e])
-    uses: dict[Expr, int] = {}
-    for child in [child for node in nodes for child in node.children()]:
-        uses[child] = uses.get(child, 0) + 1
+    return _to_strings([e])[0]
+
+
+def _to_strings(roots: Sequence[Expr]) -> list[str]:
+    """`to_string` of each of `roots`, in order, from one pass over the
+    distinct nodes under all of them: a text is dropped after its last
+    parent has read it, but a root's text is kept to the end."""
+    nodes = _nodes(roots)
+    uses = collections.Counter([*(child for node in nodes for child in node.children()), *roots])
     texts: dict[Expr, tuple[int, str]] = {}
 
     def operand(child: Expr, min_prec: int) -> str:
@@ -1186,4 +1196,4 @@ def to_string(e: Expr) -> str:
         else:
             raise TypeError(f"not an expression node: {node!r}")
         texts[node] = text
-    return texts[e][1]
+    return [texts[root][1] for root in roots]

@@ -28,7 +28,7 @@ from .expr import (
     is_probably_zero,
     simplify,
 )
-from .numeric import DomainTooSingularError, SamplingConfig, covered_sweep, first_zero_failure
+from .numeric import DomainTooSingularError, SamplingConfig, _once_per_job, covered_sweep, first_zero_failure
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,13 @@ def _derive_curvature(m: DiagonalMetric) -> CurvatureData:
 def curvature_sweep(m: DiagonalMetric, d: Domain, cfg: SamplingConfig, groups=(), what: str = "curvature", late=()) -> tuple:
     """`covered_sweep` of `groups` (checked, named `what`) and `late`
     guarded by f1 and f2, with the sampled ranges of h12, h21, rho and r
-    and of rho's `_finiteness_folds`, which `is_flat` reads from the
-    job's record: the groups' (maxima, used) and the four ranges."""
+    and of rho's `_finiteness_folds` (found once per job), which `is_flat`
+    reads from the job's record: the groups' (maxima, used) and the four
+    ranges."""
     curv = ricci(m)
     ranged = (curv.h12, curv.h21, curv.rho, curv.r)
-    results, ranges = covered_sweep(groups, (*ranged, *_finiteness_folds(curv.rho)), d, cfg, (m.f1, m.f2), what, late)
+    folds = _once_per_job(_finiteness_folds, curv.rho)
+    results, ranges = covered_sweep(groups, (*ranged, *folds), d, cfg, (m.f1, m.f2), what, late)
     return results, ranges[: len(ranged)]
 
 

@@ -93,19 +93,31 @@ class _Stream:
         self.cleared, self.passes, self.swept = set(), {}, {}
 
 
-# The job scope of `sample_points` and `nowhere_zero`: None, or the
-# current job's table from (domain, samples, seed) to its `_Stream`.
-_STREAM: contextvars.ContextVar[dict | None] = contextvars.ContextVar("ricciplane_job_stream", default=None)
+class _Job(dict):
+    """A job's record: its `_Stream` of each (domain, samples, seed), and
+    in `answers` each pure DAG query's memo (`_job_memo`)."""
+
+    __slots__ = ("answers",)
+
+    def __init__(self):
+        super().__init__()
+        self.answers: dict[object, dict] = {}
+
+
+# The job scope of `sample_points`, `nowhere_zero` and the job memos:
+# None, or the current job's record.
+_STREAM: contextvars.ContextVar[_Job | None] = contextvars.ContextVar("ricciplane_job_stream", default=None)
 
 
 @contextlib.contextmanager
 def _job_stream() -> Iterator[None]:
     """Scope in which `sample_points` runs each guard set of a
-    (domain, samples, seed) at most once and shares the result, and
-    each expression is swept over its prefix at most once.  The
-    scope belongs to the current context, so each thread has its own;
-    it ends, and its table is dropped, on every exit path."""
-    token = _STREAM.set({})
+    (domain, samples, seed) at most once and shares the result, each
+    expression is swept over its prefix at most once, and each pure DAG
+    query kept in a job memo is answered at most once.  The scope
+    belongs to the current context, so each thread has its own; it
+    ends, and its record is dropped, on every exit path."""
+    token = _STREAM.set(_Job())
     try:
         yield
     finally:
@@ -125,6 +137,24 @@ def _stream(d: Domain, cfg: SamplingConfig) -> _Stream:
 def _scoped_stream(d: Domain, cfg: SamplingConfig) -> _Stream | None:
     """The current job's record of the stream of (d, cfg), or None."""
     return (_STREAM.get() or {}).get((d, cfg.samples, cfg.seed))
+
+
+def _job_memo(owner: object) -> dict:
+    """The current job's memo of `owner`, a pure query of interned nodes:
+    kept in the job's record and dropped with it.  Outside a
+    `_job_stream` scope, a fresh dict."""
+    job = _STREAM.get()
+    return {} if job is None else job.answers.setdefault(owner, {})
+
+
+def _once_per_job(query: Callable, *args):
+    """`query(*args)`, answered once per job within a `_job_stream`
+    scope and returned again to later calls (callers must not mutate
+    it); computed afresh on every call outside one."""
+    memo = _job_memo(query)
+    if args not in memo:
+        memo[args] = query(*args)
+    return memo[args]
 
 
 def sample_points(
@@ -222,7 +252,13 @@ def merge_guards(guards: Iterable[Expr], exprs: Iterable[Expr]) -> list[Expr]:
     """The guards, then each denominator of `exprs` not already listed:
     every subexpression that must stay away from zero at a sample point
     where `exprs` are evaluated.  Each node once, in first-occurrence
-    order; one walk of the DAG under all of `exprs`."""
+    order; one walk of the DAG under all of `exprs`, once per job for
+    the same guards and expressions (`_once_per_job`): the list may be
+    shared, and callers must not mutate it."""
+    return _once_per_job(_merged_guards, tuple(guards), tuple(exprs))
+
+
+def _merged_guards(guards: tuple[Expr, ...], exprs: tuple[Expr, ...]) -> list[Expr]:
     return list(dict.fromkeys([*guards, *denominators(*exprs)]))
 
 
@@ -310,8 +346,11 @@ def fd_validate(
 
     Each expression is sampled, then differentiated, before the next,
     so errors surface as if the expressions were validated one at a
-    time.  Expressions sampled to the same list (the job scope of
-    `sample_points` makes that the usual case) share one sweep.
+    time.  Within a `_job_stream` scope the expressions share the job's
+    derivative memo of each variable (see `differentiate`), so a subtree
+    common to several of them (rho, h12 and h21 in R1-R4) is
+    differentiated once.  Expressions sampled to the same list (the job
+    scope of `sample_points` makes that the usual case) share one sweep.
     """
     built = []
     for e in exprs:
