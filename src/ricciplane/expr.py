@@ -2,16 +2,18 @@
 
 Immutable expression trees, interned so that equal subtrees are one
 node, with exact differentiation, light simplification, both in one
-pass for simplified derivatives (memoised per node), deterministic
-evaluation by generated Python kernels, and a seeded probabilistic
-identically-zero test.  These trees are the single currency passed
-between all other modules.
+pass for simplified derivatives, deterministic evaluation by generated
+Python kernels, and a seeded probabilistic identically-zero test.
+These trees are the single currency passed between all other modules.
+The job record here is the one home of every memo (`_Job`).
 """
 
 from __future__ import annotations
 
 import array
 import collections
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -92,9 +94,52 @@ def _interned(node: "Expr", key: tuple) -> "Expr":
     dies before its node, which the caller holds, so its callback never
     runs."""
     node._serial = _next_serial()
-    node._simplified = node._dx1 = node._dx2 = node._origin = None
     ref = weakref.ref(node, functools.partial(_forget, key))
     return _INTERNED.setdefault(key, ref)() or node
+
+
+class _Job(dict):
+    """A job's record: `numeric`'s `_Stream` of each (domain, samples,
+    seed), and in `answers` the memo of each pure DAG query, keyed on
+    its owner: `simplify`, `(derive, v)`, `(differentiate, v)` and each
+    query of `_once_per_job`."""
+
+    __slots__ = ("answers",)
+
+    def __init__(self):
+        self.answers: collections.defaultdict[object, dict] = collections.defaultdict(dict)
+
+
+# The job scope of sampling and of the memos: None, or the current job's record.
+_STREAM: contextvars.ContextVar[_Job | None] = contextvars.ContextVar("ricciplane_job_stream", default=None)
+
+
+@contextlib.contextmanager
+def _job_stream() -> Iterator[None]:
+    """Scope of one job, in which `numeric.sample_points` runs each guard
+    set of a (domain, samples, seed) at most once, each expression is
+    swept over its prefix at most once, and each query kept in a job
+    memo is answered at most once per node or arguments.  The scope
+    belongs to the current context, so each thread has its own; it
+    ends, and its record is dropped, on every exit path."""
+    token = _STREAM.set(_Job())
+    try:
+        yield
+    finally:
+        _STREAM.reset(token)
+
+
+def _once_per_job(query: Callable, *args):
+    """`query(*args)`, a pure query of interned nodes, answered once per
+    job within a `_job_stream` scope and returned again to later calls
+    (callers must not mutate it); computed afresh on every call outside
+    one."""
+    if (job := _STREAM.get()) is None:
+        return query(*args)
+    memo = job.answers[query]
+    if args not in memo:
+        memo[args] = query(*args)
+    return memo[args]
 
 
 class Expr:
@@ -106,21 +151,17 @@ class Expr:
     same tree iff they are one object.  Nodes compare and hash by
     identity.  Fields are plain slots and must never be assigned after
     construction: every tree that shares a node would change with it.
+    A node refers only to its children, so nodes form no reference
+    cycles and die with the last tree that uses them; the memos of a
+    job (`_Job`) keep the nodes they hold alive until the job ends.
 
-    Each node also carries the memos of `simplify` and `derive`.
-    A memo refers to its result weakly; a result built after its source
-    keeps the source alive instead (`_origin`), and a simplify output is
-    marked as its own fixpoint by a flag.  Every strong reference between
-    nodes therefore points at an older node, so nodes form no reference
-    cycles and die with the last tree that uses them.
-
-    Thread safety: the table and the memos take no lock.  Two threads
-    racing to build the same new node can each create one, but one
-    `dict.setdefault` enters the first and both get it; a racing memo
-    write stores the same pure result twice.
+    Thread safety: the table takes no lock.  Two threads racing to build
+    the same new node can each create one, but one `dict.setdefault`
+    enters the first and both get it.  The job scope belongs to the
+    current context, so threads share no memo.
     """
 
-    __slots__ = ("_serial", "_simplified", "_dx1", "_dx2", "_origin", "__weakref__")
+    __slots__ = ("_serial", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __repr__(self):
@@ -626,39 +667,27 @@ def _emit(key: bytes) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _memo(result: Expr, source: Expr) -> weakref.ref:
-    """The memo of `source` for `result`: a weak reference.  A result
-    built after its source keeps the source alive instead, so that every
-    strong reference between nodes points at an older node."""
-    if result._origin is None and result._serial > source._serial:
-        result._origin = source
-    return weakref.ref(result)
-
-
 def differentiate(e: Expr, v: Var) -> Expr:
     """Exact symbolic partial derivative of `e` with respect to `v`, as
     the rules build it, unsimplified (`derive` is its simplified form).
 
     Total on the supported node set.  The derivative of abs(u) is
     sign(u)*u' and the derivative of sign(u) is 0 away from zeros of u;
-    both evaluate to an error where u vanishes.  Memoised per job within
-    a `numeric._job_stream` scope (the job's memo of `v`), per call
-    outside one, so a shared subtree is differentiated once.
+    both evaluate to an error where u vanishes.  Memoised per job like
+    `simplify`, so a shared subtree is differentiated once.
     """
-    from .numeric import _job_memo
-
-    return _differentiated(e, v, _job_memo((_differentiated, v)))
-
-
-def _differentiated(e: Expr, v: Var, memo: dict[Expr, Expr]) -> Expr:
+    if (job := _STREAM.get()) is None:
+        with _job_stream():
+            return differentiate(e, v)
+    memo = job.answers[differentiate, v]
     if (d := memo.get(e)) is None:
         kids = e.children()
         if not kids:
             d = _derivative_rule(_build, _as_built, e, v)
         elif len(kids) == 1:
-            d = _derivative_rule(_build, _as_built, e, v, _differentiated(kids[0], v, memo))
+            d = _derivative_rule(_build, _as_built, e, v, differentiate(kids[0], v))
         else:
-            d = _derivative_rule(_build, _as_built, e, v, _differentiated(kids[0], v, memo), _differentiated(kids[1], v, memo))
+            d = _derivative_rule(_build, _as_built, e, v, differentiate(kids[0], v), differentiate(kids[1], v))
         memo[e] = d
     return d
 
@@ -667,23 +696,21 @@ def derive(e: Expr, v: Var) -> Expr:
     """`simplify(differentiate(e, v))`, the same node, built in one pass:
     each node's rule is applied to the simplified derivatives of its
     children, and every node is built by `_rule`, so none that `simplify`
-    would drop is built.  Memoised per node and variable."""
-    memo = e._dx1 if v is Var.X1 else e._dx2
-    if memo is not None:
-        d = memo()
-        if d is not None:
-            return d
-    kids = e.children()
-    if not kids:
-        d = _derivative_rule(_rule, simplify, e, v)
-    elif len(kids) == 1:
-        d = _derivative_rule(_rule, simplify, e, v, derive(kids[0], v))
-    else:
-        d = _derivative_rule(_rule, simplify, e, v, derive(kids[0], v), derive(kids[1], v))
-    if v is Var.X1:
-        e._dx1 = _memo(d, e)
-    else:
-        e._dx2 = _memo(d, e)
+    would drop is built.  Memoised per job like `simplify`, each output
+    recorded as `simplify`'s fixpoint."""
+    if (job := _STREAM.get()) is None:
+        with _job_stream():
+            return derive(e, v)
+    memo = job.answers[derive, v]
+    if (d := memo.get(e)) is None:
+        kids = e.children()
+        if not kids:
+            d = _derivative_rule(_rule, simplify, e, v)
+        elif len(kids) == 1:
+            d = _derivative_rule(_rule, simplify, e, v, derive(kids[0], v))
+        else:
+            d = _derivative_rule(_rule, simplify, e, v, derive(kids[0], v), derive(kids[1], v))
+        memo[e] = job.answers[simplify][d] = d
     return d
 
 
@@ -752,24 +779,25 @@ def simplify(e: Expr) -> Expr:
     x1 = -3 is -0.0, simplified 0; `x1 + 0` at x1 = -0.0 is 0.0,
     simplified -0.0) and the NaN of a non-finite operand (`0*x1^400` at
     x1 = 10 is NaN, simplified 0; so is `x1^400 - x1^400`).  Memoised
-    per node: the output is flagged as its own fixpoint, so simplifying
-    an already simplified tree returns at once.
+    per job, in the job's record; outside a job the outermost call opens
+    one, so a shared subtree is simplified once.  The output is recorded
+    as its own fixpoint, so simplifying it again returns at once.
     """
-    memo = e._simplified
-    if memo is not None:
-        s = e if memo is True else memo()
-        if s is not None:
-            return s
-    kind = type(e)
-    if kind is Apply:
-        s = _rule(Apply, simplify(e.arg), None, e.fn)
-    elif kind is Negate:
-        s = _rule(Negate, simplify(e.arg))
-    elif kind is Constant or kind is Variable:
-        s = e
-    else:
-        s = _rule(kind, simplify(e.lhs), simplify(e.rhs))
-    e._simplified = True if s is e else _memo(s, e)
+    if (job := _STREAM.get()) is None:
+        with _job_stream():
+            return simplify(e)
+    memo = job.answers[simplify]
+    if (s := memo.get(e)) is None:
+        kind = type(e)
+        if kind is Apply:
+            s = _rule(Apply, simplify(e.arg), None, e.fn)
+        elif kind is Negate:
+            s = _rule(Negate, simplify(e.arg))
+        elif kind is Constant or kind is Variable:
+            s = e
+        else:
+            s = _rule(kind, simplify(e.lhs), simplify(e.rhs))
+        memo[e] = memo[s] = s
     return s
 
 
@@ -777,42 +805,36 @@ def _rule(kind: type, a: Expr, b: Expr | None = None, fn: str | None = None) -> 
     """The node `kind` of the operands `a` and `b` (an Apply's `fn` of
     `a`), both already simplified, simplified: the one rule of `simplify`
     and `derive`, a smart constructor that builds no node a rule drops.
-    The output is flagged as its own fixpoint."""
+    The output is its own fixpoint under `simplify`."""
     x = a.value if type(a) is Constant else None  # an operand's value where it is a constant
     y = b.value if type(b) is Constant else None
     if kind is Negate:
-        s = _negated(a)
-    elif kind in _CONSTANT_FOLDS and x is not None and y is not None:
-        s = Constant(_CONSTANT_FOLDS[kind](x, y))
-    elif kind is Add:
-        s = b if x == 0.0 else a if y == 0.0 else Add(a, b)
-    elif kind is Sub:
-        s = a if y == 0.0 else ZERO if a is b else _negated(b) if x == 0.0 else Sub(a, b)
-    elif kind is Mul:
+        return _negated(a)
+    if kind in _CONSTANT_FOLDS and x is not None and y is not None:
+        return Constant(_CONSTANT_FOLDS[kind](x, y))
+    if kind is Add:
+        return b if x == 0.0 else a if y == 0.0 else Add(a, b)
+    if kind is Sub:
+        return a if y == 0.0 else ZERO if a is b else _negated(b) if x == 0.0 else Sub(a, b)
+    if kind is Mul:
         if x == 0.0 or y == 0.0:
-            s = ZERO
-        elif x == 1.0 or y == 1.0:
-            s = b if x == 1.0 else a
-        elif x == -1.0 or y == -1.0:
-            s = _negated(b if x == -1.0 else a)
-        else:
-            s = Mul(a, b)
-    elif kind is Div:
+            return ZERO
+        if x == 1.0 or y == 1.0:
+            return b if x == 1.0 else a
+        if x == -1.0 or y == -1.0:
+            return _negated(b if x == -1.0 else a)
+        return Mul(a, b)
+    if kind is Div:
         if x is not None and y is not None and y != 0.0:
-            s = Constant(x / y)
-        else:
-            s = a if y == 1.0 else ZERO if x == 0.0 else ONE if a is b else Div(a, b)
-    elif kind is Pow:
+            return Constant(x / y)
+        return a if y == 1.0 else ZERO if x == 0.0 else ONE if a is b else Div(a, b)
+    if kind is Pow:
         if y == 0.0 or y == 1.0:
-            s = ONE if y == 0.0 else a
-        else:
-            s = Pow(a, b) if (v := _folded(_pow_value, x, y)) is None else Constant(v)
-    elif kind is Apply:
-        s = Constant(v) if (v := _folded(FUNCTIONS[fn], x)) is not None and math.isfinite(v) else Apply(fn, a)
-    else:
-        raise TypeError(f"not an expression node type: {kind!r}")
-    s._simplified = True
-    return s
+            return ONE if y == 0.0 else a
+        return Pow(a, b) if (v := _folded(_pow_value, x, y)) is None else Constant(v)
+    if kind is Apply:
+        return Constant(v) if (v := _folded(FUNCTIONS[fn], x)) is not None and math.isfinite(v) else Apply(fn, a)
+    raise TypeError(f"not an expression node type: {kind!r}")
 
 
 def _folded(f: Callable[..., float], *values: float | None) -> float | None:
@@ -948,10 +970,10 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
     record of the prefix (`_Stream.swept`) or swept once the first
     evaluable point reads as zero, accept when e's lies in [-tol, tol]
     with no NaN and each fold's is finite; else points are read in turn.
-    The folds are computed once per job (`numeric._once_per_job`), and
-    the kernel of every node only when a point is read.
+    The folds are computed once per job (`_once_per_job`), and the
+    kernel of every node only when a point is read.
     """
-    from .numeric import DomainTooSingularError, _enough, _extrema, _once_per_job, _scoped_stream, sample_points
+    from .numeric import DomainTooSingularError, _enough, _extrema, _scoped_stream, sample_points
 
     points = sample_points(d, cfg, guards=denominators(e))
     tol, enough = cfg.tolerance, _enough(cfg.samples)

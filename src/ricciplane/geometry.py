@@ -24,11 +24,12 @@ from .expr import (
     Var,
     ZERO,
     _finiteness_folds,
+    _once_per_job,
     derive,
     is_probably_zero,
     simplify,
 )
-from .numeric import DomainTooSingularError, SamplingConfig, _once_per_job, covered_sweep, first_zero_failure
+from .numeric import DomainTooSingularError, SamplingConfig, covered_sweep, first_zero_failure
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,6 @@ that never touches the symbolic differentiation path.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import random
 import sys
@@ -17,11 +15,14 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .expr import (
+    _STREAM,
     EVAL_ERRORS,
     Constant,
     Domain,
     Expr,
     Var,
+    _job_stream,
+    _once_per_job,
     compile_expr,
     compile_fd,
     compile_many,
@@ -93,40 +94,9 @@ class _Stream:
         self.cleared, self.passes, self.swept = set(), {}, {}
 
 
-class _Job(dict):
-    """A job's record: its `_Stream` of each (domain, samples, seed), and
-    in `answers` each pure DAG query's memo (`_job_memo`)."""
-
-    __slots__ = ("answers",)
-
-    def __init__(self):
-        super().__init__()
-        self.answers: dict[object, dict] = {}
-
-
-# The job scope of `sample_points`, `nowhere_zero` and the job memos:
-# None, or the current job's record.
-_STREAM: contextvars.ContextVar[_Job | None] = contextvars.ContextVar("ricciplane_job_stream", default=None)
-
-
-@contextlib.contextmanager
-def _job_stream() -> Iterator[None]:
-    """Scope in which `sample_points` runs each guard set of a
-    (domain, samples, seed) at most once and shares the result, each
-    expression is swept over its prefix at most once, and each pure DAG
-    query kept in a job memo is answered at most once.  The scope
-    belongs to the current context, so each thread has its own; it
-    ends, and its record is dropped, on every exit path."""
-    token = _STREAM.set(_Job())
-    try:
-        yield
-    finally:
-        _STREAM.reset(token)
-
-
 def _stream(d: Domain, cfg: SamplingConfig) -> _Stream:
-    """The current job's record of the stream of (d, cfg.samples,
-    cfg.seed), or a fresh one outside a `_job_stream` scope."""
+    """The current job's record (`expr._Job`) of the stream of (d,
+    cfg.samples, cfg.seed), or a fresh one outside a `_job_stream` scope."""
     table = _STREAM.get()
     if table is None:
         return _Stream(d, cfg)
@@ -137,24 +107,6 @@ def _stream(d: Domain, cfg: SamplingConfig) -> _Stream:
 def _scoped_stream(d: Domain, cfg: SamplingConfig) -> _Stream | None:
     """The current job's record of the stream of (d, cfg), or None."""
     return (_STREAM.get() or {}).get((d, cfg.samples, cfg.seed))
-
-
-def _job_memo(owner: object) -> dict:
-    """The current job's memo of `owner`, a pure query of interned nodes:
-    kept in the job's record and dropped with it.  Outside a
-    `_job_stream` scope, a fresh dict."""
-    job = _STREAM.get()
-    return {} if job is None else job.answers.setdefault(owner, {})
-
-
-def _once_per_job(query: Callable, *args):
-    """`query(*args)`, answered once per job within a `_job_stream`
-    scope and returned again to later calls (callers must not mutate
-    it); computed afresh on every call outside one."""
-    memo = _job_memo(query)
-    if args not in memo:
-        memo[args] = query(*args)
-    return memo[args]
 
 
 def sample_points(
@@ -346,10 +298,9 @@ def fd_validate(
 
     Each expression is sampled, then differentiated, before the next,
     so errors surface as if the expressions were validated one at a
-    time.  Within a `_job_stream` scope the expressions share the job's
-    derivative memo of each variable (see `differentiate`), so a subtree
-    common to several of them (rho, h12 and h21 in R1-R4) is
-    differentiated once.  Expressions sampled to the same list (the job
+    time.  The expressions share the job's derivative memo of each
+    variable (see `differentiate`), so a subtree common to several of
+    them (rho, h12 and h21 in R1-R4) is differentiated once in a job.  Expressions sampled to the same list (the job
     scope of `sample_points` makes that the usual case) share one sweep.
     """
     built = []
