@@ -87,8 +87,11 @@ def test_derive_is_simplify_of_differentiate(e, v):
     assert d is _fresh_simplify(differentiate(e, v))
     assert derive(e, v) is d
     assert dd is simplify(differentiate(d, v))
-    # Each output is flagged as its own fixpoint, so check the flag
-    # against the rule applied afresh.
+    # Each output is recorded as simplify's fixpoint, so check that
+    # against the rule applied afresh.  derive reads the module's
+    # `_rule`: only a derivative taken from leaf rules alone, 0 or 1,
+    # leaves the list empty.
+    assert outputs or d is Constant(0.0) or d is Constant(1.0)
     for s in outputs:
         assert simplify(s) is s
         assert _fresh_simplify(s) is s

@@ -1,5 +1,6 @@
-"""Hash-consed expression nodes: one live node per structure, per-node
-memos of simplify and differentiate, and no reference cycles."""
+"""Hash-consed expression nodes: one live node per structure, memos of
+simplify and differentiate that agree with the rules applied afresh,
+and no reference cycles."""
 
 from __future__ import annotations
 
