@@ -355,7 +355,7 @@ def _verify_report(spec, m, V, d, cfg, args, potential=None) -> tuple[dict, int]
     )
     exit_code = EXIT_PASS if result.passed else EXIT_FAIL
     if identities and result.passed:
-        verdicts = identity_verdicts(m, V, d, cfg, potential, result.extra_max_abs)
+        verdicts = identity_verdicts(m, V, d, cfg, potential)
         report["identities"] = verdicts
         if not all(verdicts.values()):
             report["verdict"] = "fail"

@@ -101,8 +101,9 @@ def _interned(node: "Expr", key: tuple) -> "Expr":
 class _Job(dict):
     """A job's record: `numeric`'s `_Stream` of each (domain, samples,
     seed), and in `answers` the memo of each pure DAG query, keyed on
-    its owner: `simplify`, `(derive, v)`, `(differentiate, v)` and each
-    query of `_once_per_job`."""
+    its owner: `simplify`, `(derive, v)`, `(differentiate, v)`, each
+    query of `_once_per_job`, and `numeric._recorded` for the `_extrema`
+    of each group over each point list."""
 
     __slots__ = ("answers",)
 
@@ -117,11 +118,11 @@ _STREAM: contextvars.ContextVar[_Job | None] = contextvars.ContextVar("ricciplan
 @contextlib.contextmanager
 def _job_stream() -> Iterator[None]:
     """Scope of one job, in which `numeric.sample_points` runs each guard
-    set of a (domain, samples, seed) at most once, each expression is
-    swept over its prefix at most once, and each query kept in a job
-    memo is answered at most once per node or arguments.  The scope
-    belongs to the current context, so each thread has its own; it
-    ends, and its record is dropped, on every exit path."""
+    set of a (domain, samples, seed) at most once, each group of
+    expressions is swept over a point list at most once, and each query
+    kept in a job memo is answered at most once per node or arguments.
+    The scope belongs to the current context, so each thread has its
+    own; it ends, and its record is dropped, on every exit path."""
     token = _STREAM.set(_Job())
     try:
         yield
@@ -967,13 +968,13 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
     fewer than samples/2 points survive rejection and evaluation.
 
     The ranges of `e` and its `_finiteness_folds`, read from the job's
-    record of the prefix (`_Stream.swept`) or swept once the first
+    record of its points (`numeric._extrema`) or swept once the first
     evaluable point reads as zero, accept when e's lies in [-tol, tol]
     with no NaN and each fold's is finite; else points are read in turn.
     The folds are computed once per job (`_once_per_job`), and the
     kernel of every node only when a point is read.
     """
-    from .numeric import DomainTooSingularError, _enough, _extrema, _scoped_stream, sample_points
+    from .numeric import DomainTooSingularError, _enough, _extrema, _recorded, sample_points
 
     points = sample_points(d, cfg, guards=denominators(e))
     tol, enough = cfg.tolerance, _enough(cfg.samples)
@@ -998,22 +999,22 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
             except EVAL_ERRORS:
                 pass
 
-    rows, first, s = evaluable_rows(), None, _scoped_stream(d, cfg)
-    recorded = [s.swept.get(f) for f in (e, *folds)] if s is not None and points is s.prefix else [None]
+    rows, first, record = evaluable_rows(), None, _recorded(points)
+    recorded = [record.get((f,)) for f in (e, *folds)]
     if None in recorded:
         if (first := next(rows, None)) is None or not reads_zero(first):
             # Not zero at the first point: the answer is fixed once enough points are evaluable.
-            recorded = [(None, (first is not None) + sum(1 for _ in itertools.islice(rows, enough - 1)))]
+            recorded = [([None], (first is not None) + sum(1 for _ in itertools.islice(rows, enough - 1)))]
         else:
-            # The prefix is drawn from `d`, with finite coordinates; check another list's.
+            # A list of `sample_points` is drawn from `d`, with finite coordinates; check any list's.
             groups = [[e], *[[f] for f in folds], *[[v] for v in nodes if isinstance(v, Variable)]]
-            recorded = [(state, used) for [state], used in _extrema(groups, points)]
-    (state, evaluated), *rest = recorded
+            recorded = _extrema(groups, points)
+    ([state], evaluated), *rest = recorded
     if evaluated < enough:
         raise DomainTooSingularError(f"only {evaluated} of {cfg.samples} requested points were evaluable")
     if state is None:
         return False
-    (lo, hi, nan), finite = state, all(-math.inf < a <= b < math.inf and not n for (a, b, n), _ in rest)
+    (lo, hi, nan), finite = state, all(-math.inf < a <= b < math.inf and not n for [(a, b, n)], _ in rest)
     if not nan and -tol <= lo and hi <= tol and finite:
         return True
     return reads_zero(first or next(rows)) and all(map(reads_zero, rows))

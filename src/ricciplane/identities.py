@@ -23,10 +23,11 @@ from .expr import (
     Negate,
     Pow,
     Sub,
+    _once_per_job,
     simplify,
 )
 from .geometry import DiagonalMetric, connection_table, frame_derivative, lie_bracket, ricci
-from .numeric import SamplingConfig, _check_shortfall, covered_sweep
+from .numeric import SamplingConfig, covered_sweep
 from .riccifield import FrameField, closedness_defect, covariant_row, divergence
 
 
@@ -37,21 +38,10 @@ class PotentialFunction:
     f: Expr
 
 
-def _sampled_ok(
-    m: DiagonalMetric,
-    groups: Iterable[Sequence[Expr]],
-    d: Domain,
-    cfg: SamplingConfig,
-    swept: Iterable[tuple[Sequence[float], int]] | None = None,
-) -> list[bool]:
+def _sampled_ok(m: DiagonalMetric, groups: Iterable[Sequence[Expr]], d: Domain, cfg: SamplingConfig) -> list[bool]:
     """Per group of residuals: is every sampled max |value| within
-    tolerance?  One `covered_sweep` call for all groups, or, when their
-    (maxima, used) were `swept` already, only the shortfall check."""
-    what = "identity residuals"
-    if swept is None:
-        swept = covered_sweep(groups, (), d, cfg, (m.f1, m.f2), what)[0]
-    else:
-        _check_shortfall(swept, cfg, what)
+    tolerance?  One `covered_sweep` call for all groups."""
+    swept = covered_sweep(groups, (), d, cfg, (m.f1, m.f2), "identity residuals")[0]
     return [all(v <= cfg.tolerance for v in maxima) for maxima, _ in swept]
 
 
@@ -197,16 +187,18 @@ def identity_groups(m: DiagonalMetric, V: FrameField, potential: PotentialFuncti
     each with a builder of its residual group: Ric(V, V), the scalar
     divergence, the curvature identity and closedness (the dual 1-form
     of V is closed), plus the steady-soliton and Laplacian identities
-    when V is the gradient of `potential`."""
+    when V is the gradient of `potential`.  Each group's residuals are
+    built once per job (`_once_per_job`); a group may be shared: do not
+    mutate it."""
     checks = {
-        "ric_vv": lambda: _ric_vv_residuals(m, V),
-        "scalar_divergence": lambda: _scalar_divergence_residuals(m, V),
-        "curvature_identity": lambda: _curvature_identity_residuals(m, V),
-        "closedness": lambda: [closedness_defect(m, V)],
+        "ric_vv": lambda: _once_per_job(_ric_vv_residuals, m, V),
+        "scalar_divergence": lambda: _once_per_job(_scalar_divergence_residuals, m, V),
+        "curvature_identity": lambda: _once_per_job(_curvature_identity_residuals, m, V),
+        "closedness": lambda: [_once_per_job(closedness_defect, m, V)],
     }
     if potential is not None:
-        checks["steady_soliton"] = lambda: _steady_soliton_residuals(m, potential)
-        checks["laplacian_scalar"] = lambda: _laplacian_scalar_residuals(m, potential)
+        checks["steady_soliton"] = lambda: _once_per_job(_steady_soliton_residuals, m, potential)
+        checks["laplacian_scalar"] = lambda: _once_per_job(_laplacian_scalar_residuals, m, potential)
     return checks
 
 
@@ -216,16 +208,14 @@ def identity_verdicts(
     d: Domain,
     cfg: SamplingConfig,
     potential: PotentialFunction | None = None,
-    swept: Sequence[tuple[Sequence[float], int]] | None = None,
 ) -> dict[str, bool]:
     """Every consequence-identity verdict of `identity_groups`.
 
     Each verdict equals that of its `check_*` function (closedness has
     none); the residuals of all of them are built and sampled in this
-    order and evaluated in one sweep per point list.  `swept` may give
-    their (maxima, used) from a sweep already made (`verify`'s
-    `extra_max_abs`); then nothing is built or sampled.
+    order and evaluated in one `covered_sweep` call, which finds the
+    groups `verify` swept with its residuals recorded.
     """
     checks = identity_groups(m, V, potential)
     groups = (build() for build in checks.values())
-    return dict(zip(checks, _sampled_ok(m, groups, d, cfg, swept)))
+    return dict(zip(checks, _sampled_ok(m, groups, d, cfg)))

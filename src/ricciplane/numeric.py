@@ -76,22 +76,20 @@ class _Stream:
     """A job's record of one (domain, samples, seed) stream.  `prefix` is
     its first `samples` candidates, drawn once, and `end` the
     random.Random state after them.  `passes` maps a frozenset of guards
-    to the points of its pass, and `swept` an expression to
-    ((lo, hi, saw_nan), used), its `_extrema` state over the prefix as a
-    group of its own.  `cleared` holds the guards that accept every
-    prefix candidate: each is defined there with |v| >= guard or NaN
-    (see `_sweep_prefix`).  `compile_many` values are bit-identical per
-    expression, and a fused kernel raises only where one of its
+    to the points of its pass.  `cleared` holds the guards that accept
+    every prefix candidate: each is defined there with |v| >= guard or
+    NaN (see `_sweep_prefix`).  `compile_many` values are bit-identical
+    per expression, and a fused kernel raises only where one of its
     expressions does, so a set of cleared guards accepts the whole
     prefix."""
 
-    __slots__ = ("prefix", "end", "cleared", "passes", "swept")
+    __slots__ = ("prefix", "end", "cleared", "passes")
 
     def __init__(self, d: Domain, cfg: SamplingConfig):
         rng = random.Random(cfg.seed)
         self.prefix = list(islice(_draws(d, rng), cfg.samples))
         self.end = rng.getstate()
-        self.cleared, self.passes, self.swept = set(), {}, {}
+        self.cleared, self.passes = set(), {}
 
 
 def _stream(d: Domain, cfg: SamplingConfig) -> _Stream:
@@ -102,11 +100,6 @@ def _stream(d: Domain, cfg: SamplingConfig) -> _Stream:
         return _Stream(d, cfg)
     key = (d, cfg.samples, cfg.seed)
     return table.get(key) or table.setdefault(key, _Stream(d, cfg))
-
-
-def _scoped_stream(d: Domain, cfg: SamplingConfig) -> _Stream | None:
-    """The current job's record of the stream of (d, cfg), or None."""
-    return (_STREAM.get() or {}).get((d, cfg.samples, cfg.seed))
 
 
 def sample_points(
@@ -180,17 +173,14 @@ def _draw_pass(d: Domain, cfg: SamplingConfig, guards: tuple[Expr, ...], s: _Str
 
 
 def _sweep_prefix(exprs: Sequence[Expr], s: _Stream, guard: float) -> list[tuple[tuple[float, float, bool], bool]]:
-    """Per expression, its (lo, hi, saw_nan) over `s.prefix` as recorded,
-    those not in `s.swept` from one `_extrema` sweep, and whether it
-    clears as a guard: defined at every candidate, and NaN aside
-    (`_draw_pass` accepts a NaN) on one side of (-guard, guard)."""
-    todo = [[e] for e in dict.fromkeys(exprs) if e not in s.swept]
-    if todo:
-        s.swept.update((e, (state, used)) for [e], ([state], used) in zip(todo, _extrema(todo, s.prefix)))
+    """Per expression, its (lo, hi, saw_nan) over `s.prefix` as a group
+    of its own (one `_extrema` call), and whether it clears as a guard:
+    defined at every candidate, and NaN aside (`_draw_pass` accepts a
+    NaN) on one side of (-guard, guard)."""
     n = len(s.prefix)
     return [
         (state, used == n and (state[0] >= guard or state[1] <= -guard))
-        for state, used in map(s.swept.get, exprs)
+        for [state], used in _extrema([[e] for e in exprs], s.prefix)
     ]
 
 
@@ -414,18 +404,42 @@ def _maxima(states: list[tuple[float, float, bool]]) -> list[float]:
     return [math.inf if nan else max(abs(lo), abs(hi)) if lo <= hi else 0.0 for lo, hi, nan in states]
 
 
-def _extrema(
-    groups: Sequence[Sequence[Expr]],
-    points: Sequence[tuple[float, float]],
-) -> list[tuple[list[tuple[float, float, bool]], int]]:
+_Extrema = tuple[list[tuple[float, float, bool]], int]  # a group's (lo, hi, saw_nan) per expression, and its used count
+
+
+def _extrema(groups: Sequence[Sequence[Expr]], points: Sequence[tuple[float, float]]) -> list[_Extrema]:
     """Per group, the (lo, hi, saw_nan) of each of its expressions over
     the points it used (see `compile_sweep`), and the number it used.
+    A group's result depends only on its expressions and the points, so
+    one `_sweep` of the distinct groups not yet `_recorded` serves them
+    all: within a `_job_stream` scope each (group, point list) is swept
+    once per job.  The results may be shared: do not mutate them."""
+    record = _recorded(points)
+    keys = [tuple(g) for g in groups]
+    todo = [k for k in dict.fromkeys(keys) if k not in record]
+    if todo:
+        record.update(zip(todo, _sweep(todo, points)))
+    return [record[k] for k in keys]
 
-    One sweep kernel folds every non-constant expression.  Where it
-    raises, `_one_by_one` evaluates the point: a group with an undefined
-    expression drops it, the others fold their values, and the kernel
-    resumes the same iterator, so the points fold in stream order and a
-    signed-zero bound keeps its bits.  A Constant c never raises and has
+
+def _recorded(points: Sequence[tuple[float, float]]) -> dict[tuple[Expr, ...], _Extrema]:
+    """The current job's record (`expr._Job`) of the `_extrema` of each
+    group, as a tuple, over `points`; a fresh one outside a `_job_stream`
+    scope.  It is keyed on the list's id and holds the list, so no other
+    list can take that id within the job."""
+    if (job := _STREAM.get()) is None:
+        return {}
+    lists = job.answers[_recorded]
+    return (lists.get(id(points)) or lists.setdefault(id(points), (points, {})))[1]
+
+
+def _sweep(groups: Sequence[Sequence[Expr]], points: Sequence[tuple[float, float]]) -> list[_Extrema]:
+    """`_extrema` of the groups, read from one sweep kernel that folds
+    every non-constant expression.  Where it raises, `_one_by_one`
+    evaluates the point: a group with an undefined expression drops it,
+    the others fold their values, and the kernel resumes the same
+    iterator, so the points fold in stream order and a signed-zero
+    bound keeps its bits.  A Constant c never raises and has
     one value at every point, so it is left out of the sweep: its state
     is (c, c, c != c) in a group that used a point, else that of no
     value, (math.inf, -math.inf, False).
@@ -478,12 +492,11 @@ def covered_sweep(
     or sampling one raises, a shortfall of an earlier group is raised
     instead, and the errors of `ranged` come after every shortfall.
     Groups sampled to one list (the job scope of `sample_points` makes
-    that usual) share one sweep, each `ranged` expression its own group
-    (recorded in `_Stream.swept` if swept over the job's prefix).
-    `late` groups, lazy too, are built and sampled after `ranged` and
-    swept with the rest, but never checked: their (maxima, used) follow
-    the groups', unless building or sampling one raised, which leaves
-    every late group out (sampled again on their own, they raise again).
+    that usual) share one `_extrema` call, each `ranged` expression its
+    own group.  `late` groups, lazy too, are built and sampled after
+    `ranged` and swept with the rest, unchecked and not returned, for a
+    later call in the job to find recorded; if building or sampling one
+    raises, none joins the sweep (on their own, they raise again).
     """
     guards = tuple(guards)
     collected: list[tuple[Sequence[Expr], list[tuple[float, float]]]] = []
@@ -504,32 +517,17 @@ def covered_sweep(
     except Exception:  # whatever it is, the caller's own phase raises it again
         del collected[k:]
     results = _checked_sweeps(collected, n, cfg, what)
-    s = _scoped_stream(d, cfg) if ranged else None
-    if s is not None and points is s.prefix:
-        s.swept.update((e, (state, used)) for e, ([state], used) in zip(ranged, results[n:k]))
-    return [(_maxima(states), used) for states, used in results[:n] + results[k:]], _ranges(results[n:k])
+    return [(_maxima(states), used) for states, used in results[:n]], _ranges(results[n:k])
 
 
-def _checked_sweeps(
-    collected: list[tuple[Sequence[Expr], list[tuple[float, float]]]],
-    n: int,
-    cfg: SamplingConfig,
-    what: str,
-) -> list[tuple[list[tuple[float, float, bool]], int]]:
-    """One `_extrema` sweep per distinct point list, then the first
-    shortfall of the first n groups, in order."""
+def _checked_sweeps(collected: list, n: int, cfg: SamplingConfig, what: str) -> list[_Extrema]:
+    """`_extrema` of the (group, points) pairs, one call per distinct
+    point list, then the first shortfall of the first n groups, in order."""
     results = _per_point_list(collected, _extrema)
-    _check_shortfall(results[:n], cfg, what)
-    return results
-
-
-def _check_shortfall(results: Iterable[tuple[object, int]], cfg: SamplingConfig, what: str) -> None:
-    """Raise the first shortfall of (..., points used) results, in order."""
-    for _, used in results:
+    for _, used in results[:n]:
         if used < _enough(cfg.samples):
-            raise DomainTooSingularError(
-                f"{what} were evaluable at only {used} of {cfg.samples} requested points"
-            )
+            raise DomainTooSingularError(f"{what} were evaluable at only {used} of {cfg.samples} requested points")
+    return results
 
 
 def _per_point_list(collected: list[tuple[object, list[tuple[float, float]]]], sweep: Callable) -> list:
@@ -560,7 +558,7 @@ def sampled_range(
     return _ranges(_extrema([[e] for e in exprs], points))
 
 
-def _ranges(results: list[tuple[list[tuple[float, float, bool]], int]]) -> list[tuple[float, float]]:
+def _ranges(results: list[_Extrema]) -> list[tuple[float, float]]:
     ranges = []
     for [(a, b, saw_nan)], _ in results:
         if saw_nan:

@@ -28,7 +28,7 @@ from .geometry import (
     ricci,
     validate_metric,
 )
-from .numeric import SamplingConfig, merge_guards, sample_points, sampled_max_abs
+from .numeric import SamplingConfig, _extrema, merge_guards, sample_points
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,6 @@ class ResidualReport:
     tolerance: float
     # The sampled (min, max) of h12, h21, rho and r, as `sampled_range` gives them.
     curvature_ranges: tuple[tuple[float, float], ...]
-    # (maxima, points used) per extra group of `verify`, unchecked; None if none was swept.
-    extra_max_abs: tuple[tuple[tuple[float, ...], int], ...] | None = None
 
     @property
     def passed(self) -> bool:
@@ -115,12 +113,13 @@ def verify(
 
     Lazy `extra_groups` (the identity residuals) are built only if the
     residuals pass at the first point of their list, then swept with them
-    as `covered_sweep`'s late groups: `extra_max_abs`, read after a pass.
+    as `covered_sweep`'s late groups, unchecked: a later `covered_sweep`
+    of them in the job finds them recorded.
     """
     validate_metric(m, d, cfg)
     residuals = residual_system(m, V)
     late = extra_groups if extra_groups is not None and _passes_first_point(m, residuals, d, cfg) else ()
-    [(maxima, used), *extra], ranges = curvature_sweep(m, d, cfg, [residuals], "residuals", late)
+    [(maxima, used)], ranges = curvature_sweep(m, d, cfg, [residuals], "residuals", late)
     return ResidualReport(
         residuals=residuals,
         max_abs=tuple(maxima),
@@ -129,15 +128,14 @@ def verify(
         seed=cfg.seed,
         tolerance=cfg.tolerance,
         curvature_ranges=tuple(ranges),
-        extra_max_abs=tuple((tuple(mx), n) for mx, n in extra) or None,
     )
 
 
 def _passes_first_point(m: DiagonalMetric, residuals: Sequence[Expr], d: Domain, cfg: SamplingConfig) -> bool:
     """Whether the residuals are within tolerance, or undefined, at the
     first point of their sampled list: where not, `verify` fails."""
-    [(first, _)] = sampled_max_abs([residuals], sample_points(d, cfg, equation_guards(m, residuals))[:1])
-    return all(v <= cfg.tolerance for v in first)
+    [(states, _)] = _extrema([residuals], sample_points(d, cfg, equation_guards(m, residuals))[:1])
+    return all(not nan and -cfg.tolerance <= lo and hi <= cfg.tolerance for lo, hi, nan in states)
 
 
 def from_coordinates(m: DiagonalMetric, A: Expr, B: Expr) -> FrameField:

@@ -1,7 +1,8 @@
 """An identities job sweeps its identity residuals with its residuals once
-the residuals pass at the first point of their list.  Every report,
-error message and exit code stays that of the phased path, which sweeps
-the identity groups in a phase of their own after a pass."""
+the residuals pass at the first point of their list, and its identity
+phase finds them in the job's record.  Every report, error message and
+exit code stays that of the phased path, which sweeps the identity
+groups in a phase of their own after a pass."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ricciplane import cli, identities, riccifield
+from ricciplane import cli, identities, numeric, riccifield
 from ricciplane.expr import Domain, parse
 from ricciplane.numeric import SamplingConfig, sample_points
 
@@ -41,12 +42,25 @@ def _run(jobs: list[list[str]], capsys) -> list[tuple[int, str, str]]:
     return outputs
 
 
-def _counting_phased_sweeps(monkeypatch) -> list:
-    """Wrap the identity phase's own `covered_sweep`: one entry per call."""
-    calls = []
-    sweep = identities.covered_sweep
-    monkeypatch.setattr(identities, "covered_sweep", lambda *args: calls.append(args) or sweep(*args))
-    return calls
+def _counting_phase_sweeps(monkeypatch) -> list:
+    """Wrap `numeric._sweep`, which sweeps the groups a job's record does
+    not hold, `numeric.compile_sweep`, called once per sweep kernel run
+    (a sweep of constants alone runs none), and the identity phase: one
+    entry per phase, the (sweeps, kernels) it ran."""
+    phases, sweeps, kernels = [], [], []
+    sweep, compile_sweep, verdicts = numeric._sweep, numeric.compile_sweep, cli.identity_verdicts
+    monkeypatch.setattr(numeric, "_sweep", lambda groups, points: sweeps.append(groups) or sweep(groups, points))
+    monkeypatch.setattr(numeric, "compile_sweep", lambda exprs: kernels.append(exprs) or compile_sweep(exprs))
+
+    def counted(*args):
+        start = len(sweeps), len(kernels)
+        try:
+            return verdicts(*args)
+        finally:
+            phases.append((len(sweeps) - start[0], len(kernels) - start[1]))
+
+    monkeypatch.setattr(cli, "identity_verdicts", counted)
+    return phases
 
 
 def _write(tmp_path: Path, name: str, spec: dict) -> str:
@@ -71,18 +85,23 @@ def _corpus_jobs(tmp_path: Path) -> list[list[str]]:
 def test_fused_jobs_print_what_phased_jobs_print(tmp_path, capsys, monkeypatch):
     jobs = _corpus_jobs(tmp_path)
     assert len(jobs) == 8 * 2 * 2 * 3 + 1 + 4
-    phased_sweeps = _counting_phased_sweeps(monkeypatch)
+    phases = _counting_phase_sweeps(monkeypatch)
     fused = _run(jobs, capsys)
-    # Every passing job read its identity verdicts from the fused sweep.
-    assert phased_sweeps == []
+    passed = sum(code == 0 for code, _, _ in fused) - 2  # the construct jobs run no identity phase
+    # Every passing job read its identity verdicts from the fused sweep's record.
+    assert phases == [(0, 0)] * passed
     with monkeypatch.context() as patch:
         _always_fused(patch)
         assert _run(jobs, capsys) == fused
+    assert phases == [(0, 0)] * 2 * passed
+    phases.clear()
+    # The phased path sweeps the identity groups in the phase, in one sweep.
     _phased(monkeypatch)
     assert _run(jobs, capsys) == fused
-    assert len(phased_sweeps) == sum(code == 0 for code, _, _ in fused) - 2  # the construct jobs run none
+    assert [sweeps for sweeps, _ in phases] == [1] * passed
+    assert all(kernels <= 1 for _, kernels in phases)
     assert {code for code, _, _ in fused} == {0, 1}
-    assert sum("identities" in json.loads(out) for _, out, _ in fused) == len(phased_sweeps)
+    assert sum("identities" in json.loads(out) for _, out, _ in fused) == passed
 
 
 def _fails_past_the_first_point(tmp_path: Path) -> list[str]:
@@ -122,10 +141,15 @@ def test_an_identity_group_drops_points_the_residuals_keep(capsys, monkeypatch, 
     # bit for bit elsewhere, so the group stays within tolerance.
     _with_extra_residual(monkeypatch, "sqrt(x1 + 0.9) - sqrt(0.9 + x1)")
     checked = []
-    check = identities._check_shortfall
-    monkeypatch.setattr(
-        identities, "_check_shortfall", lambda results, *args: checked.append(results) or check(results, *args)
-    )
+    check = numeric._checked_sweeps
+
+    def checking(collected, n, cfg, what):
+        results = check(collected, n, cfg, what)
+        if what == "identity residuals":
+            checked.append(results)
+        return results
+
+    monkeypatch.setattr(numeric, "_checked_sweeps", checking)
     argv = ["identities", "--spec", EX03, "--samples", samples]
     [(code, out, err)] = _run([argv], capsys)
     report = json.loads(out)

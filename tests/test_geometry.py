@@ -153,11 +153,11 @@ def test_validate_metric_rejects_sign_change():
 
 
 def test_validate_metric_checks_a_shared_component_once(monkeypatch):
-    # One sweep of the components, a shared node swept as one group; a
-    # failing shared component is reported as f1.
+    # One sweep kernel over the components, a shared node swept as one
+    # group; a failing shared component is reported as f1.
     swept = []
-    extrema = numeric._extrema
-    monkeypatch.setattr(numeric, "_extrema", lambda groups, points: swept.append(groups) or extrema(groups, points))
+    sweep = numeric._sweep
+    monkeypatch.setattr(numeric, "_sweep", lambda groups, points: swept.append([list(g) for g in groups]) or sweep(groups, points))
     shared = DiagonalMetric(parse("exp(x1)"), parse("exp(x1)"))
     assert shared.f1 is shared.f2
     validate_metric(shared, Domain(), SamplingConfig())

@@ -368,3 +368,53 @@ def test_a_verify_job_whose_residual_kernel_raises_keeps_its_report(tmp_path, ca
     assert _hex(report["residual_max"]) == ["0x1.301140dd29246p+17", "0x1.ba1231c5eb42bp+3", "0x0.0p+0", "0x0.0p+0"]
     assert report["points_used"] == 1519
     assert _hex(report["rho_range"]) == ["-0x1.0c10f07837d5ap+2", "-0x1.22a89a8da2d4ep-1"]
+
+
+def _states_hex(results) -> list:
+    """`_extrema` results bit for bit: each (lo, hi, saw_nan) by float.hex, and the count used."""
+    return [([(lo.hex(), hi.hex(), nan) for lo, hi, nan in states], used) for states, used in results]
+
+
+# Each call: over the one-point slice or the whole list, and which groups, in order.
+_calls = st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 3), max_size=5)), min_size=1, max_size=6)
+
+
+@given(_points, _groups, _calls)
+@settings(max_examples=300, deadline=None)
+@example([(1.0, 2.5), (-0.0, 0.0)], [[0, 5], [0, 5]], [(False, [0, 1]), (True, [1, 0]), (False, [1])])
+def test_the_job_record_sweeps_each_group_and_list_once(points, groups, calls):
+    """In a job scope, `_extrema` on any sub-combination of groups, in any
+    order, over one list or a one-point slice of it gives what one
+    unscoped sweep of each group alone gives, bit for bit; and it runs a
+    sweep kernel only over the groups the record does not hold."""
+    pool = [parse(s) for s in _POOL] + _constants()
+    groups = [[pool[i] for i in g] for g in groups]
+    lists = (points, points[:1])
+    alone = {(i, k): _states_hex(numeric._extrema([g], lst)) for i, g in enumerate(groups) for k, lst in enumerate(lists)}
+    sweeps, kernels = [], []
+    sweep, compile_sweep = numeric._sweep, numeric.compile_sweep
+    with pytest.MonkeyPatch.context() as monkeypatch, _job_stream():
+        monkeypatch.setattr(numeric, "_sweep", lambda gs, pts: sweeps.append((list(gs), pts)) or sweep(gs, pts))
+        monkeypatch.setattr(numeric, "compile_sweep", lambda exprs: kernels.append(exprs) or compile_sweep(exprs))
+        requested = set()
+        for one_point, chosen in calls:
+            chosen = [i % len(groups) for i in chosen]
+            got = numeric._extrema([groups[i] for i in chosen], lists[one_point])
+            assert _states_hex(got) == [r for i in chosen for r in alone[i, one_point]]
+            requested |= {(tuple(groups[i]), id(lists[one_point])) for i in chosen}
+    # Each (group, list) asked for is swept once, and no other.
+    swept = [(g, id(pts)) for gs, pts in sweeps for g in gs]
+    assert len(swept) == len(set(swept)) and set(swept) == requested
+    # One kernel per sweep that holds an expression other than a constant.
+    assert len(kernels) == sum(any(not isinstance(e, Constant) for g in gs for e in g) for gs, _ in sweeps)
+
+
+def test_a_freed_point_list_lends_no_record():
+    # Each list below is freed after its call, and the next may get its
+    # id: the record holds every list it keys on, so none is reused
+    # within the job.
+    x1 = parse("x1")
+    with _job_stream():
+        for v in (1.0, 2.0, 3.0, 4.0):
+            [([state], used)] = numeric._extrema([[x1]], [(v, 0.0)])
+            assert (state, used) == ((v, v, False), 1)

@@ -57,7 +57,7 @@ def test_covered_subset_is_served_by_its_superset(monkeypatch):
         (s,) = numeric._STREAM.get().values()
         assert superset is s.prefix
         # Each cleared guard is held by its sweep state, not by a pass.
-        assert s.passes == {} and list(s.swept) == [COSH, EXP]
+        assert s.passes == {} and _swept(s) == [COSH, EXP]
         assert s.cleared == {COSH, EXP}
     assert passes == []
     assert swept == [([[COSH], [EXP]], s.prefix)] and swept[0][1] is s.prefix
@@ -74,7 +74,7 @@ def test_superset_that_rejected_candidates_serves_no_subset(monkeypatch):
         # both sweep states are stored, then the rejecting pass with its
         # own points, which clears nothing.  The record holds the
         # stream's prefix and where it ends.
-        assert list(s.swept) == [SINH, EXP]
+        assert _swept(s) == [SINH, EXP]
         assert list(s.passes) == [frozenset([SINH, EXP])]
         assert s.passes[frozenset([SINH, EXP])] is superset
         assert superset != s.prefix and s.cleared == {EXP}
@@ -238,10 +238,14 @@ def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch,
     # f2, f2' and the induced f1 are scanned by `construct` in the job's
     # first sweep; verifying the pair scans f1 and f2 again with the
     # same domain, samples and seed.  Every scan passes, so none runs the
-    # per-point loop.  The job's record holds each expression swept over
-    # its prefix once: the three scans, one guard, h12, h21, rho, r and
-    # rho's two folds.  Each call on its own records them in streams of
-    # its own, 13 in all.
+    # per-point loop.  The job sweeps each expression over its prefix as
+    # a group of its own once: the three scans, then h12, h21, rho, r and
+    # rho's two folds on b1, and the guard sinh(0.7*x1), h12, h21, rho, r and
+    # rho's one fold on b2.  Each call on its own sweeps over a stream of
+    # its own: 13 scan and guard sweeps, the range groups of
+    # `curvature_sweep` (6 on b1, 5 on b2), and on b2, whose rho reads as
+    # zero at its first point, the zero test's own sweep of rho, its fold
+    # and x1: 19 and 21 in all.
     records, failures = [], []
     stream, scan = numeric._stream, numeric._scan_nowhere_zero
     monkeypatch.setattr(numeric, "_stream", lambda d, cfg: records.append(stream(d, cfg)) or records[-1])
@@ -250,7 +254,8 @@ def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch,
     )
 
     def scanned() -> list:
-        return [e for s in dict.fromkeys(records) for e in s.swept]
+        prefixes = [s.prefix for s in records]
+        return [g[0] for groups, points in swept if any(points is p for p in prefixes) for g in groups if len(g) == 1]
 
     argv = next(job for job in _family_jobs(tmp_path) if job[2].endswith(f"{tag}.json"))
     assert argv[0] == "construct"
@@ -267,9 +272,10 @@ def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch,
     assert swept[0][0] == [[e] for e in scans]
     assert all(e is g for e, [g] in zip(scans, swept[0][0]))
     records.clear()
+    swept.clear()
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
-    assert len(scanned()) == 13
+    assert len(scanned()) == {"b1": 19, "b2": 21}[tag]
     assert failures == []
 
 
@@ -364,7 +370,7 @@ def test_a_failed_pass_stores_no_more_than_samples_candidates():
             sample_points(d, CFG, [tiny])
         (s,) = numeric._STREAM.get().values()
         # The sweeps of the scan and of the guard are stored; the failed pass is not.
-        assert list(s.swept) == [COSH, tiny] and s.passes == {}
+        assert _swept(s) == [COSH, tiny] and s.passes == {}
         assert len(s.prefix) == CFG.samples
         assert all(len(points) <= CFG.samples for points in s.passes.values())
 
@@ -374,11 +380,28 @@ def _hexes(points) -> list[tuple[str, str]]:
 
 
 def _counting_sweeps(monkeypatch) -> list:
-    """Wrap `numeric._extrema`: one (groups, points) per sweep."""
+    """Wrap `numeric._sweep`, which runs one sweep kernel over the groups
+    the job's record does not hold: one (groups, points) per run, each
+    group as a list."""
     swept = []
-    extrema = numeric._extrema
-    monkeypatch.setattr(numeric, "_extrema", lambda groups, points: swept.append((groups, points)) or extrema(groups, points))
+    sweep = numeric._sweep
+    monkeypatch.setattr(
+        numeric, "_sweep", lambda groups, points: swept.append(([list(g) for g in groups], points)) or sweep(groups, points)
+    )
     return swept
+
+
+def _distinct(groups: list, swept: list = ()) -> list:
+    """The distinct groups not in `swept`, each as a list, in
+    first-occurrence order: those one `_extrema` call sweeps over a list
+    the job has swept the groups `swept` over."""
+    return [list(g) for g in dict.fromkeys(map(tuple, groups)) if list(g) not in swept]
+
+
+def _swept(s: numeric._Stream) -> list:
+    """The expressions the current job's record holds swept over the
+    prefix of `s` as a group of their own, in the order swept."""
+    return [group[0] for group in numeric._recorded(s.prefix) if len(group) == 1]
 
 
 def _counting_passes(monkeypatch) -> tuple[list, list]:
@@ -403,7 +426,7 @@ def test_passes_over_separate_guards_clear_their_union(monkeypatch):
         assert [groups for groups, _ in swept] == [[[COSH]], [[EXP]]]
         served = sample_points(Domain(), CFG, [COSH, EXP])
         (s,) = numeric._STREAM.get().values()
-        assert s.passes == {} and list(s.swept) == [COSH, EXP]
+        assert s.passes == {} and _swept(s) == [COSH, EXP]
         assert s.cleared == {COSH, EXP}
     assert served is first is s.prefix
     assert passes == kernels == [] and len(swept) == 2
@@ -420,7 +443,7 @@ def test_a_passing_scan_clears_its_expression(monkeypatch, guards):
         served = sample_points(Domain(), CFG, guards)
         (s,) = numeric._STREAM.get().values()
         assert s.passes == {}
-        assert list(s.swept) == [COSH, EXP] and s.cleared == {COSH, EXP}
+        assert _swept(s) == [COSH, EXP] and s.cleared == {COSH, EXP}
     assert served is prefix is s.prefix
     assert passes == kernels == []
     assert _hexes(served) == _hexes(sample_points(Domain(), CFG, guards))
@@ -431,7 +454,7 @@ def test_a_scan_of_another_stream_clears_nothing(monkeypatch):
         assert numeric.nowhere_zero(COSH, Domain(), SamplingConfig(samples=100, seed=6))[0]
         prefix = sample_points(Domain(), CFG)
         s = numeric._STREAM.get()[(Domain(), CFG.samples, CFG.seed)]
-        assert s.cleared == set() and s.swept == {}
+        assert s.cleared == set() and _swept(s) == []
         passes, _ = _counting_passes(monkeypatch)
         swept = _counting_sweeps(monkeypatch)
         # cosh is swept over this stream's prefix, which clears it.
@@ -516,10 +539,11 @@ def test_a_branch1_identities_job_sweeps_one_point_list(tmp_path, capsys, monkey
     # stream's prefix itself, not an equal copy of it: the scans of f1
     # and f2 in one sweep, the sweep of the one guard left, and the
     # residuals with h12, h21, rho, r, rho's one finiteness fold and the
-    # four identity groups.  The other reads the residuals at the first
-    # point of the prefix alone; they pass there, so the identity groups
-    # join the residual sweep.  The zero test reads the recorded ranges
-    # and sweeps nothing.
+    # four identity groups, but closedness, whose group [0] is that of
+    # h12 = 0 and is swept once.  The other reads the residuals at the
+    # first point of the prefix alone; they pass there, so the identity
+    # groups join the residual sweep.  The zero test reads the recorded
+    # ranges, and the identity phase its recorded groups: neither sweeps.
     family = {"kind": "branch1", "f2": "cosh(0.616*x1) + 2", "k": 0.695, "c": 1.571}
     spec = tmp_path / "b1.json"
     spec.write_text(json.dumps({"family": family, "domain": {"x1": [0.25, 1.25], "x2": [-1.0, 1.0]}}), encoding="utf-8")
@@ -529,7 +553,7 @@ def test_a_branch1_identities_job_sweeps_one_point_list(tmp_path, capsys, monkey
     swept = _counting_sweeps(monkeypatch)
     argv = ["identities", "--spec", str(derived), *seed]
     shared = _outputs([argv], capsys)
-    assert [len(groups) for groups, _ in swept] == [2, 1, 1, 10]
+    assert [len(groups) for groups, _ in swept] == [2, 1, 1, 9]
     prefix = swept[0][1]
     assert [points is prefix for _, points in swept] == [True, True, False, True]
     assert swept[2][1] == prefix[:1]
@@ -537,12 +561,12 @@ def test_a_branch1_identities_job_sweeps_one_point_list(tmp_path, capsys, monkey
     m = cli.spec_metric(spec)
     V, _ = cli.spec_field(spec, m)
     curv = ricci(m)
-    residuals = residual_system(m, V)
+    residuals = list(residual_system(m, V))
     folds = [[f] for f in expr._finiteness_folds(curv.rho)]
     built = [build() for build in identities.identity_groups(m, V).values()]
     assert swept[2][0] == [residuals]
-    assert swept[3][0] == [residuals, [curv.h12], [curv.h21], [curv.rho], [curv.r], *folds, *built]
-    assert len(folds) == 1 and len(built) == 4
+    assert swept[3][0] == _distinct([residuals, [curv.h12], [curv.h21], [curv.rho], [curv.r], *folds, *built])
+    assert len(folds) == 1 and len(built) == 4 and built[3] == [curv.h12] == [expr.Constant(0.0)]
     monkeypatch.setattr(numeric, "_job_stream", contextlib.nullcontext)
     assert _outputs([argv], capsys) == shared
 
@@ -610,22 +634,25 @@ def test_a_verify_job_sweeps_residuals_with_the_curvature_once(capsys, monkeypat
     # h12, h21, rho and r, whose ranges the report reads, and rho's
     # finiteness fold exp(x1)^2.  `identities` first reads the residuals
     # at the first point of their list; they pass there, so its groups
-    # join the residual sweep.  The flat test reads rho's recorded range,
-    # which is not within the tolerance, and one row, which is not zero.
+    # join the residual sweep (closedness, [0], is the group of h12 = 0),
+    # and its identity phase finds them recorded.  The flat test reads
+    # rho's recorded range, which is not within the tolerance, and one
+    # row, which is not zero.
     swept, rows = _counting_sweeps(monkeypatch), _counting_rows(monkeypatch)
     argv = [command, "--spec", str(CORPUS / "ex03_cosh_metric.json"), "--samples", "2000"]
     shared = _outputs([argv], capsys)
     m, V, _, _ = load_corpus_pair("ex03_cosh_metric.json")
     curv = ricci(m)
     fold = parse("exp(x1)^2")
-    residuals = residual_system(m, V)
+    residuals = list(residual_system(m, V))
     fused = [residuals, [curv.h12], [curv.h21], [curv.rho], [curv.r], [fold]]
     prefix = swept[0][1]
     if command == "verify":
         assert [groups for groups, _ in swept] == [[[m.f1], [m.f2]], fused]
         assert [points is prefix for _, points in swept] == [True, True]
     else:
-        fused += [build() for build in identities.identity_groups(m, V).values()]
+        fused = _distinct(fused + [build() for build in identities.identity_groups(m, V).values()])
+        assert len(fused) == 9
         assert [groups for groups, _ in swept] == [[[m.f1], [m.f2]], [residuals], fused]
         assert [points is prefix for _, points in swept] == [True, False, True]
         assert swept[1][1] == prefix[:1]
@@ -646,7 +673,9 @@ def test_a_flat_job_decides_the_zero_test_from_recorded_ranges(capsys, monkeypat
     # `identities` job reads the residuals at the first point of their
     # list: on the unequal scales they fail there, so no identity
     # residual is built; on the equal scales each identity group is
-    # built once and swept with the residuals.
+    # built once and swept with the residuals, and the identity phase
+    # finds them recorded.  A group is swept once per point list: on the
+    # equal scales h21 is f1 = f2 = exp(x1), swept by the scan.
     m, V, _, _ = load_corpus_pair(name)
     curv = ricci(m)
     assert expr._finiteness_folds(curv.rho) == []
@@ -656,20 +685,20 @@ def test_a_flat_job_decides_the_zero_test_from_recorded_ranges(capsys, monkeypat
     assert json.loads(out)["flat"] is True
     ranges = [[curv.h12], [curv.h21], [curv.rho], [curv.r]]
     scans = [[m.f1]] if m.f1 is m.f2 else [[m.f1], [m.f2]]
-    residuals = residual_system(m, V)
+    residuals = list(residual_system(m, V))
     if command == "curvature":
-        assert [groups for groups, _ in swept] == [scans, ranges]
+        assert [groups for groups, _ in swept] == [scans, _distinct(ranges, scans)]
     elif command == "verify":
-        assert [groups for groups, _ in swept] == [scans, [residuals, *ranges]]
+        assert [groups for groups, _ in swept] == [scans, _distinct([residuals, *ranges], scans)]
     elif "unequal" in name:
         assert code == 1
-        assert [groups for groups, _ in swept] == [scans, [residuals], [residuals, *ranges]]
+        assert [groups for groups, _ in swept] == [scans, [residuals], _distinct([residuals, *ranges], scans)]
         assert built == []
     else:
         assert code == 0
         assert built == list(_IDENTITY_BUILDERS)
         identity = [build() for build in identities.identity_groups(m, V).values()]
-        assert [groups for groups, _ in swept] == [scans, [residuals], [residuals, *ranges, *identity]]
+        assert [groups for groups, _ in swept] == [scans, [residuals], _distinct([residuals, *ranges, *identity], scans)]
     assert rows == []
 
 
@@ -686,3 +715,36 @@ def _counting_identity_builds(monkeypatch) -> list:
         build = getattr(identities, name)
         monkeypatch.setattr(identities, name, lambda *args, name=name, build=build: built.append(name) or build(*args))
     return built
+
+
+# Sweep kernels (`numeric.compile_sweep` calls) per job on each corpus
+# spec, at its own samples: curvature, verify, identities, oracle.  On
+# ex01, ex02 and ex05 the curvature and every residual simplify to
+# constants, so only the scan of f1 and f2 runs one; ex06 is constant
+# throughout.  On ex03 and ex04 an identities job runs one more than
+# verify, its read of the first point: its identity phase runs none.
+_CORPUS_KERNELS = {
+    "ex01a_frame_field_e1": (1, 1, 1, 1),
+    "ex01b_frame_field_e2": (1, 1, 1, 1),
+    "ex02_exponential_metric": (1, 1, 1, 1),
+    "ex03_cosh_metric": (2, 2, 3, 1),
+    "ex04_rotating_equal_scales": (2, 2, 3, 1),
+    "ex04_rotating_unequal_scales": (2, 2, 3, 1),
+    "ex05_exp_with_constant": (1, 1, 1, 1),
+    "ex06_constant_metric": (0, 0, 0, 0),
+}
+
+
+def test_sweep_kernels_per_corpus_job(monkeypatch):
+    kernels = []
+    compile_sweep = numeric.compile_sweep
+    monkeypatch.setattr(numeric, "compile_sweep", lambda exprs: kernels.append(exprs) or compile_sweep(exprs))
+    table = {}
+    for path in sorted(CORPUS.glob("*.json")):
+        counts = []
+        for command in ("curvature", "verify", "identities", "oracle"):
+            kernels.clear()
+            assert _quiet_main([command, "--spec", str(path)]) in (cli.EXIT_PASS, cli.EXIT_FAIL)
+            counts.append(len(kernels))
+        table[path.stem] = tuple(counts)
+    assert table == _CORPUS_KERNELS

@@ -2,8 +2,7 @@
 
 `nowhere_zero`, the guard clearing of `sample_points` and the flat test
 `is_probably_zero` decide from one `_extrema` sweep where they can, and
-the flat test from the states a job's stream records where its points
-are the prefix.  The per-point references below are the loops that
+the flat test from the states the job's record holds for its points.  The per-point references below are the loops that
 decided before; each test runs the package on chosen points (NaN, the
 infinities, both zeros, values at the guard and just inside it, raising
 points) and compares.
@@ -348,11 +347,12 @@ _RECORDED_DOMAINS = [Domain(), Domain(guard=0.3), Domain(x1_range=(1.0, 8.0)), D
 @example(len(_ZERO_POOL) + 1, _RECORDED_DOMAINS[3], 10, 0, 1e-9)  # tanh(inf) - 1 = 0
 @example(9, _RECORDED_DOMAINS[0], 10, 0, 1e-9)  # x1: not zero at the first point
 def test_a_recorded_sweep_decides_as_the_per_point_loop(which, d, samples, seed, tol):
-    """In a job scope whose stream records e and its folds over the
+    """In a job scope whose record holds e and its folds over the
     prefix, the zero test gives the per-point answer.  On the prefix it
     sweeps nothing and reads no row past the first evaluable one unless
     that one reads as zero; where a guard of e is not cleared, its points
-    are another list and it sweeps e, its folds and its variables."""
+    are another list and it sweeps e, its folds and its variables.  A
+    second call reads the record of its own list and sweeps nothing."""
     e = parse(_RECORDED_POOL[which])
     cfg = SamplingConfig(samples=samples, seed=seed, tolerance=tol)
     folds = _finiteness_folds(e)
@@ -367,6 +367,10 @@ def test_a_recorded_sweep_decides_as_the_per_point_loop(which, d, samples, seed,
             expr, "compile_many", lambda exprs: (lambda f: lambda x1, x2: read.append(1) or f(x1, x2))(kernel(exprs))
         )
         got = _outcome(is_probably_zero, e, d, cfg)
+        first, reads = list(swept), len(read)
+        assert _outcome(is_probably_zero, e, d, cfg) == got
+        assert swept == first
+        del read[reads:]
     if isinstance(points, str):  # the guards' pass failed
         assert got == points
         return
