@@ -1,8 +1,8 @@
 """Symbolic expressions in the plane coordinates x1, x2.
 
 Immutable expression trees, interned so that equal subtrees are one
-node, with exact differentiation, light simplification, both in one
-pass for simplified derivatives, deterministic evaluation by generated
+node, with light simplification, exact differentiation that builds the
+simplified derivative in one pass, deterministic evaluation by generated
 Python kernels, and a seeded probabilistic identically-zero test.
 These trees are the single currency passed between all other modules.
 The job record here is the one home of every memo (`_Job`).
@@ -101,9 +101,9 @@ def _interned(node: "Expr", key: tuple) -> "Expr":
 class _Job(dict):
     """A job's record: `numeric`'s `_Stream` of each (domain, samples,
     seed), and in `answers` the memo of each pure DAG query, keyed on
-    its owner: `simplify`, `(derive, v)`, `(differentiate, v)`, each
-    query of `_once_per_job`, and `numeric._recorded` for the `_extrema`
-    of each group over each point list."""
+    its owner: `simplify`, `(differentiate, v)`, each query of
+    `_once_per_job`, and `numeric._recorded` for the `_extrema` of each
+    group over each point list."""
 
     __slots__ = ("answers",)
 
@@ -335,8 +335,8 @@ def as_expr(value) -> Expr:
 
 
 def _sign_value(v: float) -> float:
-    # sign(0) is left undefined so that derivatives of abs/sign error
-    # exactly on the kink, as their contract requires.
+    # sign(0) is left undefined so that the derivative of abs, sign(u)*u',
+    # errors exactly on the kink, as its contract requires.
     if v == 0.0:
         raise EvaluationError("sign is undefined at 0")
     return 1.0 if v > 0.0 else -1.0
@@ -393,21 +393,21 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sign": _sign_value,
 }
 
-# The chain rule of each function: the derivative of e = fn(u), given u
-# and its derivative du, each node built by `mk` (see `_derivative_rule`).
-CHAIN_RULES: dict[str, Callable[..., Expr]] = {
-    "exp": lambda mk, e, u, du: mk(Mul, e, du),
-    "log": lambda mk, e, u, du: mk(Div, du, u),
-    "sin": lambda mk, e, u, du: mk(Mul, mk(Apply, u, fn="cos"), du),
-    "cos": lambda mk, e, u, du: mk(Negate, mk(Mul, mk(Apply, u, fn="sin"), du)),
-    "tan": lambda mk, e, u, du: mk(Mul, mk(Add, ONE, mk(Pow, e, Constant(2.0))), du),
-    "sinh": lambda mk, e, u, du: mk(Mul, mk(Apply, u, fn="cosh"), du),
-    "cosh": lambda mk, e, u, du: mk(Mul, mk(Apply, u, fn="sinh"), du),
-    "tanh": lambda mk, e, u, du: mk(Mul, mk(Sub, ONE, mk(Pow, e, Constant(2.0))), du),
-    "sech": lambda mk, e, u, du: mk(Negate, mk(Mul, mk(Mul, e, mk(Apply, u, fn="tanh")), du)),
-    "sqrt": lambda mk, e, u, du: mk(Div, du, mk(Mul, Constant(2.0), e)),
-    "abs": lambda mk, e, u, du: mk(Mul, mk(Apply, u, fn="sign"), du),
-    "sign": lambda mk, e, u, du: mk(Mul, mk(Mul, ZERO, e), du),
+# The chain rule of each function: the derivative of e = fn(u), given e
+# and u simplified and the derivative du, each node built by `_rule`.
+CHAIN_RULES: dict[str, Callable[[Expr, Expr, Expr], Expr]] = {
+    "exp": lambda e, u, du: _rule(Mul, e, du),
+    "log": lambda e, u, du: _rule(Div, du, u),
+    "sin": lambda e, u, du: _rule(Mul, _rule(Apply, u, fn="cos"), du),
+    "cos": lambda e, u, du: _rule(Negate, _rule(Mul, _rule(Apply, u, fn="sin"), du)),
+    "tan": lambda e, u, du: _rule(Mul, _rule(Add, ONE, _rule(Pow, e, Constant(2.0))), du),
+    "sinh": lambda e, u, du: _rule(Mul, _rule(Apply, u, fn="cosh"), du),
+    "cosh": lambda e, u, du: _rule(Mul, _rule(Apply, u, fn="sinh"), du),
+    "tanh": lambda e, u, du: _rule(Mul, _rule(Sub, ONE, _rule(Pow, e, Constant(2.0))), du),
+    "sech": lambda e, u, du: _rule(Negate, _rule(Mul, _rule(Mul, e, _rule(Apply, u, fn="tanh")), du)),
+    "sqrt": lambda e, u, du: _rule(Div, du, _rule(Mul, Constant(2.0), e)),
+    "abs": lambda e, u, du: _rule(Mul, _rule(Apply, u, fn="sign"), du),
+    "sign": lambda e, u, du: _rule(Mul, _rule(Mul, ZERO, e), du),
 }
 
 
@@ -669,14 +669,13 @@ def _emit(key: bytes) -> str:
 
 
 def differentiate(e: Expr, v: Var) -> Expr:
-    """Exact symbolic partial derivative of `e` with respect to `v`, as
-    the rules build it, unsimplified (`derive` is its simplified form).
-
-    Total on the supported node set.  The derivative of abs(u) is
-    sign(u)*u' and the derivative of sign(u) is 0 away from zeros of u;
-    both evaluate to an error where u vanishes.  Memoised per job like
-    `simplify`, so a shared subtree is differentiated once.
-    """
+    """Exact symbolic partial derivative of `e` with respect to `v`,
+    simplified and built in one pass: each node's rule (`_derivative_rule`)
+    is applied to the derivatives of its children, every node built by
+    `_rule`, so none that `simplify` would drop is built.  Total on the
+    supported nodes: abs(u)' is sign(u)*u', an error where u vanishes, and
+    sign(u)' is 0.  Memoised per job like `simplify`, so a shared subtree
+    is differentiated once; each output is recorded as `simplify`'s fixpoint."""
     if (job := _STREAM.get()) is None:
         with _job_stream():
             return differentiate(e, v)
@@ -684,70 +683,34 @@ def differentiate(e: Expr, v: Var) -> Expr:
     if (d := memo.get(e)) is None:
         kids = e.children()
         if not kids:
-            d = _derivative_rule(_build, _as_built, e, v)
+            d = _derivative_rule(e, v)
         elif len(kids) == 1:
-            d = _derivative_rule(_build, _as_built, e, v, differentiate(kids[0], v))
+            d = _derivative_rule(e, v, differentiate(kids[0], v))
         else:
-            d = _derivative_rule(_build, _as_built, e, v, differentiate(kids[0], v), differentiate(kids[1], v))
-        memo[e] = d
-    return d
-
-
-def derive(e: Expr, v: Var) -> Expr:
-    """`simplify(differentiate(e, v))`, the same node, built in one pass:
-    each node's rule is applied to the simplified derivatives of its
-    children, and every node is built by `_rule`, so none that `simplify`
-    would drop is built.  Memoised per job like `simplify`, each output
-    recorded as `simplify`'s fixpoint."""
-    if (job := _STREAM.get()) is None:
-        with _job_stream():
-            return derive(e, v)
-    memo = job.answers[derive, v]
-    if (d := memo.get(e)) is None:
-        kids = e.children()
-        if not kids:
-            d = _derivative_rule(_rule, simplify, e, v)
-        elif len(kids) == 1:
-            d = _derivative_rule(_rule, simplify, e, v, derive(kids[0], v))
-        else:
-            d = _derivative_rule(_rule, simplify, e, v, derive(kids[0], v), derive(kids[1], v))
+            d = _derivative_rule(e, v, differentiate(kids[0], v), differentiate(kids[1], v))
         memo[e] = job.answers[simplify][d] = d
     return d
 
 
-def _build(kind: type, a: Expr, b: Expr | None = None, fn: str | None = None) -> Expr:
-    """The node `kind` of `a` and `b` (an Apply's `fn` of `a`) as it
-    stands: `differentiate`'s builder."""
-    if kind is Apply:
-        return Apply(fn, a)
-    return kind(a) if b is None else kind(a, b)
-
-
-def _as_built(e: Expr) -> Expr:
-    """`differentiate`'s reader: a node as it stands."""
-    return e
-
-
-def _derivative_rule(mk: Callable[..., Expr], read: Callable[[Expr], Expr], e: Expr, v: Var,
-                     da: Expr | None = None, db: Expr | None = None) -> Expr:
-    """The derivative of `e` given those of its children, in order.  Each
-    node is built by `mk`, `_build` or `_rule`, and `e` or a child is
-    read through `read`, as it stands or simplified; the branch is chosen
-    on `e` itself (`Pow(u, 1 + 1)` takes the general power rule)."""
+def _derivative_rule(e: Expr, v: Var, da: Expr | None = None, db: Expr | None = None) -> Expr:
+    """The derivative of `e` given the simplified derivatives of its
+    children, in order.  Each node is built by `_rule`, and `e` or a
+    child is read simplified; the branch is chosen on `e` itself
+    (`Pow(u, 1 + 1)` takes the general power rule)."""
     kind = type(e)
     if kind is Constant:
         return ZERO
     if kind is Variable:
         return ONE if e.var is v else ZERO
     if kind is Negate:
-        return mk(Negate, da)
+        return _rule(Negate, da)
     if kind is Add or kind is Sub:
-        return mk(kind, da, db)
+        return _rule(kind, da, db)
     if kind is Mul:
-        return mk(Add, mk(Mul, da, read(e.rhs)), mk(Mul, read(e.lhs), db))
+        return _rule(Add, _rule(Mul, da, simplify(e.rhs)), _rule(Mul, simplify(e.lhs), db))
     if kind is Div:
-        den = read(e.den)
-        return mk(Div, mk(Sub, mk(Mul, da, den), mk(Mul, read(e.num), db)), mk(Pow, den, Constant(2.0)))
+        den = simplify(e.den)
+        return _rule(Div, _rule(Sub, _rule(Mul, da, den), _rule(Mul, simplify(e.num), db)), _rule(Pow, den, Constant(2.0)))
     if kind is Pow:
         expo = e.exponent
         if type(expo) is Constant:
@@ -755,12 +718,13 @@ def _derivative_rule(mk: Callable[..., Expr], read: Callable[[Expr], Expr], e: E
                 return ZERO
             if expo.value == 1.0:
                 return da
-            return mk(Mul, mk(Mul, expo, mk(Pow, read(e.base), Constant(expo.value - 1.0))), da)
+            return _rule(Mul, _rule(Mul, expo, _rule(Pow, simplify(e.base), Constant(expo.value - 1.0))), da)
         # general u^w via u^w * (w' log u + w u'/u)
-        base = read(e.base)
-        return mk(Mul, read(e), mk(Add, mk(Mul, db, mk(Apply, base, fn="log")), mk(Mul, read(expo), mk(Div, da, base))))
+        base = simplify(e.base)
+        return _rule(Mul, simplify(e), _rule(Add, _rule(Mul, db, _rule(Apply, base, fn="log")),
+                                             _rule(Mul, simplify(expo), _rule(Div, da, base))))
     if kind is Apply:
-        return CHAIN_RULES[e.fn](mk, read(e), read(e.arg), da)
+        return CHAIN_RULES[e.fn](simplify(e), simplify(e.arg), da)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -805,8 +769,8 @@ def simplify(e: Expr) -> Expr:
 def _rule(kind: type, a: Expr, b: Expr | None = None, fn: str | None = None) -> Expr:
     """The node `kind` of the operands `a` and `b` (an Apply's `fn` of
     `a`), both already simplified, simplified: the one rule of `simplify`
-    and `derive`, a smart constructor that builds no node a rule drops.
-    The output is its own fixpoint under `simplify`."""
+    and the builder of `differentiate`, a smart constructor that builds
+    no node a rule drops.  The output is its own fixpoint under `simplify`."""
     x = a.value if type(a) is Constant else None  # an operand's value where it is a constant
     y = b.value if type(b) is Constant else None
     if kind is Negate:

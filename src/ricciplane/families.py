@@ -25,7 +25,6 @@ from .expr import (
     Pow,
     Sub,
     Var,
-    derive,
     differentiate,
     is_probably_zero,
     simplify,
@@ -133,7 +132,7 @@ def construct(
         _require_nonzero("c", p.c)
         _require_depends_only_on("f2", p.f2, Var.X1)
         f2 = simplify(p.f2)
-        f2p = derive(f2, Var.X1)
+        f2p = differentiate(f2, Var.X1)
         if isinstance(p, Branch1):
             f1 = Div(Add(Mul(Constant(p.k), Pow(f2, Constant(2.0))), Constant(p.c)), Mul(Constant(2.0), f2p))
         else:
@@ -211,10 +210,10 @@ def admissibility(
     if not is_probably_zero(differentiate(m.f2, Var.X2), d, cfg):
         raise HypothesisError("f2 depends on x1 only", "df2/dx2 is not sample-zero")
     f1, f2 = m.f1, m.f2
-    f1p = derive(f1, Var.X1)
-    f2p = derive(f2, Var.X1)
+    f1p = differentiate(f1, Var.X1)
+    f2p = differentiate(f2, Var.X1)
     if kind == "branch1":
-        f2pp = derive(f2p, Var.X1)
+        f2pp = differentiate(f2p, Var.X1)
         _check_nowhere_zero([("f2'", f2p)], d, cfg)
         condition = simplify(
             Add(

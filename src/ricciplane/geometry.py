@@ -25,7 +25,7 @@ from .expr import (
     ZERO,
     _finiteness_folds,
     _once_per_job,
-    derive,
+    differentiate,
     is_probably_zero,
     simplify,
 )
@@ -86,7 +86,7 @@ def validate_metric(m: DiagonalMetric, d: Domain, cfg: SamplingConfig) -> None:
 def frame_derivative(m: DiagonalMetric, u: Expr, i: int) -> Expr:
     """E_i(u) = f_i * du/dx^i."""
     var = Var.X1 if i == 1 else Var.X2
-    return simplify(Mul(m.component(i), derive(u, var)))
+    return simplify(Mul(m.component(i), differentiate(u, var)))
 
 
 def channel_coefficients(m: DiagonalMetric) -> tuple[Expr, Expr]:
@@ -120,8 +120,8 @@ def ricci(m: DiagonalMetric) -> CurvatureData:
 
 
 def _derive_curvature(m: DiagonalMetric) -> CurvatureData:
-    h12 = simplify(Mul(Div(m.f2, m.f1), derive(m.f1, Var.X2)))
-    h21 = simplify(Mul(Div(m.f1, m.f2), derive(m.f2, Var.X1)))
+    h12 = simplify(Mul(Div(m.f2, m.f1), differentiate(m.f1, Var.X2)))
+    h21 = simplify(Mul(Div(m.f1, m.f2), differentiate(m.f2, Var.X1)))
     rho = simplify(
         Sub(
             Sub(

@@ -288,10 +288,11 @@ def fd_validate(
 
     Each expression is sampled, then differentiated, before the next,
     so errors surface as if the expressions were validated one at a
-    time.  The expressions share the job's derivative memo of each
-    variable (see `differentiate`), so a subtree common to several of
-    them (rho, h12 and h21 in R1-R4) is differentiated once in a job.  Expressions sampled to the same list (the job
-    scope of `sample_points` makes that the usual case) share one sweep.
+    time.  The slopes are `differentiate`'s, the nodes the verdicts read,
+    from the job's memo of each variable: a subtree common to several
+    expressions (rho, h12 and h21 in R1-R4) is differentiated once in a
+    job.  Expressions sampled to the same list (the job scope of
+    `sample_points` makes that the usual case) share one sweep.
     """
     built = []
     for e in exprs:

@@ -1,4 +1,5 @@
-"""Shared fixtures, generators and the reference evaluator for the suite."""
+"""Shared fixtures, generators, and the reference evaluator and
+differentiator for the suite."""
 
 from __future__ import annotations
 
@@ -31,9 +32,9 @@ from ricciplane.expr import (
     _Binary,
     _pow_value,
     compile_expr,
-    differentiate,
     evaluate_with_scale,
     kink_arguments,
+    simplify,
     to_string,
 )
 from ricciplane.families import (
@@ -166,6 +167,70 @@ def fd_partial(e: Expr, p: tuple[float, float], v: Var, h: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Reference differentiator: the derivative rules applied with the plain
+# constructors, unsimplified, independent of the one-pass builder
+# ---------------------------------------------------------------------------
+
+_ONE, _TWO, _ZERO = Constant(1.0), Constant(2.0), Constant(0.0)
+
+# The chain rule of each function: the derivative of e = fn(u), given u and its derivative du.
+REFERENCE_CHAIN_RULES = {
+    "exp": lambda e, u, du: Mul(e, du),
+    "log": lambda e, u, du: Div(du, u),
+    "sin": lambda e, u, du: Mul(Apply("cos", u), du),
+    "cos": lambda e, u, du: Negate(Mul(Apply("sin", u), du)),
+    "tan": lambda e, u, du: Mul(Add(_ONE, Pow(e, _TWO)), du),
+    "sinh": lambda e, u, du: Mul(Apply("cosh", u), du),
+    "cosh": lambda e, u, du: Mul(Apply("sinh", u), du),
+    "tanh": lambda e, u, du: Mul(Sub(_ONE, Pow(e, _TWO)), du),
+    "sech": lambda e, u, du: Negate(Mul(Mul(e, Apply("tanh", u)), du)),
+    "sqrt": lambda e, u, du: Div(du, Mul(_TWO, e)),
+    "abs": lambda e, u, du: Mul(Apply("sign", u), du),
+    "sign": lambda e, u, du: Mul(Mul(_ZERO, e), du),
+}
+
+
+def reference_derivative(e: Expr, v: Var, memo: dict | None = None) -> Expr:
+    """The exact partial derivative of `e` with respect to `v`, as the
+    rules build it, unsimplified: `differentiate(e, v)` is its `simplify`.
+    The derivative of abs(u) is sign(u)*u' and that of sign(u) is
+    0*sign(u)*u', both an error where u vanishes.  `memo` keeps each
+    node's derivative within one call, so a shared subtree is
+    differentiated once."""
+    memo = {} if memo is None else memo
+    if e in memo:
+        return memo[e]
+
+    def d(node: Expr) -> Expr:
+        return reference_derivative(node, v, memo)
+
+    if isinstance(e, Constant):
+        out = _ZERO
+    elif isinstance(e, Variable):
+        out = _ONE if e.var is v else _ZERO
+    elif isinstance(e, Negate):
+        out = Negate(d(e.arg))
+    elif isinstance(e, (Add, Sub)):
+        out = type(e)(d(e.lhs), d(e.rhs))
+    elif isinstance(e, Mul):
+        out = Add(Mul(d(e.lhs), e.rhs), Mul(e.lhs, d(e.rhs)))
+    elif isinstance(e, Div):
+        out = Div(Sub(Mul(d(e.num), e.den), Mul(e.num, d(e.den))), Pow(e.den, _TWO))
+    elif isinstance(e, Pow) and isinstance(e.exponent, Constant):
+        n = e.exponent.value
+        out = _ZERO if n == 0.0 else d(e.base) if n == 1.0 else Mul(Mul(e.exponent, Pow(e.base, Constant(n - 1.0))), d(e.base))
+    elif isinstance(e, Pow):
+        # general u^w via u^w * (w' log u + w u'/u)
+        out = Mul(e, Add(Mul(d(e.exponent), Apply("log", e.base)), Mul(e.exponent, Div(d(e.base), e.base))))
+    elif isinstance(e, Apply):
+        out = REFERENCE_CHAIN_RULES[e.fn](e, e.arg, d(e.arg))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[e] = out
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Reference finite-difference oracle: the per-point fold `fd_validate` ran
 # over every point before it had a generated kernel, on the tree walker
 # ---------------------------------------------------------------------------
@@ -173,11 +238,13 @@ def fd_partial(e: Expr, p: tuple[float, float], v: Var, h: float) -> float:
 
 def reference_fd_validate(exprs, d, cfg, guards=()) -> list[FdValidation]:
     """`fd_validate` of `exprs`, each sampled as the package samples it,
-    folded point by point by `_reference_fd_sweep` over each point list."""
+    its slopes the simplified `reference_derivative`s, folded point by
+    point by `_reference_fd_sweep` over each point list."""
     built = []
     for e in exprs:
         points = sample_points(d, cfg, merge_guards(guards, [e]))
-        built.append(((e, (differentiate(e, Var.X1), differentiate(e, Var.X2)), kink_arguments(e)), points))
+        slopes = tuple(simplify(reference_derivative(e, v)) for v in (Var.X1, Var.X2))
+        built.append(((e, slopes, kink_arguments(e)), points))
     lists: dict[int, tuple[list, list[int]]] = {}
     for k, (_, points) in enumerate(built):
         lists.setdefault(id(points), (points, []))[1].append(k)

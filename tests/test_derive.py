@@ -1,11 +1,12 @@
-"""The derivative built in one pass: `derive(e, v)` is the node
-`simplify(differentiate(e, v))`, each of its nodes built by the one
-simplify rule `_rule` and its own fixpoint; and verifying deep specs,
-whose derivatives now skip the unsimplified tree, reaches at least as
-deep as before."""
+"""The derivative built in one pass: `differentiate(e, v)` is the node
+`simplify` makes of the reference derivative, each of its nodes built by
+the one simplify rule `_rule` and its own fixpoint; and `verify` and
+`oracle` on deep specs, whose derivatives skip the unsimplified tree,
+reach at least as deep as before."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -32,12 +33,12 @@ from ricciplane.expr import (
     Var,
     X1,
     X2,
-    derive,
     differentiate,
     simplify,
     to_string,
 )
 
+from conftest import reference_derivative
 from test_intern import _fresh_simplify
 from test_inlining import _deep_sum, _single_use_chain
 
@@ -73,22 +74,22 @@ def dags(draw) -> Expr:
 
 @given(dags(), st.sampled_from([Var.X1, Var.X2]))
 @settings(max_examples=300, deadline=None)
-def test_derive_is_simplify_of_differentiate(e, v):
+def test_differentiate_is_simplify_of_the_reference(e, v):
     outputs = []
     rule = expr._rule
     try:
         expr._rule = lambda *args, **kw: outputs.append(rule(*args, **kw)) or outputs[-1]
-        d = derive(e, v)
+        d = differentiate(e, v)
         # A second derivative: the first is simplified, with negations in it.
-        dd = derive(d, v)
+        dd = differentiate(d, v)
     finally:
         expr._rule = rule
-    assert d is simplify(differentiate(e, v))
-    assert d is _fresh_simplify(differentiate(e, v))
-    assert derive(e, v) is d
-    assert dd is simplify(differentiate(d, v))
+    assert d is simplify(reference_derivative(e, v))
+    assert d is _fresh_simplify(reference_derivative(e, v))
+    assert differentiate(e, v) is d
+    assert dd is simplify(reference_derivative(d, v))
     # Each output is recorded as simplify's fixpoint, so check that
-    # against the rule applied afresh.  derive reads the module's
+    # against the rule applied afresh.  differentiate reads the module's
     # `_rule`: only a derivative taken from leaf rules alone, 0 or 1,
     # leaves the list empty.
     assert outputs or d is Constant(0.0) or d is Constant(1.0)
@@ -103,21 +104,30 @@ def test_the_power_rule_is_chosen_on_the_unsimplified_exponent():
     general, constant = Pow(u, two), Pow(u, Constant(2.0))
     assert simplify(general) is constant
     # u^(1+1) takes the general rule, u^w (w' log u + w u'/u); u^2 the constant one.
-    assert to_string(derive(general, Var.X1)) == "(x1*x2 + 3)^2*(2*(x2/(x1*x2 + 3)))"
-    assert to_string(derive(constant, Var.X1)) == "2*(x1*x2 + 3)*x2"
+    assert to_string(differentiate(general, Var.X1)) == "(x1*x2 + 3)^2*(2*(x2/(x1*x2 + 3)))"
+    assert to_string(differentiate(constant, Var.X1)) == "2*(x1*x2 + 3)*x2"
     for e in (general, constant):
-        assert derive(e, Var.X1) is simplify(differentiate(e, Var.X1))
-        assert derive(e, Var.X2) is simplify(differentiate(e, Var.X2))
+        assert differentiate(e, Var.X1) is simplify(reference_derivative(e, Var.X1))
+        assert differentiate(e, Var.X2) is simplify(reference_derivative(e, Var.X2))
 
 
 def test_a_rule_that_reads_its_node_reads_it_simplified():
     # exp(0*x1 + x2): the rule reads e and its argument, both simplified.
     e = Apply("exp", Add(Mul(Constant(0.0), X1), X2))
-    assert derive(e, Var.X2) is Apply("exp", X2)
-    assert derive(e, Var.X1) is Constant(0.0)
+    assert differentiate(e, Var.X2) is Apply("exp", X2)
+    assert differentiate(e, Var.X1) is Constant(0.0)
     # A constant argument folds: tanh(2*0.5)' is 0, whatever tanh(1) is.
     f = Apply("tanh", Mul(Mul(Constant(2.0), Constant(0.5)), X1))
-    assert derive(f, Var.X1) is simplify(differentiate(f, Var.X1))
+    assert differentiate(f, Var.X1) is simplify(reference_derivative(f, Var.X1))
+
+
+def test_differentiate_is_the_one_derivative_builder():
+    for name in ("derive", "_build", "_as_built"):
+        assert not hasattr(expr, name)
+    assert list(inspect.signature(expr._derivative_rule).parameters) == ["e", "v", "da", "db"]
+    for rule in expr.CHAIN_RULES.values():
+        assert list(inspect.signature(rule).parameters) == ["e", "u", "du"]
+    assert ricciplane.differentiate is differentiate
 
 
 # The deepest single-use chain and left-deep sum that `verify` reported
@@ -128,12 +138,12 @@ DEEPEST_CHAIN = 736
 DEEPEST_SUM = 981
 
 
-def _verify(tmp_path: Path, name: str, spec: dict) -> subprocess.CompletedProcess:
+def _run(tmp_path: Path, command: str, name: str, spec: dict) -> subprocess.CompletedProcess:
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(spec))
     env = dict(os.environ, PYTHONPATH=str(Path(ricciplane.__file__).resolve().parent.parent))
     program = "import sys; from ricciplane.cli import main; sys.exit(main())"
-    return subprocess.run([sys.executable, "-c", program, "verify", "--spec", str(path)], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", program, command, "--spec", str(path)], env=env, capture_output=True, text=True)
 
 
 def _chain_spec(depth: int) -> dict:
@@ -146,10 +156,12 @@ def test_verify_reports_on_specs_as_deep_as_before(tmp_path):
         "field": {"V1": to_string(_deep_sum(DEEPEST_SUM)), "V2": "x1"},
         "domain": {"x1": [0.5, 1.0], "x2": [0.5, 1.0]},
     }
-    for name, spec in (("chain", _chain_spec(DEEPEST_CHAIN)), ("sum", deep_sum)):
-        done = _verify(tmp_path, name, spec)
-        assert done.returncode in (0, 1) and "Traceback" not in done.stderr, (name, done.stderr[-500:])
-        assert json.loads(done.stdout)["command"] == "verify"
-    done = _verify(tmp_path, "too-deep", _chain_spec(2000))
-    assert done.returncode == 2 and done.stdout == ""
-    assert "expression nested too deeply" in done.stderr and "Traceback" not in done.stderr
+    # The oracle differentiates R1-R4 a second time, through the builder the curvature used.
+    for command in ("verify", "oracle"):
+        for name, spec in (("chain", _chain_spec(DEEPEST_CHAIN)), ("sum", deep_sum)):
+            done = _run(tmp_path, command, name, spec)
+            assert done.returncode in (0, 1) and "Traceback" not in done.stderr, (command, name, done.stderr[-500:])
+            assert json.loads(done.stdout)["command"] == command
+        done = _run(tmp_path, command, "too-deep", _chain_spec(2000))
+        assert done.returncode == 2 and done.stdout == "", command
+        assert "expression nested too deeply" in done.stderr and "Traceback" not in done.stderr

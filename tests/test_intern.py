@@ -1,6 +1,7 @@
 """Hash-consed expression nodes: one live node per structure, memos of
-simplify and differentiate that agree with the rules applied afresh,
-and no reference cycles."""
+simplify and differentiate that agree with the rules applied afresh
+(differentiate's with the reference derivative, simplified), and no
+reference cycles."""
 
 from __future__ import annotations
 
@@ -33,9 +34,6 @@ from ricciplane.expr import (
     Var,
     X1,
     X2,
-    _as_built,
-    _build,
-    _derivative_rule,
     _rule,
     compile_expr,
     differentiate,
@@ -45,7 +43,7 @@ from ricciplane.expr import (
     walk,
 )
 
-from conftest import CORPUS, random_smooth_tree
+from conftest import CORPUS, random_smooth_tree, reference_derivative
 
 _leaves = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6).map(Constant),
@@ -80,11 +78,6 @@ def _fresh_simplify(e: Expr) -> Expr:
     """simplify without reading any memo: the same rule, applied bottom up."""
     kids = [_fresh_simplify(k) for k in e.children()]
     return _rule(type(e), *kids, *[None] * (2 - len(kids)), getattr(e, "fn", None)) if kids else e
-
-
-def _fresh_derivative(e: Expr, v: Var) -> Expr:
-    kids = [_fresh_derivative(k, v) for k in e.children()]
-    return _derivative_rule(_build, _as_built, e, v, *kids)
 
 
 @given(_trees)
@@ -123,7 +116,7 @@ def test_simplify_memo_is_a_fixpoint_equal_to_fresh_simplify(e):
 def test_differentiate_memo_equals_fresh_derivative(e, v):
     d = differentiate(e, v)
     assert differentiate(e, v) is d
-    assert _fresh_derivative(e, v) is d
+    assert _fresh_simplify(reference_derivative(e, v)) is d
 
 
 @given(_trees)

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ricciplane import cli, expr, geometry, numeric, riccifield
-from ricciplane.expr import Add, Apply, Constant, Domain, Mul, Negate, Pow, Sub, Var, X1, X2, differentiate, parse, to_string, walk
+from ricciplane.expr import Add, Apply, Constant, Domain, Mul, Negate, Pow, Sub, Var, X1, X2, differentiate, parse, simplify, to_string, walk
 from ricciplane.numeric import DomainTooSingularError, SamplingConfig, _job_stream, fd_validate, merge_guards
 
-from conftest import CORPUS
+from conftest import CORPUS, load_corpus_pair, reference_derivative
 from test_dag_passes import _random_group
 
 
@@ -134,20 +134,45 @@ def test_each_oracle_slope_is_the_derivative_of_its_expression(name, monkeypatch
     kernels, rules = [], []
     compile_fd, rule = numeric.compile_fd, expr._derivative_rule
     monkeypatch.setattr(numeric, "compile_fd", lambda *roles: kernels.append(roles) or compile_fd(*roles))
-    monkeypatch.setattr(expr, "_derivative_rule", lambda mk, *a: rules.append(mk is expr._build) or rule(mk, *a))
+    monkeypatch.setattr(expr, "_derivative_rule", lambda *a: rules.append(a) or rule(*a))
     assert _quiet_main(["oracle", "--spec", str(CORPUS / name)]) == 0
-    applied = rules.count(True)
+    pairs = [(e, v) for e, v, *_ in rules]
     assert kernels
     values = []
     for vals, slopes, _ in kernels:
         n = len(vals)
         for j, v in enumerate((Var.X1, Var.X2)):
             for i, e in enumerate(vals):
-                assert slopes[j * n + i] is differentiate(e, v)
+                assert slopes[j * n + i] is differentiate(e, v) is simplify(reference_derivative(e, v))
         values += vals
-    # At most one rule application per variable and distinct node under
-    # all of the job's expressions, shared ones (rho in R1) included.
-    assert applied <= 2 * len(walk(*values))
+    # At most one rule application per variable and distinct node in the
+    # job, so at most two per node under all of the oracle's expressions,
+    # shared ones (rho in R1) included: they reuse the derivatives the
+    # curvature and the residuals built.
+    assert len(pairs) == len(set(pairs))
+    under = set(walk(*values))
+    assert sum(e in under for e, _ in pairs) <= 2 * len(under)
+
+
+@pytest.mark.parametrize("scoped", [True, False])
+def test_the_oracle_checks_the_rho_slopes_the_curvature_identity_reads(scoped, monkeypatch):
+    m, V, d, cfg = load_corpus_pair("ex03_cosh_metric.json")
+    kernels = []
+    compile_fd = numeric.compile_fd
+    monkeypatch.setattr(numeric, "compile_fd", lambda *roles: kernels.append(roles) or compile_fd(*roles))
+    with _job_stream() if scoped else contextlib.nullcontext():
+        curv = geometry.ricci(m)
+        fd_validate([curv.h12, curv.h21, curv.rho, *riccifield.residual_system(m, V)], d, cfg, guards=[m.f1, m.f2])
+    rho_slopes = [slopes[j * len(vals) + k] for vals, slopes, _ in kernels for j in (0, 1)
+                  for k, e in enumerate(vals) if e is curv.rho]
+    assert len(rho_slopes) == 2
+    # E_i(rho) = f_i * d(rho)/dx^i, which the curvature identity reads.
+    for i, slope in zip((1, 2), rho_slopes):
+        assert slope is differentiate(curv.rho, Var.X1 if i == 1 else Var.X2)
+        assert geometry.frame_derivative(m, curv.rho, i) is simplify(Mul(m.component(i), slope))
+    # On ex03 rho depends on x1 alone: E1(rho) holds its slope as it is, E2(rho) is 0.
+    assert geometry.frame_derivative(m, curv.rho, 1) is Mul(m.f1, rho_slopes[0])
+    assert rho_slopes[1] is Constant(0.0)
 
 
 def test_an_unsamplable_third_expression_raises_after_the_first_two(monkeypatch):

@@ -1,4 +1,4 @@
-"""One memo home: `simplify`, `derive` and `differentiate` remember in
+"""One memo home: `simplify` and `differentiate` remember in
 the job record, not in node slots; outside a job only for the outermost
 call; and `expr` reaches `numeric` only to sample in `is_probably_zero`."""
 
@@ -10,7 +10,7 @@ import inspect
 import pytest
 
 from ricciplane import expr, numeric
-from ricciplane.expr import Add, Expr, Mul, Var, X1, X2, derive, differentiate, simplify
+from ricciplane.expr import Add, Expr, Mul, Var, X1, X2, differentiate, simplify
 
 
 def test_a_node_carries_no_memo_slot():
@@ -23,18 +23,19 @@ def test_the_memos_sit_in_the_job_record_and_end_with_it():
     e = Add(Mul(X1, X2), Mul(X2, X2))
     with numeric._job_stream():
         job = expr._STREAM.get()
-        s, d = simplify(e), derive(e, Var.X1)
+        s, d = simplify(e), differentiate(e, Var.X1)
         answers = job.answers
         assert answers[simplify][e] is s and answers[simplify][s] is s
-        assert answers[derive, Var.X1][e] is d
+        assert answers[differentiate, Var.X1][e] is d
         # A derivative is recorded as simplify's fixpoint.
         assert answers[simplify][d] is d
         assert differentiate(e, Var.X2) is answers[differentiate, Var.X2][e]
+        assert answers[simplify][answers[differentiate, Var.X2][e]] is answers[differentiate, Var.X2][e]
         assert numeric._job_stream is expr._job_stream and numeric._STREAM is expr._STREAM
     assert expr._STREAM.get() is None
     # Outside a job each outermost call opens its own record and drops it.
     simplify(e)
-    derive(e, Var.X2)
+    differentiate(e, Var.X2)
     assert expr._STREAM.get() is None
 
 
@@ -69,7 +70,7 @@ def test_each_distinct_node_runs_the_rule_a_bounded_number_of_times(in_job, monk
     applied = []
     rule = expr._rule
     monkeypatch.setattr(expr, "_rule", lambda *args: applied.append(args) or rule(*args))
-    for query in (lambda: simplify(u), lambda: derive(u, Var.X1), lambda: derive(u, Var.X2)):
+    for query in (lambda: simplify(u), lambda: differentiate(u, Var.X1), lambda: differentiate(u, Var.X2)):
         applied.clear()
         if in_job:
             with numeric._job_stream():
