@@ -5,7 +5,7 @@ node, with light simplification, exact differentiation that builds the
 simplified derivative in one pass, deterministic evaluation by generated
 Python kernels, and a seeded probabilistic identically-zero test.
 These trees are the single currency passed between all other modules.
-The job record here is the one home of every memo (`_Job`).
+The job record here (`_STREAM`) is the home of every per-job memo.
 """
 
 from __future__ import annotations
@@ -98,21 +98,10 @@ def _interned(node: "Expr", key: tuple) -> "Expr":
     return _INTERNED.setdefault(key, ref)() or node
 
 
-class _Job(dict):
-    """A job's record: `numeric`'s `_Stream` of each (domain, samples,
-    seed), and in `answers` the memo of each pure DAG query, keyed on
-    its owner: `simplify`, `(differentiate, v)`, each query of
-    `_once_per_job`, and `numeric._recorded` for the `_extrema` of each
-    group over each point list."""
-
-    __slots__ = ("answers",)
-
-    def __init__(self):
-        self.answers: collections.defaultdict[object, dict] = collections.defaultdict(dict)
-
-
-# The job scope of sampling and of the memos: None, or the current job's record.
-_STREAM: contextvars.ContextVar[_Job | None] = contextvars.ContextVar("ricciplane_job_stream", default=None)
+# The job scope of sampling and of the memos: None, or the current job's
+# record, a defaultdict(dict) of one memo per owner: `simplify`,
+# `(differentiate, v)`, each `_once_per_job` query and `numeric._recorded`.
+_STREAM: contextvars.ContextVar[dict | None] = contextvars.ContextVar("ricciplane_job_stream", default=None)
 
 
 @contextlib.contextmanager
@@ -123,7 +112,7 @@ def _job_stream() -> Iterator[None]:
     kept in a job memo is answered at most once per node or arguments.
     The scope belongs to the current context, so each thread has its
     own; it ends, and its record is dropped, on every exit path."""
-    token = _STREAM.set(_Job())
+    token = _STREAM.set(collections.defaultdict(dict))
     try:
         yield
     finally:
@@ -131,16 +120,17 @@ def _job_stream() -> Iterator[None]:
 
 
 def _once_per_job(query: Callable, *args):
-    """`query(*args)`, a pure query of interned nodes, answered once per
-    job within a `_job_stream` scope and returned again to later calls
-    (callers must not mutate it); computed afresh on every call outside
-    one."""
+    """`query(*args)`, a pure query of interned nodes or the record of a
+    `numeric._Stream`, answered once per job within a `_job_stream` scope
+    and returned again to later calls (callers must not mutate a query's
+    answer, and a None answer is not kept); computed afresh on every
+    call outside one."""
     if (job := _STREAM.get()) is None:
         return query(*args)
-    memo = job.answers[query]
-    if args not in memo:
-        memo[args] = query(*args)
-    return memo[args]
+    memo = job[query]
+    if (answer := memo.get(args)) is None:
+        answer = memo[args] = query(*args)
+    return answer
 
 
 class Expr:
@@ -154,7 +144,7 @@ class Expr:
     construction: every tree that shares a node would change with it.
     A node refers only to its children, so nodes form no reference
     cycles and die with the last tree that uses them; the memos of a
-    job (`_Job`) keep the nodes they hold alive until the job ends.
+    job (`_STREAM`) keep the nodes they hold alive until the job ends.
 
     Thread safety: the table takes no lock.  Two threads racing to build
     the same new node can each create one, but one `dict.setdefault`
@@ -418,9 +408,10 @@ CHAIN_RULES: dict[str, Callable[[Expr, Expr, Expr], Expr]] = {
 
 def evaluate_with_scale(e: Expr, p: tuple[float, float]) -> tuple[float, float]:
     """The value of `e` at the point p = (x1, x2), and the local
-    magnitude scale: the largest |value| of any node, in the order of
-    `walk(e)`.  Both are read from the kernel `is_probably_zero` runs."""
-    row = compile_many(walk(e))(*p)
+    magnitude scale: the largest |value| of any node, `e` first, so the
+    scale is NaN where the value is.  Both are read from the kernel
+    `is_probably_zero` runs, over `_nodes([e])` reversed."""
+    row = compile_many(_nodes([e])[::-1])(*p)
     return row[0], max(map(abs, row))
 
 
@@ -501,7 +492,8 @@ _FORMATS.update((_CODES[fn], f"_fn_{fn}({{}})") for fn in FUNCTIONS)
 
 def _nodes(roots: Sequence[Expr]) -> list[Expr]:
     """Each distinct node under `roots` once, in creation order: a node
-    is built after its children, so they come first."""
+    is built after its children, so they come first and a root comes
+    after every node under it.  The one node order of the DAG queries."""
     order = list(dict.fromkeys(roots))
     seen = set(order)
     for node in order:
@@ -679,7 +671,7 @@ def differentiate(e: Expr, v: Var) -> Expr:
     if (job := _STREAM.get()) is None:
         with _job_stream():
             return differentiate(e, v)
-    memo = job.answers[differentiate, v]
+    memo = job[differentiate, v]
     if (d := memo.get(e)) is None:
         kids = e.children()
         if not kids:
@@ -688,7 +680,7 @@ def differentiate(e: Expr, v: Var) -> Expr:
             d = _derivative_rule(e, v, differentiate(kids[0], v))
         else:
             d = _derivative_rule(e, v, differentiate(kids[0], v), differentiate(kids[1], v))
-        memo[e] = job.answers[simplify][d] = d
+        memo[e] = job[simplify][d] = d
     return d
 
 
@@ -751,7 +743,7 @@ def simplify(e: Expr) -> Expr:
     if (job := _STREAM.get()) is None:
         with _job_stream():
             return simplify(e)
-    memo = job.answers[simplify]
+    memo = job[simplify]
     if (s := memo.get(e)) is None:
         kind = type(e)
         if kind is Apply:
@@ -827,22 +819,8 @@ def _negated(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def walk(*roots: Expr) -> list[Expr]:
-    """Each distinct node of the DAG under `roots` once, parents before
-    children: the preorder of each root's tree in turn, skipping nodes
-    already visited (under an earlier root too)."""
-    seen, order, stack = set(), [], list(reversed(roots))
-    while stack:
-        node = stack.pop()
-        if node not in seen:
-            seen.add(node)
-            order.append(node)
-            stack += node.children()[::-1]
-    return order
-
-
 def variables_of(e: Expr) -> set[Var]:
-    return {node.var for node in walk(e) if isinstance(node, Variable)}
+    return {node.var for node in _nodes([e]) if isinstance(node, Variable)}
 
 
 def _guard_root(e: Expr) -> Expr:
@@ -869,10 +847,10 @@ def _guard_root(e: Expr) -> Expr:
 def denominators(*roots: Expr) -> list[Expr]:
     """Subexpressions that must stay away from zero for `roots` to be
     defined: Div denominators and bases of negative constant powers,
-    reduced to their guard roots.  Each node once, in first-occurrence
-    order over the roots in turn; one walk of the DAG under all of them."""
+    reduced to their guard roots.  Each node once, in the `_nodes` order
+    of the nodes they guard; one pass over the DAG under all the roots."""
     found = []
-    for node in walk(*roots):
+    for node in _nodes(roots):
         if isinstance(node, Div):
             found.append(_guard_root(node.den))
         elif isinstance(node, Pow) and isinstance(node.exponent, Constant) and node.exponent.value < 0:
@@ -881,8 +859,9 @@ def denominators(*roots: Expr) -> list[Expr]:
 
 
 def kink_arguments(e: Expr) -> list[Expr]:
-    """Arguments of abs/sign nodes, the loci of nonsmoothness, each once."""
-    return list(dict.fromkeys(node.arg for node in walk(e) if isinstance(node, Apply) and node.fn in ("abs", "sign")))
+    """Arguments of abs/sign nodes, the loci of nonsmoothness, each once,
+    in the `_nodes` order of those nodes."""
+    return list(dict.fromkeys(node.arg for node in _nodes([e]) if isinstance(node, Apply) and node.fn in ("abs", "sign")))
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +922,7 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
     points = sample_points(d, cfg, guards=denominators(e))
     tol, enough = cfg.tolerance, _enough(cfg.samples)
     folds = _once_per_job(_finiteness_folds, e)
-    nodes: list[Expr] = []  # every node, `e` first: walked and compiled when a row is first read
+    nodes: list[Expr] = []  # every node, `e` first: listed and compiled when a row is first read
 
     def reads_zero(row: tuple[float, ...]) -> bool:
         # The common case first, in one C-level call: a float sum with a
@@ -955,7 +934,7 @@ def is_probably_zero(e: Expr, d: Domain, cfg: SamplingConfig) -> bool:
         )
 
     def evaluable_rows():
-        nodes.extend(walk(e))
+        nodes.extend(reversed(_nodes([e])))
         fn = compile_many(nodes)
         for x1, x2 in points:
             try:

@@ -73,33 +73,24 @@ def _draws(d: Domain, rng: random.Random) -> Iterator[tuple[float, float]]:
 
 
 class _Stream:
-    """A job's record of one (domain, samples, seed) stream.  `prefix` is
-    its first `samples` candidates, drawn once, and `end` the
-    random.Random state after them.  `passes` maps a frozenset of guards
-    to the points of its pass.  `cleared` holds the guards that accept
-    every prefix candidate: each is defined there with |v| >= guard or
-    NaN (see `_sweep_prefix`).  `compile_many` values are bit-identical
-    per expression, and a fused kernel raises only where one of its
+    """A job's record of one (domain, samples, seed) stream, kept once
+    per job (`_once_per_job`).  `prefix` is its first `samples`
+    candidates, drawn once, and `end` the random.Random state after
+    them.  `passes` maps a frozenset of guards to the points of its
+    pass.  `cleared` holds the guards that accept every prefix
+    candidate: each is defined there with |v| >= guard or NaN (see
+    `_sweep_prefix`).  `compile_many` values are bit-identical per
+    expression, and a fused kernel raises only where one of its
     expressions does, so a set of cleared guards accepts the whole
     prefix."""
 
     __slots__ = ("prefix", "end", "cleared", "passes")
 
-    def __init__(self, d: Domain, cfg: SamplingConfig):
-        rng = random.Random(cfg.seed)
-        self.prefix = list(islice(_draws(d, rng), cfg.samples))
+    def __init__(self, d: Domain, samples: int, seed: int):
+        rng = random.Random(seed)
+        self.prefix = list(islice(_draws(d, rng), samples))
         self.end = rng.getstate()
         self.cleared, self.passes = set(), {}
-
-
-def _stream(d: Domain, cfg: SamplingConfig) -> _Stream:
-    """The current job's record (`expr._Job`) of the stream of (d,
-    cfg.samples, cfg.seed), or a fresh one outside a `_job_stream` scope."""
-    table = _STREAM.get()
-    if table is None:
-        return _Stream(d, cfg)
-    key = (d, cfg.samples, cfg.seed)
-    return table.get(key) or table.setdefault(key, _Stream(d, cfg))
 
 
 def sample_points(
@@ -125,7 +116,7 @@ def sample_points(
     every call samples afresh and returns the same points.  The returned
     list may be shared: callers must not mutate it.
     """
-    s = _stream(d, cfg)
+    s = _once_per_job(_Stream, d, cfg.samples, cfg.seed)
     guards = tuple(guards)
     key = frozenset(guards)
     if not key <= s.cleared and key not in s.passes:
@@ -194,7 +185,7 @@ def merge_guards(guards: Iterable[Expr], exprs: Iterable[Expr]) -> list[Expr]:
     """The guards, then each denominator of `exprs` not already listed:
     every subexpression that must stay away from zero at a sample point
     where `exprs` are evaluated.  Each node once, in first-occurrence
-    order; one walk of the DAG under all of `exprs`, once per job for
+    order; one pass over the DAG under all of `exprs`, once per job for
     the same guards and expressions (`_once_per_job`): the list may be
     shared, and callers must not mutate it."""
     return _once_per_job(_merged_guards, tuple(guards), tuple(exprs))
@@ -228,7 +219,7 @@ def first_zero_failure(named: Sequence[tuple[str, Expr]], d: Domain, cfg: Sampli
     clears as a guard with no NaN and a finite range, and is then
     cleared.  Only the failure runs the per-point scan, for its message.
     """
-    s = _stream(d, cfg)
+    s = _once_per_job(_Stream, d, cfg.samples, cfg.seed)
     for (name, e), ((lo, hi, nan), clears) in zip(named, _sweep_prefix([e for _, e in named], s, d.guard)):
         if not (clears and not nan and -math.inf < lo <= hi < math.inf):
             return name, e, _scan_nowhere_zero(e, s.prefix, d.guard)[1]
@@ -424,13 +415,13 @@ def _extrema(groups: Sequence[Sequence[Expr]], points: Sequence[tuple[float, flo
 
 
 def _recorded(points: Sequence[tuple[float, float]]) -> dict[tuple[Expr, ...], _Extrema]:
-    """The current job's record (`expr._Job`) of the `_extrema` of each
-    group, as a tuple, over `points`; a fresh one outside a `_job_stream`
-    scope.  It is keyed on the list's id and holds the list, so no other
-    list can take that id within the job."""
+    """The current job's record (`expr._STREAM`) of the `_extrema` of
+    each group, as a tuple, over `points`; a fresh one outside a
+    `_job_stream` scope.  It is keyed on the list's id and holds the list,
+    so no other list can take that id within the job."""
     if (job := _STREAM.get()) is None:
         return {}
-    lists = job.answers[_recorded]
+    lists = job[_recorded]
     return (lists.get(id(points)) or lists.setdefault(id(points), (points, {})))[1]
 
 

@@ -84,6 +84,32 @@ def test_identities_alias(capsys):
     }
 
 
+def test_residuals_that_pass_with_an_identity_that_fails(tmp_path, capsys):
+    # exp(-x1)*cosh(x1) is in the class on this metric; the added
+    # 2e-13*sin(1000*x1) is not.  R1 reads its slope, 2.0e-10, under the
+    # tolerance 1e-9, so verify passes; the ric_vv residual reads about
+    # 1.5e-9, so identities turns the verdict to fail and exits 1.
+    spec = write_spec(tmp_path, {
+        "metric": {"f1": "cosh(x1)", "f2": "exp(x1)"},
+        "field": {"frame": "coordinate", "V1": "exp(-x1)*cosh(x1) + 2e-13*sin(1000*x1)", "V2": "0"},
+    })
+    code, out, _ = run_cli(capsys, "verify", "--spec", spec)
+    verified = json.loads(out)
+    assert code == cli.EXIT_PASS and verified["verdict"] == "pass"
+    assert verified["residual_max"][0] == pytest.approx(2.0e-10, rel=1e-3)
+    code, out, _ = run_cli(capsys, "identities", "--spec", spec)
+    report = json.loads(out)
+    assert code == cli.EXIT_FAIL == 1
+    assert report["verdict"] == "fail"
+    assert report["identities"] == {
+        "ric_vv": False,
+        "scalar_divergence": True,
+        "curvature_identity": True,
+        "closedness": True,
+    }
+    assert report["residual_max"] == verified["residual_max"]
+
+
 def test_curvature_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "curvature", "--spec", str(CORPUS / "ex03_cosh_metric.json"))
     assert code == 0

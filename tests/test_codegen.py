@@ -31,9 +31,8 @@ from ricciplane.expr import (
     compile_sweep,
     evaluate_with_scale,
     parse,
-    walk,
 )
-from ricciplane.expr import _int_pow
+from ricciplane.expr import _int_pow, _nodes
 
 from conftest import evaluate, random_smooth_tree
 
@@ -44,7 +43,7 @@ def _bits(values) -> tuple[str, ...]:
 
 
 def _value_and_scale(row) -> tuple[float, float]:
-    # What `is_probably_zero` reads from its kernel over `list(walk(e))`.
+    # What `is_probably_zero` reads from its kernel over `_nodes([e])` reversed.
     return row[0], max(map(abs, row))
 
 
@@ -56,7 +55,7 @@ def test_scaled_kernel_is_bit_identical_to_evaluate_with_scale():
         e = random_smooth_tree(rng, depth=5)
         p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         try:
-            expected = _value_and_scale([evaluate(node, p) for node in walk(e)])
+            expected = _value_and_scale([evaluate(node, p) for node in _nodes([e])[::-1]])
         except EvaluationError:
             try:
                 evaluate_with_scale(e, p)
@@ -72,7 +71,7 @@ def test_evaluate_with_scale_reads_a_nan_node_like_the_zero_test_kernel():
     # starts from it and stays NaN, although another node is infinite.
     e = parse("1e400 - 1e400 + 1")
     p = (0.5, 0.5)
-    expected = _value_and_scale([evaluate(node, p) for node in walk(e)])
+    expected = _value_and_scale([evaluate(node, p) for node in _nodes([e])[::-1]])
     assert _bits(evaluate_with_scale(e, p)) == _bits(expected) == ("nan", "nan")
 
 

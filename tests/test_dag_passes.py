@@ -1,8 +1,8 @@
 """Symbolic-layer passes that are linear in distinct nodes: code
-generation and denominator collection walk the DAG under all their
-roots once, `to_string` renders each distinct node once without
-recursion, and the curvature identity builds only the covariant rows
-it reads."""
+generation and denominator collection list the DAG under all their
+roots once (`_nodes`), `to_string` renders each distinct node once
+without recursion, and the curvature identity builds only the covariant
+rows it reads."""
 
 from __future__ import annotations
 
@@ -28,15 +28,16 @@ from ricciplane.expr import (
     Variable,
     X1,
     X2,
+    _nodes,
     compile_expr,
     compile_many,
     compile_sweep,
     denominators,
     differentiate,
+    kink_arguments,
     parse,
     simplify,
     to_string,
-    walk,
 )
 from ricciplane.geometry import DiagonalMetric, frame_derivative, lie_bracket, ricci
 from ricciplane.identities import _curvature_identity_residuals
@@ -66,12 +67,12 @@ def _shared_roots() -> list[Expr]:
     family pair, every node under them, and roots repeated."""
     [(_, _, m, V)] = draw_constructed("branch2", 1, 4711, SamplingConfig())
     residuals = _curvature_identity_residuals(m, V) + [ricci(m).rho, V.V1, V.V2]
-    return residuals + list(walk(*residuals))[::-1] + residuals
+    return residuals + _nodes(residuals) + residuals
 
 
 def test_compile_many_calls_children_once_per_distinct_node(children_calls):
     roots = _shared_roots()
-    distinct = len({id(n) for r in roots for n in walk(r)})
+    distinct = len({id(n) for r in roots for n in _nodes([r])})
     assert len(roots) > 100 and distinct > 50
     compile_many(roots)  # the kernel is compiled, or taken from the cache
     children_calls.clear()
@@ -79,12 +80,12 @@ def test_compile_many_calls_children_once_per_distinct_node(children_calls):
     assert 0 < len(children_calls) <= distinct
     children_calls.clear()
     compile_expr(roots[0])
-    assert len(children_calls) <= len(list(walk(roots[0])))
+    assert len(children_calls) <= len(_nodes([roots[0]]))
 
 
 def test_compile_sweep_calls_children_once_per_distinct_node(children_calls):
     roots = _shared_roots()
-    distinct = len({id(n) for r in roots for n in walk(r)})
+    distinct = len({id(n) for r in roots for n in _nodes([r])})
     children_calls.clear()
     compile_sweep(roots)  # the kernel is compiled, or taken from the cache
     assert 0 < len(children_calls) <= distinct
@@ -95,24 +96,58 @@ def test_compile_sweep_calls_children_once_per_distinct_node(children_calls):
 
 def test_merge_guards_calls_children_once_per_distinct_node(children_calls):
     roots = _shared_roots()
-    distinct = len({id(n) for r in roots for n in walk(r)})
+    distinct = len({id(n) for r in roots for n in _nodes([r])})
     children_calls.clear()
     merge_guards(roots[:2], roots)
     assert 0 < len(children_calls) <= distinct
 
 
-def test_walk_of_several_roots_is_each_walk_in_turn_without_repeats():
+def _under(root: Expr) -> dict[int, Expr]:
+    """Each distinct node under `root`, by id, in preorder from a stack
+    of its own: an order that depends on the tree alone, not on when
+    its nodes were made."""
+    found, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            stack += node.children()[::-1]
+    return found
+
+
+def test_nodes_of_several_roots_is_each_distinct_node_once_in_creation_order():
     rng = random.Random(77)
     for _ in range(40):
         roots = _random_group(rng)
-        expected, seen = [], set()
+        distinct = {}
         for r in roots:
-            for n in walk(r):
-                if id(n) not in seen:
-                    seen.add(id(n))
-                    expected.append(n)
-        assert [id(n) for n in walk(*roots)] == [id(n) for n in expected]
-    assert list(walk()) == []
+            distinct.update(_under(r))
+        nodes = _nodes(roots)
+        assert [id(n) for n in nodes] == [id(n) for n in sorted(distinct.values(), key=lambda n: n._serial)]
+        position = {id(n): k for k, n in enumerate(nodes)}
+        assert all(position[id(c)] < position[id(n)] for n in nodes for c in n.children())
+    assert _nodes([]) == []
+
+
+def test_every_reader_lists_in_node_order(monkeypatch):
+    # `kink_arguments`, like `denominators` (pinned with the kernel
+    # sources below), lists in the `_nodes` order of the nodes it reads:
+    # each new item appears at its own node, so it is the per-node
+    # composition in that order.  The rows of `evaluate_with_scale` and
+    # `is_probably_zero` are `_nodes` reversed, `e` first.
+    rng = random.Random(78)
+    for _ in range(40):
+        roots = _random_group(rng) + [parse("abs(x1 - 0.5)*sign(x2)/abs(x1*x2 + 2)")]
+        e = roots[-1] * Apply("abs", roots[0])
+        per_node = [k for n in _nodes([e]) for k in kink_arguments(n)]
+        assert [id(k) for k in kink_arguments(e)] == [id(k) for k in dict.fromkeys(per_node)]
+    rows, compile_many = [], expr.compile_many
+    monkeypatch.setattr(expr, "compile_many", lambda exprs: rows.append(list(exprs)) or compile_many(exprs))
+    e = parse("exp(x1)*x2 + x1/(x2 + 3)")
+    expr.evaluate_with_scale(e, (0.5, 0.25))
+    assert not expr.is_probably_zero(e, expr.Domain(), SamplingConfig(samples=20))
+    assert [[id(n) for n in row] for row in rows] == [[id(n) for n in _nodes([e])[::-1]]] * 2
+    assert rows[0][0] is e
 
 
 def _random_group(rng: random.Random) -> list[Expr]:
@@ -121,21 +156,21 @@ def _random_group(rng: random.Random) -> list[Expr]:
     trees = [random_smooth_tree(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
     roots = list(trees)
     roots += [simplify(differentiate(t, rng.choice([Var.X1, Var.X2]))) for t in trees[:2]]
-    inner = list(walk(trees[0]))
+    inner = list(_under(trees[0]).values())
     roots += rng.sample(inner, min(3, len(inner)))
     roots.append(Div(trees[-1], Pow(roots[rng.randrange(len(roots))], Constant(-3.0))))
     roots.append(roots[0])
     return roots
 
 
-# The per-root composition the one-walk passes replace: one walk per
-# root, each with its own seen-set.
+# The per-root composition the one-pass listings replace: one listing
+# per root, each with its own seen-set.
 
 
 def _per_root_source(exprs: list[Expr], single: bool) -> str:
     nodes: dict[int, Expr] = {}
     for e in exprs:
-        nodes.update((id(n), n) for n in walk(e))
+        nodes.update((id(n), n) for n in _nodes([e]))
     order = sorted(nodes.values(), key=lambda n: n._serial)
     # How many operands of the code read each node: a power spelled out
     # as b*b*b reads its base three times.
@@ -196,10 +231,12 @@ def _per_root_operation(node: Expr, args: list[str]) -> str:
     return f"{args[0]} {({Add: '+', Sub: '-', Mul: '*', Div: '/'})[type(node)]} {args[1]}"
 
 
-def _per_root_guards(guards: list[Expr], exprs: list[Expr]) -> list[Expr]:
+def _per_node_guards(guards: list[Expr], exprs: list[Expr]) -> list[Expr]:
+    """The guards, then the denominators of each node under `exprs` in
+    `_nodes` order, each once."""
     merged = dict.fromkeys(guards)
-    for e in exprs:
-        merged.update(dict.fromkeys(denominators(e)))
+    for n in _nodes(exprs):
+        merged.update(dict.fromkeys(denominators(n)))
     return list(merged)
 
 
@@ -215,10 +252,13 @@ def test_kernel_source_and_guards_match_the_per_root_composition(monkeypatch):
         compile_many(roots)
         compile_expr(roots[-2])
         assert sources == [_per_root_source(roots, False), _per_root_source([roots[-2]], True)]
-        guards = roots[:1] + list(walk(roots[1]))[:2]
-        assert [id(g) for g in merge_guards(guards, roots)] == [id(g) for g in _per_root_guards(guards, roots)]
+        guards = roots[:1] + list(_under(roots[1]).values())[:2]
+        assert [id(g) for g in merge_guards(guards, roots)] == [id(g) for g in _per_node_guards(guards, roots)]
+        # The denominators of each root in turn, each once, in `_nodes` order.
         flat = [g for r in roots for g in denominators(r)]
-        assert [id(g) for g in denominators(*roots)] == [id(g) for g in dict.fromkeys(flat)]
+        found = denominators(*roots)
+        assert len(found) == len(dict.fromkeys(flat)) and {id(g) for g in found} == {id(g) for g in flat}
+        assert [id(g) for g in found] == [id(g) for g in _per_node_guards([], roots)]
 
 
 def test_outputs_with_the_same_code_share_one_local(monkeypatch):

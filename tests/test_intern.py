@@ -40,7 +40,6 @@ from ricciplane.expr import (
     parse,
     simplify,
     to_string,
-    walk,
 )
 
 from conftest import CORPUS, random_smooth_tree, reference_derivative
@@ -121,7 +120,7 @@ def test_differentiate_memo_equals_fresh_derivative(e, v):
 
 @given(_trees)
 @settings(max_examples=100)
-def test_walk_visits_each_node_once_in_preorder(e):
+def test_nodes_lists_each_node_once_children_first_in_creation_order(e):
     order, seen = [], set()
 
     def preorder(node):
@@ -132,7 +131,12 @@ def test_walk_visits_each_node_once_in_preorder(e):
                 preorder(child)
 
     preorder(e)
-    assert [id(n) for n in walk(e)] == [id(n) for n in order]
+    nodes = expr._nodes([e])
+    assert len(nodes) == len(order) and {id(n) for n in nodes} == seen
+    position = {id(n): k for k, n in enumerate(nodes)}
+    assert all(position[id(c)] < position[id(n)] for n in nodes for c in n.children())
+    assert [n._serial for n in nodes] == sorted(n._serial for n in order)
+    assert nodes[-1] is e
 
 
 def test_copy_and_pickle_return_the_interned_node():

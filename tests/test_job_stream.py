@@ -54,7 +54,7 @@ def test_covered_subset_is_served_by_its_superset(monkeypatch):
         superset = sample_points(Domain(), CFG, [COSH, EXP])
         assert sample_points(Domain(), CFG, [EXP]) is superset
         assert sample_points(Domain(), CFG) is superset
-        (s,) = numeric._STREAM.get().values()
+        (s,) = numeric._STREAM.get()[numeric._Stream].values()
         assert superset is s.prefix
         # Each cleared guard is held by its sweep state, not by a pass.
         assert s.passes == {} and _swept(s) == [COSH, EXP]
@@ -69,7 +69,7 @@ def test_superset_that_rejected_candidates_serves_no_subset(monkeypatch):
     with numeric._job_stream():
         passes, _ = _counting_passes(monkeypatch)
         superset = sample_points(d, CFG, [SINH, EXP])
-        (s,) = numeric._STREAM.get().values()
+        (s,) = numeric._STREAM.get()[numeric._Stream].values()
         # The sweep clears exp (>= 1/e), not sinh, which changes sign:
         # both sweep states are stored, then the rejecting pass with its
         # own points, which clears nothing.  The record holds the
@@ -100,7 +100,7 @@ def test_seed_samples_and_domain_each_get_their_own_entry(other_d, other_cfg):
     with numeric._job_stream():
         first = sample_points(Domain(), CFG, [EXP])
         other = sample_points(other_d, other_cfg, [EXP])
-        assert len(numeric._STREAM.get()) == 2
+        assert len(numeric._STREAM.get()[numeric._Stream]) == 2
         # The tolerance is not part of the key.
         same = sample_points(Domain(), SamplingConfig(samples=100, seed=5, tolerance=1e-3), [EXP])
     assert same is first
@@ -118,7 +118,7 @@ def test_singular_domain_raises_the_same_message_in_and_out_of_the_scope():
             with pytest.raises(DomainTooSingularError) as inside:
                 sample_points(d, CFG, tiny)
             assert str(inside.value) == str(outside.value)
-        ((key, s),) = numeric._STREAM.get().items()
+        ((key, s),) = numeric._STREAM.get()[numeric._Stream].items()
         assert key == (d, CFG.samples, CFG.seed)
         assert s.passes == {} and s.cleared == set()
 
@@ -247,8 +247,8 @@ def test_construct_job_scans_each_expression_once(tmp_path, capsys, monkeypatch,
     # zero at its first point, the zero test's own sweep of rho, its fold
     # and x1: 19 and 21 in all.
     records, failures = [], []
-    stream, scan = numeric._stream, numeric._scan_nowhere_zero
-    monkeypatch.setattr(numeric, "_stream", lambda d, cfg: records.append(stream(d, cfg)) or records[-1])
+    stream, scan = numeric._Stream, numeric._scan_nowhere_zero
+    monkeypatch.setattr(numeric, "_Stream", lambda *key: records.append(stream(*key)) or records[-1])
     monkeypatch.setattr(
         numeric, "_scan_nowhere_zero", lambda e, points, guard: failures.append(e) or scan(e, points, guard)
     )
@@ -350,7 +350,7 @@ def test_a_rejecting_pass_reads_the_stored_prefix_bit_for_bit(monkeypatch):
         sample_points(d, CFG)
         assert (len(starts), len(drawn)) == (1, CFG.samples)
         scoped = sample_points(d, CFG, [SINH])
-        (s,) = numeric._STREAM.get().values()
+        (s,) = numeric._STREAM.get()[numeric._Stream].values()
         assert s.passes[frozenset([SINH])] != s.prefix  # it rejected candidates
     # The second pass read the stored candidates, then drew past them
     # from where they end: each candidate of the stream is drawn once,
@@ -368,7 +368,7 @@ def test_a_failed_pass_stores_no_more_than_samples_candidates():
         tiny = parse("1e-9*x1")
         with pytest.raises(DomainTooSingularError):
             sample_points(d, CFG, [tiny])
-        (s,) = numeric._STREAM.get().values()
+        (s,) = numeric._STREAM.get()[numeric._Stream].values()
         # The sweeps of the scan and of the guard are stored; the failed pass is not.
         assert _swept(s) == [COSH, tiny] and s.passes == {}
         assert len(s.prefix) == CFG.samples
@@ -415,6 +415,39 @@ def _counting_passes(monkeypatch) -> tuple[list, list]:
     return passes, kernels
 
 
+_GUARDED = {
+    "metric": {"f1": "cosh(x1)", "f2": "exp(x1)"},
+    "field": {"frame": "coordinate", "V1": "exp(-x1)*cosh(x1)*(x1 - 0.3)/(x1 - 0.3)", "V2": "0"},
+    "domain": {"x1": [-1, 1], "x2": [-1, 1], "guard": 0.05},
+}
+
+
+@pytest.mark.parametrize("samples", [200, 20_000])
+@pytest.mark.parametrize("command", ["verify", "identities", "oracle"])
+def test_a_guarded_job_runs_one_pass_that_rejects_candidates(tmp_path, capsys, monkeypatch, command, samples):
+    # The guard x1 - 0.3 rejects the prefix candidates within 0.05 of
+    # x1 = 0.3: the job runs one pass, kept in its stream record, and the
+    # pass returns a list of its own, not the prefix.
+    spec = tmp_path / "guarded.json"
+    spec.write_text(json.dumps(_GUARDED), encoding="utf-8")
+    runs = []
+    draw_pass = numeric._draw_pass
+
+    def recorded(d, cfg, guards, s):
+        runs.append((guards, s, draw_pass(d, cfg, guards, s)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(numeric, "_draw_pass", recorded)
+    assert cli.main([command, "--spec", str(spec), "--samples", str(samples)]) == 0
+    capsys.readouterr()
+    ((guards, s, points),) = runs
+    assert parse("x1 - 0.3") in guards
+    assert s.passes == {frozenset(guards): points}
+    assert points is not s.prefix and len(points) == samples
+    assert all(abs(x1 - 0.3) >= 0.05 for x1, _ in points)
+    assert any(abs(x1 - 0.3) < 0.05 for x1, _ in s.prefix)
+
+
 def test_passes_over_separate_guards_clear_their_union(monkeypatch):
     # cosh >= 1 and exp >= 1/e on [-1, 1]: the sweep of each set clears
     # it, and neither runs a pass.
@@ -425,7 +458,7 @@ def test_passes_over_separate_guards_clear_their_union(monkeypatch):
         sample_points(Domain(), CFG, [EXP])
         assert [groups for groups, _ in swept] == [[[COSH]], [[EXP]]]
         served = sample_points(Domain(), CFG, [COSH, EXP])
-        (s,) = numeric._STREAM.get().values()
+        (s,) = numeric._STREAM.get()[numeric._Stream].values()
         assert s.passes == {} and _swept(s) == [COSH, EXP]
         assert s.cleared == {COSH, EXP}
     assert served is first is s.prefix
@@ -441,7 +474,7 @@ def test_a_passing_scan_clears_its_expression(monkeypatch, guards):
         prefix = sample_points(Domain(), CFG)
         passes, kernels = _counting_passes(monkeypatch)
         served = sample_points(Domain(), CFG, guards)
-        (s,) = numeric._STREAM.get().values()
+        (s,) = numeric._STREAM.get()[numeric._Stream].values()
         assert s.passes == {}
         assert _swept(s) == [COSH, EXP] and s.cleared == {COSH, EXP}
     assert served is prefix is s.prefix
@@ -453,7 +486,7 @@ def test_a_scan_of_another_stream_clears_nothing(monkeypatch):
     with numeric._job_stream():
         assert numeric.nowhere_zero(COSH, Domain(), SamplingConfig(samples=100, seed=6))[0]
         prefix = sample_points(Domain(), CFG)
-        s = numeric._STREAM.get()[(Domain(), CFG.samples, CFG.seed)]
+        s = numeric._STREAM.get()[numeric._Stream][(Domain(), CFG.samples, CFG.seed)]
         assert s.cleared == set() and _swept(s) == []
         passes, _ = _counting_passes(monkeypatch)
         swept = _counting_sweeps(monkeypatch)
@@ -467,7 +500,7 @@ def test_a_failing_scan_clears_nothing(monkeypatch):
     with numeric._job_stream():
         assert numeric.nowhere_zero(x1, Domain(), CFG) == (False, numeric._SIGN_CHANGE)
         prefix = sample_points(Domain(), CFG)
-        (s,) = numeric._STREAM.get().values()
+        (s,) = numeric._STREAM.get()[numeric._Stream].values()
         assert s.cleared == set()
         passes, kernels = _counting_passes(monkeypatch)
         scoped = sample_points(Domain(), CFG, [x1])

@@ -33,8 +33,8 @@ from ricciplane.expr import (
     X2,
     compile_expr,
     compile_many,
+    _nodes,
     parse,
-    walk,
 )
 from ricciplane.numeric import SamplingConfig, fd_validate
 
@@ -220,7 +220,7 @@ def _shape(exprs: list) -> tuple:
     the exponent of a power whose code spells it out, in place of that
     operand; the number of constants read; and the results.  Constants
     are numbered at their first read, by an operation, then by a result."""
-    nodes = sorted({id(n): n for e in exprs for n in walk(e)}.values(), key=lambda n: n._serial)
+    nodes = sorted({id(n): n for e in exprs for n in _nodes([e])}.values(), key=lambda n: n._serial)
     names, consts, ops = {}, {}, []
 
     def name(n: Expr) -> tuple:

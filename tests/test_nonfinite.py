@@ -13,12 +13,12 @@ from ricciplane import cli
 from ricciplane.expr import (
     EVAL_ERRORS,
     Domain,
+    _nodes,
     compile_expr,
     compile_many,
     denominators,
     is_probably_zero,
     parse,
-    walk,
 )
 from ricciplane.geometry import is_flat, ricci
 from ricciplane.numeric import SamplingConfig, nowhere_zero, sample_points, sampled_max_abs, sampled_range
@@ -82,7 +82,7 @@ def test_overflowing_subexpression_is_not_zero():
 def exact_zero_reading(e, d, samples=200, seed=42, tol=1e-9):
     """The zero test's rule applied to every evaluable point, with no
     shortcut: every node finite and |e| <= tol * (1 + max |node|)."""
-    fn = compile_many(list(walk(e)))
+    fn = compile_many(_nodes([e])[::-1])
     rows = []
     for p in sample_points(d, SamplingConfig(samples=samples, seed=seed), denominators(e)):
         try:

@@ -23,12 +23,12 @@ from ricciplane.expr import (
     Domain,
     Variable,
     _finiteness_folds,
+    _nodes,
     compile_expr,
     compile_many,
     denominators,
     is_probably_zero,
     parse,
-    walk,
 )
 from ricciplane.geometry import ricci
 from ricciplane.numeric import DomainTooSingularError, SamplingConfig, _enough, sample_points
@@ -49,9 +49,9 @@ _points = st.lists(st.tuples(st.sampled_from(_COORDS), st.sampled_from(_COORDS))
 def _record(points: list, monkeypatch) -> tuple[numeric._Stream, SamplingConfig]:
     """A stream record whose prefix is `points`, served to every call."""
     cfg = SamplingConfig(samples=len(points), seed=1)
-    s = numeric._Stream(D, cfg)
+    s = numeric._Stream(D, cfg.samples, cfg.seed)
     s.prefix = list(points)
-    monkeypatch.setattr(numeric, "_stream", lambda d, c: s)
+    monkeypatch.setattr(numeric, "_Stream", lambda *key: s)
     return s, cfg
 
 
@@ -174,7 +174,7 @@ def test_a_nan_valued_guard_clears_and_a_mixed_sign_guard_runs_its_pass(monkeypa
 
 def _reference_is_probably_zero(e, points, cfg) -> bool:
     """The per-point loop that decided `is_probably_zero` before."""
-    fn = compile_many(list(walk(e)))
+    fn = compile_many(_nodes([e])[::-1])
     tol, enough = cfg.tolerance, _enough(cfg.samples)
     evaluated = 0
     verdict = True
@@ -313,7 +313,7 @@ def test_a_flat_product_needs_the_fold_under_exp():
 
 def _rows(e, points) -> list:
     """The row of every node of `e` at each point, None where undefined."""
-    fn = compile_many(list(walk(e)))
+    fn = compile_many(_nodes([e])[::-1])
     rows = []
     for p in points:
         try:
@@ -358,7 +358,7 @@ def test_a_recorded_sweep_decides_as_the_per_point_loop(which, d, samples, seed,
     folds = _finiteness_folds(e)
     swept, read = [], []
     with pytest.MonkeyPatch.context() as monkeypatch, numeric._job_stream():
-        s = numeric._stream(d, cfg)
+        s = numeric._once_per_job(numeric._Stream, d, cfg.samples, cfg.seed)
         numeric._sweep_prefix([e, *folds], s, d.guard)
         points = _outcome(sample_points, d, cfg, denominators(e))
         extrema, kernel = numeric._extrema, expr.compile_many
@@ -381,5 +381,5 @@ def test_a_recorded_sweep_decides_as_the_per_point_loop(which, d, samples, seed,
         k = next((k for k, row in enumerate(rows) if row is not None), None)
         assert len(read) <= (0 if k is None else k + 1) or _reads_zero(rows[k], tol)
     else:
-        variables = [[v] for v in walk(e) if isinstance(v, Variable)]
+        variables = [[v] for v in _nodes([e])[::-1] if isinstance(v, Variable)]
         assert swept in ([], [[[e], *[[f] for f in folds], *variables]])
