@@ -10,10 +10,17 @@ interpreter in its checkout directory; the base side goes first in
 even pairs and the head side in odd ones.  The file BENCH_<name>.json
 (in --out-dir) records every run's last-line JSON with its seed and
 seconds, each side's `git rev-parse HEAD` and whether its tree differs
-from that commit, the Python version, and for each workload and metric
-the medians and quartiles (inclusive method) of each side and the number
-of pairs the head side won, by the direction BENCHMARK.json gives the
+from that commit and whether its `src/ricciplane/__pycache__` holds
+bytecode, the Python version, and for each workload and metric the
+medians and quartiles (inclusive method) of each side and the number of
+pairs the head side won, by the direction BENCHMARK.json gives the
 metric.  Exits 1 if any run fails or reports "correct": false.
+
+A side that imports cached bytecode skips compiling the package and
+reads lower `peak_rss_mb` (about 0.4 MB) than one that compiles it from
+source, so when one side holds bytecode and the other does not the
+script runs nothing and exits 2; remove that `__pycache__`, or compile
+the other side (`python3 -m compileall src`), and run it again.
 
 Standard library only; run it on an otherwise idle machine.
 """
@@ -32,6 +39,10 @@ from pathlib import Path
 
 def _git(checkout: Path, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def _has_bytecode(checkout: Path) -> bool:
+    return any((checkout / "src" / "ricciplane" / "__pycache__").glob("*.pyc"))
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -72,6 +83,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
     sides = {"base": args.base.resolve(), "head": args.head.resolve()}
+    bytecode = {name: _has_bytecode(path) for name, path in sides.items()}
+    if bytecode["base"] != bytecode["head"]:
+        held = {name: "holds" if has else "holds no" for name, has in bytecode.items()}
+        print(
+            f"base {held['base']} bytecode in src/ricciplane/__pycache__ and head {held['head']}: "
+            "peak_rss_mb would read the difference, so nothing was run",
+            file=sys.stderr,
+        )
+        return 2
     spec = json.loads((sides["head"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
     seconds = spec["run_seconds"]
@@ -79,7 +99,11 @@ def main(argv=None) -> int:
         "python": sys.version,
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "sides": {
-            name: {"commit": _git(path, "rev-parse", "HEAD"), "dirty": bool(_git(path, "status", "--porcelain"))}
+            name: {
+                "commit": _git(path, "rev-parse", "HEAD"),
+                "dirty": bool(_git(path, "status", "--porcelain")),
+                "bytecode": bytecode[name],
+            }
             for name, path in sides.items()
         },
         "workloads": {},

@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import functools
 import json
 import math
 import sys
-import traceback
-from pathlib import Path
-from typing import Iterator, TextIO
+from collections.abc import Iterator
+from io import TextIOBase
 
 from . import __version__, numeric
 from .expr import (
@@ -72,7 +69,8 @@ class SpecError(ValueError):
 
 def load_spec(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise SpecError(f"cannot read spec file {path}: {err}") from None
     try:
@@ -160,12 +158,10 @@ def effective_config(spec: dict, args) -> SamplingConfig:
         sampling["samples"] = args.samples
     if getattr(args, "tolerance", None) is not None:
         sampling["tolerance"] = args.tolerance
-    defaults = SamplingConfig()
     try:
         values = {}
-        for field in dataclasses.fields(defaults):
-            value = sampling.get(field.name, getattr(defaults, field.name))
-            values[field.name] = _number(value, field.name, integral=field.name in ("samples", "seed"))
+        for name, default in SamplingConfig._field_defaults.items():
+            values[name] = _number(sampling.get(name, default), name, integral=name in ("samples", "seed"))
         return SamplingConfig(**values)
     except (TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad sampling config: {err}") from None
@@ -218,7 +214,7 @@ def spec_family(spec: dict) -> FamilyParams:
     if not isinstance(kind, str) or kind not in _FAMILY_KINDS:
         raise SpecError(f"unknown family kind {kind!r}; expected one of {sorted(_FAMILY_KINDS)}")
     cls = _FAMILY_KINDS[kind]
-    names = [field.name for field in dataclasses.fields(cls)]
+    names = cls._fields
     missing = [k for k in names if k not in family]
     if missing:
         raise SpecError(f"family {kind!r} is missing parameters {missing}")
@@ -255,7 +251,7 @@ def _echo_domain(d: Domain) -> dict:
 
 
 def _echo_spec(spec: dict, d: Domain, cfg: SamplingConfig) -> dict:
-    echo = {"domain": _echo_domain(d), "sampling": dataclasses.asdict(cfg)}
+    echo = {"domain": _echo_domain(d), "sampling": cfg._asdict()}
     for key in ("metric", "field", "potential", "family"):
         if spec.get(key) is not None:
             echo[key] = spec[key]
@@ -290,7 +286,7 @@ def render_report(report: dict) -> str:
 
 
 @contextlib.contextmanager
-def _output(path: str, newline: str | None = None) -> Iterator[TextIO]:
+def _output(path: str, newline: str | None = None) -> Iterator[TextIOBase]:
     """The file `path`, open for writing; a path that cannot be written is a spec error."""
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
@@ -319,6 +315,8 @@ def emit_grid(path: str, exprs: dict, d: Domain, size: int) -> None:
         for j in range(size):
             x2 = d.x2_range[0] + (d.x2_range[1] - d.x2_range[0]) * j / (size - 1)
             rows.append([repr(x1), repr(x2), *("nan" if v is None else repr(v) for v in values(x1, x2))])
+    import csv  # only this command writes CSV
+
     with _output(path, newline="") as fh:
         csv.writer(fh).writerows(rows)
 
@@ -384,9 +382,12 @@ def cmd_construct(args, spec: dict, d: Domain, cfg: SamplingConfig) -> int:
         "metric": {"f1": f1, "f2": f2},
         "field": {"frame": "orthonormal", "V1": V1, "V2": V2},
         "domain": _echo_domain(d),
-        "sampling": dataclasses.asdict(cfg),
+        "sampling": cfg._asdict(),
     }
-    emit_path = args.emit_spec or str(Path(args.spec).with_suffix("")) + ".derived.json"
+    if not (emit_path := args.emit_spec):
+        from pathlib import PurePath  # next to the spec, as pathlib spells it: no "./", no "//"
+
+        emit_path = str(PurePath(args.spec).with_suffix("")) + ".derived.json"
     with _output(emit_path) as fh:
         fh.write(json.dumps(derived, indent=2, sort_keys=True) + "\n")
     report, exit_code = _verify_report(spec, m, V, d, cfg, args)
@@ -496,6 +497,8 @@ def main(argv=None) -> int:
         return EXIT_SPEC_ERROR
     except Exception:
         # Never let a crash share exit 1 with a verification fail.
+        import traceback
+
         print(f"internal error:\n{traceback.format_exc()}", file=sys.stderr, end="")
         return EXIT_INTERNAL
 

@@ -21,10 +21,10 @@ import operator
 import re
 import types
 import weakref
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+TYPE_CHECKING = False  # type checkers read it as True; `typing` costs every process its import
 if TYPE_CHECKING:
     from .numeric import SamplingConfig
 
@@ -34,16 +34,14 @@ class Var(Enum):
     X2 = "x2"
 
 
-@dataclass(frozen=True)
-class Domain:
-    """A sampling rectangle; guard is the smallest |value| a denominator
-    root factor may take at an accepted sample point."""
+class Domain(collections.namedtuple("Domain", "x1_range x2_range guard", defaults=((-1.0, 1.0), (-1.0, 1.0), 1e-6))):
+    """A sampling rectangle, (lo, hi) per coordinate; guard is the smallest
+    |value| a denominator root factor may take at an accepted sample point."""
 
-    x1_range: tuple[float, float] = (-1.0, 1.0)
-    x2_range: tuple[float, float] = (-1.0, 1.0)
-    guard: float = 1e-6
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for lo, hi in (self.x1_range, self.x2_range):
             if not lo < hi:
                 raise ValueError(f"empty coordinate range [{lo}, {hi}]")
@@ -52,6 +50,7 @@ class Domain:
                 raise ValueError(f"coordinate range [{lo}, {hi}] must be finite")
         if not (self.guard > 0 and math.isfinite(self.guard)):
             raise ValueError("guard must be positive and finite")
+        return self
 
 
 class ParseError(ValueError):
@@ -985,11 +984,8 @@ _POW_PREC = 30
 _ATOM_PREC = 100
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | one of "+-*/^()" | "end"
-    text: str
-    position: int
+# kind is "number", "ident", one of "+-*/^()" or "end".
+_Token = collections.namedtuple("_Token", "kind text position")
 
 
 def _tokenize(text: str) -> list[_Token]:

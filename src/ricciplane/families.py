@@ -10,9 +10,8 @@ automatically.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
-from typing import Union
 
 from .expr import (
     Add,
@@ -45,19 +44,14 @@ class HypothesisError(ValueError):
         super().__init__(f"hypothesis violated: {hypothesis}" + (f" ({detail})" if detail else ""))
 
 
-@dataclass(frozen=True)
-class ConstantComponents:
+class ConstantComponents(collections.namedtuple("ConstantComponents", "f1 f2 c1 c2")):
     """f1 = f1(x1), f2 = f2(x2); every field with constant frame
     components is a solution, and nothing else is."""
 
-    f1: Expr
-    f2: Expr
-    c1: float
-    c2: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Branch1:
+class Branch1(collections.namedtuple("Branch1", "f2 k c")):
     """f2 = f2(x1) with f2' nowhere zero; the metric is completed by
     f1 = (k f2^2 + c) / (2 f2') and the field is (c/f2, 0).
 
@@ -66,33 +60,23 @@ class Branch1:
     restricts to k != 0; callers may flag it as proof-only.
     """
 
-    f2: Expr
-    k: float
-    c: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Branch2:
+class Branch2(collections.namedtuple("Branch2", "f2 c c1 c2")):
     """f2 = f2(x1) with f2' nowhere zero; f1 = c f2^2 / f2' and the
     field rotates in x2 with frequency |c|."""
 
-    f2: Expr
-    c: float
-    c1: float
-    c2: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstantMetric:
+class ConstantMetric(collections.namedtuple("ConstantMetric", "k1 k2 c1 c2")):
     """f1 = k1, f2 = k2 constants; solutions are the constant fields."""
 
-    k1: float
-    k2: float
-    c1: float
-    c2: float
+    __slots__ = ()
 
 
-FamilyParams = Union[ConstantComponents, Branch1, Branch2, ConstantMetric]
+FamilyParams = ConstantComponents | Branch1 | Branch2 | ConstantMetric
 
 
 def _require_nonzero(name: str, value: float) -> None:

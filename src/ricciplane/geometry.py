@@ -9,8 +9,8 @@ functions appear.
 
 from __future__ import annotations
 
+import collections
 import functools
-from dataclasses import dataclass
 
 from .expr import (
     Constant,
@@ -32,12 +32,8 @@ from .expr import (
 from .numeric import DomainTooSingularError, SamplingConfig, covered_sweep, first_zero_failure
 
 
-@dataclass(frozen=True)
-class DiagonalMetric:
+class DiagonalMetric(collections.namedtuple("DiagonalMetric", "f1 f2")):
     """The pair (f1, f2); both must be nowhere zero on the working domain."""
-
-    f1: Expr
-    f2: Expr
 
     def component(self, i: int) -> Expr:
         if i == 1:
@@ -48,27 +44,23 @@ class DiagonalMetric:
 
     @functools.cached_property
     def _curvature(self) -> "CurvatureData":
-        # Derived once per instance.  A cached_property is no dataclass
-        # field, so it stays out of ==, hash and repr; __getstate__
-        # keeps it out of pickles.
+        # Derived once per instance and kept in the instance __dict__
+        # (the class has no __slots__), which is no field: it stays out
+        # of ==, hash and repr, and __getstate__ keeps it out of pickles.
         return _derive_curvature(self)
 
-    def __getstate__(self) -> dict:
-        return {"f1": self.f1, "f2": self.f2}
+    def __getstate__(self) -> None:
+        return None
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(collections.namedtuple("CurvatureData", "h12 h21 rho r")):
     """h12, h21, the common diagonal Ricci entry rho, and r = 2*rho.
 
     The Ricci operator is rho times the identity in the frame: equal
     diagonal entries, zero off-diagonal entry.
     """
 
-    h12: Expr
-    h21: Expr
-    rho: Expr
-    r: Expr
+    __slots__ = ()
 
 
 def validate_metric(m: DiagonalMetric, d: Domain, cfg: SamplingConfig) -> None:

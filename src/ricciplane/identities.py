@@ -11,8 +11,8 @@ machinery is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+import collections
+from collections.abc import Callable, Iterable, Sequence
 
 from .expr import (
     Add,
@@ -31,11 +31,10 @@ from .numeric import SamplingConfig, covered_sweep
 from .riccifield import FrameField, closedness_defect, covariant_row, divergence
 
 
-@dataclass(frozen=True)
-class PotentialFunction:
+class PotentialFunction(collections.namedtuple("PotentialFunction", "f")):
     """A scalar potential; its gradient field is E1(f) E1 + E2(f) E2."""
 
-    f: Expr
+    __slots__ = ()
 
 
 def _sampled_ok(m: DiagonalMetric, groups: Iterable[Sequence[Expr]], d: Domain, cfg: SamplingConfig) -> list[bool]:

@@ -7,12 +7,12 @@ that never touches the symbolic differentiation path.
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .expr import (
     _STREAM,
@@ -42,15 +42,13 @@ class DomainTooSingularError(RuntimeError):
     """Guard rejection left too few usable sample points."""
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    samples: int = 200
-    seed: int = 42
-    tolerance: float = 1e-9
-    fd_step: float = 1e-5
-    fd_tolerance: float = 1e-5
+class SamplingConfig(
+    collections.namedtuple("SamplingConfig", "samples seed tolerance fd_step fd_tolerance", defaults=(200, 42, 1e-9, 1e-5, 1e-5))
+):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.samples > MAX_SAMPLES:
@@ -58,6 +56,7 @@ class SamplingConfig:
         for x in (self.tolerance, self.fd_step, self.fd_tolerance):
             if not (x > 0 and math.isfinite(x)):
                 raise ValueError("step and tolerances must be positive and finite")
+        return self
 
 
 def _draws(d: Domain, rng: random.Random) -> Iterator[tuple[float, float]]:
@@ -253,13 +252,10 @@ def _scan_nowhere_zero(e: Expr, points: Sequence[tuple[float, float]], guard: fl
     return True, ""
 
 
-@dataclass(frozen=True)
-class FdValidation:
+class FdValidation(collections.namedtuple("FdValidation", "max_rel_error points_used points_skipped")):
     """Outcome of comparing symbolic partials against central differences."""
 
-    max_rel_error: float
-    points_used: int
-    points_skipped: int
+    __slots__ = ()
 
 
 def fd_validate(

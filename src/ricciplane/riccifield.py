@@ -8,8 +8,8 @@ residual maxima, never on the symbolic shape of the residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import collections
+from collections.abc import Iterable, Sequence
 
 from .expr import (
     Add,
@@ -31,26 +31,21 @@ from .geometry import (
 from .numeric import SamplingConfig, _extrema, merge_guards, sample_points
 
 
-@dataclass(frozen=True)
-class FrameField:
+class FrameField(collections.namedtuple("FrameField", "V1 V2")):
     """Orthonormal-frame components of a vector field V = V1 E1 + V2 E2."""
 
-    V1: Expr
-    V2: Expr
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Residuals of the four field equations with their sampled maxima."""
+class ResidualReport(
+    collections.namedtuple("ResidualReport", "residuals max_abs verdict points_used seed tolerance curvature_ranges")
+):
+    """Residuals of the four field equations (R1-R4) with their sampled
+    maxima, in that order; verdict is "pass" or "fail";
+    curvature_ranges is the sampled (min, max) of h12, h21, rho and r,
+    as `sampled_range` gives them."""
 
-    residuals: tuple[Expr, Expr, Expr, Expr]
-    max_abs: tuple[float, float, float, float]
-    verdict: str  # "pass" | "fail"
-    points_used: int
-    seed: int
-    tolerance: float
-    # The sampled (min, max) of h12, h21, rho and r, as `sampled_range` gives them.
-    curvature_ranges: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -363,17 +363,19 @@ def test_signed_zero_and_nan_slots_keep_their_bits(monkeypatch):
 
 def test_fd_kernel_over_lists_that_share_constants(monkeypatch):
     # One constant node read by a value, by both of its slopes and by a
-    # kink argument: one slot in the fd kernel.  `two` outlives both jobs,
-    # so each job's constants come in the same creation order.
+    # kink argument: one slot in the fd kernel.  `two` and the operations
+    # that read no k outlive both jobs, so each job sees its constants and
+    # operations in the same creation order.
     two = Constant(2.0)
+    square, product = Pow(X1, two), Mul(X1, X2)
     d, cfg = Domain((0.25, 1.25), (-1.0, 1.0)), SamplingConfig(samples=300, seed=8)
 
     def job(c: float) -> list:
         k = Constant(c)
         return [
-            Add(Mul(k, Pow(X1, two)), Apply("abs", Sub(X2, k))),
+            Add(Mul(k, square), Apply("abs", Sub(X2, k))),
             Mul(Apply("sin", Mul(k, X2)), Add(k, X1)),
-            Apply("exp", Mul(k, Mul(X1, X2))),
+            Apply("exp", Mul(k, product)),
         ]
 
     expr._template.cache_clear()
